@@ -2,7 +2,7 @@
 Synthetic telemetry and the feature map
 =======================================
 
-Generate one labeled scenario, look at the raw events inside a quiet
+Generate one labeled scenario, look at the columnar events inside a quiet
 window and an attacked one, then turn both into fixed-width feature
 vectors and check that each attack kind's marker feature stands out
 from the benign baseline.
@@ -35,13 +35,16 @@ stream = generate_stream(config)
 labels = [w.label or "benign" for w in stream.windows]
 print(f"{config.n_windows} one-second windows:", dict(Counter(labels)))
 
-# 2. raw events inside a benign window vs the middle of the flood
+# 2. raw events inside a benign window vs the middle of the flood: each
+#    window holds one set of numpy columns per source
 benign_win = stream.windows[5]
 ddos_win = stream.windows[30]
 for name, win in (("benign", benign_win), ("ddos", ddos_win)):
-    mix = Counter(ev.kind for ev in win.events)
+    mix = {cols.kind: len(cols) for cols in win.sources}
     print(f"{name:7s} window [{win.start}, {win.end}) ms: "
-          f"{len(win.events)} events {dict(mix)}")
+          f"{win.event_count} events {mix}")
+first = ddos_win.events[0]  # event objects are built only when read
+print(f"first ddos-window event: {first}")
 
 # 3. the feature layout: three named segments partitioning one vector
 layout = build_layout()

@@ -12,6 +12,8 @@ Config schemas (all fields optional unless noted):
   train-detector  {"scenario": {...}, "arch": {...}, "epochs": int,
                    "batch_size": int, "lr": float, "threshold": float,
                    "eval_seed": int}
+                  writes detector.npz, evaluation.json and history.csv
+                  (per-epoch training loss/accuracy and validation accuracy)
   train-policy    {"env": {...}, "episodes": int, "steps_per_episode": int,
                    "alpha": float, "gamma": float, "epsilon_start": float,
                    "epsilon_end": float, "anneal_fraction": float}
@@ -127,7 +129,7 @@ def _cmd_train_detector(args) -> int:
     stream = generate_stream(scenario)
     x, y, stats = det.prepare_dataset(stream, layout, arch.seq_len)
     model = det.build_model(arch, seed=train_cfg.seed)
-    det.train(model, x, y, train_cfg)
+    model, history = det.train(model, x, y, train_cfg)
 
     eval_seed = int(doc.get("eval_seed", scenario.seed + 1))
     eval_stream = generate_stream(dataclasses.replace(scenario, seed=eval_seed))
@@ -139,6 +141,10 @@ def _cmd_train_detector(args) -> int:
     det.save_detector(ckpt, model, arch, stats, layout)
     _write_text(os.path.join(out, "evaluation.json"),
                 _canonical_json(metrics.to_dict()))
+    rows = ["epoch,loss,train_accuracy,val_accuracy"]
+    rows += [f"{h['epoch']},{h['loss']!r},{h['train_accuracy']!r},{h['val_accuracy']!r}"
+             for h in history]
+    _write_text(os.path.join(out, "history.csv"), "\n".join(rows) + "\n")
     print(f"trained detector -> {ckpt} "
           f"(eval accuracy {metrics.accuracy:.4f} on seed {eval_seed})")
     return 0

@@ -15,17 +15,22 @@ Positions the catalog does not populate are named ``*.reserved_*`` and are
 always zero. Extraction is pure: the same window yields the same vector, and
 all time handling is window-relative, so shifting a window and its events by
 a constant changes nothing.
+
+Extraction works on a window's numpy columns in one pass per segment:
+counts and histograms come from ``bincount``/``unique`` and exact log2
+buckets, giving each segment's statistics in catalog order. A layout
+resolves its names to positions in those statistics once, when it is
+built, so a window costs one gather instead of a name lookup per feature.
 """
 
 import json
-import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InputError
-from .telemetry import BEHAVIOR_ACTIONS, LOG_SUBSYSTEMS, TelemetryWindow
+from .telemetry import (BEHAVIOR_ACTIONS, FIXED_CODES, FIXED_STRINGS, LOG_SUBSYSTEMS,
+                        TelemetryWindow)
 
 DEFAULT_DIM = 428
 
@@ -53,19 +58,22 @@ def entropy_nats(counts) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+_TRAFFIC_SCALARS = (
+    "flow_count", "flow_rate", "byte_sum", "byte_rate", "byte_mean",
+    "byte_std", "byte_max", "byte_min", "packet_sum", "packet_rate",
+    "packet_mean", "packet_std", "packet_max", "duration_mean",
+    "duration_std", "duration_max", "bytes_per_packet_mean",
+    "dominant_flow_ratio", "syn_count", "syn_ratio", "tcp_count",
+    "tcp_ratio", "udp_count", "udp_ratio", "distinct_ports",
+    "port_entropy", "low_port_ratio", "high_port_count", "distinct_src",
+    "src_entropy", "distinct_dst", "dst_entropy", "payload_marker_count",
+    "payload_marker_ratio", "flows_per_src_mean", "flows_per_src_max",
+    "flows_per_dst_mean", "flows_per_dst_max",
+)
+
+
 def _traffic_catalog() -> list[str]:
-    names = [
-        "flow_count", "flow_rate", "byte_sum", "byte_rate", "byte_mean",
-        "byte_std", "byte_max", "byte_min", "packet_sum", "packet_rate",
-        "packet_mean", "packet_std", "packet_max", "duration_mean",
-        "duration_std", "duration_max", "bytes_per_packet_mean",
-        "dominant_flow_ratio", "syn_count", "syn_ratio", "tcp_count",
-        "tcp_ratio", "udp_count", "udp_ratio", "distinct_ports",
-        "port_entropy", "low_port_ratio", "high_port_count", "distinct_src",
-        "src_entropy", "distinct_dst", "dst_entropy", "payload_marker_count",
-        "payload_marker_ratio", "flows_per_src_mean", "flows_per_src_max",
-        "flows_per_dst_mean", "flows_per_dst_max",
-    ]
+    names = list(_TRAFFIC_SCALARS)
     names += [f"port_bucket_{i:02d}" for i in range(_PORT_BUCKETS)]
     names += [f"byte_log2_{i:02d}" for i in range(_BYTE_LOG_BUCKETS)]
     names += [f"packet_log2_{i:02d}" for i in range(_PACKET_LOG_BUCKETS)]
@@ -93,6 +101,8 @@ def _behavior_catalog() -> list[str]:
         "event_count", "event_rate", "failure_count", "failure_ratio",
         "distinct_users", "user_entropy", "actions_per_user_mean",
         "actions_per_user_max", "failed_logins_per_user_max",
+    ]
+    names += [
         "log_count", "log_rate", "severity_mean", "severity_std",
         "severity_max", "high_severity_count", "high_severity_ratio",
     ]
@@ -100,6 +110,20 @@ def _behavior_catalog() -> list[str]:
     names += [f"subsystem_{s}_count" for s in LOG_SUBSYSTEMS]
     names += ["subsystem_entropy", "distinct_event_codes", "event_code_entropy"]
     return names
+
+
+_N_TRAFFIC_SCALARS = len(_TRAFFIC_SCALARS)
+_N_TRAFFIC = len(_traffic_catalog())
+_N_BEHAVIOR = len(_behavior_catalog())
+_N_ACTION_STATS = _behavior_catalog().index("log_count")
+
+
+def _stat_positions(n_bins: int) -> dict[str, int]:
+    """Where each catalog name sits in the extractor's concatenated stats."""
+    names = ([f"traffic.{n}" for n in _traffic_catalog()]
+             + [f"time_series.{n}" for n in _timeseries_catalog(n_bins)]
+             + [f"behavior.{n}" for n in _behavior_catalog()])
+    return {name: i for i, name in enumerate(names)}
 
 
 def _fit_segment(prefix: str, catalog: list[str], width: int) -> list[str]:
@@ -126,6 +150,12 @@ class FeatureLayout:
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        # names resolved once per layout: vec[_dest] = stats[_src] on every window
+        stat_at = _stat_positions(self.n_bins)
+        pairs = [(i, stat_at[n]) for i, n in enumerate(self.names) if n in stat_at]
+        dest, src = zip(*pairs) if pairs else ((), ())
+        object.__setattr__(self, "_dest", np.array(dest, dtype=np.intp))
+        object.__setattr__(self, "_src", np.array(src, dtype=np.intp))
 
     def segment_slice(self, segment: str) -> slice:
         start, end = self.segments[segment]
@@ -194,181 +224,148 @@ def load_layout(path: str) -> FeatureLayout:
             raise InputError(f"{path}: invalid layout JSON ({exc})") from exc
 
 
-def _mean_std_max_min(values: list[float]) -> tuple[float, float, float, float]:
-    if not values:
-        return 0.0, 0.0, 0.0, 0.0
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std()), float(arr.max()), float(arr.min())
+# fixed-string codes the extractor counts by (equal in every window)
+_ACTION_CODES = np.array([FIXED_CODES[a] for a in BEHAVIOR_ACTIONS])
+_SUBSYSTEM_CODES = np.array([FIXED_CODES[s] for s in LOG_SUBSYSTEMS])
+_LOGIN = FIXED_CODES["login"]
+_TCP = FIXED_CODES["tcp"]
+_N_FIXED = len(FIXED_STRINGS)
 
 
-def _log2_bucket(value: int, n_buckets: int) -> int:
-    return min(int(math.log2(value + 1)), n_buckets - 1)
+# the traffic histograms share one bincount: port buckets, then log2
+# buckets of bytes, packets and duration, then payload classes
+_LOG2_CAPS = np.array([[_BYTE_LOG_BUCKETS - 1], [_PACKET_LOG_BUCKETS - 1],
+                       [_DURATION_LOG_BUCKETS - 1]])
+_LOG2_OFFSETS = _PORT_BUCKETS + np.array([[0], [_BYTE_LOG_BUCKETS],
+                                          [_BYTE_LOG_BUCKETS + _PACKET_LOG_BUCKETS]])
+_PAYLOAD_OFFSET = _PORT_BUCKETS + _BYTE_LOG_BUCKETS + _PACKET_LOG_BUCKETS \
+    + _DURATION_LOG_BUCKETS
+_N_HISTOGRAM = _PAYLOAD_OFFSET + 4
+
+# time-series rows counted per source (flows, logs, behaviors); the bytes
+# row is a weighted count of the flows
+_TS_ROWS = np.array([TS_SERIES.index(s) for s in ("flows", "logs", "actions")])
+_TS_BYTES = TS_SERIES.index("bytes")
 
 
-def _traffic_stats(window: TelemetryWindow) -> dict[str, float]:
-    flows = [ev.flow for ev in window.events if ev.flow is not None]
-    out: dict[str, float] = {}
+def _group_sizes(codes: np.ndarray) -> np.ndarray:
+    """How often each distinct code occurs."""
+    counts = np.bincount(codes)
+    return counts[counts > 0]
+
+
+def _traffic_stats(window: TelemetryWindow) -> np.ndarray:
+    """The traffic catalog's values, in catalog order."""
+    flows = window.flows
+    out = np.zeros(_N_TRAFFIC)
     seconds = window.duration_ms / 1000.0
     n = len(flows)
-    out["flow_count"] = float(n)
-    out["flow_rate"] = n / seconds
+    out[0] = n
+    out[1] = n / seconds
     if n == 0:
         return out
-    byte_list = [f.bytes for f in flows]
-    packet_list = [f.packets for f in flows]
-    duration_list = [f.duration_ms for f in flows]
-    b_mean, b_std, b_max, b_min = _mean_std_max_min(byte_list)
-    p_mean, p_std, p_max, _ = _mean_std_max_min(packet_list)
-    d_mean, d_std, d_max, _ = _mean_std_max_min(duration_list)
-    byte_sum = float(sum(byte_list))
-    packet_sum = float(sum(packet_list))
-    out.update({
-        "byte_sum": byte_sum, "byte_rate": byte_sum / seconds,
-        "byte_mean": b_mean, "byte_std": b_std, "byte_max": b_max,
-        "byte_min": b_min,
-        "packet_sum": packet_sum, "packet_rate": packet_sum / seconds,
-        "packet_mean": p_mean, "packet_std": p_std, "packet_max": p_max,
-        "duration_mean": d_mean, "duration_std": d_std, "duration_max": d_max,
-        "bytes_per_packet_mean": byte_sum / packet_sum if packet_sum else 0.0,
-        "dominant_flow_ratio": b_max / byte_sum if byte_sum else 0.0,
-    })
-    syn = sum(1 for f in flows if f.syn_flag)
-    tcp = sum(1 for f in flows if f.protocol == "tcp")
-    out.update({
-        "syn_count": float(syn), "syn_ratio": syn / n,
-        "tcp_count": float(tcp), "tcp_ratio": tcp / n,
-        "udp_count": float(n - tcp), "udp_ratio": (n - tcp) / n,
-    })
-    ports = Counter(f.port for f in flows)
-    out["distinct_ports"] = float(len(ports))
-    out["port_entropy"] = entropy_nats(ports)
-    out["low_port_ratio"] = sum(1 for f in flows if f.port < 1024) / n
-    out["high_port_count"] = float(sum(1 for f in flows if f.port >= 1024))
-    srcs = Counter(f.src for f in flows)
-    dsts = Counter(f.dst for f in flows)
-    out["distinct_src"] = float(len(srcs))
-    out["src_entropy"] = entropy_nats(srcs)
-    out["distinct_dst"] = float(len(dsts))
-    out["dst_entropy"] = entropy_nats(dsts)
-    markers = sum(1 for f in flows if f.payload_class > 0)
-    out["payload_marker_count"] = float(markers)
-    out["payload_marker_ratio"] = markers / n
-    src_counts = list(srcs.values())
-    dst_counts = list(dsts.values())
-    out["flows_per_src_mean"] = float(np.mean(src_counts))
-    out["flows_per_src_max"] = float(max(src_counts))
-    out["flows_per_dst_mean"] = float(np.mean(dst_counts))
-    out["flows_per_dst_max"] = float(max(dst_counts))
-    for f in flows:
-        bucket = min(f.port // 2048, _PORT_BUCKETS - 1)
-        out[f"port_bucket_{bucket:02d}"] = out.get(f"port_bucket_{bucket:02d}", 0.0) + 1.0
-        bb = _log2_bucket(f.bytes, _BYTE_LOG_BUCKETS)
-        out[f"byte_log2_{bb:02d}"] = out.get(f"byte_log2_{bb:02d}", 0.0) + 1.0
-        pb = _log2_bucket(f.packets, _PACKET_LOG_BUCKETS)
-        out[f"packet_log2_{pb:02d}"] = out.get(f"packet_log2_{pb:02d}", 0.0) + 1.0
-        db = _log2_bucket(f.duration_ms, _DURATION_LOG_BUCKETS)
-        out[f"duration_log2_{db:02d}"] = out.get(f"duration_log2_{db:02d}", 0.0) + 1.0
-        pc = min(max(f.payload_class, 0), 3)
-        out[f"payload_class_{pc}"] = out.get(f"payload_class_{pc}", 0.0) + 1.0
+    sizes = np.stack([flows.bytes, flows.packets, flows.duration_ms])
+    sums = sizes.sum(axis=1, dtype=np.float64)
+    means = sums / n
+    stds = sizes.std(axis=1)
+    maxes = sizes.max(axis=1)
+    byte_sum, packet_sum, _ = sums
+    b_max = float(maxes[0])
+    flags = np.stack([flows.syn_flag, flows.protocol == _TCP, flows.payload_class > 0,
+                      flows.port < 1024])
+    syn, tcp, markers, low_ports = np.count_nonzero(flags, axis=1).tolist()
+    ports = np.unique(flows.port, return_counts=True)[1]
+    srcs = _group_sizes(flows.src)
+    dsts = _group_sizes(flows.dst)
+    out[2:_N_TRAFFIC_SCALARS] = (
+        byte_sum, byte_sum / seconds, means[0], stds[0], b_max, flows.bytes.min(),
+        packet_sum, packet_sum / seconds, means[1], stds[1], maxes[1],
+        means[2], stds[2], maxes[2],
+        byte_sum / packet_sum if packet_sum else 0.0,
+        b_max / byte_sum if byte_sum else 0.0,
+        syn, syn / n, tcp, tcp / n, n - tcp, (n - tcp) / n,
+        len(ports), entropy_nats(ports), low_ports / n, n - low_ports,
+        len(srcs), entropy_nats(srcs), len(dsts), entropy_nats(dsts),
+        markers, markers / n,
+        n / len(srcs), srcs.max(), n / len(dsts), dsts.max(),
+    )
+    # floor(log2(v + 1)) read off frexp's exponent, exact for integers
+    log2 = np.minimum(np.frexp(sizes + 1)[1] - 1, _LOG2_CAPS) + _LOG2_OFFSETS
+    out[_N_TRAFFIC_SCALARS:] = np.bincount(np.concatenate([
+        np.minimum(flows.port // 2048, _PORT_BUCKETS - 1),
+        log2.ravel(),
+        np.clip(flows.payload_class, 0, 3) + _PAYLOAD_OFFSET,
+    ]), minlength=_N_HISTOGRAM)
     return out
 
 
-def _timeseries_stats(window: TelemetryWindow, n_bins: int) -> dict[str, float]:
+def _timeseries_stats(window: TelemetryWindow, n_bins: int) -> np.ndarray:
+    """Sub-bin counts, their first differences and peak ratios, in catalog order."""
     duration = window.duration_ms
-    bins = {series: np.zeros(n_bins) for series in TS_SERIES}
-    for ev in window.events:
-        # window-relative offset keeps features invariant under time shifts
-        b = min((ev.timestamp - window.start) * n_bins // duration, n_bins - 1)
-        if ev.flow is not None:
-            bins["flows"][b] += 1.0
-            bins["bytes"][b] += ev.flow.bytes
-        elif ev.log is not None:
-            bins["logs"][b] += 1.0
-        else:
-            bins["actions"][b] += 1.0
-    out: dict[str, float] = {}
-    for series in TS_SERIES:
-        arr = bins[series]
-        for i in range(n_bins):
-            out[f"{series}_bin_{i:02d}"] = float(arr[i])
-        for i in range(n_bins - 1):
-            out[f"{series}_delta_{i:02d}"] = float(arr[i + 1] - arr[i])
-        mean = arr.mean()
-        out[f"{series}_peak_ratio"] = float(arr.max() / mean) if mean > 0 else 0.0
-    return out
+    flows, logs, behaviors = window.flows, window.logs, window.behaviors
+    stamps = np.concatenate([flows.timestamp, logs.timestamp, behaviors.timestamp])
+    # window-relative offset keeps features invariant under time shifts
+    sub_bin = np.minimum((stamps - window.start) * n_bins // duration, n_bins - 1)
+    series = np.repeat(_TS_ROWS, (len(flows), len(logs), len(behaviors)))
+    bins = np.bincount(series * n_bins + sub_bin, minlength=len(TS_SERIES) * n_bins)
+    bins = bins.reshape(len(TS_SERIES), n_bins).astype(np.float64)
+    bins[_TS_BYTES] = np.bincount(sub_bin[:len(flows)], weights=flows.bytes,
+                                  minlength=n_bins)
+    mean = bins.mean(axis=1)
+    peak = np.divide(bins.max(axis=1), mean, out=np.zeros(len(TS_SERIES)),
+                     where=mean > 0)
+    return np.concatenate([bins.ravel(), np.diff(bins, axis=1).ravel(), peak])
 
 
-def _behavior_stats(window: TelemetryWindow) -> dict[str, float]:
-    actions = [ev.behavior for ev in window.events if ev.behavior is not None]
-    logs = [ev.log for ev in window.events if ev.log is not None]
-    out: dict[str, float] = {}
+def _behavior_stats(window: TelemetryWindow) -> np.ndarray:
+    """The behavior catalog's values, in catalog order."""
+    out = np.zeros(_N_BEHAVIOR)
     seconds = window.duration_ms / 1000.0
-    n = len(actions)
-    out["event_count"] = float(n)
-    out["event_rate"] = n / seconds
+    acts, logs = window.behaviors, window.logs
+    n = len(acts)
+    n_actions = len(BEHAVIOR_ACTIONS)
     if n:
-        failures = 0
-        per_action = Counter()
-        per_action_fail = Counter()
-        users = Counter()
-        failed_logins_per_user = Counter()
-        for a in actions:
-            per_action[a.action] += 1
-            users[a.user_id] += 1
-            if not a.success:
-                failures += 1
-                per_action_fail[a.action] += 1
-                if a.action == "login":
-                    failed_logins_per_user[a.user_id] += 1
-        for name in BEHAVIOR_ACTIONS:
-            count = per_action.get(name, 0)
-            fail = per_action_fail.get(name, 0)
-            out[f"action_{name}_count"] = float(count)
-            out[f"action_{name}_failure_count"] = float(fail)
-            out[f"action_{name}_success_ratio"] = (count - fail) / count if count else 0.0
-        out["failure_count"] = float(failures)
-        out["failure_ratio"] = failures / n
-        out["distinct_users"] = float(len(users))
-        out["user_entropy"] = entropy_nats(users)
-        per_user = list(users.values())
-        out["actions_per_user_mean"] = float(np.mean(per_user))
-        out["actions_per_user_max"] = float(max(per_user))
-        out["failed_logins_per_user_max"] = float(
-            max(failed_logins_per_user.values()) if failed_logins_per_user else 0
+        failed = ~acts.success
+        count = np.bincount(acts.action, minlength=_N_FIXED)[_ACTION_CODES]
+        fail = np.bincount(acts.action[failed], minlength=_N_FIXED)[_ACTION_CODES]
+        out[:n_actions] = count
+        out[n_actions:2 * n_actions] = fail
+        out[2 * n_actions:3 * n_actions] = np.divide(
+            count - fail, count, out=np.zeros(n_actions), where=count > 0)
+        failures = int(np.count_nonzero(failed))
+        users = _group_sizes(acts.user_id)
+        failed_logins = acts.user_id[failed & (acts.action == _LOGIN)]
+        out[3 * n_actions:_N_ACTION_STATS] = (
+            n, n / seconds, failures, failures / n, len(users),
+            entropy_nats(users), n / len(users), users.max(),
+            np.bincount(failed_logins).max() if len(failed_logins) else 0,
         )
-    out["log_count"] = float(len(logs))
-    out["log_rate"] = len(logs) / seconds
-    if logs:
-        severities = np.asarray([lg.severity for lg in logs], dtype=np.float64)
-        out["severity_mean"] = float(severities.mean())
-        out["severity_std"] = float(severities.std())
-        out["severity_max"] = float(severities.max())
-        high = int((severities >= 5).sum())
-        out["high_severity_count"] = float(high)
-        out["high_severity_ratio"] = high / len(logs)
-        for sev in range(8):
-            out[f"severity_hist_{sev}"] = float(int((severities == sev).sum()))
-        subsystems = Counter(lg.subsystem for lg in logs)
-        for name in LOG_SUBSYSTEMS:
-            out[f"subsystem_{name}_count"] = float(subsystems.get(name, 0))
-        out["subsystem_entropy"] = entropy_nats(subsystems)
-        codes = Counter(lg.event_code for lg in logs)
-        out["distinct_event_codes"] = float(len(codes))
-        out["event_code_entropy"] = entropy_nats(codes)
+    n_logs = len(logs)
+    out[_N_ACTION_STATS:_N_ACTION_STATS + 2] = n_logs, n_logs / seconds
+    if n_logs:
+        severity = logs.severity
+        high = int(np.count_nonzero(severity >= 5))
+        in_range = severity[(severity >= 0) & (severity < 8)]
+        subsystems = np.bincount(logs.subsystem, minlength=_N_FIXED)
+        codes = np.unique(logs.event_code, return_counts=True)[1]
+        out[_N_ACTION_STATS + 2:] = np.concatenate([
+            (severity.mean(), severity.std(), severity.max(), high, high / n_logs),
+            np.bincount(in_range, minlength=8),
+            subsystems[_SUBSYSTEM_CODES],
+            (entropy_nats(subsystems), len(codes), entropy_nats(codes)),
+        ])
     return out
 
 
 def extract_features(window: TelemetryWindow, layout: FeatureLayout) -> np.ndarray:
     """Compute the named feature vector for one window. Pure and deterministic."""
-    stats = {
-        "traffic": _traffic_stats(window),
-        "time_series": _timeseries_stats(window, layout.n_bins),
-        "behavior": _behavior_stats(window),
-    }
+    stats = np.concatenate([
+        _traffic_stats(window),
+        _timeseries_stats(window, layout.n_bins),
+        _behavior_stats(window),
+    ])
     vec = np.zeros(layout.dim)
-    for i, full_name in enumerate(layout.names):
-        segment, name = full_name.split(".", 1)
-        vec[i] = stats[segment].get(name, 0.0)
+    vec[layout._dest] = stats[layout._src]
     return vec
 
 

@@ -3,8 +3,14 @@
 The generator is a pure function of its config. Every window draws from its
 own Philox counter-based substream keyed ``(seed, window_index)``, so windows
 can be produced in any order or in parallel and the stream is still
-byte-identical. Five attack kinds perturb a benign baseline, each with a
-distinct signature tied to a documented marker feature:
+byte-identical. A window is drawn as numpy columns, block by block (benign
+flows, logs and behaviors, then the blocks of every attack overlapping it),
+with one generator call for a block's uniform draws instead of one per
+event. The blocks of a source merge by a stable timestamp sort, so ties keep
+draw order. String fields are drawn as integer keys, and only the distinct
+keys of a window are formatted into its vocabulary. Five attack kinds
+perturb a benign baseline, each with a distinct signature tied to a
+documented marker feature:
 
 - ddos               flow-rate surge of tiny SYN flows (marker: flow count)
 - sql_injection      suspicious payload classes on db traffic (marker:
@@ -28,12 +34,17 @@ from .errors import ConfigError, InputError, StratificationError
 from .features import FeatureLayout, extract_features
 from .telemetry import (
     ATTACK_KINDS,
+    BEHAVIOR_ACTIONS,
+    FIXED_CODES,
+    FIXED_STRINGS,
     LABELS,
-    BehaviorData,
-    FlowData,
-    LogData,
-    TelemetryEvent,
+    LOG_SUBSYSTEMS,
+    SOURCE_COLUMNS,
+    BehaviorColumns,
+    FlowColumns,
+    LogColumns,
     TelemetryWindow,
+    encode_strings,
 )
 
 # documented marker feature per attack kind; separability of these against
@@ -62,6 +73,17 @@ _COMMON_PORTS = np.array([443, 80, 22, 3306, 8080])
 _COMMON_PORT_WEIGHTS = np.array([0.5, 0.2, 0.05, 0.1, 0.15])
 _ACTION_WEIGHTS = np.array([0.15, 0.55, 0.10, 0.15, 0.05])  # matches BEHAVIOR_ACTIONS
 _SEVERITY_WEIGHTS = np.array([0.10, 0.30, 0.25, 0.20, 0.10, 0.05, 0.0, 0.0])
+
+
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(weights)
+    return cdf / cdf[-1]
+
+
+_SEVERITIES = np.arange(8)
+_PORT_CDF = _cdf(_COMMON_PORT_WEIGHTS)
+_ACTION_CDF = _cdf(_ACTION_WEIGHTS)
+_SEVERITY_CDF = _cdf(_SEVERITY_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -226,181 +248,261 @@ def truth_intensity(attacks, start: int, end: int, kind: str) -> float:
     return best
 
 
+# A string column is drawn as int64 keys ``family << 32 | value``; a window
+# formats only the distinct keys it holds (see _assemble). Families never
+# format to the same string, so keys are equal exactly when strings are.
+_FORMATS = (
+    FIXED_STRINGS.__getitem__,
+    lambda v: f"10.0.{v // 199}.{v % 199 + 1}",  # internal hosts, 8 x 199
+    lambda v: f"172.16.{v >> 8}.{v & 255}",  # ddos sources
+    "192.0.2.{}".format,  # sql injection sources
+    "198.51.100.{}".format,  # scanners
+    "203.0.113.{}".format,  # brute-force sources
+    "srv-{}".format,
+    "ext-{}.example".format,
+    "user-{}".format,
+    ("srv-db", "user-web").__getitem__,
+)
+_FIXED, _LAN, _DDOS, _SQLI, _SCAN, _BRUTE, _SRV, _EXT, _USER, _NAMED = range(len(_FORMATS))
+_LAN_HOSTS = 8 * 199
+
+
+def _format_key(key: int) -> str:
+    """The string a key stands for."""
+    return _FORMATS[key >> 32](key & 0xFFFFFFFF)
+
+
+_TCP = FIXED_CODES["tcp"]
+_UDP = FIXED_CODES["udp"]
+_ACTION_KEYS = np.array([FIXED_CODES[a] for a in BEHAVIOR_ACTIONS])
+_SUBSYSTEM_KEYS = np.array([FIXED_CODES[s] for s in LOG_SUBSYSTEMS])
+
+
+def _key(family: int, value):
+    """Key (or array of keys) of values of one string family."""
+    return (family << 32) | value
+
+
+class _Draws:
+    """Uniform draws for one block of n events, from one generator call.
+
+    Each column takes the next of ``rows`` uniform rows, so a block costs
+    one call for all its columns instead of one per column (or per event).
+    """
+
+    def __init__(self, rng: np.random.Generator, rows: int, n: int):
+        self._rows = iter(rng.random((rows, n)))
+
+    def ints(self, lo: int, hi: int) -> np.ndarray:
+        """Uniform integers in [lo, hi)."""
+        return lo + (next(self._rows) * (hi - lo)).astype(np.int64)
+
+    def times(self, lo: int, hi: int) -> np.ndarray:
+        """Sorted timestamps in [lo, hi). Payload columns are drawn
+        independently of time, so sorting the times alone orders the block."""
+        return np.sort(self.ints(lo, hi))
+
+    def below(self, p: float) -> np.ndarray:
+        """True with probability p."""
+        return next(self._rows) < p
+
+    def pick(self, values: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+        """Weighted choice of values by inverse CDF."""
+        return values[np.searchsorted(cdf, next(self._rows), side="right")]
+
+
+def _full(n: int, value) -> np.ndarray:
+    return np.full(n, value, dtype=bool if isinstance(value, bool) else np.int64)
+
+
 def _benign_events(rng: np.random.Generator, start: int, window_ms: int,
-                   rate: float) -> list[TelemetryEvent]:
+                   rate: float) -> list:
     seconds = window_ms / 1000.0
-    events = []
-    n_flows = rng.poisson(rate * _FLOW_SHARE * seconds)
-    for _ in range(n_flows):
-        ts = start + int(rng.integers(0, window_ms))
-        byte_count = int(rng.lognormal(6.5, 1.0)) + 40
-        events.append(TelemetryEvent(
-            kind="flow", timestamp=ts,
-            flow=FlowData(
-                src=f"10.0.{rng.integers(0, 8)}.{rng.integers(1, 200)}",
-                dst=f"srv-{rng.integers(0, 12)}",
-                port=int(rng.choice(_COMMON_PORTS, p=_COMMON_PORT_WEIGHTS)),
-                protocol="tcp" if rng.random() < 0.85 else "udp",
-                bytes=byte_count,
-                packets=1 + byte_count // 700 + int(rng.integers(0, 3)),
-                duration_ms=int(rng.lognormal(3.5, 1.0)) + 1,
-                syn_flag=bool(rng.random() < 0.08),
-                payload_class=int(rng.integers(1, 4)) if rng.random() < 0.02 else 0,
-            )))
-    n_logs = rng.poisson(rate * _LOG_SHARE * seconds)
-    for _ in range(n_logs):
-        ts = start + int(rng.integers(0, window_ms))
-        events.append(TelemetryEvent(
-            kind="log", timestamp=ts,
-            log=LogData(
-                severity=int(rng.choice(8, p=_SEVERITY_WEIGHTS)),
-                event_code=int(rng.integers(100, 150)),
-                subsystem=("auth", "db", "net", "api", "kernel")[int(rng.choice(5))],
-            )))
-    n_behaviors = rng.poisson(rate * _BEHAVIOR_SHARE * seconds)
-    for _ in range(n_behaviors):
-        ts = start + int(rng.integers(0, window_ms))
-        action = ("login", "query", "upload", "download", "admin_op")[
-            int(rng.choice(5, p=_ACTION_WEIGHTS))]
-        events.append(TelemetryEvent(
-            kind="behavior", timestamp=ts,
-            behavior=BehaviorData(
-                user_id=f"user-{rng.integers(0, 40)}",
-                action=action,
-                success=bool(rng.random() >= 0.05),
-            )))
-    return events
+    end = start + window_ms
+    n = rng.poisson(rate * _FLOW_SHARE * seconds)
+    draw = _Draws(rng, 9, n)
+    byte_count = rng.lognormal(6.5, 1.0, n).astype(np.int64) + 40
+    flows = FlowColumns(
+        timestamp=draw.times(start, end),
+        src=_key(_LAN, draw.ints(0, _LAN_HOSTS)),
+        dst=_key(_SRV, draw.ints(0, 12)),
+        port=draw.pick(_COMMON_PORTS, _PORT_CDF),
+        protocol=np.where(draw.below(0.85), _TCP, _UDP),
+        bytes=byte_count,
+        packets=1 + byte_count // 700 + draw.ints(0, 3),
+        duration_ms=rng.lognormal(3.5, 1.0, n).astype(np.int64) + 1,
+        syn_flag=draw.below(0.08),
+        payload_class=np.where(draw.below(0.02), draw.ints(1, 4), 0),
+    )
+    n = rng.poisson(rate * _LOG_SHARE * seconds)
+    draw = _Draws(rng, 4, n)
+    logs = LogColumns(
+        timestamp=draw.times(start, end),
+        severity=draw.pick(_SEVERITIES, _SEVERITY_CDF),
+        event_code=draw.ints(100, 150),
+        subsystem=_SUBSYSTEM_KEYS[draw.ints(0, 5)],
+    )
+    n = rng.poisson(rate * _BEHAVIOR_SHARE * seconds)
+    draw = _Draws(rng, 4, n)
+    behaviors = BehaviorColumns(
+        timestamp=draw.times(start, end),
+        user_id=_key(_USER, draw.ints(0, 40)),
+        action=draw.pick(_ACTION_KEYS, _ACTION_CDF),
+        success=~draw.below(0.05),
+    )
+    return [flows, logs, behaviors]
 
 
 def _attack_events(rng: np.random.Generator, spec: AttackSpec, lo: int, hi: int,
-                   config: ScenarioConfig) -> list[TelemetryEvent]:
+                   config: ScenarioConfig) -> list:
     """Overlay for one attack spec clipped to [lo, hi) inside one window."""
     seconds = (hi - lo) / 1000.0
-    events = []
 
-    def ts() -> int:
-        return lo + int(rng.integers(0, hi - lo))
+    def count(rate: float) -> int:
+        return rng.poisson(rate * spec.intensity * seconds)
 
     if spec.kind == "ddos":
-        flow_rate = config.benign_rate * _FLOW_SHARE * config.ddos_surge
-        for _ in range(rng.poisson(flow_rate * spec.intensity * seconds)):
-            events.append(TelemetryEvent(
-                kind="flow", timestamp=ts(),
-                flow=FlowData(
-                    src=f"172.16.{rng.integers(0, 256)}.{rng.integers(0, 256)}",
-                    dst="srv-0",
-                    port=int(rng.choice([80, 443])),
-                    protocol="tcp",
-                    bytes=int(rng.lognormal(4.2, 0.4)) + 40,
-                    packets=1 + int(rng.integers(0, 2)),
-                    duration_ms=1 + int(rng.integers(0, 5)),
-                    syn_flag=bool(rng.random() < 0.9),
-                    payload_class=0,
-                )))
-    elif spec.kind == "sql_injection":
-        for _ in range(rng.poisson(_SQLI_RATE * spec.intensity * seconds)):
-            events.append(TelemetryEvent(
-                kind="flow", timestamp=ts(),
-                flow=FlowData(
-                    src=f"192.0.2.{rng.integers(0, 16)}",
-                    dst="srv-db",
-                    port=3306,
-                    protocol="tcp",
-                    bytes=int(rng.lognormal(6.0, 0.5)) + 40,
-                    packets=2 + int(rng.integers(0, 4)),
-                    duration_ms=int(rng.lognormal(3.0, 0.6)) + 1,
-                    syn_flag=False,
-                    payload_class=int(rng.integers(1, 4)),
-                )))
-        for _ in range(rng.poisson(_SQLI_RATE * 0.4 * spec.intensity * seconds)):
-            events.append(TelemetryEvent(
-                kind="behavior", timestamp=ts(),
-                behavior=BehaviorData(
-                    user_id="user-web",
-                    action="query",
-                    success=bool(rng.random() < 0.5),
-                )))
-        for _ in range(rng.poisson(_SQLI_RATE * 0.2 * spec.intensity * seconds)):
-            events.append(TelemetryEvent(
-                kind="log", timestamp=ts(),
-                log=LogData(severity=4 + int(rng.integers(0, 3)),
-                            event_code=int(rng.integers(500, 520)),
-                            subsystem="db"),
-            ))
-    elif spec.kind == "port_scan":
-        scanner = f"198.51.100.{spec.start % 251}"
-        for _ in range(rng.poisson(_SCAN_RATE * spec.intensity * seconds)):
-            events.append(TelemetryEvent(
-                kind="flow", timestamp=ts(),
-                flow=FlowData(
-                    src=scanner,
-                    dst=f"srv-{rng.integers(0, 12)}",
-                    port=int(rng.integers(1, 65536)),
-                    protocol="tcp",
-                    bytes=40 + int(rng.integers(0, 20)),
-                    packets=1,
-                    duration_ms=1 + int(rng.integers(0, 3)),
-                    syn_flag=True,
-                    payload_class=0,
-                )))
-    elif spec.kind == "brute_force":
-        victim = f"user-{spec.start % 40}"
-        attacker = f"203.0.113.{spec.start % 251}"
-        for _ in range(rng.poisson(_BRUTE_RATE * spec.intensity * seconds)):
-            events.append(TelemetryEvent(
-                kind="behavior", timestamp=ts(),
-                behavior=BehaviorData(
-                    user_id=victim,
-                    action="login",
-                    success=bool(rng.random() < 0.05),
-                )))
-        for _ in range(rng.poisson(_BRUTE_RATE * 0.6 * spec.intensity * seconds)):
-            events.append(TelemetryEvent(
-                kind="log", timestamp=ts(),
-                log=LogData(severity=4 + int(rng.integers(0, 2)),
-                            event_code=401,
-                            subsystem="auth"),
-            ))
-        for _ in range(rng.poisson(_BRUTE_RATE * 0.3 * spec.intensity * seconds)):
-            events.append(TelemetryEvent(
-                kind="flow", timestamp=ts(),
-                flow=FlowData(
-                    src=attacker, dst="srv-1", port=22, protocol="tcp",
-                    bytes=200 + int(rng.integers(0, 400)),
-                    packets=3 + int(rng.integers(0, 5)),
-                    duration_ms=50 + int(rng.integers(0, 300)),
-                    syn_flag=bool(rng.random() < 0.5),
-                    payload_class=0,
-                )))
-    elif spec.kind == "data_exfiltration":
-        compromised = f"10.0.{spec.start % 8}.{1 + spec.start % 199}"
-        lam = max(_EXFIL_RATE * spec.intensity * seconds, 0.0)
-        n = rng.poisson(lam)
+        n = count(config.benign_rate * _FLOW_SHARE * config.ddos_surge)
+        draw = _Draws(rng, 6, n)
+        return [FlowColumns(
+            timestamp=draw.times(lo, hi),
+            src=_key(_DDOS, draw.ints(0, 1 << 16)),
+            dst=_full(n, _key(_SRV, 0)),
+            port=np.where(draw.below(0.5), 80, 443),
+            protocol=_full(n, _TCP),
+            bytes=rng.lognormal(4.2, 0.4, n).astype(np.int64) + 40,
+            packets=draw.ints(1, 3),
+            duration_ms=draw.ints(1, 6),
+            syn_flag=draw.below(0.9),
+            payload_class=_full(n, 0),
+        )]
+    if spec.kind == "sql_injection":
+        n = count(_SQLI_RATE)
+        draw = _Draws(rng, 4, n)
+        flows = FlowColumns(
+            timestamp=draw.times(lo, hi),
+            src=_key(_SQLI, draw.ints(0, 16)),
+            dst=_full(n, _key(_NAMED, 0)),  # srv-db
+            port=_full(n, 3306),
+            protocol=_full(n, _TCP),
+            bytes=rng.lognormal(6.0, 0.5, n).astype(np.int64) + 40,
+            packets=draw.ints(2, 6),
+            duration_ms=rng.lognormal(3.0, 0.6, n).astype(np.int64) + 1,
+            syn_flag=_full(n, False),
+            payload_class=draw.ints(1, 4),
+        )
+        n = count(_SQLI_RATE * 0.4)
+        draw = _Draws(rng, 2, n)
+        behaviors = BehaviorColumns(
+            timestamp=draw.times(lo, hi),
+            user_id=_full(n, _key(_NAMED, 1)),  # user-web
+            action=_full(n, FIXED_CODES["query"]),
+            success=draw.below(0.5),
+        )
+        n = count(_SQLI_RATE * 0.2)
+        draw = _Draws(rng, 3, n)
+        logs = LogColumns(
+            timestamp=draw.times(lo, hi),
+            severity=draw.ints(4, 7),
+            event_code=draw.ints(500, 520),
+            subsystem=_full(n, FIXED_CODES["db"]),
+        )
+        return [flows, behaviors, logs]
+    if spec.kind == "port_scan":
+        n = count(_SCAN_RATE)
+        draw = _Draws(rng, 5, n)
+        return [FlowColumns(
+            timestamp=draw.times(lo, hi),
+            src=_full(n, _key(_SCAN, spec.start % 251)),
+            dst=_key(_SRV, draw.ints(0, 12)),
+            port=draw.ints(1, 65536),
+            protocol=_full(n, _TCP),
+            bytes=draw.ints(40, 60),
+            packets=_full(n, 1),
+            duration_ms=draw.ints(1, 4),
+            syn_flag=_full(n, True),
+            payload_class=_full(n, 0),
+        )]
+    if spec.kind == "brute_force":
+        n = count(_BRUTE_RATE)
+        draw = _Draws(rng, 2, n)
+        behaviors = BehaviorColumns(
+            timestamp=draw.times(lo, hi),
+            user_id=_full(n, _key(_USER, spec.start % 40)),
+            action=_full(n, FIXED_CODES["login"]),
+            success=draw.below(0.05),
+        )
+        n = count(_BRUTE_RATE * 0.6)
+        draw = _Draws(rng, 2, n)
+        logs = LogColumns(
+            timestamp=draw.times(lo, hi),
+            severity=draw.ints(4, 6),
+            event_code=_full(n, 401),
+            subsystem=_full(n, FIXED_CODES["auth"]),
+        )
+        n = count(_BRUTE_RATE * 0.3)
+        draw = _Draws(rng, 5, n)
+        flows = FlowColumns(
+            timestamp=draw.times(lo, hi),
+            src=_full(n, _key(_BRUTE, spec.start % 251)),
+            dst=_full(n, _key(_SRV, 1)),
+            port=_full(n, 22),
+            protocol=_full(n, _TCP),
+            bytes=draw.ints(200, 600),
+            packets=draw.ints(3, 8),
+            duration_ms=draw.ints(50, 350),
+            syn_flag=draw.below(0.5),
+            payload_class=_full(n, 0),
+        )
+        return [behaviors, logs, flows]
+    if spec.kind == "data_exfiltration":
+        n = count(_EXFIL_RATE)
         if seconds >= 0.5:
             n = max(n, 1)  # a covering exfil burst always moves data
-        for _ in range(n):
-            events.append(TelemetryEvent(
-                kind="flow", timestamp=ts(),
-                flow=FlowData(
-                    src=compromised,
-                    dst=f"ext-{spec.start % 4}.example",
-                    port=443,
-                    protocol="tcp",
-                    bytes=int(rng.lognormal(13.5, 0.4) * spec.intensity) + 1000,
-                    packets=200 + int(rng.integers(0, 800)),
-                    duration_ms=400 + int(rng.integers(0, 500)),
-                    syn_flag=False,
-                    payload_class=0,
-                )))
-        for _ in range(rng.poisson(2.0 * spec.intensity * seconds)):
-            events.append(TelemetryEvent(
-                kind="behavior", timestamp=ts(),
-                behavior=BehaviorData(
-                    user_id=f"user-{spec.start % 40}",
-                    action="download" if rng.random() < 0.6 else "upload",
-                    success=True,
-                )))
-    return events
+        draw = _Draws(rng, 3, n)
+        flows = FlowColumns(
+            timestamp=draw.times(lo, hi),
+            src=_full(n, _key(_LAN, spec.start % 8 * 199 + spec.start % 199)),
+            dst=_full(n, _key(_EXT, spec.start % 4)),
+            port=_full(n, 443),
+            protocol=_full(n, _TCP),
+            bytes=(rng.lognormal(13.5, 0.4, n) * spec.intensity).astype(np.int64) + 1000,
+            packets=draw.ints(200, 1000),
+            duration_ms=draw.ints(400, 900),
+            syn_flag=_full(n, False),
+            payload_class=_full(n, 0),
+        )
+        n = count(2.0)
+        draw = _Draws(rng, 2, n)
+        behaviors = BehaviorColumns(
+            timestamp=draw.times(lo, hi),
+            user_id=_full(n, _key(_USER, spec.start % 40)),
+            action=np.where(draw.below(0.6), FIXED_CODES["download"],
+                            FIXED_CODES["upload"]),
+            success=_full(n, True),
+        )
+        return [flows, behaviors]
+    return []
+
+
+def _assemble(start: int, end: int, parts: list, label: str) -> TelemetryWindow:
+    """Merge drawn parts into one window: each source's parts (each sorted
+    already) by a stable timestamp sort, so ties keep draw order; then
+    string keys turned into codes."""
+    merged = []
+    for cls in SOURCE_COLUMNS:
+        group = [p for p in parts if type(p) is cls]
+        if len(group) == 1:
+            merged.append({name: getattr(group[0], name) for name in cls.names})
+            continue
+        order = np.argsort(np.concatenate([p.timestamp for p in group]), kind="stable")
+        merged.append({name: np.concatenate([getattr(p, name) for p in group])[order]
+                       for name in cls.names})
+    strings = encode_strings(merged, _format_key)
+    return TelemetryWindow(
+        start, end, label=label,
+        sources=tuple(cls(**cols) for cls, cols in zip(SOURCE_COLUMNS, merged)),
+        strings=strings)
 
 
 def generate_window(config: ScenarioConfig, index: int) -> TelemetryWindow:
@@ -408,18 +510,14 @@ def generate_window(config: ScenarioConfig, index: int) -> TelemetryWindow:
     start = index * config.window_ms
     end = start + config.window_ms
     rng = _window_rng(config.seed, index)
-    events = _benign_events(rng, start, config.window_ms, config.benign_rate)
+    parts = _benign_events(rng, start, config.window_ms, config.benign_rate)
     for spec in config.attacks:
         if spec.kind == "benign":
             continue
         lo, hi = _overlap(spec, start, end)
         if lo < hi:
-            events.extend(_attack_events(rng, spec, lo, hi, config))
-    events.sort(key=lambda ev: ev.timestamp)
-    return TelemetryWindow(
-        start=start, end=end, events=events,
-        label=label_for_window(config.attacks, start, end),
-    )
+            parts.extend(_attack_events(rng, spec, lo, hi, config))
+    return _assemble(start, end, parts, label_for_window(config.attacks, start, end))
 
 
 def generate_stream(config: ScenarioConfig) -> LabeledStream:

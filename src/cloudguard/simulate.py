@@ -348,7 +348,7 @@ def _run_detection(pipe: _Pipeline, windows, threshold: float):
 def _window_load(window, benign_rate: float) -> float:
     """Observed utilization proxy: event volume against twice the benign rate."""
     capacity = 2.0 * benign_rate * (window.duration_ms / 1000.0)
-    return min(1.0, len(window.events) / capacity) if capacity > 0 else 0.0
+    return min(1.0, window.event_count / capacity) if capacity > 0 else 0.0
 
 
 def _respond(pipe: _Pipeline, scenario: ScenarioConfig, windows, verdicts,

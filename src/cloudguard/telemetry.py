@@ -1,14 +1,31 @@
-"""Telemetry record types and their JSON-lines persistence.
+"""Telemetry windows as per-source columns, and their JSON-lines persistence.
 
 An event is one observation from one of three sources: a network flow, a
 system log line, or a user behavior action. A window is a half-open time
-slice ``[start, end)`` holding its events in timestamp order, optionally
-tagged with a ground-truth label. Timestamps are integer milliseconds.
+slice ``[start, end)``, optionally tagged with a ground-truth label, that
+holds its events as one set of numpy columns per source (``flows``,
+``logs``, ``behaviors``), each in timestamp order. Timestamps are integer
+milliseconds.
+
+String fields (``src``, ``dst``, ``protocol``, ``subsystem``, ``user_id``,
+``action``) are integer codes into the window's ``strings`` vocabulary, so
+two codes are equal exactly when their strings are. The vocabulary is
+``FIXED_STRINGS`` followed by the window's other strings in sorted order:
+an action, subsystem or protocol of the fixed catalogs has the same code in
+every window, and a window has one column representation.
+
+``TelemetryEvent`` objects exist only at the edges: JSON lines, and windows
+built by hand from a list of events. ``window.events`` is a lazy view that
+counts without building objects and builds them only when read; events
+with equal timestamps come out flow, then log, then behavior.
 """
 
 import csv
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import InputError
 
@@ -26,6 +43,12 @@ ATTACK_KINDS = LABELS[1:]
 BEHAVIOR_ACTIONS = ("login", "query", "upload", "download", "admin_op")
 
 LOG_SUBSYSTEMS = ("auth", "db", "net", "api", "kernel")
+
+PROTOCOLS = ("tcp", "udp")
+
+# every window's vocabulary starts with these, so their codes never change
+FIXED_STRINGS = BEHAVIOR_ACTIONS + LOG_SUBSYSTEMS + PROTOCOLS
+FIXED_CODES = {s: i for i, s in enumerate(FIXED_STRINGS)}
 
 
 @dataclass(frozen=True)
@@ -85,33 +108,246 @@ class TelemetryEvent:
             )
 
 
-@dataclass
-class TelemetryWindow:
-    """Events inside ``[start, end)``, sorted by timestamp."""
+STRING_FIELDS = frozenset(("src", "dst", "protocol", "subsystem", "user_id", "action"))
+_BOOL_FIELDS = frozenset(("syn_flag", "success"))
 
-    start: int
-    end: int
-    events: list[TelemetryEvent] = field(default_factory=list)
-    label: str | None = None
+
+class _Columns:
+    """Equal-length columns of one source: ``timestamp`` plus one column per
+    field of the source's payload record, in the record's field order."""
+
+    kind: str
+    payload: type
+    names: tuple[str, ...]  # the column names, set once per class below
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.names)
+
+
+@dataclass(eq=False)
+class FlowColumns(_Columns):
+    kind = "flow"
+    payload = FlowData
+
+    timestamp: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    port: np.ndarray
+    protocol: np.ndarray
+    bytes: np.ndarray
+    packets: np.ndarray
+    duration_ms: np.ndarray
+    syn_flag: np.ndarray
+    payload_class: np.ndarray
+
+
+@dataclass(eq=False)
+class LogColumns(_Columns):
+    kind = "log"
+    payload = LogData
+
+    timestamp: np.ndarray
+    severity: np.ndarray
+    event_code: np.ndarray
+    subsystem: np.ndarray
+
+
+@dataclass(eq=False)
+class BehaviorColumns(_Columns):
+    kind = "behavior"
+    payload = BehaviorData
+
+    timestamp: np.ndarray
+    user_id: np.ndarray
+    action: np.ndarray
+    success: np.ndarray
+
+
+SOURCE_COLUMNS = (FlowColumns, LogColumns, BehaviorColumns)
+for _cls in SOURCE_COLUMNS:
+    _cls.names = tuple(f.name for f in fields(_cls))
+
+
+def encode_strings(sources: list[dict], name_of) -> tuple[str, ...]:
+    """Turn the string columns of per-source column dicts from keys into codes.
+
+    A key stands for a string: keys are equal exactly when their strings
+    are, a fixed string's key is its code, and every other key is larger.
+    ``name_of`` gives the string of a non-fixed key. Rewrites the string
+    columns in place and returns the window's vocabulary: the fixed strings,
+    then the others sorted.
+    """
+    slots = [(cols, name) for cols in sources for name in cols if name in STRING_FIELDS]
+    n_fixed = len(FIXED_STRINGS)
+    keys = np.concatenate([np.arange(n_fixed)] + [cols[name] for cols, name in slots])
+    ordered = np.sort(keys)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    extras = list(map(name_of, distinct[n_fixed:].tolist()))
+    order = sorted(range(len(extras)), key=extras.__getitem__)
+    code = np.arange(len(distinct))
+    code[n_fixed + np.array(order, dtype=np.int64)] = code[n_fixed:]
+    codes = code[np.searchsorted(distinct, keys[n_fixed:])]
+    at = 0
+    for cols, name in slots:
+        n = len(cols[name])
+        cols[name] = codes[at:at + n]
+        at += n
+    return FIXED_STRINGS + tuple(extras[j] for j in order)
+
+
+def _column(values: list, what: str, dtype=np.int64) -> np.ndarray:
+    """One column from event field values, which must be integers (or, for
+    a bool column, booleans): no silent truncation of floats or strings."""
+    arr = np.array(values)
+    if len(arr) and arr.dtype.kind != np.dtype(dtype).kind:
+        raise InputError(f"{what} must hold {np.dtype(dtype).name} values")
+    return arr.astype(dtype)
+
+
+def _columns_from_events(events: list[TelemetryEvent]):
+    """Split hand-built or parsed events into per-source columns."""
+    if (np.diff(_column([ev.timestamp for ev in events], "timestamp")) < 0).any():
+        raise InputError("events must be sorted by timestamp")
+    key_of = dict(FIXED_CODES)  # string -> key, in order of first sight
+    sources = []
+    for cls in SOURCE_COLUMNS:
+        rows = [(ev.timestamp, getattr(ev, cls.kind)) for ev in events
+                if ev.kind == cls.kind]
+        cols = {"timestamp": _column([ts for ts, _ in rows], "timestamp")}
+        for name in cls.names[1:]:
+            values = [getattr(p, name) for _, p in rows]
+            what = f"{cls.kind} field {name}"
+            if name in STRING_FIELDS:
+                if not all(isinstance(v, str) for v in values):
+                    raise InputError(f"{what} must hold strings")
+                values = [key_of.setdefault(v, len(key_of)) for v in values]
+            cols[name] = _column(values, what, bool if name in _BOOL_FIELDS else np.int64)
+        sources.append(cols)
+    strings = encode_strings(sources, list(key_of).__getitem__)
+    return [cls(**cols) for cls, cols in zip(SOURCE_COLUMNS, sources)], strings
+
+
+class EventView(Sequence):
+    """A window's events in timestamp order, as objects built on first read.
+
+    ``len`` counts from the columns without building anything.
+    """
+
+    def __init__(self, window: "TelemetryWindow"):
+        self._window = window
+        self._events: list[TelemetryEvent] | None = None
+
+    def __len__(self) -> int:
+        return self._window.event_count
+
+    def __getitem__(self, i):
+        if self._events is None:
+            self._events = self._window.to_events()
+        return self._events[i]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (EventView, list, tuple)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EventView({len(self)} events)"
+
+
+class TelemetryWindow:
+    """Events inside ``[start, end)`` as per-source columns.
+
+    Built by hand (or by the JSON-lines reader) from a timestamp-sorted list
+    of events, or by the generator from ready columns whose string fields
+    are codes into ``strings``.
+    """
+
+    def __init__(self, start: int, end: int, events=(), label: str | None = None, *,
+                 sources: tuple | None = None, strings: tuple[str, ...] = FIXED_STRINGS):
+        if sources is None:
+            sources, strings = _columns_from_events(list(events))
+        elif events:
+            raise InputError("pass events or columns, not both")
+        self.start = start
+        self.end = end
+        self.label = label
+        self.flows, self.logs, self.behaviors = sources
+        self.strings = strings
+        self.__post_init__()
 
     def __post_init__(self):
         if self.start >= self.end:
             raise InputError(f"window start {self.start} must precede end {self.end}")
         if self.label is not None and self.label not in LABELS:
             raise InputError(f"unknown label {self.label!r}")
-        prev = self.start
-        for ev in self.events:
-            if not self.start <= ev.timestamp < self.end:
-                raise InputError(
-                    f"event at {ev.timestamp} outside window [{self.start}, {self.end})"
-                )
-            if ev.timestamp < prev:
+        # the rest of the vocabulary (sorted, unique) comes from encode_strings;
+        # checking it here would cost more than the window's other checks together
+        if self.strings[:len(FIXED_STRINGS)] != FIXED_STRINGS:
+            raise InputError("window strings must start with the fixed strings")
+        for cols in self.sources:
+            ts = cols.timestamp
+            if any(len(getattr(cols, name)) != len(ts) for name in cols.names):
+                raise InputError(f"{cols.kind} columns differ in length")
+            if len(ts) == 0:
+                continue
+            if (ts[1:] < ts[:-1]).any():
                 raise InputError("events must be sorted by timestamp")
-            prev = ev.timestamp
+            if ts[0] < self.start or ts[-1] >= self.end:
+                bad = ts[0] if ts[0] < self.start else ts[-1]
+                raise InputError(
+                    f"event at {bad} outside window [{self.start}, {self.end})")
+        flows = self.flows
+        if len(flows) and min(flows.port.min(), flows.bytes.min(), flows.packets.min(),
+                              flows.duration_ms.min()) < 0:
+            raise InputError("flow port, bytes, packets and duration must be "
+                             "non-negative")
+
+    @property
+    def sources(self) -> tuple:
+        return (self.flows, self.logs, self.behaviors)
 
     @property
     def duration_ms(self) -> int:
         return self.end - self.start
+
+    @property
+    def event_count(self) -> int:
+        return len(self.flows) + len(self.logs) + len(self.behaviors)
+
+    @property
+    def events(self) -> EventView:
+        return EventView(self)
+
+    def to_events(self) -> list[TelemetryEvent]:
+        """Build the event objects, merged by a stable timestamp sort."""
+        rows = []
+        for cols in self.sources:
+            names = cols.names[1:]  # the payload's fields, after the timestamp
+            columns = [getattr(cols, name).tolist() for name in names]
+            for j, name in enumerate(names):
+                if name in STRING_FIELDS:
+                    columns[j] = [self.strings[c] for c in columns[j]]
+            for ts, *values in zip(cols.timestamp.tolist(), *columns):
+                rows.append(TelemetryEvent(kind=cols.kind, timestamp=ts,
+                                           **{cols.kind: cols.payload(*values)}))
+        rows.sort(key=lambda ev: ev.timestamp)  # stable: flow, log, behavior on ties
+        return rows
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TelemetryWindow):
+            return NotImplemented
+        return ((self.start, self.end, self.label, self.strings)
+                == (other.start, other.end, other.label, other.strings)
+                and self.sources == other.sources)
+
+    def __repr__(self) -> str:
+        return (f"TelemetryWindow(start={self.start}, end={self.end}, "
+                f"label={self.label!r}, events={self.event_count})")
 
 
 def event_to_dict(ev: TelemetryEvent) -> dict:
@@ -145,7 +381,7 @@ def write_events_jsonl(path: str, windows: list[TelemetryWindow]) -> None:
     """Write every event of every window as one JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for w in windows:
-            for ev in w.events:
+            for ev in w.to_events():
                 fh.write(json.dumps(event_to_dict(ev), sort_keys=True))
                 fh.write("\n")
 

@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import csv
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from cloudguard.cli import main
+from cloudguard.scenario import ScenarioConfig, generate_stream
+from cloudguard.telemetry import read_stream_jsonl
 
 SCENARIO = {
     "duration_ms": 60000,
@@ -74,6 +78,20 @@ def test_generate_seed_override(tmp_path, scenario_cfg):
     assert doc["seed"] == 9
 
 
+def test_generate_twice_is_byte_identical_and_reads_back(tmp_path, scenario_cfg):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["generate", "--config", scenario_cfg, "--seed", "5",
+                     "--out", str(out)]) == 0
+    for name in ("telemetry.jsonl", "labels.csv", "scenario.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    scenario = ScenarioConfig.from_dict(
+        json.loads((outs[0] / "scenario.json").read_text()))
+    got = read_stream_jsonl(str(outs[0] / "telemetry.jsonl"),
+                            str(outs[0] / "labels.csv"))
+    assert got == generate_stream(scenario).windows
+
+
 def test_generate_requires_out():
     assert main(["generate"]) == 2
 
@@ -104,6 +122,22 @@ def test_train_detector_tiny(tmp_path, capsys):
     doc = json.loads((out / "evaluation.json").read_text())
     assert 0.0 <= doc["accuracy"] <= 1.0
     assert "trained detector" in capsys.readouterr().out
+
+
+def test_train_detector_writes_history(tmp_path):
+    cfg = write_config(tmp_path, "det.json", {
+        "scenario": SCENARIO, "arch": TINY_ARCH, "epochs": 3, "batch_size": 16,
+    })
+    out = tmp_path / "det"
+    assert main(["train-detector", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "history.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["epoch", "loss", "train_accuracy", "val_accuracy"]
+    assert [int(r["epoch"]) for r in rows] == [0, 1, 2]
+    for r in rows:
+        assert math.isfinite(float(r["loss"])) and float(r["loss"]) > 0.0
+        assert 0.0 <= float(r["train_accuracy"]) <= 1.0
+        assert 0.0 <= float(r["val_accuracy"]) <= 1.0
 
 
 def test_simulate_and_compare_round_trip(tmp_path, scenario_cfg, capsys):

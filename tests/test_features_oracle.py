@@ -1,0 +1,113 @@
+"""The columnar extractor against the event-by-event reference extractor.
+
+Entropies sum their terms in another order (bincount/unique order instead of
+first occurrence), so vectors are compared with a tolerance fixed up front
+from float64 rounding, not tuned to the observed differences.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from cloudguard.features import build_layout, extract_features
+from cloudguard.scenario import (AttackSpec, ScenarioConfig, default_scenario,
+                                 generate_stream)
+from cloudguard.telemetry import LABELS, LogData, TelemetryEvent, TelemetryWindow
+
+from .feature_oracle import reference_features
+from .strategies import random_windows
+from .test_telemetry import behavior_event, flow_event, log_event
+
+RTOL = 1e-12
+ATOL = 1e-9
+
+LAYOUTS = (build_layout(), build_layout(dim=16), build_layout(dim=600, n_bins=8))
+
+
+def assert_matches_oracle(window):
+    for layout in LAYOUTS:
+        np.testing.assert_allclose(extract_features(window, layout),
+                                   reference_features(window, layout),
+                                   rtol=RTOL, atol=ATOL)
+
+
+def window_of(events, start=0, end=1000, label=None):
+    return TelemetryWindow(start=start, end=end, label=label,
+                           events=sorted(events, key=lambda e: e.timestamp))
+
+
+class TestHandBuiltEdges:
+    def test_empty_window(self):
+        assert_matches_oracle(TelemetryWindow(start=0, end=1000))
+
+    def test_logs_only(self):
+        events = [TelemetryEvent(kind="log", timestamp=t,
+                                 log=LogData(severity=s, event_code=c, subsystem=sub))
+                  for t, s, c, sub in [(1, 6, 401, "auth"), (5, 2, 120, "db"),
+                                       (5, 9, 120, "other"), (700, -1, 3, "auth")]]
+        assert_matches_oracle(window_of(events))
+
+    def test_high_ports(self):
+        events = [flow_event(ts=i, port=p)
+                  for i, p in enumerate([1023, 1024, 2047, 2048, 65535, 80, 70000])]
+        assert_matches_oracle(window_of(events))
+
+    def test_payload_class_clipping(self):
+        events = [flow_event(ts=i, payload_class=c) for i, c in enumerate([-2, 0, 1, 3, 5, 7])]
+        assert_matches_oracle(window_of(events))
+
+    def test_repeated_strings(self):
+        events = [flow_event(ts=i, src=["a", "b", "a"][i % 3], dst=["x", "x", "y"][i % 3])
+                  for i in range(9)]
+        events += [behavior_event(ts=20 + i, action="login", success=i % 2 == 0,
+                                  user=["u1", "u2", "u1", "u1"][i % 4])
+                   for i in range(8)]
+        # a source address spelled like a fixed string shares its code
+        events += [flow_event(ts=40, src="login", protocol="icmp"),
+                   behavior_event(ts=41, action="reboot", user="tcp")]
+        assert_matches_oracle(window_of(events))
+
+    def test_timestamp_ties(self):
+        events = [flow_event(ts=10, bytes=100), log_event(ts=10), behavior_event(ts=10),
+                  flow_event(ts=10, bytes=7), flow_event(ts=999), behavior_event(ts=999)]
+        w = TelemetryWindow(start=0, end=1000, events=events)
+        assert_matches_oracle(w)
+        assert [ev.kind for ev in w.events] == ["flow", "flow", "log", "behavior",
+                                                "flow", "behavior"]
+        assert [ev.flow.bytes for ev in w.events[:2]] == [100, 7]
+
+    def test_shifted_short_window(self):
+        events = [flow_event(ts=10**9 + 2), log_event(ts=10**9 + 2),
+                  behavior_event(ts=10**9 + 4)]
+        assert_matches_oracle(window_of(events, start=10**9, end=10**9 + 5))
+
+
+class TestGeneratedWindows:
+    @pytest.mark.parametrize("benign_rate", [60.0, 6.0])
+    def test_every_label(self, benign_rate):
+        stream = generate_stream(default_scenario(seed=5, rounds=1,
+                                                  benign_rate=benign_rate))
+        assert {w.label for w in stream.windows} == set(LABELS)
+        for w in stream.windows:
+            assert_matches_oracle(w)
+
+    def test_partial_window_overlap(self):
+        cfg = ScenarioConfig(duration_ms=6000, window_ms=1000, seed=3, attacks=(
+            AttackSpec(kind="data_exfiltration", intensity=0.7, start=500, end=2300),
+            AttackSpec(kind="ddos", intensity=0.6, start=2100, end=4700),
+            AttackSpec(kind="sql_injection", intensity=1.0, start=4200, end=6000),
+        ))
+        for w in generate_stream(cfg).windows:
+            assert_matches_oracle(w)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(random_windows())
+def test_random_windows_match_oracle(case):
+    events, window = case
+    # the columns hold exactly the events they were built from, ties ordered
+    # flow, log, behavior
+    rank = {"flow": 0, "log": 1, "behavior": 2}
+    assert list(window.events) == sorted(events, key=lambda e: (e.timestamp, rank[e.kind]))
+    assert_matches_oracle(window)

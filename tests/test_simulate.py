@@ -20,7 +20,7 @@ from cloudguard.simulate import (PipelineEvent, SimConfig, build_report,
                                  emit_report, fixed_action_damage,
                                  metrics_from_events, read_events,
                                  run_simulation, window_truths, write_events)
-from cloudguard.telemetry import LABELS
+from cloudguard.telemetry import LABELS, TelemetryEvent
 
 
 def small_scenario(seed=3):
@@ -165,6 +165,17 @@ def test_one_event_per_window(small_run):
     cfg, report, events = small_run
     assert len(events) == cfg.resolved_scenario().n_windows
     assert [ev.window_id for ev in events] == list(range(len(events)))
+
+
+def test_loop_builds_no_event_objects(monkeypatch):
+    built = []
+    original = TelemetryEvent.__post_init__
+    monkeypatch.setattr(TelemetryEvent, "__post_init__",
+                        lambda ev: (built.append(ev), original(ev)))
+    _, events = run_simulation(SimConfig(scenario=small_scenario(seed=4),
+                                         detector="baseline"))
+    assert len(events) == 90
+    assert built == []
 
 
 def test_same_seed_identical_modulo_timing(small_run):

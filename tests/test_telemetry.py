@@ -1,9 +1,19 @@
 """Telemetry record validation and JSON-lines round trips."""
 
+import dataclasses
+import json
+import os
+import tempfile
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cloudguard.errors import InputError
+from cloudguard.features import build_layout, extract_features
+from cloudguard.scenario import default_scenario, generate_stream
 from cloudguard.telemetry import (
+    FIXED_CODES,
     BehaviorData,
     FlowData,
     LogData,
@@ -15,6 +25,8 @@ from cloudguard.telemetry import (
     write_events_jsonl,
     write_label_sidecar,
 )
+
+from .strategies import random_windows
 
 
 def flow_event(ts=10, **kw):
@@ -123,3 +135,82 @@ class TestSerialization:
         lb.write_text("start,end,label\n50,100,\n")  # event at 10 precedes span
         with pytest.raises(InputError):
             read_stream_jsonl(ev, str(lb))
+
+
+class TestColumnarWindows:
+    def test_generated_stream_round_trips_through_json_lines(self, tmp_path):
+        stream = generate_stream(default_scenario(seed=8, rounds=1))
+        ev_path = str(tmp_path / "events.jsonl")
+        lb_path = str(tmp_path / "labels.csv")
+        write_events_jsonl(ev_path, stream.windows)
+        write_label_sidecar(lb_path, stream.windows)
+        got = read_stream_jsonl(ev_path, lb_path)
+        layout = build_layout()
+        assert len(got) == len(stream.windows)
+        for a, b in zip(got, stream.windows):
+            assert a.label == b.label
+            assert a.strings == b.strings
+            for cols_a, cols_b in zip(a.sources, b.sources):
+                for name in cols_a.names:
+                    np.testing.assert_array_equal(getattr(cols_a, name),
+                                                  getattr(cols_b, name))
+            np.testing.assert_array_equal(extract_features(a, layout),
+                                          extract_features(b, layout))
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_windows())
+    def test_hand_built_windows_round_trip(self, case):
+        _, window = case
+        with tempfile.TemporaryDirectory() as tmp:
+            ev_path = os.path.join(tmp, "events.jsonl")
+            lb_path = os.path.join(tmp, "labels.csv")
+            write_events_jsonl(ev_path, [window])
+            write_label_sidecar(lb_path, [window])
+            assert read_stream_jsonl(ev_path, lb_path) == [window]
+
+    def test_event_count_needs_no_event_objects(self, monkeypatch):
+        w = generate_stream(default_scenario(seed=2, rounds=1)).windows[3]
+        built = []
+        original = TelemetryEvent.__post_init__
+        monkeypatch.setattr(TelemetryEvent, "__post_init__",
+                            lambda ev: (built.append(ev), original(ev)))
+        assert len(w.events) == w.event_count == sum(len(c) for c in w.sources) > 0
+        assert built == []
+        assert len(list(w.events)) == w.event_count
+        assert len(built) == w.event_count
+
+    def test_string_codes_follow_string_equality(self):
+        w = TelemetryWindow(start=0, end=100, events=[
+            flow_event(ts=1, src="b", dst="a"), flow_event(ts=2, src="a", dst="b"),
+            behavior_event(ts=3, user="a", action="login")])
+        strings = np.array(w.strings)
+        np.testing.assert_array_equal(strings[w.flows.src], ["b", "a"])
+        np.testing.assert_array_equal(strings[w.flows.dst], ["a", "b"])
+        assert w.flows.src[1] == w.flows.dst[0] == w.behaviors.user_id[0]
+        assert w.behaviors.action[0] == FIXED_CODES["login"]
+        assert w.flows.protocol.tolist() == [FIXED_CODES["tcp"]] * 2
+
+    def test_malformed_columns_rejected(self):
+        w = TelemetryWindow(start=0, end=100, events=[flow_event(ts=10)])
+        with pytest.raises(InputError, match="non-negative"):
+            TelemetryWindow(start=0, end=100, events=[flow_event(ts=10, bytes=-5)])
+        with pytest.raises(InputError, match="strings"):
+            TelemetryWindow(0, 100, sources=w.sources, strings=w.strings[::-1])
+        short = dataclasses.replace(w.flows, port=w.flows.port[:0])
+        with pytest.raises(InputError, match="length"):
+            TelemetryWindow(0, 100, sources=(short, w.logs, w.behaviors),
+                            strings=w.strings)
+        with pytest.raises(InputError, match="strings"):
+            TelemetryWindow(start=0, end=100, events=[flow_event(ts=10, src=7)])
+        for bad in (dict(bytes=1.5), dict(port="443"), dict(syn_flag=1)):
+            with pytest.raises(InputError, match="must hold"):
+                TelemetryWindow(start=0, end=100, events=[flow_event(ts=10, **bad)])
+
+    def test_reader_rejects_non_integer_fields(self, tmp_path):
+        ev = tmp_path / "events.jsonl"
+        ev.write_text(json.dumps(event_to_dict(flow_event(ts=10))).replace(
+            '"bytes": 100', '"bytes": 100.5') + "\n")
+        lb = tmp_path / "labels.csv"
+        lb.write_text("start,end,label\n0,100,benign\n")
+        with pytest.raises(InputError, match="bytes must hold"):
+            read_stream_jsonl(str(ev), str(lb))
