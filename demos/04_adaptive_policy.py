@@ -13,10 +13,11 @@ import numpy as np
 
 from cloudguard.environment import DefenseEnv, EnvConfig, defense_train_config
 from cloudguard.policy import (
+    N_STATES,
+    STATE_RADICES,
     build_action_catalog,
     compose_indicators,
     decode_state,
-    default_indicator_schema,
     encode_state,
     epsilon_at,
     greedy_policy,
@@ -24,25 +25,20 @@ from cloudguard.policy import (
 )
 from cloudguard.telemetry import LABELS
 
-# 1. the indicator schema: four axes packed into one vector, each
-#    bucketed into a handful of ranges
-schema = default_indicator_schema()
-print(f"indicator vector width {schema.dim}, "
-      f"{schema.n_states()} reachable states")
-for axis, radix in zip(schema.axes, schema.radices):
-    print(f"  {axis.name:14s} [{axis.start:3d}, {axis.end:3d})  "
-          f"{axis.mode:7s} -> {radix} buckets")
+# 1. the state: four signals, each bucketed into a handful of ranges and
+#    packed into one key
+print(f"{N_STATES} reachable states")
+for name, radix in zip(("threat", "load", "attack_kind", "recent_action"),
+                       STATE_RADICES):
+    print(f"  {name:14s} -> {radix} buckets")
 
 # 2. encode one concrete situation and read it back
-indicators = compose_indicators(schema, {
-    "threat": 0.83,
-    "load": 0.67,
-    "attack_kind": np.eye(len(LABELS))[LABELS.index("ddos")],
-    "recent_action": 0.0,
-})
-state = encode_state(indicators, schema)
+buckets = compose_indicators(threat=0.83, load=0.67,
+                             kind_probs=np.eye(len(LABELS))[LABELS.index("ddos")],
+                             recent_action=0.0)
+state = encode_state(buckets)
 print(f"\nheavy ddos under load encodes to state {state}, "
-      f"buckets {decode_state(state, schema)}")
+      f"buckets {decode_state(state)}")
 
 # 3. the action catalog: firewall/rate-limit/isolation tier combinations
 #    plus burst and sustained variants of the stronger ones
@@ -77,7 +73,7 @@ shown = set()
 for state in sorted(chosen, key=lambda s: -visits.get(s, 0)):
     if visits.get(state, 0) < 400:
         break
-    threat_bucket, load_bucket, kind_bucket, _ = decode_state(state, schema)
+    threat_bucket, load_bucket, kind_bucket, _ = decode_state(state)
     kind = LABELS[kind_bucket]
     if kind in shown or (kind == "benign") != (threat_bucket == 0):
         continue

@@ -1,24 +1,22 @@
 """Simulated enforcement: defense posture, attack resolution, latency.
 
-A DefenseState carries the current firewall, rate-limit, and isolation tiers
-plus the set of isolated entities. Applying an action sets the tiers to the
-action's targets (absolute, so reapplying is a no-op) and measures how long
-the mutation took on the monotonic clock.
+A DefenseState carries the current firewall, rate-limit, and isolation
+tiers. Applying an action sets the tiers to the action's targets (absolute,
+so reapplying is a no-op) and measures how long the mutation took on the
+monotonic clock.
 
 Attack outcomes come from an effectiveness matrix mapping (attack kind, tier
 combination) to a coverage fraction e in [0, 1]: e >= 1 blocks the attack
 outright, e == 0 lets it through at full damage, and anything between
 mitigates damage to (1 - e) x intensity x base damage for the kind. The
-packaged default matrix leans on rate limiting against volumetric floods,
-the firewall against scans, injections, and credential stuffing, and
-isolation against data exfiltration.
+default matrix is built from per-kind tier leverage: rate limiting against
+volumetric floods, the firewall against scans, injections, and credential
+stuffing, and isolation against data exfiltration.
 """
 
-import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 from .errors import ConfigError, InputError
 from .policy import (
@@ -50,17 +48,14 @@ _TIER_WEIGHTS = {
     "data_exfiltration": (0.30, 0.20, 0.95),
 }
 
-_MATRIX_HEADER = ["attack_kind", "fw_tier", "rl_tier", "iso_tier", "effectiveness"]
-
 
 @dataclass
 class DefenseState:
-    """Current posture: absolute tiers plus any individually isolated entities."""
+    """Current posture: absolute firewall, rate-limit, and isolation tiers."""
 
     firewall_tier: int = 0
     rate_limit_tier: int = 0
     isolation_tier: int = 0
-    isolated_entities: set = field(default_factory=set)
 
     def __post_init__(self):
         if not 0 <= self.firewall_tier < FIREWALL_TIERS:
@@ -81,28 +76,15 @@ def apply_action(state: DefenseState, action_id: int,
     Returns the mutated state together with the execution latency in
     milliseconds, measured around the mutation on the monotonic clock.
     Tiers are absolute targets, not deltas, so applying the same action twice
-    leaves the state unchanged. Dropping isolation to tier 0 releases every
-    isolated entity. Unknown action ids raise CatalogError before any change.
+    leaves the state unchanged. Unknown action ids raise CatalogError before
+    any change.
     """
     action = get_action(catalog, action_id)
     started = time.perf_counter()
     state.firewall_tier = action.firewall_tier
     state.rate_limit_tier = action.rate_limit_tier
     state.isolation_tier = action.isolation_tier
-    if action.isolation_tier == 0:
-        state.isolated_entities.clear()
     return state, (time.perf_counter() - started) * 1000.0
-
-
-def isolate_entity(state: DefenseState, entity: str) -> None:
-    """Quarantine one entity; requires isolation to be active."""
-    if state.isolation_tier == 0:
-        raise InputError("cannot isolate entities while isolation tier is 0")
-    state.isolated_entities.add(entity)
-
-
-def release_entity(state: DefenseState, entity: str) -> None:
-    state.isolated_entities.discard(entity)
 
 
 class EffectivenessMatrix:
@@ -158,14 +140,6 @@ class EffectivenessMatrix:
                 f"({fw}, {rl}, {iso})"
             ) from None
 
-    def rows(self) -> list[tuple[str, int, int, int, float]]:
-        """Canonical row order: kind (declared order), then tier tuple."""
-        return [(k, f, r, i, self._table[(k, f, r, i)])
-                for k in self.kinds
-                for f in range(FIREWALL_TIERS)
-                for r in range(RATE_LIMIT_TIERS)
-                for i in range(ISOLATION_TIERS)]
-
 
 @dataclass(frozen=True)
 class AttackOutcome:
@@ -176,30 +150,32 @@ class AttackOutcome:
     damage: float
 
 
-def resolve_attack(state: DefenseState, attack, matrix: EffectivenessMatrix,
+def resolve_attack(kind: str, intensity: float, tiers: tuple[int, int, int],
+                   matrix: EffectivenessMatrix,
                    base_damage: dict | None = None) -> AttackOutcome:
-    """Outcome of one attack burst against the current posture.
+    """Outcome of one attack burst against (firewall, rate-limit, isolation) tiers.
 
     Full coverage (e >= 1) blocks: zero damage. Zero coverage passes the
     attack at intensity x base damage. Partial coverage mitigates, scaling
     damage by (1 - e).
     """
     base_damage = BASE_DAMAGE if base_damage is None else base_damage
-    e = matrix.effectiveness(attack.kind, *state.tiers())
+    e = matrix.effectiveness(kind, *tiers)
     try:
-        base = base_damage[attack.kind]
+        base = base_damage[kind]
     except KeyError:
-        raise InputError(f"no base damage for attack kind {attack.kind!r}") from None
+        raise InputError(f"no base damage for attack kind {kind!r}") from None
     if e >= 1.0:
         return AttackOutcome(verdict="blocked", effectiveness=e, damage=0.0)
     if e <= 0.0:
         return AttackOutcome(verdict="passed", effectiveness=e,
-                             damage=attack.intensity * base)
+                             damage=intensity * base)
     return AttackOutcome(verdict="mitigated", effectiveness=e,
-                         damage=(1.0 - e) * attack.intensity * base)
+                         damage=(1.0 - e) * intensity * base)
 
 
-def build_default_matrix() -> EffectivenessMatrix:
+@lru_cache(maxsize=1)
+def default_matrix() -> EffectivenessMatrix:
     """Parametric default: per-kind tier leverage, saturating at full coverage."""
     table = {}
     for kind in LABELS:
@@ -212,49 +188,6 @@ def build_default_matrix() -> EffectivenessMatrix:
                            + wi * i / (ISOLATION_TIERS - 1))
                     table[(kind, f, r, i)] = min(1.0, raw)
     return EffectivenessMatrix(table)
-
-
-def write_matrix_csv(path, matrix: EffectivenessMatrix) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_MATRIX_HEADER)
-        for kind, f, r, i, e in matrix.rows():
-            writer.writerow([kind, f, r, i, repr(float(e))])
-
-
-def load_matrix_csv(path) -> EffectivenessMatrix:
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != _MATRIX_HEADER:
-                raise InputError(f"{path} is not an effectiveness matrix file")
-            table = {}
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 5:
-                    raise InputError(f"malformed matrix row: {row!r}")
-                kind, f, r, i, e = row
-                try:
-                    key = (kind, int(f), int(r), int(i))
-                    value = float(e)
-                except ValueError as exc:
-                    raise InputError(f"malformed matrix row: {row!r}") from exc
-                if key in table:
-                    raise InputError(f"duplicate matrix row for {key}")
-                table[key] = value
-    except OSError as exc:
-        raise InputError(f"cannot read effectiveness matrix: {exc}") from exc
-    return EffectivenessMatrix(table)
-
-
-@lru_cache(maxsize=1)
-def default_matrix() -> EffectivenessMatrix:
-    """The packaged default effectiveness matrix."""
-    ref = resources.files("cloudguard").joinpath("data/effectiveness_matrix.csv")
-    with resources.as_file(ref) as path:
-        return load_matrix_csv(path)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Simulated defense environment for training the response policy.
 
 Each step presents one traffic window (attack kind, intensity, service load,
-and a detector-like probability read) encoded through the shared indicator
-schema; the agent answers with a catalog action. The reward follows
+and a detector-like probability read) as the same state key the simulation
+loop uses; the agent answers with a catalog action. The reward follows
 r = -(damage) - lambda * action cost + bonus for blocked attacks, where
 damage counts both residual attack damage and collateral service disruption
 from the defense tiers themselves under load. The block bonus defaults high
@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .enforcement import (
-    DefenseState,
-    EffectivenessMatrix,
-    default_matrix,
-    resolve_attack,
-)
+from .enforcement import EffectivenessMatrix, default_matrix, resolve_attack
 from .errors import ConfigError, EnvironmentFault, InputError
 from .perception import DEFAULT_SEVERITY
 from .policy import (
@@ -31,11 +26,9 @@ from .policy import (
     FIREWALL_TIERS,
     ISOLATION_TIERS,
     RATE_LIMIT_TIERS,
-    IndicatorSchema,
     PolicyTrainConfig,
     build_action_catalog,
     compose_indicators,
-    default_indicator_schema,
     encode_state,
     get_action,
 )
@@ -103,27 +96,16 @@ class WindowOutcome:
         return self.attack_damage + self.collateral_damage
 
 
-@dataclass(frozen=True)
-class _Burst:
-    # duck-typed attack carrier for resolve_attack; scenario AttackSpec
-    # forbids zero intensity, which benign windows need
-    kind: str
-    intensity: float
-
-
 def enforce_window(action: Action, kind: str, intensity: float, load: float,
                    matrix: EffectivenessMatrix,
                    collateral: CollateralModel) -> WindowOutcome:
     """Resolve one window under the action's tiers, counting both damages."""
-    coll = collateral.collateral(action.firewall_tier, action.rate_limit_tier,
-                                 action.isolation_tier, load)
+    tiers = (action.firewall_tier, action.rate_limit_tier, action.isolation_tier)
+    coll = collateral.collateral(*tiers, load)
     if kind == "benign" or intensity <= 0.0:
         return WindowOutcome(attack_damage=0.0, collateral_damage=coll,
                              blocked=False, verdict="none")
-    state = DefenseState(firewall_tier=action.firewall_tier,
-                         rate_limit_tier=action.rate_limit_tier,
-                         isolation_tier=action.isolation_tier)
-    out = resolve_attack(state, _Burst(kind, intensity), matrix)
+    out = resolve_attack(kind, intensity, tiers, matrix)
     return WindowOutcome(attack_damage=out.damage, collateral_damage=coll,
                          blocked=out.verdict == "blocked", verdict=out.verdict)
 
@@ -179,13 +161,11 @@ class DefenseEnv:
                  catalog: tuple[Action, ...] | None = None,
                  matrix: EffectivenessMatrix | None = None,
                  collateral: CollateralModel | None = None,
-                 schema: IndicatorSchema | None = None,
                  severity: dict | None = None):
         self.cfg = cfg or EnvConfig()
         self.catalog = catalog or build_action_catalog()
         self.matrix = matrix if matrix is not None else default_matrix()
         self.collateral = collateral or CollateralModel()
-        self.schema = schema or default_indicator_schema()
         self.severity = severity or DEFAULT_SEVERITY
         self._episode = -1
         self._steps = 0
@@ -239,15 +219,10 @@ class DefenseEnv:
         probs[perceived] = max_p
         context_factor = float(rng.uniform(0.5, 0.95))
         threat = max_p * self.severity[LABELS[perceived]] * context_factor
-        indicators = compose_indicators(self.schema, {
-            "threat": threat,
-            "load": load,
-            "attack_kind": probs,
-            "recent_action": last_action_norm,
-        })
+        buckets = compose_indicators(threat, load, probs, last_action_norm)
         return _StepContext(kind=kind, intensity=intensity, load=load,
                             probs=probs, threat=threat,
-                            state_key=encode_state(indicators, self.schema))
+                            state_key=encode_state(buckets))
 
 
 def defense_train_config(seed: int = 0) -> PolicyTrainConfig:

@@ -1,16 +1,18 @@
 """Adaptive response selection with tabular double Q-learning.
 
-The pipeline summarizes each window into a wide indicator vector whose named
-regions (threat, load, attack kind, recent action) are bucketed and packed
-into a single integer state key by little-endian mixed-radix encoding. A
-fixed catalog of defense actions combines firewall, rate-limit, and isolation
-tiers; burst and sustained presets reuse the aggressive tier combinations at
-scaled cost. Two Q tables are trained with the double estimator update, and
-tables are stored sparsely so unvisited states read as zero without being
-materialized.
+The state of a window is four buckets: the threat level, the service load,
+the most probable attack kind, and how hard the previous action pushed the
+tiers. They pack into a single integer state key by little-endian mixed-radix
+encoding. A fixed catalog of defense actions combines firewall, rate-limit,
+and isolation tiers; burst and sustained presets reuse the aggressive tier
+combinations at scaled cost. Two Q tables are trained with the double
+estimator update, and tables are stored sparsely so unvisited states read as
+zero without being materialized.
 """
 
 import csv
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +25,8 @@ from .errors import (
     EnvironmentFault,
     InputError,
 )
-
-INDICATOR_DIM = 232
+from .perception import BAND_EDGES
+from .telemetry import LABELS
 
 FIREWALL_TIERS = 5
 RATE_LIMIT_TIERS = 5
@@ -40,136 +42,57 @@ SUSTAINED_COST_SCALE = 1.3
 HEAVY_TIER_SUM = 4  # combos at or above this total get burst/sustained presets
 
 
-@dataclass(frozen=True)
-class AxisSpec:
-    """One named region of the indicator vector and how it buckets."""
-
-    name: str
-    start: int
-    end: int
-    mode: str  # "mean": average the region, bucket by edges; "argmax": slot index
-    edges: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.end <= self.start or self.start < 0:
-            raise ConfigError(f"axis {self.name}: bad span [{self.start}, {self.end})")
-        if self.mode == "mean":
-            if not self.edges or list(self.edges) != sorted(set(self.edges)):
-                raise ConfigError(f"axis {self.name}: edges must be strictly increasing")
-        elif self.mode == "argmax":
-            if self.edges:
-                raise ConfigError(f"axis {self.name}: argmax axes take no edges")
-        else:
-            raise ConfigError(f"axis {self.name}: unknown mode {self.mode!r}")
-
-    @property
-    def radix(self) -> int:
-        if self.mode == "argmax":
-            return self.end - self.start
-        return len(self.edges) + 1
+# state-key bucket edges; the threat axis buckets by the perception band
+# edges, so its bucket is the threat level minus one
+LOAD_EDGES = (0.25, 0.5, 0.75)
+RECENT_EDGES = (1 / 3, 2 / 3)
+STATE_RADICES = (len(BAND_EDGES) + 1, len(LOAD_EDGES) + 1, len(LABELS),
+                 len(RECENT_EDGES) + 1)
+N_STATES = math.prod(STATE_RADICES)
 
 
-@dataclass(frozen=True)
-class IndicatorSchema:
-    """Ordered, contiguous axes covering the full indicator vector."""
+def compose_indicators(threat: float, load: float, kind_probs,
+                       recent_action: float) -> tuple[int, int, int, int]:
+    """The (threat, load, attack kind, recent action) buckets of one window.
 
-    axes: tuple[AxisSpec, ...]
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(self.axes))
-        cursor = 0
-        for axis in self.axes:
-            if axis.start != cursor:
-                raise ConfigError(f"axis {axis.name} starts at {axis.start}, "
-                                  f"expected {cursor}")
-            cursor = axis.end
-        if cursor != self.dim:
-            raise ConfigError(f"axes cover {cursor} of {self.dim} dimensions")
-
-    @property
-    def radices(self) -> tuple[int, ...]:
-        return tuple(a.radix for a in self.axes)
-
-    def n_states(self) -> int:
-        out = 1
-        for r in self.radices:
-            out *= r
-        return out
-
-    def axis(self, name: str) -> AxisSpec:
-        for a in self.axes:
-            if a.name == name:
-                return a
-        raise ConfigError(f"schema has no axis named {name!r}")
+    Values on an edge take the upper bucket and out-of-range values clamp;
+    the kind bucket is the first index of the largest probability.
+    """
+    probs = np.asarray(kind_probs, dtype=np.float64)
+    if probs.shape != (len(LABELS),):
+        raise DimensionError(f"kind_probs takes {len(LABELS)} slots, "
+                             f"got shape {probs.shape}")
+    threat, load, recent_action = float(threat), float(load), float(recent_action)
+    if not (math.isfinite(threat) and math.isfinite(load)
+            and math.isfinite(recent_action) and np.isfinite(probs).all()):
+        raise InputError("state signals must be finite")
+    return (bisect_right(BAND_EDGES, threat),
+            bisect_right(LOAD_EDGES, load),
+            int(probs.argmax()),
+            bisect_right(RECENT_EDGES, recent_action))
 
 
-def default_indicator_schema() -> IndicatorSchema:
-    """The stock decomposition of the 232-wide indicator vector."""
-    return IndicatorSchema(
-        axes=(
-            AxisSpec("threat", 0, 58, "mean", (0.2, 0.4, 0.6, 0.8)),
-            AxisSpec("load", 58, 116, "mean", (0.25, 0.5, 0.75)),
-            AxisSpec("attack_kind", 116, 122, "argmax"),
-            AxisSpec("recent_action", 122, 232, "mean", (1 / 3, 2 / 3)),
-        ),
-        dim=INDICATOR_DIM,
-    )
-
-
-def compose_indicators(schema: IndicatorSchema, values: dict) -> np.ndarray:
-    """Fill each axis region from a scalar (mean axes) or a vector (argmax)."""
-    if set(values) != {a.name for a in schema.axes}:
-        raise InputError(
-            f"values must name exactly the axes "
-            f"{tuple(a.name for a in schema.axes)}, got {tuple(sorted(values))}"
-        )
-    out = np.zeros(schema.dim)
-    for axis in schema.axes:
-        v = values[axis.name]
-        if axis.mode == "argmax":
-            v = np.asarray(v, dtype=np.float64)
-            if v.shape != (axis.end - axis.start,):
-                raise DimensionError(
-                    f"axis {axis.name} takes a vector of {axis.end - axis.start} "
-                    f"slots, got shape {v.shape}"
-                )
-            out[axis.start:axis.end] = v
-        else:
-            out[axis.start:axis.end] = float(v)
-    if not np.isfinite(out).all():
-        raise InputError("indicator values must be finite")
-    return out
-
-
-def bucket_of(axis: AxisSpec, region: np.ndarray) -> int:
-    """Bucket index for one axis region; out-of-range values clamp."""
-    if axis.mode == "argmax":
-        return int(np.argmax(region))
-    return int(np.searchsorted(axis.edges, float(region.mean()), side="right"))
-
-
-def encode_state(indicators: np.ndarray, schema: IndicatorSchema) -> int:
+def encode_state(buckets) -> int:
     """Pack per-axis buckets into one key, first axis least significant."""
-    v = np.asarray(indicators, dtype=np.float64)
-    if v.shape != (schema.dim,):
-        raise DimensionError(f"indicator shape {v.shape}, schema wants ({schema.dim},)")
-    if not np.isfinite(v).all():
-        raise InputError("indicator vector contains non-finite values")
+    if len(buckets) != len(STATE_RADICES):
+        raise DimensionError(f"state takes {len(STATE_RADICES)} buckets, "
+                             f"got {len(buckets)}")
     key = 0
     mult = 1
-    for axis in schema.axes:
-        key += bucket_of(axis, v[axis.start:axis.end]) * mult
-        mult *= axis.radix
+    for bucket, radix in zip(buckets, STATE_RADICES):
+        if not 0 <= bucket < radix:
+            raise InputError(f"bucket {bucket} outside [0, {radix})")
+        key += bucket * mult
+        mult *= radix
     return key
 
 
-def decode_state(key: int, schema: IndicatorSchema) -> tuple[int, ...]:
+def decode_state(key: int) -> tuple[int, ...]:
     """Inverse of encode_state: the per-axis bucket tuple."""
-    if not 0 <= key < schema.n_states():
-        raise InputError(f"state key {key} outside [0, {schema.n_states()})")
+    if not 0 <= key < N_STATES:
+        raise InputError(f"state key {key} outside [0, {N_STATES})")
     buckets = []
-    for radix in schema.radices:
+    for radix in STATE_RADICES:
         buckets.append(key % radix)
         key //= radix
     return tuple(buckets)
@@ -493,15 +416,22 @@ def write_convergence_csv(path, curve: ConvergenceCurve) -> None:
 
 
 def read_convergence_csv(path) -> ConvergenceCurve:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["episode", "mean_reward", "moving_avg"]:
-            raise CheckpointError(f"{path} is not a convergence curve file")
-        rewards, moving = [], []
-        for row in reader:
-            rewards.append(float(row[1]))
-            moving.append(float(row[2]))
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise CheckpointError(f"cannot read convergence curve: {exc}") from exc
+    if not rows or rows[0] != ["episode", "mean_reward", "moving_avg"]:
+        raise CheckpointError(f"{path} is not a convergence curve file")
+    rewards, moving = [], []
+    for row in rows[1:]:
+        try:
+            episode, reward, avg = row  # a wrong field count is a ValueError too
+            int(episode)
+            rewards.append(float(reward))
+            moving.append(float(avg))
+        except ValueError as exc:
+            raise CheckpointError(f"malformed convergence row: {row!r}") from exc
     # the trailing-window width is not stored; infer nothing and keep rows as-is
     return ConvergenceCurve(episode_rewards=tuple(rewards),
                             moving_avg=tuple(moving), window=1)

@@ -37,9 +37,9 @@ from .features import build_layout, extract_features, fit_normalizer, normalize
 from .perception import (build_embedders, build_scorer, context_from_fused,
                          embed_window, fuse, level_for_score, summarize_threats,
                          threat_score)
-from .policy import (build_action_catalog, compose_indicators,
-                     default_indicator_schema, encode_state, get_action,
-                     load_qtables, select_action)
+from .policy import (build_action_catalog, compose_indicators, encode_state,
+                     get_action, load_qtables, read_convergence_csv,
+                     select_action)
 from .scenario import ScenarioConfig, default_scenario, generate_stream, \
     truth_intensity
 from .telemetry import LABELS
@@ -255,7 +255,6 @@ class _Pipeline:
         self.config = config
         self.layout = build_layout()
         self.catalog = build_action_catalog()
-        self.schema = default_indicator_schema()
         self.matrix = default_matrix()
         self.collateral = CollateralModel()
         self.neural = None
@@ -368,13 +367,9 @@ def _respond(pipe: _Pipeline, scenario: ScenarioConfig, windows, verdicts,
         level = level_for_score(score)
         load = _window_load(win, scenario.benign_rate)
         if pipe.tables is not None:
-            indicators = compose_indicators(pipe.schema, {
-                "threat": score,
-                "load": load,
-                "attack_kind": verdict.probabilities,
-                "recent_action": recent,
-            })
-            state_key = encode_state(indicators, pipe.schema)
+            buckets = compose_indicators(score, load, verdict.probabilities,
+                                         recent)
+            state_key = encode_state(buckets)
             action_id = select_action(pipe.tables, state_key, epsilon=0.0)
         else:
             action_id = pipe.config.fixed_action
@@ -644,10 +639,16 @@ def emit_report(report: SimulationReport, events, out_dir: str,
 
     "json" emits metrics.json; "csv" emits the per-class, latency-share,
     threat-distribution, and convergence tables. The event log is written
-    either way: it is the record everything else recomputes from.
+    either way: it is the record everything else recomputes from. A malformed
+    convergence curve raises CheckpointError before anything is written.
     """
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown report format {fmt!r}")
+    curve = "episode,mean_reward,moving_avg\n"
+    if fmt == "csv" and report.convergence and os.path.exists(report.convergence):
+        read_convergence_csv(report.convergence)
+        with open(report.convergence, encoding="utf-8") as fh:
+            curve = fh.read()
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -688,11 +689,7 @@ def emit_report(report: SimulationReport, events, out_dir: str,
         rows.append(f"{band},{float(frac)!r}")
     emit("threat_distribution.csv", "\n".join(rows) + "\n")
 
-    if report.convergence and os.path.exists(report.convergence):
-        with open(report.convergence, encoding="utf-8") as fh:
-            emit("convergence.csv", fh.read())
-    else:
-        emit("convergence.csv", "episode,mean_reward,moving_avg\n")
+    emit("convergence.csv", curve)
     return written
 
 

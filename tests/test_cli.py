@@ -198,6 +198,18 @@ def test_simulate_csv_format(tmp_path, scenario_cfg, capsys):
     capsys.readouterr()
 
 
+def test_simulate_rejects_a_malformed_convergence_curve(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("episode,mean_reward,moving_avg\n0,1.5\n")
+    cfg = write_config(tmp_path, "sim.json",
+                       {"scenario": SCENARIO, "convergence": str(curve)})
+    out = tmp_path / "csv"
+    assert main(["simulate", "--config", cfg, "--format", "csv",
+                 "--out", str(out)]) == 4
+    assert not (out / "convergence.csv").exists()
+    assert "malformed convergence row" in capsys.readouterr().err
+
+
 def test_simulate_replicas_flag(tmp_path, scenario_cfg, capsys):
     out_1, out_4 = tmp_path / "r1", tmp_path / "r4"
     assert main(["simulate", "--config", scenario_cfg, "--seed", "42",

@@ -1,7 +1,5 @@
 """Defense posture, effectiveness lookup, and attack resolution."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -12,17 +10,11 @@ from cloudguard.enforcement import (
     EffectivenessMatrix,
     LatencyBreakdown,
     apply_action,
-    build_default_matrix,
     default_matrix,
-    isolate_entity,
-    load_matrix_csv,
-    release_entity,
     resolve_attack,
-    write_matrix_csv,
 )
 from cloudguard.errors import CatalogError, ConfigError, InputError
 from cloudguard.policy import build_action_catalog, get_action
-from cloudguard.scenario import AttackSpec
 from cloudguard.telemetry import LABELS
 
 CATALOG = build_action_catalog()
@@ -35,8 +27,7 @@ def flat_matrix(kind: str, e: float) -> EffectivenessMatrix:
     return EffectivenessMatrix({(kind, f, r, i): e for f, r, i in ALL_COMBOS})
 
 
-def attack(kind="ddos", intensity=1.0):
-    return AttackSpec(kind=kind, intensity=intensity, start=0, end=1000)
+OPEN = (0, 0, 0)
 
 
 def action_with(fw, rl, iso):
@@ -51,7 +42,6 @@ class TestDefenseState:
     def test_defaults_to_open_posture(self):
         state = DefenseState()
         assert state.tiers() == (0, 0, 0)
-        assert state.isolated_entities == set()
 
     def test_tier_ranges_validated(self):
         with pytest.raises(ConfigError):
@@ -81,9 +71,9 @@ class TestApplyAction:
         state = DefenseState()
         a = action_with(3, 1, 2)
         apply_action(state, a.action_id, CATALOG)
-        snapshot = (state.tiers(), set(state.isolated_entities))
+        snapshot = state.tiers()
         apply_action(state, a.action_id, CATALOG)
-        assert (state.tiers(), state.isolated_entities) == snapshot
+        assert state.tiers() == snapshot
 
     def test_latency_is_nonnegative_ms(self):
         state = DefenseState()
@@ -97,25 +87,6 @@ class TestApplyAction:
         with pytest.raises(CatalogError):
             apply_action(state, 999, CATALOG)
         assert state.tiers() == (2, 0, 0)
-
-    def test_dropping_isolation_releases_entities(self):
-        state = DefenseState()
-        apply_action(state, action_with(0, 0, 2).action_id, CATALOG)
-        isolate_entity(state, "10.0.0.9")
-        isolate_entity(state, "10.0.0.12")
-        assert state.isolated_entities == {"10.0.0.9", "10.0.0.12"}
-        apply_action(state, action_with(0, 0, 0).action_id, CATALOG)
-        assert state.isolated_entities == set()
-
-    def test_isolation_requires_active_tier(self):
-        state = DefenseState()
-        with pytest.raises(InputError):
-            isolate_entity(state, "10.0.0.9")
-        state.isolation_tier = 1
-        isolate_entity(state, "10.0.0.9")
-        release_entity(state, "10.0.0.9")
-        release_entity(state, "10.0.0.9")  # releasing twice is harmless
-        assert state.isolated_entities == set()
 
 
 class TestMatrixValidation:
@@ -152,37 +123,36 @@ class TestResolveAttack:
         # e = 0.75 against a full-intensity flood leaves a quarter of the
         # base damage: 0.25 * 10 = 2.5
         m = flat_matrix("ddos", 0.75)
-        out = resolve_attack(DefenseState(), attack("ddos", 1.0), m)
+        out = resolve_attack("ddos", 1.0, OPEN, m)
         assert out.verdict == "mitigated"
         assert out.damage == pytest.approx(0.25 * BASE_DAMAGE["ddos"])
 
     def test_full_coverage_blocks(self):
         m = flat_matrix("ddos", 1.0)
-        out = resolve_attack(DefenseState(), attack("ddos", 0.9), m)
+        out = resolve_attack("ddos", 0.9, OPEN, m)
         assert out == AttackOutcome(verdict="blocked", effectiveness=1.0, damage=0.0)
 
     def test_zero_coverage_passes_at_full_damage(self):
         m = flat_matrix("data_exfiltration", 0.0)
-        out = resolve_attack(DefenseState(), attack("data_exfiltration", 0.6), m)
+        out = resolve_attack("data_exfiltration", 0.6, OPEN, m)
         assert out.verdict == "passed"
         assert out.damage == pytest.approx(0.6 * BASE_DAMAGE["data_exfiltration"])
 
     def test_open_posture_passes_every_kind(self):
-        m = build_default_matrix()
+        m = default_matrix()
         for kind in LABELS[1:]:
-            out = resolve_attack(DefenseState(), attack(kind, 1.0), m)
+            out = resolve_attack(kind, 1.0, OPEN, m)
             assert out.verdict == "passed"
             assert out.damage == pytest.approx(BASE_DAMAGE[kind])
 
     def test_zero_intensity_deals_no_damage_under_any_verdict(self):
-        ghost = SimpleNamespace(kind="ddos", intensity=0.0)
         for e in (0.0, 0.5, 1.0):
-            out = resolve_attack(DefenseState(), ghost, flat_matrix("ddos", e))
+            out = resolve_attack("ddos", 0.0, OPEN, flat_matrix("ddos", e))
             assert out.damage == 0.0
 
     def test_damage_monotone_in_effectiveness(self):
         damages = [
-            resolve_attack(DefenseState(), attack("sql_injection", 0.8),
+            resolve_attack("sql_injection", 0.8, OPEN,
                            flat_matrix("sql_injection", e)).damage
             for e in np.linspace(0.0, 1.0, 11)
         ]
@@ -190,37 +160,37 @@ class TestResolveAttack:
 
     def test_damage_linear_in_intensity(self):
         m = flat_matrix("brute_force", 0.4)
-        lo = resolve_attack(DefenseState(), attack("brute_force", 0.3), m)
-        hi = resolve_attack(DefenseState(), attack("brute_force", 0.9), m)
+        lo = resolve_attack("brute_force", 0.3, OPEN, m)
+        hi = resolve_attack("brute_force", 0.9, OPEN, m)
         assert hi.damage == pytest.approx(3.0 * lo.damage)
 
     def test_effectiveness_follows_posture(self):
-        m = build_default_matrix()
-        strong = DefenseState(rate_limit_tier=4)
-        weak = DefenseState(rate_limit_tier=1)
-        s = resolve_attack(strong, attack("ddos", 1.0), m)
-        w = resolve_attack(weak, attack("ddos", 1.0), m)
+        m = default_matrix()
+        s = resolve_attack("ddos", 1.0, (0, 4, 0), m)
+        w = resolve_attack("ddos", 1.0, (0, 1, 0), m)
         assert s.damage < w.damage
 
     def test_unknown_kind_in_base_damage(self):
         m = flat_matrix("ddos", 0.5)
         with pytest.raises(InputError):
-            resolve_attack(DefenseState(), attack("ddos"), m, base_damage={})
+            resolve_attack("ddos", 1.0, OPEN, m, base_damage={})
 
 
 class TestDefaultMatrix:
     def test_covers_every_kind_and_combo(self):
-        m = build_default_matrix()
+        m = default_matrix()
         assert m.kinds == tuple(sorted(LABELS))
-        assert len(m.rows()) == 450
+        for kind in LABELS:
+            for f, r, i in ALL_COMBOS:
+                assert 0.0 <= m.effectiveness(kind, f, r, i) <= 1.0
 
     def test_benign_is_never_actionable(self):
-        m = build_default_matrix()
+        m = default_matrix()
         for f, r, i in ALL_COMBOS:
             assert m.effectiveness("benign", f, r, i) == 0.0
 
     def test_posture_specialization(self):
-        m = build_default_matrix()
+        m = default_matrix()
         # rate limiting is the lever against floods
         assert m.effectiveness("ddos", 0, 4, 0) > m.effectiveness("ddos", 4, 0, 0)
         # the firewall is the lever against scans, injection, brute force
@@ -233,41 +203,13 @@ class TestDefaultMatrix:
         assert m.effectiveness(exfil, 0, 0, 2) > m.effectiveness(exfil, 0, 4, 0)
 
     def test_maximum_posture_blocks_every_attack(self):
-        m = build_default_matrix()
-        state = DefenseState(firewall_tier=4, rate_limit_tier=4, isolation_tier=2)
+        m = default_matrix()
         for kind in LABELS[1:]:
-            out = resolve_attack(state, attack(kind, 1.0), m)
+            out = resolve_attack(kind, 1.0, (4, 4, 2), m)
             assert out.verdict == "blocked", kind
-
-    def test_packaged_file_matches_the_builder(self):
-        packaged = default_matrix()
-        built = build_default_matrix()
-        assert packaged.rows() == built.rows()
 
     def test_packaged_matrix_is_cached(self):
         assert default_matrix() is default_matrix()
-
-    def test_csv_round_trip(self, tmp_path):
-        m = build_default_matrix()
-        path = tmp_path / "matrix.csv"
-        write_matrix_csv(path, m)
-        assert load_matrix_csv(path).rows() == m.rows()
-
-    def test_csv_validation(self, tmp_path):
-        bad_header = tmp_path / "h.csv"
-        bad_header.write_text("a,b,c\n")
-        with pytest.raises(InputError):
-            load_matrix_csv(bad_header)
-        missing = tmp_path / "missing.csv"
-        with pytest.raises(InputError):
-            load_matrix_csv(missing)
-        dupe = tmp_path / "d.csv"
-        rows = ["attack_kind,fw_tier,rl_tier,iso_tier,effectiveness"]
-        rows += [f"ddos,{f},{r},{i},0.5" for f, r, i in ALL_COMBOS]
-        rows += ["ddos,0,0,0,0.5"]
-        dupe.write_text("\n".join(rows) + "\n")
-        with pytest.raises(InputError, match="duplicate"):
-            load_matrix_csv(dupe)
 
 
 class TestLatencyBreakdown:

@@ -14,7 +14,7 @@ from cloudguard.environment import (
     reward_for,
 )
 from cloudguard.errors import ConfigError, EnvironmentFault, InputError
-from cloudguard.policy import build_action_catalog, decode_state, default_indicator_schema
+from cloudguard.policy import N_STATES, build_action_catalog, decode_state
 from cloudguard.telemetry import ATTACK_KINDS
 
 CATALOG = build_action_catalog()
@@ -146,7 +146,7 @@ class TestEnvProtocol:
         assert env.n_actions == 187
         state = env.reset()
         assert isinstance(state, int)
-        assert 0 <= state < default_indicator_schema().n_states()
+        assert 0 <= state < N_STATES
         nxt, reward, terminal = env.step(0)
         assert isinstance(nxt, int)
         assert isinstance(reward, float)
@@ -222,15 +222,14 @@ class TestEnvDistribution:
 
     def test_recent_action_axis_tracks_the_last_action(self):
         env = DefenseEnv(EnvConfig(episode_len=10, seed=13))
-        schema = default_indicator_schema()
         env.reset()
         heavy = next(a for a in CATALOG
                      if (a.firewall_tier, a.rate_limit_tier, a.isolation_tier)
                      == (4, 4, 2) and a.mode == "standard")
         nxt, _, _ = env.step(heavy.action_id)
-        assert decode_state(nxt, schema)[3] == 2  # full tiers -> top bucket
+        assert decode_state(nxt)[3] == 2  # full tiers -> top bucket
         nxt, _, _ = env.step(0)
-        assert decode_state(nxt, schema)[3] == 0
+        assert decode_state(nxt)[3] == 0
 
     def test_state_keys_vary(self):
         env = DefenseEnv(EnvConfig(episode_len=80, seed=14))

@@ -11,19 +11,18 @@ from cloudguard.errors import (
     EnvironmentFault,
     InputError,
 )
+from cloudguard.perception import BAND_EDGES, level_for_score
 from cloudguard.policy import (
+    N_STATES,
+    STATE_RADICES,
     Action,
-    AxisSpec,
     ConvergenceCurve,
     DoubleQTables,
-    IndicatorSchema,
     PolicyTrainConfig,
     Transition,
-    bucket_of,
     build_action_catalog,
     compose_indicators,
     decode_state,
-    default_indicator_schema,
     double_q_update,
     encode_state,
     epsilon_at,
@@ -54,12 +53,8 @@ def kind_slots(hot):
     return v
 
 
-def indicators(threat=0.0, load=0.0, kind=0, recent=0.0, schema=None):
-    schema = schema or default_indicator_schema()
-    return compose_indicators(schema, {
-        "threat": threat, "load": load,
-        "attack_kind": kind_slots(kind), "recent_action": recent,
-    })
+def state_key(threat=0.0, load=0.0, kind=0, recent=0.0):
+    return encode_state(compose_indicators(threat, load, kind_slots(kind), recent))
 
 
 class ChainEnv:
@@ -115,70 +110,35 @@ def chain_value_iteration(gamma=0.9, sweeps=500):
 
 class TestSchema:
     def test_default_schema_shape(self):
-        schema = default_indicator_schema()
-        assert schema.dim == 232
-        assert [a.name for a in schema.axes] == [
-            "threat", "load", "attack_kind", "recent_action"]
-        assert schema.radices == (5, 4, 6, 3)
-        assert schema.n_states() == 360
-        assert schema.axes[-1].end == 232
-
-    def test_axis_validation(self):
-        with pytest.raises(ConfigError):
-            AxisSpec("x", 5, 5, "mean", (0.5,))
-        with pytest.raises(ConfigError):
-            AxisSpec("x", 0, 4, "mean", (0.5, 0.2))
-        with pytest.raises(ConfigError):
-            AxisSpec("x", 0, 4, "argmax", (0.5,))
-        with pytest.raises(ConfigError):
-            AxisSpec("x", 0, 4, "median")
-
-    def test_schema_must_be_contiguous(self):
-        with pytest.raises(ConfigError):
-            IndicatorSchema(axes=(
-                AxisSpec("a", 0, 4, "mean", (0.5,)),
-                AxisSpec("b", 5, 8, "mean", (0.5,)),
-            ), dim=8)
-        with pytest.raises(ConfigError):
-            IndicatorSchema(axes=(AxisSpec("a", 0, 4, "mean", (0.5,)),), dim=8)
+        assert STATE_RADICES == (5, 4, 6, 3)
+        assert N_STATES == 360
 
     def test_compose_places_values_in_their_regions(self):
-        schema = default_indicator_schema()
-        v = indicators(threat=0.7, load=0.3, kind=2, recent=0.9)
-        assert v.shape == (232,)
-        assert (v[0:58] == 0.7).all()
-        assert (v[58:116] == 0.3).all()
-        np.testing.assert_array_equal(v[116:122], kind_slots(2))
-        assert (v[122:232] == 0.9).all()
+        assert compose_indicators(0.7, 0.3, kind_slots(2), 0.9) == (3, 1, 2, 2)
 
     def test_compose_validation(self):
-        schema = default_indicator_schema()
-        with pytest.raises(InputError):
-            compose_indicators(schema, {"threat": 0.5})
         with pytest.raises(DimensionError):
-            compose_indicators(schema, {
-                "threat": 0.5, "load": 0.5,
-                "attack_kind": np.zeros(5), "recent_action": 0.0})
+            compose_indicators(0.5, 0.5, np.zeros(5), 0.0)
         with pytest.raises(InputError):
-            compose_indicators(schema, {
-                "threat": np.nan, "load": 0.5,
-                "attack_kind": kind_slots(0), "recent_action": 0.0})
+            compose_indicators(np.nan, 0.5, kind_slots(0), 0.0)
+        with pytest.raises(InputError):
+            compose_indicators(0.5, 0.5, kind_slots(0), np.inf)
+        probs = kind_slots(0)
+        probs[3] = np.nan
+        with pytest.raises(InputError):
+            compose_indicators(0.5, 0.5, probs, 0.0)
 
 
 class TestEncodeState:
     def test_worked_mixed_radix_example(self):
         # buckets (1, 2, 3, 0) under radices (5, 4, 6, 3):
         # 1 + 5*(2 + 4*(3 + 6*0)) = 71
-        schema = default_indicator_schema()
-        v = indicators(threat=0.3, load=0.6, kind=3, recent=0.1)
-        assert encode_state(v, schema) == 71
+        assert state_key(threat=0.3, load=0.6, kind=3, recent=0.1) == 71
 
     def test_all_zero_indicators_give_key_zero(self):
-        schema = default_indicator_schema()
-        assert encode_state(indicators(), schema) == 0
+        assert state_key() == 0
 
     def test_encode_decode_bijection(self):
-        schema = default_indicator_schema()
         seen = set()
         threat_mid = (0.1, 0.3, 0.5, 0.7, 0.9)
         load_mid = (0.1, 0.4, 0.6, 0.9)
@@ -187,39 +147,51 @@ class TestEncodeState:
             for li, lv in enumerate(load_mid):
                 for kind in range(6):
                     for ri, rv in enumerate(recent_mid):
-                        key = encode_state(
-                            indicators(tv, lv, kind, rv), schema)
-                        assert decode_state(key, schema) == (ti, li, kind, ri)
+                        key = state_key(tv, lv, kind, rv)
+                        assert decode_state(key) == (ti, li, kind, ri)
                         seen.add(key)
         assert seen == set(range(360))
 
     def test_out_of_range_values_clamp(self):
-        schema = default_indicator_schema()
-        hot = encode_state(indicators(threat=99.0), schema)
-        assert decode_state(hot, schema)[0] == 4
-        cold = encode_state(indicators(threat=-5.0), schema)
-        assert decode_state(cold, schema)[0] == 0
+        assert decode_state(state_key(threat=99.0))[0] == 4
+        assert decode_state(state_key(threat=-5.0))[0] == 0
+        assert compose_indicators(7.0, 7.0, kind_slots(5), 7.0) == (4, 3, 5, 2)
+        assert compose_indicators(-1.0, -1.0, kind_slots(0), -1.0) == (0, 0, 0, 0)
 
     def test_edge_values_take_the_upper_bucket(self):
-        axis = AxisSpec("t", 0, 4, "mean", (0.2, 0.4, 0.6, 0.8))
-        assert bucket_of(axis, np.full(4, 0.2)) == 1
-        assert bucket_of(axis, np.full(4, 0.19999)) == 0
-        assert bucket_of(axis, np.full(4, 0.8)) == 4
+        for i, edge in enumerate((0.25, 0.5, 0.75)):
+            assert compose_indicators(0.0, edge, kind_slots(0), 0.0)[1] == i + 1
+            below = np.nextafter(edge, 0.0)
+            assert compose_indicators(0.0, below, kind_slots(0), 0.0)[1] == i
+        for i, edge in enumerate((1 / 3, 2 / 3)):
+            assert compose_indicators(0.0, 0.0, kind_slots(0), edge)[3] == i + 1
+            below = np.nextafter(edge, 0.0)
+            assert compose_indicators(0.0, 0.0, kind_slots(0), below)[3] == i
+
+    def test_threat_bucket_is_the_threat_level(self):
+        # a score exactly on a band edge takes that level's bucket; averaging
+        # copies of the score (np.full(58, 0.4).mean() < 0.4) would not
+        for i, edge in enumerate(BAND_EDGES):
+            bucket = compose_indicators(edge, 0.0, kind_slots(0), 0.0)[0]
+            assert bucket == level_for_score(edge).level - 1 == i + 1
+            below = np.nextafter(edge, 0.0)
+            assert compose_indicators(below, 0.0, kind_slots(0), 0.0)[0] == i
 
     def test_argmax_axis_takes_first_max(self):
-        axis = AxisSpec("k", 0, 4, "argmax")
-        assert bucket_of(axis, np.array([1.0, 3.0, 3.0, 0.0])) == 1
+        probs = np.array([1.0, 3.0, 3.0, 0.0, 3.0, 0.0])
+        assert compose_indicators(0.0, 0.0, probs, 0.0)[2] == 1
 
     def test_encode_validation(self):
-        schema = default_indicator_schema()
         with pytest.raises(DimensionError):
-            encode_state(np.zeros(231), schema)
-        bad = indicators()
-        bad[0] = np.inf
+            encode_state((0, 0, 0))
         with pytest.raises(InputError):
-            encode_state(bad, schema)
+            encode_state((5, 0, 0, 0))
         with pytest.raises(InputError):
-            decode_state(360, schema)
+            encode_state((0, 0, 0, -1))
+        with pytest.raises(InputError):
+            decode_state(360)
+        with pytest.raises(InputError):
+            decode_state(-1)
 
 
 class TestActionCatalog:
@@ -629,3 +601,13 @@ class TestCheckpoints:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(CheckpointError):
             read_convergence_csv(path)
+
+    def test_convergence_csv_malformed_rows_rejected(self, tmp_path):
+        header = "episode,mean_reward,moving_avg\n"
+        for body in ("0,1.5\n", "0,1.5,x\n", "0,1.5,2.0,9\n", "one,1.5,2.0\n"):
+            path = tmp_path / "bad.csv"
+            path.write_text(header + body)
+            with pytest.raises(CheckpointError):
+                read_convergence_csv(path)
+        with pytest.raises(CheckpointError):
+            read_convergence_csv(tmp_path / "missing.csv")
