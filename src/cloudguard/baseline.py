@@ -42,7 +42,8 @@ class Rule:
         if self.op not in _OPS:
             raise InputError(f"unknown rule operator {self.op!r}")
 
-    def matches(self, value: float) -> bool:
+    def matches(self, value):
+        """Whether the rule fires on a value, or elementwise on an array."""
         return _OPS[self.op](value, self.threshold)
 
 
@@ -53,13 +54,12 @@ class RuleBasedDetector:
         self.rules = tuple(rules)
         self.layout = layout
         self._indices = [layout.index_of(r.feature) for r in self.rules]
+        # label per column of classify_batch's hit matrix; the last is benign
+        self._labels = np.array([LABELS.index(r.label) for r in self.rules]
+                                + [LABELS.index("benign")])
 
     def classify(self, raw_features: np.ndarray) -> ThreatVerdict:
-        """First matching rule wins; no match means benign.
-
-        Rule verdicts are always confident: a signature either fires or it
-        does not, there is no probability mass to threshold.
-        """
+        """First matching rule wins; no match means benign."""
         raw_features = np.asarray(raw_features, dtype=np.float64)
         if raw_features.shape != (self.layout.dim,):
             raise InputError(
@@ -71,11 +71,34 @@ class RuleBasedDetector:
             if rule.matches(float(raw_features[idx])):
                 label = rule.label
                 break
-        predicted = LABELS.index(label)
-        probs = np.zeros(len(LABELS))
-        probs[predicted] = 1.0
-        return ThreatVerdict(probabilities=probs, predicted=predicted,
-                             max_probability=1.0, confident=True)
+        return _one_hot_verdict(LABELS.index(label))
+
+    def classify_batch(self, raw: np.ndarray) -> list[ThreatVerdict]:
+        """``classify`` on every row of ``[N, D]`` raw features at once.
+
+        Column r of the hit matrix says whether rule r fires; a last,
+        always-true column stands for benign, so the first hit per row is
+        its argmax.
+        """
+        raw = np.asarray(raw, dtype=np.float64)
+        if raw.ndim != 2 or raw.shape[1] != self.layout.dim:
+            raise InputError(
+                f"feature matrix shape {raw.shape} does not match "
+                f"[N, {self.layout.dim}]"
+            )
+        hits = np.ones((len(raw), len(self.rules) + 1), dtype=bool)
+        for r, (rule, idx) in enumerate(zip(self.rules, self._indices)):
+            hits[:, r] = rule.matches(raw[:, idx])
+        return [_one_hot_verdict(int(k)) for k in self._labels[hits.argmax(axis=1)]]
+
+
+def _one_hot_verdict(predicted: int) -> ThreatVerdict:
+    """Rule verdicts are always confident: a signature either fires or it
+    does not, there is no probability mass to threshold."""
+    probs = np.zeros(len(LABELS))
+    probs[predicted] = 1.0
+    return ThreatVerdict(probabilities=probs, predicted=predicted,
+                         max_probability=1.0, confident=True)
 
 
 def parse_rules(doc: dict) -> tuple[Rule, ...]:

@@ -270,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
                            default="json", help="report format")
         if replicas:
             p.add_argument("--replicas", type=int,
-                           help="concurrent scoring shards")
+                           help="accepted and validated (>= 1) for older "
+                                "configs; changes neither outputs nor "
+                                "scheduling")
 
     common(sub.add_parser("generate", help="write a scenario's telemetry"))
     common(sub.add_parser("train-detector", help="fit the sequence classifier"))

@@ -176,18 +176,82 @@ class ThreatVerdict:
         return LABELS[self.predicted] if self.predicted < len(LABELS) else None
 
 
+def _verdict(probs: np.ndarray, threshold: float) -> ThreatVerdict:
+    predicted = int(np.argmax(probs))  # lowest index wins ties
+    max_prob = float(probs[predicted])
+    return ThreatVerdict(probabilities=probs, predicted=predicted,
+                         max_probability=max_prob,
+                         confident=max_prob >= threshold)
+
+
 def classify(model: ModelGraph, sequence: np.ndarray,
              threshold: float = DEFAULT_THRESHOLD) -> ThreatVerdict:
     """Classify one ``[T, D]`` sequence with confidence gating."""
     sequence = np.asarray(sequence, dtype=np.float64)
     if sequence.ndim != 2:
         raise DimensionError(f"sequence must be [T, D], got shape {sequence.shape}")
-    probs = model.forward(sequence[None])[0]
-    predicted = int(np.argmax(probs))  # lowest index wins ties
-    max_prob = float(probs[predicted])
-    return ThreatVerdict(probabilities=probs, predicted=predicted,
-                         max_probability=max_prob,
-                         confident=max_prob >= threshold)
+    return _verdict(model.forward(sequence[None])[0], threshold)
+
+
+SERIES_CHUNK = 32  # windows per batched forward in classify_series
+
+
+def _shared_prefix(model: ModelGraph) -> int:
+    """Number of leading convolutions, whose output does not depend on where
+    a sequence starts; they must be stride 1."""
+    n = 0
+    for layer in model.layers:
+        if not isinstance(layer, Conv1dLayer):
+            break
+        if layer.params.stride != 1:
+            raise ConfigError(f"layer {n}: a shared convolution needs stride 1, "
+                              f"got {layer.params.stride}")
+        n += 1
+    return n
+
+
+def classify_series(model: ModelGraph, arch: ArchConfig, normed: np.ndarray,
+                    threshold: float = DEFAULT_THRESHOLD) -> list[ThreatVerdict]:
+    """Classify every window of a run's ``[N, D]`` normalized series.
+
+    Window i's verdict is ``classify`` on the ``seq_len`` windows ending at
+    i, with window 0 repeated in front of the series for warm-up. The
+    leading convolutions run once per chunk of windows instead of once per
+    sequence (the activation caching of Fast WaveNet), and the rest of the
+    stack runs batched on per-sequence slices of their output.
+
+    Chunks always hold SERIES_CHUNK windows, the last one zero-padded, so
+    every matrix product has the same shape whatever N is: a window's
+    probabilities depend only on it and the windows before it, bit for bit.
+    """
+    normed = np.asarray(normed, dtype=np.float64)
+    if normed.ndim != 2 or normed.shape[1] != arch.feature_dim:
+        raise DimensionError(f"series must be [N, {arch.feature_dim}], got shape "
+                             f"{normed.shape}")
+    n = len(normed)
+    if n == 0:
+        return []
+    n_prefix = _shared_prefix(model)
+    t = arch.seq_len
+    # rows a sequence of t windows keeps after the shared valid convolutions
+    t_shared = t - sum(layer.params.kernel.shape[0] - 1
+                       for layer in model.layers[:n_prefix])
+    n_chunks = -(-n // SERIES_CHUNK)
+    padded = np.zeros((n_chunks * SERIES_CHUNK + t - 1, arch.feature_dim))
+    padded[:t - 1] = normed[0]
+    padded[t - 1:t - 1 + n] = normed
+    probs = []
+    for lo in range(0, n, SERIES_CHUNK):
+        out = padded[None, lo:lo + SERIES_CHUNK + t - 1]
+        for layer in model.layers[:n_prefix]:
+            out, _ = layer.forward(out)
+        seqs = np.lib.stride_tricks.sliding_window_view(out[0], t_shared, axis=0)
+        out = seqs.transpose(0, 2, 1)  # [chunk, t_shared, channels]
+        for layer in model.layers[n_prefix:]:
+            out, _ = layer.forward(out)
+        probs.append(out)
+    probs = np.concatenate(probs)[:n]
+    return [_verdict(p, threshold) for p in probs]
 
 
 def predict_probs(model: ModelGraph, x: np.ndarray, chunk: int = 256) -> np.ndarray:

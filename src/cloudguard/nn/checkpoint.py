@@ -17,14 +17,18 @@ _META_KEY = "meta_json"
 
 
 def save_params(path: str, params: dict[str, np.ndarray], meta: dict) -> None:
-    """Write parameters and metadata to ``path`` as a compressed npz archive."""
+    """Write parameters and metadata to ``path`` as an uncompressed npz archive.
+
+    float64 weights barely compress, and inflating them dominated loading;
+    ``load_params`` reads compressed archives as well.
+    """
     if _META_KEY in params:
         raise CheckpointError(f"parameter name {_META_KEY!r} is reserved")
     blob = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     arrays = {_META_KEY: blob}
     for name, arr in params.items():
         arrays[name] = np.asarray(arr, dtype=np.float64)
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
 
 
 def load_params(path: str) -> tuple[dict[str, np.ndarray], dict]:

@@ -8,11 +8,12 @@ vary between runs are measured wall-clock latencies, which are confined to
 the per-event ``timing`` record and the report's ``timing`` subtree so that
 everything else can be compared byte for byte.
 
-Windows are processed in two phases. Detection (featurize + classify) is
-pure per window, so replicas score disjoint window shards concurrently and
-the results merge canonically by window id. The response walk is sequential
-because each decision feeds the next state's recent-action signal, but it is
-dictionary lookups and arithmetic, far cheaper than the network forward.
+Windows are processed in two phases, both in one thread. Detection
+featurizes every window, then classifies them all in one batched call
+(``classify_series`` for a network, ``classify_batch`` for the rules). The
+response walk is sequential because each decision feeds the next state's
+recent-action signal, but it is dictionary lookups and arithmetic, far
+cheaper than the network forward.
 """
 
 import dataclasses
@@ -20,13 +21,12 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baseline import RuleBasedDetector, default_rules
-from .detector import (DEFAULT_THRESHOLD, ThreatVerdict, classify,
+from .detector import (DEFAULT_THRESHOLD, ThreatVerdict, classify_series,
                        confusion_metrics, DetectionMetrics, load_detector)
 from .enforcement import (DefenseState, LatencyBreakdown, apply_action,
                           default_matrix)
@@ -65,7 +65,9 @@ class SimConfig:
     ``policy`` is a Q-table checkpoint path; when None, ``fixed_action`` is
     enforced on every window instead (default 0, observe only).
     ``seed`` overrides the scenario's own seed so one scenario description
-    can be replayed on fresh traffic.
+    can be replayed on fresh traffic. ``replicas`` is accepted and validated
+    (>= 1) for compatibility with older configs, but changes neither the
+    outputs nor the scheduling: detection is one batched pass.
     """
 
     scenario: ScenarioConfig
@@ -241,11 +243,11 @@ def compute_percentiles(samples, qs) -> list[float]:
 class _AcceptAll:
     """Labels everything benign with full confidence."""
 
-    def classify(self, raw_fv) -> ThreatVerdict:
-        probs = np.zeros(len(LABELS))
-        probs[0] = 1.0
-        return ThreatVerdict(probabilities=probs, predicted=0,
-                             max_probability=1.0, confident=True)
+    def classify_batch(self, raw: np.ndarray) -> list[ThreatVerdict]:
+        probs = np.zeros((len(raw), len(LABELS)))
+        probs[:, 0] = 1.0
+        return [ThreatVerdict(probabilities=p, predicted=0, max_probability=1.0,
+                              confident=True) for p in probs]
 
 
 class _Pipeline:
@@ -283,36 +285,13 @@ class _Pipeline:
                               f"catalog of {len(self.catalog)} actions")
 
 
-def _detect_shard(pipe: _Pipeline, raw: np.ndarray, normed: np.ndarray,
-                  feature_ms: np.ndarray, indices, threshold: float) -> dict:
-    """Classify one shard of windows; returns {window_id: (verdict, ms)}."""
-    out = {}
-    if pipe.neural is not None:
-        model, arch, _ = pipe.neural
-        t = arch.seq_len
-        for i in indices:
-            t0 = time.perf_counter()
-            lo = i - t + 1
-            if lo >= 0:
-                seq = normed[lo:i + 1]
-            else:
-                # warm-up: replicate the first window backwards in time
-                pad = np.repeat(normed[:1], -lo, axis=0)
-                seq = np.concatenate([pad, normed[:i + 1]], axis=0)
-            verdict = classify(model, seq, threshold)
-            out[i] = (verdict,
-                      float(feature_ms[i]) + (time.perf_counter() - t0) * 1e3)
-    else:
-        for i in indices:
-            t0 = time.perf_counter()
-            verdict = pipe.rules.classify(raw[i])
-            out[i] = (verdict,
-                      float(feature_ms[i]) + (time.perf_counter() - t0) * 1e3)
-    return out
-
-
 def _run_detection(pipe: _Pipeline, windows, threshold: float):
-    """Featurize and classify every window, sharded across replicas."""
+    """Featurize every window, then classify them all in one batched call.
+
+    Returns the verdicts, each window's detection latency in ms (its own
+    featurize time plus an equal share of the batch call) and the normalized
+    feature matrix that perception reads.
+    """
     raw = np.empty((len(windows), pipe.layout.dim))
     feature_ms = np.empty(len(windows))
     for i, win in enumerate(windows):
@@ -326,22 +305,14 @@ def _run_detection(pipe: _Pipeline, windows, threshold: float):
         stats = fit_normalizer(raw)
     normed = normalize(raw, stats)
 
-    n_shards = min(pipe.config.replicas, len(windows))
-    shards = [range(k, len(windows), n_shards) for k in range(n_shards)]
-    if n_shards == 1:
-        results = _detect_shard(pipe, raw, normed, feature_ms, shards[0],
-                                threshold)
+    t0 = time.perf_counter()
+    if pipe.neural is not None:
+        model, arch, _ = pipe.neural
+        verdicts = classify_series(model, arch, normed, threshold)
     else:
-        results = {}
-        with ThreadPoolExecutor(max_workers=n_shards) as pool:
-            futures = [pool.submit(_detect_shard, pipe, raw, normed,
-                                   feature_ms, shard, threshold)
-                       for shard in shards]
-            for fut in futures:
-                results.update(fut.result())
-    verdicts = [results[i][0] for i in range(len(windows))]
-    detect_ms = [results[i][1] for i in range(len(windows))]
-    return verdicts, detect_ms, normed
+        verdicts = pipe.rules.classify_batch(raw)
+    share_ms = (time.perf_counter() - t0) * 1e3 / max(len(windows), 1)
+    return verdicts, (feature_ms + share_ms).tolist(), normed
 
 
 def _window_load(window, benign_rate: float) -> float:
@@ -489,7 +460,12 @@ def _unknown_attack_detection_rate(events) -> float:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Scored run. Everything outside ``timing`` is deterministic."""
+    """Scored run. Everything outside ``timing`` is deterministic.
+
+    A window's ``detection_ms`` is its own featurize time plus the wall time
+    of the run's one batched classify call divided by the number of windows;
+    ``total_ms`` adds the window's policy and execution time to it.
+    """
 
     config: dict
     detection: DetectionMetrics

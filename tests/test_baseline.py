@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudguard.baseline import (Rule, RuleBasedDetector, default_rules,
                                  load_rules, parse_rules)
@@ -108,3 +110,85 @@ def test_default_rules_score_well_on_generated_traffic(layout):
         for w in stream.windows
     )
     assert hits / len(stream.windows) >= 0.95
+
+
+# ---------------------------------------------------------------------------
+# batch classification
+
+
+def assert_batch_matches_rows(det, raw):
+    batch = det.classify_batch(raw)
+    assert len(batch) == len(raw)
+    for row, got in zip(raw, batch):
+        want = det.classify(row)
+        assert got.predicted == want.predicted
+        assert got.confident and got.max_probability == 1.0
+        np.testing.assert_array_equal(got.probabilities, want.probabilities)
+
+
+def test_batch_matches_rows_on_generated_traffic(layout):
+    attacks = tuple(
+        AttackSpec(kind=kind, intensity=0.6, start=10000 + i * 20000,
+                   end=20000 + i * 20000)
+        for i, kind in enumerate(ATTACK_KINDS)
+    )
+    stream = generate_stream(ScenarioConfig(duration_ms=120000, benign_rate=30.0,
+                                            seed=12, attacks=attacks))
+    raw = np.array([extract_features(w, layout) for w in stream.windows])
+    det = RuleBasedDetector(default_rules(), layout)
+    assert_batch_matches_rows(det, raw)
+    assert {v.predicted for v in det.classify_batch(raw)} != {0}
+
+
+def test_batch_rejects_wrong_shape(layout):
+    det = RuleBasedDetector(default_rules(), layout)
+    with pytest.raises(InputError):
+        det.classify_batch(np.zeros(layout.dim))
+    with pytest.raises(InputError):
+        det.classify_batch(np.zeros((3, 7)))
+    assert det.classify_batch(np.zeros((0, layout.dim))) == []
+
+
+# every operator, and two rules on one feature, so order and ties matter
+_EDGE_RULES = (
+    Rule(label="ddos", feature="traffic.flow_count", op=">", threshold=40.0),
+    Rule(label="port_scan", feature="traffic.flow_count", op=">=", threshold=20.0),
+    Rule(label="brute_force", feature="behavior.action_login_failure_count",
+         op="<", threshold=-1.0),
+    Rule(label="sql_injection", feature="traffic.payload_marker_count", op="<=",
+         threshold=0.5),
+)
+
+
+@st.composite
+def values_on_thresholds(draw, rules, n_rows):
+    """Per row and rule feature: the threshold, a neighbouring float, or a
+    value far away on either side."""
+    rows = []
+    for _ in range(n_rows):
+        row = {}
+        for rule in rules:
+            t = rule.threshold
+            row[rule.feature] = draw(st.sampled_from(
+                (t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf),
+                 t + 1e3, t - 1e3, float("nan"))))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("rules", [_EDGE_RULES, default_rules()],
+                         ids=["edge-rules", "default-rules"])
+def test_batch_matches_rows_on_threshold_values(layout, rules):
+    det = RuleBasedDetector(rules, layout)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: values_on_thresholds(rules, n)))
+    def check(rows):
+        raw = np.zeros((len(rows), layout.dim))
+        for i, row in enumerate(rows):
+            for name, value in row.items():
+                raw[i, layout.index_of(name)] = value
+        assert_batch_matches_rows(det, raw)
+
+    check()

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from cloudguard.detector import (
+    SERIES_CHUNK,
     ArchConfig,
     DetectionMetrics,
     TrainConfig,
     build_model,
     build_sequences,
     classify,
+    classify_series,
     confusion_metrics,
     evaluate,
     load_detector,
@@ -296,6 +298,80 @@ class TestEvaluate:
         assert shifted.predicted == v.predicted
         np.testing.assert_allclose(shifted.probabilities, v.probabilities,
                                    rtol=1e-9)
+
+
+def padded_sequences(x: np.ndarray, seq_len: int) -> np.ndarray:
+    """Window i's [T, D] input: the T windows ending at i, window 0 repeated
+    in front for warm-up."""
+    padded = np.concatenate([np.repeat(x[:1], seq_len - 1, axis=0), x])
+    return np.stack([padded[i:i + seq_len] for i in range(len(x))])
+
+
+# the default pooling, a pool right after the first conv, a pool after the
+# first and third, and a wider kernel; the default arch at full width is
+# where a batch shape that varied with N would change bits (OpenBLAS takes
+# another path for small matrices)
+SERIES_ARCHS = {
+    "default": ArchConfig(),
+    "pool-2-4": tiny_arch(),
+    "pool-1": tiny_arch(pool_after=(1,)),
+    "pool-1-3": tiny_arch(seq_len=14, conv_filters=(4, 4, 8), pool_after=(1, 3)),
+    "kernel-5": tiny_arch(seq_len=18, conv_filters=(4, 4, 8), kernel_size=5,
+                          pool_after=(2,)),
+}
+
+
+def series_lengths(arch) -> list[int]:
+    t, c = arch.seq_len, SERIES_CHUNK
+    return [1, t - 1, t, c - 1, c, c + 1, 2 * c + 3]
+
+
+class TestClassifySeries:
+    @pytest.mark.parametrize("name", sorted(SERIES_ARCHS))
+    def test_matches_graph_forward_per_sequence(self, name):
+        arch = SERIES_ARCHS[name]
+        model = build_model(arch, seed=31)
+        rng = np.random.default_rng(31)
+        for n in series_lengths(arch):
+            x = rng.normal(size=(n, arch.feature_dim))
+            verdicts = classify_series(model, arch, x, threshold=0.4)
+            want = model.forward(padded_sequences(x, arch.seq_len))
+            got = np.array([v.probabilities for v in verdicts])
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            for v in verdicts:
+                assert v.predicted == int(np.argmax(v.probabilities))
+                assert v.max_probability == v.probabilities[v.predicted]
+                assert v.confident == (v.max_probability >= 0.4)
+
+    @pytest.mark.parametrize("name", sorted(SERIES_ARCHS))
+    def test_prefix_of_a_series_is_bitwise_unchanged(self, name):
+        arch = SERIES_ARCHS[name]
+        model = build_model(arch, seed=32)
+        x = np.random.default_rng(32).normal(size=(2 * SERIES_CHUNK + 3,
+                                                   arch.feature_dim))
+        full = classify_series(model, arch, x)
+        for k in series_lengths(arch):
+            part = classify_series(model, arch, x[:k])
+            assert len(part) == k
+            for a, b in zip(part, full):
+                assert a.probabilities.tobytes() == b.probabilities.tobytes()
+
+    def test_strided_shared_conv_rejected(self):
+        arch = tiny_arch()
+        model = build_model(arch, seed=34)
+        model.layers[1].params.stride = 2  # conv2, before the first pool
+        with pytest.raises(ConfigError, match="stride"):
+            classify_series(model, arch, np.zeros((5, arch.feature_dim)))
+
+    def test_shapes(self):
+        arch = tiny_arch()
+        model = build_model(arch, seed=35)
+        assert classify_series(model, arch, np.zeros((0, arch.feature_dim))) == []
+        with pytest.raises(DimensionError):
+            classify_series(model, arch, np.zeros((5, arch.feature_dim + 1)))
+        with pytest.raises(DimensionError):
+            classify_series(model, arch, np.zeros(arch.feature_dim))
 
 
 class TestDetectorBundle:

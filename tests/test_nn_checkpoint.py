@@ -1,5 +1,8 @@
 """Checkpoint round trips and corruption handling."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,26 @@ class TestRoundTrip:
         restore_into(dst, params, path)
         x = np.random.default_rng(3).normal(size=(5, 4))
         np.testing.assert_array_equal(src.forward(x), dst.forward(x))
+
+    def test_archive_is_stored_uncompressed(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_params(str(path), tiny_model().parameters(), {})
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_STORED}
+
+    def test_compressed_archive_still_loads(self, tmp_path):
+        model = tiny_model(seed=4)
+        path = str(tmp_path / "old.npz")
+        meta = {"kind": "detector", "note": "written compressed"}
+        blob = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
+                             dtype=np.uint8)
+        np.savez_compressed(path, meta_json=blob, **model.parameters())
+        params, got_meta = load_params(path)
+        assert got_meta == meta
+        assert set(params) == set(model.parameters())
+        for k, arr in model.parameters().items():
+            np.testing.assert_array_equal(params[k], arr)
 
 
 class TestFailureModes:

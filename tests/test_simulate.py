@@ -1,20 +1,28 @@
 """Simulation harness: percentiles, determinism, report files, comparison."""
 
 import copy
+import dataclasses
+import inspect
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from cloudguard.detector import ArchConfig, build_model, save_detector
+from cloudguard import simulate
+from cloudguard.detector import (SERIES_CHUNK, ArchConfig, build_model,
+                                 save_detector)
 from cloudguard.enforcement import LatencyBreakdown
 from cloudguard.errors import (CheckpointError, ComparisonError, ConfigError,
                                FilesystemError, InputError)
-from cloudguard.features import NormStats, build_layout
-from cloudguard.policy import DoubleQTables, build_action_catalog, save_qtables
-from cloudguard.scenario import AttackSpec, ScenarioConfig, default_scenario
+from cloudguard.features import (NormStats, build_layout, extract_features,
+                                 fit_normalizer)
+from cloudguard.policy import (N_STATES, DoubleQTables, build_action_catalog,
+                               save_qtables)
+from cloudguard.scenario import (AttackSpec, ScenarioConfig, default_scenario,
+                                 generate_stream)
 from cloudguard.simulate import (PipelineEvent, SimConfig, build_report,
                                  compare_reports, compute_percentiles,
                                  emit_report, fixed_action_damage,
@@ -482,3 +490,102 @@ def test_report_rebuild_matches(small_run):
     cfg, report, events = small_run
     again = build_report(cfg, events)
     assert strip_timing(again.to_dict()) == strip_timing(report.to_dict())
+
+
+# ---------------------------------------------------------------------------
+# neural detection path
+
+# the default arch's feature width and shared convolutions: for these
+# shapes OpenBLAS takes another path when a product has few rows, which a
+# batch whose shape followed the run length would show in the event bytes
+NEURAL_ARCH = ArchConfig(conv_filters=(64, 64, 8, 8), lstm_hidden=8,
+                         fc_widths=(16,), num_classes=len(LABELS))
+
+
+@pytest.fixture(scope="module")
+def neural_cfg(tmp_path_factory):
+    """An untrained small detector, normalized on other traffic, and a
+    Q-table with distinct random values in every state, so that each
+    decision depends on the verdict, the threat score and the last action."""
+    tmp = tmp_path_factory.mktemp("neural")
+    layout = build_layout(dim=NEURAL_ARCH.feature_dim)
+    raw = [extract_features(w, layout)
+           for w in generate_stream(small_scenario(seed=8)).windows]
+    detector_path = tmp / "detector.npz"
+    save_detector(str(detector_path), build_model(NEURAL_ARCH, seed=5), NEURAL_ARCH,
+                  fit_normalizer(raw), layout)
+    n_actions = len(build_action_catalog())
+    tables = DoubleQTables(n_actions=n_actions)
+    rng = np.random.default_rng(6)
+    for state in range(N_STATES):
+        tables.q_a[state] = rng.normal(size=n_actions)
+    policy_path = tmp / "policy.csv"
+    save_qtables(policy_path, tables)
+    return SimConfig(scenario=small_scenario(), detector=str(detector_path),
+                     policy=str(policy_path), threshold=0.19, seed=42)
+
+
+def test_neural_prefix_of_a_run_is_bitwise_unchanged(neural_cfg):
+    """Detection and the response walk on the first k windows give the full
+    run's first k events, byte for byte outside ``timing``."""
+    pipe = simulate._Pipeline(neural_cfg)
+    scenario = neural_cfg.resolved_scenario()
+    windows = generate_stream(scenario).windows
+
+    def event_bytes(k):
+        verdicts, detect_ms, normed = simulate._run_detection(
+            pipe, windows[:k], neural_cfg.threshold)
+        events = simulate._respond(pipe, scenario, windows[:k], verdicts,
+                                   detect_ms, normed)
+        return [json.dumps(core, sort_keys=True) for core in event_cores(events)]
+
+    full = event_bytes(len(windows))
+    assert len({json.loads(b)["action_id"] for b in full}) > 1
+    assert len({json.loads(b)["confident"] for b in full}) == 2
+    t, c = NEURAL_ARCH.seq_len, SERIES_CHUNK
+    for k in (1, t - 1, t, c, c + 1, len(windows)):
+        assert event_bytes(k) == full[:k], k
+
+
+def test_neural_replicas_change_no_output(neural_cfg):
+    report, events = run_simulation(neural_cfg)
+    want = strip_timing(report.to_dict())
+    want["config"].pop("replicas")
+    for replicas in (1, 2, 4):
+        other, other_events = run_simulation(
+            dataclasses.replace(neural_cfg, replicas=replicas))
+        assert event_cores(other_events) == event_cores(events)
+        got = strip_timing(other.to_dict())
+        assert got["config"].pop("replicas") == replicas
+        assert got == want
+
+
+def test_neural_run_starts_no_thread(neural_cfg, monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    counts = []
+    real_classify = simulate.classify_series
+
+    def counting_classify(*args, **kwargs):
+        counts.append(threading.active_count())
+        verdicts = real_classify(*args, **kwargs)
+        counts.append(threading.active_count())
+        return verdicts
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    monkeypatch.setattr(simulate, "classify_series", counting_classify)
+    before = threading.active_count()
+    _, events = run_simulation(dataclasses.replace(neural_cfg, replicas=4))
+    assert len(events) == 90
+    assert started == []
+    assert counts == [before, before]
+    assert threading.active_count() == before
+    source = inspect.getsource(simulate)
+    assert "concurrent.futures" not in source
+    assert "ThreadPoolExecutor" not in source
+
