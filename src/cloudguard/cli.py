@@ -42,9 +42,9 @@ from .features import build_layout, extract_features
 from .policy import PolicyTrainConfig, save_qtables, train_policy, \
     write_convergence_csv
 from .scenario import ScenarioConfig, default_scenario, generate_stream
-from .simulate import (BASELINE_DETECTOR, SimConfig, _canonical_json,
+from .simulate import (BASELINE_DETECTOR, SimConfig, canonical_json,
                        comparison_to_dict, compare_reports, emit_report,
-                       metrics_from_events, run_simulation)
+                       per_class_csv, run_simulation, write_text)
 from .telemetry import write_events_jsonl, write_label_sidecar
 
 
@@ -85,14 +85,6 @@ def _ensure_out(out: str | None) -> str:
     return out
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise FilesystemError(f"cannot write {path}: {exc}") from exc
-
-
 def _cmd_generate(args) -> int:
     doc = _load_config(args.config)
     scenario = _resolve_scenario(doc, args.seed)
@@ -103,8 +95,8 @@ def _cmd_generate(args) -> int:
         write_label_sidecar(os.path.join(out, "labels.csv"), stream.windows)
     except OSError as exc:
         raise FilesystemError(f"cannot write telemetry: {exc}") from exc
-    _write_text(os.path.join(out, "scenario.json"),
-                _canonical_json(scenario.to_dict()))
+    write_text(os.path.join(out, "scenario.json"),
+               canonical_json(scenario.to_dict()))
     counts = {}
     for w in stream.windows:
         counts[w.label] = counts.get(w.label, 0) + 1
@@ -139,12 +131,12 @@ def _cmd_train_detector(args) -> int:
                                                    det.DEFAULT_THRESHOLD)))
     ckpt = os.path.join(out, "detector.npz")
     det.save_detector(ckpt, model, arch, stats, layout)
-    _write_text(os.path.join(out, "evaluation.json"),
-                _canonical_json(metrics.to_dict()))
+    write_text(os.path.join(out, "evaluation.json"),
+               canonical_json(metrics.to_dict()))
     rows = ["epoch,loss,train_accuracy,val_accuracy"]
     rows += [f"{h['epoch']},{h['loss']!r},{h['train_accuracy']!r},{h['val_accuracy']!r}"
              for h in history]
-    _write_text(os.path.join(out, "history.csv"), "\n".join(rows) + "\n")
+    write_text(os.path.join(out, "history.csv"), "\n".join(rows) + "\n")
     print(f"trained detector -> {ckpt} "
           f"(eval accuracy {metrics.accuracy:.4f} on seed {eval_seed})")
     return 0
@@ -207,19 +199,14 @@ def _cmd_evaluate(args) -> int:
     config = SimConfig(scenario=scenario, detector=name,
                        threshold=float(doc.get("threshold",
                                                det.DEFAULT_THRESHOLD)))
-    # score detection only: enforce the idle action so the loop cost is nil
-    report, events = run_simulation(config)
-    metrics = metrics_from_events(events)
-    _write_text(os.path.join(out, "evaluation.json"),
-                _canonical_json(metrics.to_dict()))
+    # the whole loop runs (with no policy, the idle action on every window);
+    # only its detection metrics are kept
+    metrics = run_simulation(config)[0].detection
+    write_text(os.path.join(out, "evaluation.json"),
+               canonical_json(metrics.to_dict()))
     if args.format == "csv":
-        rows = ["class,precision,recall,f1,support"]
-        for i, cname in enumerate(metrics.classes):
-            rows.append(f"{cname},{float(metrics.precision[i])!r},"
-                        f"{float(metrics.recall[i])!r},{float(metrics.f1[i])!r},"
-                        f"{int(metrics.support[i])}")
-        _write_text(os.path.join(out, "per_class_metrics.csv"),
-                    "\n".join(rows) + "\n")
+        write_text(os.path.join(out, "per_class_metrics.csv"),
+                   per_class_csv(metrics))
     print(f"evaluated {metrics.total} windows -> {out} "
           f"(accuracy {metrics.accuracy:.4f}, "
           f"unknown rate {metrics.unknown_rate:.4f})")
@@ -244,10 +231,10 @@ def _cmd_compare(args) -> int:
         raise ConfigError("compare needs a baseline and a candidate report "
                           "(two positionals or config keys)")
     rows = compare_reports(_read_report(baseline), _read_report(candidate))
-    text = _canonical_json(comparison_to_dict(rows))
+    text = canonical_json(comparison_to_dict(rows))
     if args.out:
         out = _ensure_out(args.out)
-        _write_text(os.path.join(out, "comparison.json"), text)
+        write_text(os.path.join(out, "comparison.json"), text)
         print(f"compared {len(rows)} indicators -> {out}")
     else:
         sys.stdout.write(text)

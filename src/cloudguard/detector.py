@@ -170,11 +170,6 @@ class ThreatVerdict:
     max_probability: float
     confident: bool
 
-    @property
-    def label(self) -> str | None:
-        """Class name when the verdict indexes the canonical label set."""
-        return LABELS[self.predicted] if self.predicted < len(LABELS) else None
-
 
 def _verdict(probs: np.ndarray, threshold: float) -> ThreatVerdict:
     predicted = int(np.argmax(probs))  # lowest index wins ties
@@ -371,6 +366,38 @@ class DetectionMetrics:
     unknown_rate: float
     total: int
 
+    @classmethod
+    def from_rows(cls, truth, predicted, confident,
+                  classes: tuple[str, ...] = LABELS,
+                  benign_index: int = 0) -> "DetectionMetrics":
+        """Score per-row truth and predicted class indices, with the rows
+        whose verdict was confident flagged in ``confident``."""
+        truth = np.asarray(truth, dtype=np.int64)
+        predicted = np.asarray(predicted, dtype=np.int64)
+        confident = np.asarray(confident, dtype=bool)
+        if len(truth) == 0:
+            raise InputError("no rows to score")
+        k = len(classes)
+        confusion = np.zeros((k, k), dtype=np.int64)
+        np.add.at(confusion, (truth[confident], predicted[confident]), 1)
+        precision, recall, f1 = confusion_metrics(confusion)
+        n_confident = int(confident.sum())
+        benign = truth == benign_index
+        n_benign = int(benign.sum())
+        false_alarms = int((benign & confident & (predicted != benign_index)).sum())
+        return cls(
+            classes=tuple(classes),
+            confusion=confusion,
+            precision=precision,
+            recall=recall,
+            f1=f1,
+            support=confusion.sum(axis=1),
+            accuracy=float(np.trace(confusion) / n_confident) if n_confident else 0.0,
+            false_positive_rate=false_alarms / n_benign if n_benign else 0.0,
+            unknown_rate=1.0 - n_confident / len(truth),
+            total=len(truth),
+        )
+
     def to_dict(self) -> dict:
         return {
             "classes": list(self.classes),
@@ -411,31 +438,10 @@ def evaluate(model: ModelGraph, x: np.ndarray, y: np.ndarray,
     """Score a model on labeled sequences with confidence gating."""
     if len(x) == 0:
         raise InputError("evaluation set is empty")
-    y = np.asarray(y)
-    k = len(classes)
     probs = predict_probs(model, np.asarray(x, dtype=np.float64))
-    pred = probs.argmax(axis=1)
-    confident = probs.max(axis=1) >= threshold
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (y[confident], pred[confident]), 1)
-    precision, recall, f1 = confusion_metrics(confusion)
-    n_confident = int(confident.sum())
-    accuracy = float(np.trace(confusion) / n_confident) if n_confident else 0.0
-    benign_mask = y == benign_index
-    n_benign = int(benign_mask.sum())
-    false_alarms = int((benign_mask & confident & (pred != benign_index)).sum())
-    return DetectionMetrics(
-        classes=tuple(classes),
-        confusion=confusion,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        support=confusion.sum(axis=1),
-        accuracy=accuracy,
-        false_positive_rate=false_alarms / n_benign if n_benign else 0.0,
-        unknown_rate=1.0 - n_confident / len(y),
-        total=int(len(y)),
-    )
+    return DetectionMetrics.from_rows(y, probs.argmax(axis=1),
+                                      probs.max(axis=1) >= threshold,
+                                      classes, benign_index)
 
 
 def save_detector(path: str, model: ModelGraph, arch: ArchConfig,

@@ -157,16 +157,11 @@ class _StepContext:
 class DefenseEnv:
     """reset/step environment over synthesized windows and real enforcement."""
 
-    def __init__(self, cfg: EnvConfig | None = None,
-                 catalog: tuple[Action, ...] | None = None,
-                 matrix: EffectivenessMatrix | None = None,
-                 collateral: CollateralModel | None = None,
-                 severity: dict | None = None):
+    def __init__(self, cfg: EnvConfig | None = None):
         self.cfg = cfg or EnvConfig()
-        self.catalog = catalog or build_action_catalog()
-        self.matrix = matrix if matrix is not None else default_matrix()
-        self.collateral = collateral or CollateralModel()
-        self.severity = severity or DEFAULT_SEVERITY
+        self.catalog = build_action_catalog()
+        self.matrix = default_matrix()
+        self.collateral = CollateralModel()
         self._episode = -1
         self._steps = 0
         self._context: _StepContext | None = None
@@ -218,7 +213,7 @@ class DefenseEnv:
         probs = np.full(len(LABELS), (1.0 - max_p) / (len(LABELS) - 1))
         probs[perceived] = max_p
         context_factor = float(rng.uniform(0.5, 0.95))
-        threat = max_p * self.severity[LABELS[perceived]] * context_factor
+        threat = max_p * DEFAULT_SEVERITY[LABELS[perceived]] * context_factor
         buckets = compose_indicators(threat, load, probs, last_action_norm)
         return _StepContext(kind=kind, intensity=intensity, load=load,
                             probs=probs, threat=threat,

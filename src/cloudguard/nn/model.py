@@ -42,12 +42,6 @@ class Conv1dLayer:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"kernel": self.params.kernel, "bias": self.params.bias}
 
-    def out_len(self, t: int) -> int:
-        k = self.params.kernel.shape[0]
-        if t < k:
-            raise DimensionError(f"sequence length {t} shorter than kernel {k}")
-        return (t - k) // self.params.stride + 1
-
 
 class MaxPool1dLayer:
     """Non-overlapping temporal max pooling."""
@@ -65,11 +59,6 @@ class MaxPool1dLayer:
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {}
-
-    def out_len(self, t: int) -> int:
-        if t % self.pool_size != 0:
-            raise DimensionError(f"pool size {self.pool_size} does not divide length {t}")
-        return t // self.pool_size
 
 
 class LstmLayer:
@@ -109,9 +98,6 @@ class LstmLayer:
                 for name in ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
                              "b_i", "b_f", "b_o", "b_g")}
 
-    def out_len(self, t: int) -> int:
-        return t if self.return_sequences else 1
-
 
 class DenseLayer:
     """Fully connected layer with optional relu or softmax activation."""
@@ -137,9 +123,6 @@ class DenseLayer:
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"weights": self.params.weights, "bias": self.params.bias}
-
-    def out_len(self, t: int) -> int:
-        return t
 
 
 class ModelGraph:

@@ -384,6 +384,8 @@ def load_qtables(path) -> DoubleQTables:
         n_actions = int(lines[1].removeprefix("n_actions="))
     except ValueError as exc:
         raise CheckpointError(f"bad n_actions line: {lines[1]!r}") from exc
+    if n_actions < 0:
+        raise CheckpointError(f"negative n_actions: {lines[1]!r}")
     tables = DoubleQTables(n_actions)
     for ln in lines[3:]:
         if not ln:
@@ -396,8 +398,12 @@ def load_qtables(path) -> DoubleQTables:
             qa, qb, visits = float(parts[2]), float(parts[3]), int(parts[4])
         except ValueError as exc:
             raise CheckpointError(f"malformed q-table row: {ln!r}") from exc
+        if not 0 <= state < N_STATES:
+            raise CheckpointError(f"state id {state} outside [0, {N_STATES})")
         if not 0 <= action < n_actions:
             raise CheckpointError(f"action id {action} outside catalog of {n_actions}")
+        if visits < 0:
+            raise CheckpointError(f"negative visit count in row: {ln!r}")
         if qa != 0.0:
             tables._writable(tables.q_a, state)[action] = qa
         if qb != 0.0:

@@ -9,11 +9,12 @@ the per-event ``timing`` record and the report's ``timing`` subtree so that
 everything else can be compared byte for byte.
 
 Windows are processed in two phases, both in one thread. Detection
-featurizes every window, then classifies them all in one batched call
-(``classify_series`` for a network, ``classify_batch`` for the rules). The
-response walk is sequential because each decision feeds the next state's
-recent-action signal, but it is dictionary lookups and arithmetic, far
-cheaper than the network forward.
+featurizes every window, then classifies them all in one batched call:
+``classify_series`` for a network, ``RuleBasedDetector.classify_batch`` for
+the packaged rules and for accept-all, which is the rule detector with no
+rules. The response walk is sequential because each decision feeds the next
+state's recent-action signal, but it is dictionary lookups and arithmetic,
+far cheaper than the network forward.
 """
 
 import dataclasses
@@ -26,17 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import RuleBasedDetector, default_rules
-from .detector import (DEFAULT_THRESHOLD, ThreatVerdict, classify_series,
-                       confusion_metrics, DetectionMetrics, load_detector)
+from .detector import (DEFAULT_THRESHOLD, DetectionMetrics, classify_series,
+                       load_detector)
 from .enforcement import (DefenseState, LatencyBreakdown, apply_action,
                           default_matrix)
 from .environment import CollateralModel, enforce_window
 from .errors import (CheckpointError, ComparisonError, ConfigError,
                      FilesystemError, InputError)
 from .features import build_layout, extract_features, fit_normalizer, normalize
-from .perception import (build_embedders, build_scorer, context_from_fused,
-                         embed_window, fuse, level_for_score, summarize_threats,
-                         threat_score)
+from .perception import (ThreatLevel, build_embedders, build_scorer,
+                         context_from_fused, embed_window, fuse,
+                         level_for_score, summarize_threats, threat_score)
 from .policy import (build_action_catalog, compose_indicators, encode_state,
                      get_action, load_qtables, read_convergence_csv,
                      select_action)
@@ -50,6 +51,9 @@ DEFAULT_DEADLINE_MS = 50.0
 BASELINE_DETECTOR = "baseline"
 ACCEPT_ALL_DETECTOR = "accept-all"
 
+# how enforcement left a window; "none" is a window with no attack
+OUTCOMES = ("blocked", "mitigated", "passed", "none")
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -60,8 +64,9 @@ class SimConfig:
     """Everything a simulation run depends on.
 
     ``detector`` is a checkpoint path, or one of the sentinels: "baseline"
-    (the packaged signature rules) or "accept-all" (labels every window
-    benign with full confidence, for availability floors and smoke tests).
+    (the packaged signature rules) or "accept-all" (the rule detector with
+    no rules, so every window is benign with full confidence; for
+    availability floors and smoke tests).
     ``policy`` is a Q-table checkpoint path; when None, ``fixed_action`` is
     enforced on every window instead (default 0, observe only).
     ``seed`` overrides the scenario's own seed so one scenario description
@@ -187,9 +192,17 @@ class PipelineEvent:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineEvent":
+        """Parse one event-log record; InputError on a missing field, a
+        value of the wrong type, or a label, outcome or threat level outside
+        its set."""
         try:
             timing = d["timing"]
             lat = timing["latency"]
+            for field, allowed in (("truth", LABELS), ("predicted", LABELS),
+                                   ("outcome", OUTCOMES)):
+                if d[field] not in allowed:
+                    raise InputError(f"{field} {d[field]!r} is not one of "
+                                     f"{allowed}")
             return cls(
                 window_id=int(d["window_id"]),
                 truth=d["truth"],
@@ -197,7 +210,7 @@ class PipelineEvent:
                 confident=bool(d["confident"]),
                 max_probability=float(d["max_probability"]),
                 threat_score=float(d["threat_score"]),
-                threat_level=int(d["threat_level"]),
+                threat_level=ThreatLevel(int(d["threat_level"])).level,
                 action_id=int(d["action_id"]),
                 outcome=d["outcome"],
                 attack_damage=float(d["attack_damage"]),
@@ -237,17 +250,7 @@ def compute_percentiles(samples, qs) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# detector adapters
-
-
-class _AcceptAll:
-    """Labels everything benign with full confidence."""
-
-    def classify_batch(self, raw: np.ndarray) -> list[ThreatVerdict]:
-        probs = np.zeros((len(raw), len(LABELS)))
-        probs[:, 0] = 1.0
-        return [ThreatVerdict(probabilities=p, predicted=0, max_probability=1.0,
-                              confident=True) for p in probs]
+# the loop
 
 
 class _Pipeline:
@@ -264,7 +267,8 @@ class _Pipeline:
         if config.detector == BASELINE_DETECTOR:
             self.rules = RuleBasedDetector(default_rules(), self.layout)
         elif config.detector == ACCEPT_ALL_DETECTOR:
-            self.rules = _AcceptAll()
+            # no rule fires, so every window takes the benign column
+            self.rules = RuleBasedDetector((), self.layout)
         else:
             model, arch, stats, layout, classes = load_detector(config.detector)
             if tuple(classes) != LABELS:
@@ -321,13 +325,28 @@ def _window_load(window, benign_rate: float) -> float:
     return min(1.0, window.event_count / capacity) if capacity > 0 else 0.0
 
 
-def _respond(pipe: _Pipeline, scenario: ScenarioConfig, windows, verdicts,
-             detect_ms, normed) -> list[PipelineEvent]:
-    """Sequential response walk: perceive, decide, enforce, record."""
+def window_truths(scenario: ScenarioConfig, windows) -> list[tuple[str, float, float]]:
+    """(kind, intensity, load) per window, straight from ground truth."""
+    out = []
+    for win in windows:
+        kind = win.label or "benign"
+        intensity = truth_intensity(scenario.attacks, win.start, win.end, kind) \
+            if kind != "benign" else 0.0
+        out.append((kind, intensity, _window_load(win, scenario.benign_rate)))
+    return out
+
+
+def _respond(pipe: _Pipeline, truths, verdicts, detect_ms,
+             normed) -> list[PipelineEvent]:
+    """Sequential response walk: perceive, decide, enforce, record.
+
+    ``truths`` holds each window's (kind, intensity, load) from
+    ``window_truths``.
+    """
     events = []
     defense = DefenseState()
     recent = 0.0
-    for i, win in enumerate(windows):
+    for i, (kind, intensity, load) in enumerate(truths):
         started = time.time()
         verdict = verdicts[i]
         t0 = time.perf_counter()
@@ -336,7 +355,6 @@ def _respond(pipe: _Pipeline, scenario: ScenarioConfig, windows, verdicts,
         context = context_from_fused(fused)
         score = threat_score(verdict, context)
         level = level_for_score(score)
-        load = _window_load(win, scenario.benign_rate)
         if pipe.tables is not None:
             buckets = compose_indicators(score, load, verdict.probabilities,
                                          recent)
@@ -350,9 +368,6 @@ def _respond(pipe: _Pipeline, scenario: ScenarioConfig, windows, verdicts,
         action = get_action(pipe.catalog, action_id)
         recent = action.tier_norm()
 
-        kind = win.label or "benign"
-        intensity = truth_intensity(scenario.attacks, win.start, win.end, kind) \
-            if kind != "benign" else 0.0
         outcome = enforce_window(action, kind, intensity, load, pipe.matrix,
                                  pipe.collateral)
         latency = LatencyBreakdown.from_parts(detect_ms[i], policy_ms,
@@ -380,39 +395,12 @@ def _respond(pipe: _Pipeline, scenario: ScenarioConfig, windows, verdicts,
 # metrics
 
 
-def metrics_from_events(events, classes=LABELS) -> DetectionMetrics:
+def metrics_from_events(events) -> DetectionMetrics:
     """Recount the confusion matrix and rates from an event log."""
-    if not events:
-        raise InputError("event log is empty")
-    k = len(classes)
-    index = {name: i for i, name in enumerate(classes)}
-    confusion = np.zeros((k, k), dtype=np.int64)
-    n_confident = 0
-    n_benign = 0
-    false_alarms = 0
-    for ev in events:
-        truth = index[ev.truth]
-        pred = index[ev.predicted]
-        if ev.confident:
-            confusion[truth, pred] += 1
-            n_confident += 1
-        if truth == 0:
-            n_benign += 1
-            if ev.confident and pred != 0:
-                false_alarms += 1
-    precision, recall, f1 = confusion_metrics(confusion)
-    return DetectionMetrics(
-        classes=tuple(classes),
-        confusion=confusion,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        support=confusion.sum(axis=1),
-        accuracy=float(np.trace(confusion) / n_confident) if n_confident else 0.0,
-        false_positive_rate=false_alarms / n_benign if n_benign else 0.0,
-        unknown_rate=1.0 - n_confident / len(events),
-        total=len(events),
-    )
+    index = {name: i for i, name in enumerate(LABELS)}
+    return DetectionMetrics.from_rows([index[ev.truth] for ev in events],
+                                      [index[ev.predicted] for ev in events],
+                                      [ev.confident for ev in events])
 
 
 def _attack_burst_windows(scenario: ScenarioConfig) -> list[tuple[int, int, str]]:
@@ -497,7 +485,7 @@ def build_report(config: SimConfig, events) -> SimulationReport:
     detection = metrics_from_events(events)
     dist = summarize_threats([level_for_score(ev.threat_score) for ev in events])
     distribution = dict(dist.fractions)
-    interceptions = {name: 0 for name in ("blocked", "mitigated", "passed", "none")}
+    interceptions = {name: 0 for name in OUTCOMES}
     for ev in events:
         interceptions[ev.outcome] += 1
     attack_damage = float(sum(ev.attack_damage for ev in events))
@@ -540,8 +528,8 @@ def run_simulation(config: SimConfig) -> tuple[SimulationReport, list[PipelineEv
     stream = generate_stream(scenario)
     verdicts, detect_ms, normed = _run_detection(pipe, stream.windows,
                                                  config.threshold)
-    events = _respond(pipe, scenario, stream.windows, verdicts, detect_ms,
-                      normed)
+    events = _respond(pipe, window_truths(scenario, stream.windows), verdicts,
+                      detect_ms, normed)
     return build_report(config, events), events
 
 
@@ -549,22 +537,10 @@ def run_simulation(config: SimConfig) -> tuple[SimulationReport, list[PipelineEv
 # fixed-action evaluation (no detector in the loop)
 
 
-def window_truths(scenario: ScenarioConfig, windows) -> list[tuple[str, float, float]]:
-    """(kind, intensity, load) per window, straight from ground truth."""
-    out = []
-    for win in windows:
-        kind = win.label or "benign"
-        intensity = truth_intensity(scenario.attacks, win.start, win.end, kind) \
-            if kind != "benign" else 0.0
-        out.append((kind, intensity, _window_load(win, scenario.benign_rate)))
-    return out
-
-
-def fixed_action_damage(truths, action, matrix=None,
-                        collateral: CollateralModel | None = None) -> float:
+def fixed_action_damage(truths, action) -> float:
     """Total damage if one action were enforced on every window."""
-    matrix = matrix if matrix is not None else default_matrix()
-    collateral = collateral if collateral is not None else CollateralModel()
+    matrix = default_matrix()
+    collateral = CollateralModel()
     total = 0.0
     for kind, intensity, load in truths:
         out = enforce_window(action, kind, intensity, load, matrix, collateral)
@@ -576,11 +552,13 @@ def fixed_action_damage(truths, action, matrix=None,
 # report files
 
 
-def _canonical_json(doc: dict) -> str:
+def canonical_json(doc: dict) -> str:
+    """The byte form of every JSON report: sorted keys, two-space indent."""
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _write(path: str, text: str) -> None:
+def write_text(path: str, text: str) -> None:
+    """Write a whole text file; FilesystemError when it cannot be written."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -591,7 +569,7 @@ def _write(path: str, text: str) -> None:
 def write_events(path: str, events) -> None:
     """One JSON object per line, in window order."""
     lines = [json.dumps(ev.to_dict(), sort_keys=True) for ev in events]
-    _write(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_events(path: str) -> list[PipelineEvent]:
@@ -607,6 +585,16 @@ def read_events(path: str) -> list[PipelineEvent]:
         except json.JSONDecodeError as exc:
             raise InputError(f"event log line is not valid JSON: {exc}") from exc
     return events
+
+
+def per_class_csv(metrics: DetectionMetrics) -> str:
+    """Precision, recall, F1 and support per class, one row each."""
+    rows = ["class,precision,recall,f1,support"]
+    for i, name in enumerate(metrics.classes):
+        rows.append(f"{name},{float(metrics.precision[i])!r},"
+                    f"{float(metrics.recall[i])!r},{float(metrics.f1[i])!r},"
+                    f"{int(metrics.support[i])}")
+    return "\n".join(rows) + "\n"
 
 
 def emit_report(report: SimulationReport, events, out_dir: str,
@@ -636,23 +624,17 @@ def emit_report(report: SimulationReport, events, out_dir: str,
 
     def emit(name: str, text: str) -> None:
         path = os.path.join(out_dir, name)
-        _write(path, text)
+        write_text(path, text)
         written.append(path)
 
     write_events(os.path.join(out_dir, "events.jsonl"), events)
     written.append(os.path.join(out_dir, "events.jsonl"))
 
     if fmt == "json":
-        emit("metrics.json", _canonical_json(report.to_dict()))
+        emit("metrics.json", canonical_json(report.to_dict()))
         return written
 
-    det = report.detection
-    rows = ["class,precision,recall,f1,support"]
-    for i, name in enumerate(det.classes):
-        rows.append(f"{name},{float(det.precision[i])!r},"
-                    f"{float(det.recall[i])!r},{float(det.f1[i])!r},"
-                    f"{int(det.support[i])}")
-    emit("per_class_metrics.csv", "\n".join(rows) + "\n")
+    emit("per_class_metrics.csv", per_class_csv(report.detection))
 
     shares = report.timing["component_shares"]
     rows = ["component,share"]

@@ -176,8 +176,8 @@ def values_on_thresholds(draw, rules, n_rows):
     return rows
 
 
-@pytest.mark.parametrize("rules", [_EDGE_RULES, default_rules()],
-                         ids=["edge-rules", "default-rules"])
+@pytest.mark.parametrize("rules", [_EDGE_RULES, default_rules(), ()],
+                         ids=["edge-rules", "default-rules", "no-rules"])
 def test_batch_matches_rows_on_threshold_values(layout, rules):
     det = RuleBasedDetector(rules, layout)
 

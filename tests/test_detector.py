@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cloudguard.detector import (
     SERIES_CHUNK,
@@ -27,6 +29,7 @@ from cloudguard.errors import (
 )
 from cloudguard.features import NormStats, build_layout
 from cloudguard.nn import grad_check
+from cloudguard.telemetry import LABELS
 
 
 def tiny_arch(**kw):
@@ -238,6 +241,44 @@ class TestClassify:
             classify(model, np.zeros((16, 9)))
 
 
+def _recount_detection(rows):
+    """Detection metrics of (truth, predicted, confident) index rows in plain
+    Python: the detection half of the acceptance suite's report recount."""
+    classes = list(LABELS)
+    k = len(classes)
+    confusion = [[0] * k for _ in range(k)]
+    n_confident = benign_total = false_alarms = 0
+    for truth, predicted, confident in rows:
+        if confident:
+            confusion[truth][predicted] += 1
+            n_confident += 1
+        if truth == 0:
+            benign_total += 1
+            if confident and predicted != 0:
+                false_alarms += 1
+    per_class = {}
+    for i, name in enumerate(classes):
+        tp = confusion[i][i]
+        col = sum(confusion[r][i] for r in range(k))
+        row = sum(confusion[i])
+        p = tp / col if col > 0 else 0.0
+        r = tp / row if row > 0 else 0.0
+        f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
+        per_class[name] = {"precision": p, "recall": r, "f1": f1,
+                           "support": row}
+    return {
+        "classes": classes,
+        "confusion": confusion,
+        "per_class": per_class,
+        "accuracy": (sum(confusion[i][i] for i in range(k)) / n_confident
+                     if n_confident else 0.0),
+        "false_positive_rate": (false_alarms / benign_total
+                                if benign_total else 0.0),
+        "unknown_rate": 1.0 - n_confident / len(rows),
+        "total": len(rows),
+    }
+
+
 class TestEvaluate:
     def test_textbook_confusion_arithmetic(self):
         # class 0: TP=49, FN=1 (one true-0 predicted 1), FP=2
@@ -276,6 +317,19 @@ class TestEvaluate:
         x, y = toy_dataset(np.random.default_rng(18), arch, n_per_class=6)
         m = evaluate(model, x, y, threshold=0.4, classes=("a", "b", "c"))
         np.testing.assert_array_equal(m.confusion.sum(axis=1), m.support)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(LABELS) - 1),
+                              st.integers(0, len(LABELS) - 1), st.booleans()),
+                    min_size=1, max_size=80))
+    @example([(2, 2, False), (0, 3, False), (5, 0, False)])  # none confident
+    @example([(1, 1, True), (3, 0, True), (4, 2, False)])  # no benign row
+    @example([(0, 4, True)])  # a single row
+    def test_from_rows_matches_a_plain_recount(self, rows):
+        truth, predicted, confident = zip(*rows)
+        m = DetectionMetrics.from_rows(np.array(truth), np.array(predicted),
+                                       np.array(confident))
+        assert m.to_dict() == _recount_detection(rows)
 
     def test_unknown_rate_counts_below_threshold(self):
         arch = tiny_arch()

@@ -584,6 +584,16 @@ class TestCheckpoints:
                                 "state,action,q_a,q_b,visits\n0,5,0.5,0.0,1\n")
         with pytest.raises(CheckpointError):
             load_qtables(out_of_range)
+        for header, row in (("n_actions=2", "-5,1,0.5,0.0,1"),
+                            ("n_actions=2", f"{N_STATES},1,0.5,0.0,1"),
+                            ("n_actions=2", "99999,1,0.5,0.0,1"),
+                            ("n_actions=2", "0,1,0.5,0.0,-3"),
+                            ("n_actions=-1", "")):
+            bad = tmp_path / "b.qt"
+            bad.write_text(f"# double-q checkpoint v1\n{header}\n"
+                           f"state,action,q_a,q_b,visits\n{row}\n")
+            with pytest.raises(CheckpointError):
+                load_qtables(bad)
 
     def test_convergence_csv_round_trip(self, tmp_path):
         _, curve = train_policy(

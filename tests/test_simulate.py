@@ -297,6 +297,20 @@ def test_read_events_rejects_garbage(tmp_path):
         read_events(p)
     with pytest.raises(InputError):
         read_events(tmp_path / "absent.jsonl")
+    good = PipelineEvent(
+        window_id=0, truth="ddos", predicted="ddos", confident=True,
+        max_probability=0.9, threat_score=0.7, threat_level=4, action_id=3,
+        outcome="blocked", attack_damage=0.0, collateral_damage=0.1,
+        latency=LatencyBreakdown.from_parts(1.0, 0.1, 0.01), started_at=0.0,
+        finished_at=0.0).to_dict()
+    p.write_text(json.dumps(good) + "\n")
+    assert read_events(p)[0].to_dict() == good
+    for field, value in (("truth", "meteor"), ("predicted", "meteor"),
+                         ("outcome", "deflected"), ("threat_level", 9),
+                         ("threat_level", 0)):
+        p.write_text(json.dumps({**good, field: value}) + "\n")
+        with pytest.raises(InputError):
+            read_events(p)
 
 
 def test_policy_checkpoint_size_mismatch(tmp_path):
@@ -535,8 +549,8 @@ def test_neural_prefix_of_a_run_is_bitwise_unchanged(neural_cfg):
     def event_bytes(k):
         verdicts, detect_ms, normed = simulate._run_detection(
             pipe, windows[:k], neural_cfg.threshold)
-        events = simulate._respond(pipe, scenario, windows[:k], verdicts,
-                                   detect_ms, normed)
+        events = simulate._respond(pipe, window_truths(scenario, windows[:k]),
+                                   verdicts, detect_ms, normed)
         return [json.dumps(core, sort_keys=True) for core in event_cores(events)]
 
     full = event_bytes(len(windows))
