@@ -3,8 +3,8 @@ Attention fusion and threat levels
 ==================================
 
 Fuse the three telemetry sources with attention weights, grade verdicts
-into five threat levels, summarize a whole stream into band fractions,
-and project the near-term trend.
+into five threat levels, and summarize a whole stream into band
+fractions.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from cloudguard.perception import (
     build_scorer,
     context_from_fused,
     embed_window,
-    forecast_trend,
     fuse,
     level_for_score,
     summarize_threats,
@@ -71,11 +70,3 @@ for i, win in enumerate(stream.windows):
 dist = summarize_threats(levels)
 print("\nthreat distribution over", len(levels), "windows:",
       {band: round(frac, 3) for band, frac in dist.fractions.items()})
-
-# 5. count elevated windows per 10-window interval and project 3 ahead
-elevated = np.array([lv.level >= 2 for lv in levels], dtype=float)
-series = elevated.reshape(-1, 10).sum(axis=1)
-trend = forecast_trend(series, horizon=3)
-print(f"\nelevated-threat counts per interval: {series.astype(int).tolist()}")
-print(f"trend slope {trend.slope:+.3f} per interval, "
-      f"next three projected: {np.round(trend.predictions, 1).tolist()}")

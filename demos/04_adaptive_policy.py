@@ -66,12 +66,11 @@ print(f"mean episode reward, first decile {early:.1f} -> last decile {late:.1f}"
 #    while benign windows stay cheap. Sticking to heavily visited states
 #    keeps the sample to choices the agent actually settled on.
 chosen = greedy_policy(tables)
-visits = {state: int(tables.visits[state].sum())
-          for state in chosen if state in tables.visits}
+visits = {state: int(tables.visits[state].sum()) for state in chosen}
 print(f"\n{len(chosen)} states visited; greedy picks where visits >= 400:")
 shown = set()
-for state in sorted(chosen, key=lambda s: -visits.get(s, 0)):
-    if visits.get(state, 0) < 400:
+for state in sorted(chosen, key=lambda s: -visits[s]):
+    if visits[state] < 400:
         break
     threat_bucket, load_bucket, kind_bucket, _ = decode_state(state)
     kind = LABELS[kind_bucket]

@@ -7,7 +7,7 @@ Subpackages and modules:
 - ``features``    fixed-width feature extraction with a named layout
 - ``scenario``    seeded synthetic traffic and attack generation
 - ``detector``    convolutional-recurrent traffic classifier
-- ``perception``  multi-source fusion, threat scoring, and trend forecasts
+- ``perception``  multi-source fusion and threat scoring
 - ``policy``      tabular double Q-learning over discretized system state
 - ``enforcement`` defense actions, effectiveness lookup, damage resolution
 - ``environment`` simulated training environment for the response policy

@@ -44,7 +44,8 @@ from .policy import PolicyTrainConfig, save_qtables, train_policy, \
 from .scenario import ScenarioConfig, default_scenario, generate_stream
 from .simulate import (BASELINE_DETECTOR, SimConfig, canonical_json,
                        comparison_to_dict, compare_reports, emit_report,
-                       per_class_csv, run_simulation, write_text)
+                       evaluate_detection, per_class_csv, run_simulation,
+                       write_text)
 from .telemetry import write_events_jsonl, write_label_sidecar
 
 
@@ -199,9 +200,7 @@ def _cmd_evaluate(args) -> int:
     config = SimConfig(scenario=scenario, detector=name,
                        threshold=float(doc.get("threshold",
                                                det.DEFAULT_THRESHOLD)))
-    # the whole loop runs (with no policy, the idle action on every window);
-    # only its detection metrics are kept
-    metrics = run_simulation(config)[0].detection
+    metrics = evaluate_detection(config)
     write_text(os.path.join(out, "evaluation.json"),
                canonical_json(metrics.to_dict()))
     if args.format == "csv":

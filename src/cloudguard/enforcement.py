@@ -5,18 +5,22 @@ tiers. Applying an action sets the tiers to the action's targets (absolute,
 so reapplying is a no-op) and measures how long the mutation took on the
 monotonic clock.
 
-Attack outcomes come from an effectiveness matrix mapping (attack kind, tier
-combination) to a coverage fraction e in [0, 1]: e >= 1 blocks the attack
-outright, e == 0 lets it through at full damage, and anything between
-mitigates damage to (1 - e) x intensity x base damage for the kind. The
-default matrix is built from per-kind tier leverage: rate limiting against
-volumetric floods, the firewall against scans, injections, and credential
-stuffing, and isolation against data exfiltration.
+Attack outcomes come from an effectiveness matrix, one array indexed by
+(label id, firewall, rate-limit, isolation tier) holding a coverage fraction
+e in [0, 1]: e >= 1 blocks the attack outright, e == 0 lets it through at
+full damage, and anything between mitigates damage to (1 - e) x intensity x
+base damage for the kind. ``resolve_attack`` is one branch-free expression,
+so a single window and a whole run of windows take the same path.
+The default matrix is built from per-kind tier leverage: rate limiting
+against volumetric floods, the firewall against scans, injections, and
+credential stuffing, and isolation against data exfiltration.
 """
 
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import ConfigError, InputError
 from .policy import (
@@ -28,25 +32,26 @@ from .policy import (
 )
 from .telemetry import LABELS
 
-# damage units dealt by a full-intensity, unmitigated attack window
-BASE_DAMAGE = {
-    "benign": 0.0,
-    "ddos": 10.0,
-    "sql_injection": 8.0,
-    "port_scan": 3.0,
-    "brute_force": 5.0,
-    "data_exfiltration": 12.0,
-}
+# damage units dealt by a full-intensity, unmitigated attack window, by
+# label id: benign, ddos, sql_injection, port_scan, brute_force,
+# data_exfiltration
+BASE_DAMAGE = np.array([0.0, 10.0, 8.0, 3.0, 5.0, 12.0])
 
-# per-kind (firewall, rate_limit, isolation) leverage in the default matrix
-_TIER_WEIGHTS = {
-    "benign": (0.0, 0.0, 0.0),
-    "ddos": (0.25, 0.85, 0.30),
-    "sql_injection": (0.85, 0.25, 0.30),
-    "port_scan": (0.90, 0.30, 0.20),
-    "brute_force": (0.80, 0.40, 0.25),
-    "data_exfiltration": (0.30, 0.20, 0.95),
-}
+# per-kind (firewall, rate_limit, isolation) leverage in the default matrix,
+# by label id
+_TIER_WEIGHTS = np.array([
+    (0.0, 0.0, 0.0),
+    (0.25, 0.85, 0.30),
+    (0.85, 0.25, 0.30),
+    (0.90, 0.30, 0.20),
+    (0.80, 0.40, 0.25),
+    (0.30, 0.20, 0.95),
+])
+
+# how enforcement left a window, indexed by the outcome code resolve_attack
+# returns; "none" is a window with no attack
+OUTCOMES = ("none", "passed", "mitigated", "blocked")
+BLOCKED = OUTCOMES.index("blocked")
 
 
 @dataclass
@@ -87,107 +92,59 @@ def apply_action(state: DefenseState, action_id: int,
     return state, (time.perf_counter() - started) * 1000.0
 
 
-class EffectivenessMatrix:
-    """Complete (kind x tier combination) -> effectiveness lookup.
+def validate_matrix(table) -> np.ndarray:
+    """Check an effectiveness table and return it as a read-only array.
 
-    Construction validates the table: every declared kind must cover every
-    tier combination, values must lie in [0, 1], and raising any single tier
+    The table is ``[len(LABELS), FIREWALL_TIERS, RATE_LIMIT_TIERS,
+    ISOLATION_TIERS]``: one coverage fraction per (label id, tier
+    combination). Values must lie in [0, 1], and raising any single tier
     must never lower effectiveness.
     """
-
-    def __init__(self, table: dict):
-        self.kinds = tuple(sorted({k for k, _, _, _ in table}))
-        self._table = dict(table)
-        self._validate()
-
-    def _validate(self):
-        if not self.kinds:
-            raise InputError("effectiveness matrix is empty")
-        combos = [(f, r, i)
-                  for f in range(FIREWALL_TIERS)
-                  for r in range(RATE_LIMIT_TIERS)
-                  for i in range(ISOLATION_TIERS)]
-        expected = {(k, f, r, i) for k in self.kinds for f, r, i in combos}
-        have = set(self._table)
-        if have != expected:
-            missing = sorted(expected - have)[:3]
-            extra = sorted(have - expected)[:3]
-            raise InputError(
-                f"effectiveness matrix must cover every tier combination per "
-                f"kind; missing {missing}, unexpected {extra}"
-            )
-        for key, e in self._table.items():
-            if not 0.0 <= e <= 1.0:
-                raise InputError(f"effectiveness {e} for {key} outside [0, 1]")
-        bumps = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        limits = (FIREWALL_TIERS, RATE_LIMIT_TIERS, ISOLATION_TIERS)
-        for k, f, r, i in self._table:
-            for (df, dr, di) in bumps:
-                nf, nr, ni = f + df, r + dr, i + di
-                if nf < limits[0] and nr < limits[1] and ni < limits[2]:
-                    if self._table[(k, nf, nr, ni)] < self._table[(k, f, r, i)]:
-                        raise InputError(
-                            f"effectiveness for {k} decreases from tiers "
-                            f"({f},{r},{i}) to ({nf},{nr},{ni})"
-                        )
-
-    def effectiveness(self, kind: str, fw: int, rl: int, iso: int) -> float:
-        try:
-            return self._table[(kind, fw, rl, iso)]
-        except KeyError:
-            raise InputError(
-                f"no effectiveness entry for kind {kind!r} at tiers "
-                f"({fw}, {rl}, {iso})"
-            ) from None
+    table = np.array(table, dtype=np.float64)
+    shape = (len(LABELS), FIREWALL_TIERS, RATE_LIMIT_TIERS, ISOLATION_TIERS)
+    if table.shape != shape:
+        raise InputError(f"effectiveness matrix must cover every tier "
+                         f"combination per kind: shape {shape}, got {table.shape}")
+    outside = (table < 0.0) | (table > 1.0) | np.isnan(table)
+    if outside.any():
+        at = tuple(int(v) for v in np.argwhere(outside)[0])
+        raise InputError(f"effectiveness {table[at]} at {at} outside [0, 1]")
+    for axis, name in ((1, "firewall"), (2, "rate-limit"), (3, "isolation")):
+        falls = np.diff(table, axis=axis) < 0
+        if falls.any():
+            at = tuple(int(v) for v in np.argwhere(falls)[0])
+            raise InputError(f"effectiveness for {LABELS[at[0]]} decreases "
+                             f"along the {name} tier at {at[1:]}")
+    table.flags.writeable = False
+    return table
 
 
-@dataclass(frozen=True)
-class AttackOutcome:
-    """What enforcement did to one attack: verdict, coverage, residual damage."""
+def resolve_attack(kind, intensity, coverage):
+    """Outcome codes and residual damage of attacks at a coverage e.
 
-    verdict: str  # "blocked", "mitigated", or "passed"
-    effectiveness: float
-    damage: float
-
-
-def resolve_attack(kind: str, intensity: float, tiers: tuple[int, int, int],
-                   matrix: EffectivenessMatrix,
-                   base_damage: dict | None = None) -> AttackOutcome:
-    """Outcome of one attack burst against (firewall, rate-limit, isolation) tiers.
-
-    Full coverage (e >= 1) blocks: zero damage. Zero coverage passes the
-    attack at intensity x base damage. Partial coverage mitigates, scaling
-    damage by (1 - e).
+    ``kind`` holds label ids, ``coverage`` the matrix entries of the
+    postures met; scalars and broadcastable arrays alike. Damage is
+    (1 - e) x intensity x base damage: full coverage (e >= 1) blocks at
+    zero damage, zero coverage passes the attack at full damage, anything
+    between mitigates. The code indexes OUTCOMES; a benign kind or zero
+    intensity is "none".
     """
-    base_damage = BASE_DAMAGE if base_damage is None else base_damage
-    e = matrix.effectiveness(kind, *tiers)
-    try:
-        base = base_damage[kind]
-    except KeyError:
-        raise InputError(f"no base damage for attack kind {kind!r}") from None
-    if e >= 1.0:
-        return AttackOutcome(verdict="blocked", effectiveness=e, damage=0.0)
-    if e <= 0.0:
-        return AttackOutcome(verdict="passed", effectiveness=e,
-                             damage=intensity * base)
-    return AttackOutcome(verdict="mitigated", effectiveness=e,
-                         damage=(1.0 - e) * intensity * base)
+    damage = (1.0 - coverage) * intensity * BASE_DAMAGE[kind]
+    code = (intensity > 0) * (kind != 0) * (1 + (coverage > 0) + (coverage >= 1))
+    return code, damage
 
 
 @lru_cache(maxsize=1)
-def default_matrix() -> EffectivenessMatrix:
+def default_matrix() -> np.ndarray:
     """Parametric default: per-kind tier leverage, saturating at full coverage."""
-    table = {}
-    for kind in LABELS:
-        wf, wr, wi = _TIER_WEIGHTS[kind]
-        for f in range(FIREWALL_TIERS):
-            for r in range(RATE_LIMIT_TIERS):
-                for i in range(ISOLATION_TIERS):
-                    raw = (wf * f / (FIREWALL_TIERS - 1)
-                           + wr * r / (RATE_LIMIT_TIERS - 1)
-                           + wi * i / (ISOLATION_TIERS - 1))
-                    table[(kind, f, r, i)] = min(1.0, raw)
-    return EffectivenessMatrix(table)
+    wf, wr, wi = (w[:, None, None, None] for w in _TIER_WEIGHTS.T)
+    f = np.arange(FIREWALL_TIERS)[:, None, None]
+    r = np.arange(RATE_LIMIT_TIERS)[:, None]
+    i = np.arange(ISOLATION_TIERS)
+    raw = (wf * f / (FIREWALL_TIERS - 1)
+           + wr * r / (RATE_LIMIT_TIERS - 1)
+           + wi * i / (ISOLATION_TIERS - 1))
+    return validate_matrix(np.minimum(1.0, raw))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ from the defense tiers themselves under load. The block bonus defaults high
 enough that blocking an attack nets a positive reward; with zero-initialized
 tables that keeps never-tried actions from outranking known-good ones.
 
+Damage comes from ``enforce_window``, one array expression over catalog
+action ids: the attack damage ``resolve_attack`` gives at the action's
+coverage of the window's kind, plus collateral load x the action's summed
+tier friction x the damage of one fully disrupted window. A step calls it on
+scalars; a whole run under one action is a single call on arrays.
+
 Episodes draw from dedicated counter-based substreams (seed, episode index),
 so an episode's windows do not depend on how earlier episodes were played.
 """
@@ -18,14 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .enforcement import EffectivenessMatrix, default_matrix, resolve_attack
-from .errors import ConfigError, EnvironmentFault, InputError
+from .enforcement import BLOCKED, default_matrix, resolve_attack
+from .errors import ConfigError, EnvironmentFault
 from .perception import DEFAULT_SEVERITY
 from .policy import (
     Action,
-    FIREWALL_TIERS,
-    ISOLATION_TIERS,
-    RATE_LIMIT_TIERS,
     PolicyTrainConfig,
     build_action_catalog,
     compose_indicators,
@@ -46,78 +49,46 @@ _LOAD_RANGES = {
 }
 
 
-@dataclass(frozen=True)
-class CollateralModel:
-    """Service disruption caused by the defense itself, scaled by load.
+# fraction of legitimate traffic each tier degrades; collateral damage is
+# load x the action's summed friction x the damage value of one
+# fully-disrupted window
+FIREWALL_FRICTION = (0.0, 0.02, 0.05, 0.10, 0.18)
+RATE_LIMIT_FRICTION = (0.0, 0.03, 0.08, 0.16, 0.28)
+ISOLATION_FRICTION = (0.0, 0.12, 0.30)
+DISRUPTION_DAMAGE = 4.0
 
-    Friction values are the fraction of legitimate traffic degraded at each
-    tier; collateral damage is load x total friction x the damage value of
-    one fully-disrupted window.
+# per action id of the catalog: its summed friction, and the default
+# matrix's coverage of each label id under its tiers ([len(LABELS), n])
+_CATALOG = build_action_catalog()
+ACTION_FRICTION = np.array([
+    FIREWALL_FRICTION[a.firewall_tier] + RATE_LIMIT_FRICTION[a.rate_limit_tier]
+    + ISOLATION_FRICTION[a.isolation_tier] for a in _CATALOG])
+ACTION_COVERAGE = default_matrix()[
+    :, [a.firewall_tier for a in _CATALOG], [a.rate_limit_tier for a in _CATALOG],
+    [a.isolation_tier for a in _CATALOG]]
+
+
+def enforce_window(action_ids, kind_ids, intensity, load):
+    """Resolve windows under catalog actions: (outcome code, attack damage,
+    collateral damage).
+
+    Scalars give one window; arrays broadcast, so one call scores a whole
+    run under one action. Loads must lie in [0, 1] (fixed_action_damage
+    checks the ones it is given).
     """
-
-    firewall_friction: tuple = (0.0, 0.02, 0.05, 0.10, 0.18)
-    rate_limit_friction: tuple = (0.0, 0.03, 0.08, 0.16, 0.28)
-    isolation_friction: tuple = (0.0, 0.12, 0.30)
-    benign_damage_unit: float = 4.0
-
-    def __post_init__(self):
-        tables = (
-            (self.firewall_friction, FIREWALL_TIERS, "firewall"),
-            (self.rate_limit_friction, RATE_LIMIT_TIERS, "rate-limit"),
-            (self.isolation_friction, ISOLATION_TIERS, "isolation"),
-        )
-        for values, count, name in tables:
-            if len(values) != count:
-                raise ConfigError(f"{name} friction needs {count} entries")
-            if list(values) != sorted(values) or values[0] != 0.0:
-                raise ConfigError(f"{name} friction must start at 0 and not decrease")
-        if self.benign_damage_unit < 0:
-            raise ConfigError("benign_damage_unit cannot be negative")
-
-    def collateral(self, fw: int, rl: int, iso: int, load: float) -> float:
-        if not 0.0 <= load <= 1.0:
-            raise InputError(f"load must be in [0, 1], got {load}")
-        friction = (self.firewall_friction[fw] + self.rate_limit_friction[rl]
-                    + self.isolation_friction[iso])
-        return load * friction * self.benign_damage_unit
+    code, damage = resolve_attack(kind_ids, intensity,
+                                  ACTION_COVERAGE[kind_ids, action_ids])
+    return code, damage, load * ACTION_FRICTION[action_ids] * DISRUPTION_DAMAGE
 
 
-@dataclass(frozen=True)
-class WindowOutcome:
-    """Damage accounting for one enforced window."""
-
-    attack_damage: float
-    collateral_damage: float
-    blocked: bool
-    verdict: str  # "none" for windows with no attack
-
-    @property
-    def total_damage(self) -> float:
-        return self.attack_damage + self.collateral_damage
-
-
-def enforce_window(action: Action, kind: str, intensity: float, load: float,
-                   matrix: EffectivenessMatrix,
-                   collateral: CollateralModel) -> WindowOutcome:
-    """Resolve one window under the action's tiers, counting both damages."""
-    tiers = (action.firewall_tier, action.rate_limit_tier, action.isolation_tier)
-    coll = collateral.collateral(*tiers, load)
-    if kind == "benign" or intensity <= 0.0:
-        return WindowOutcome(attack_damage=0.0, collateral_damage=coll,
-                             blocked=False, verdict="none")
-    out = resolve_attack(kind, intensity, tiers, matrix)
-    return WindowOutcome(attack_damage=out.damage, collateral_damage=coll,
-                         blocked=out.verdict == "blocked", verdict=out.verdict)
-
-
-def reward_for(outcome: WindowOutcome, action: Action,
+def reward_for(code, attack_damage, collateral_damage, action: Action,
                cost_weight: float = 0.1, block_bonus: float = 2.5) -> float:
     """r = -(attack + collateral damage) - lambda * cost + bonus if blocked."""
-    reward = -(outcome.attack_damage + outcome.collateral_damage)
+    reward = -(attack_damage + collateral_damage)
     reward -= cost_weight * action.cost
-    if outcome.blocked:
+    if code == BLOCKED:
         reward += block_bonus
-    return reward
+    return float(reward)
 
 
 @dataclass(frozen=True)
@@ -146,7 +117,7 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class _StepContext:
-    kind: str
+    kind: int  # label id
     intensity: float
     load: float
     probs: np.ndarray
@@ -159,9 +130,7 @@ class DefenseEnv:
 
     def __init__(self, cfg: EnvConfig | None = None):
         self.cfg = cfg or EnvConfig()
-        self.catalog = build_action_catalog()
-        self.matrix = default_matrix()
-        self.collateral = CollateralModel()
+        self.catalog = _CATALOG
         self._episode = -1
         self._steps = 0
         self._context: _StepContext | None = None
@@ -186,10 +155,10 @@ class DefenseEnv:
             raise EnvironmentFault("episode is terminal; call reset")
         action = get_action(self.catalog, action_id)
         ctx = self._context
-        outcome = enforce_window(action, ctx.kind, ctx.intensity, ctx.load,
-                                 self.matrix, self.collateral)
-        reward = reward_for(outcome, action, self.cfg.cost_weight,
-                            self.cfg.block_bonus)
+        code, attack, collateral = enforce_window(action_id, ctx.kind,
+                                                  ctx.intensity, ctx.load)
+        reward = reward_for(code, attack, collateral, action,
+                            self.cfg.cost_weight, self.cfg.block_bonus)
         self._steps += 1
         terminal = self._steps >= self.cfg.episode_len
         if not terminal:
@@ -199,13 +168,13 @@ class DefenseEnv:
     def _sample_context(self, last_action_norm: float) -> _StepContext:
         rng = self._rng
         if rng.random() < self.cfg.benign_share:
-            kind = "benign"
+            kind = 0
             intensity = 0.0
         else:
-            kind = ATTACK_KINDS[int(rng.integers(len(ATTACK_KINDS)))]
+            kind = 1 + int(rng.integers(len(ATTACK_KINDS)))  # attack label id
             intensity = float(rng.uniform(*self.cfg.intensity_range))
-        load = float(rng.uniform(*_LOAD_RANGES[kind]))
-        perceived = LABELS.index(kind)
+        load = float(rng.uniform(*_LOAD_RANGES[LABELS[kind]]))
+        perceived = kind
         if rng.random() < self.cfg.misperception:
             others = [i for i in range(len(LABELS)) if i != perceived]
             perceived = others[int(rng.integers(len(others)))]

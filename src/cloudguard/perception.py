@@ -1,4 +1,4 @@
-"""Multi-source threat perception: attention fusion, leveling, forecasting.
+"""Multi-source threat perception: attention fusion and threat leveling.
 
 Three sources (traffic, logs, behavior) are embedded from slices of the
 feature vector by seeded linear maps, then fused by dot-product attention:
@@ -7,8 +7,7 @@ and the fused context is the weighted sum. The temporal segment carries the
 per-bin log activity counts, so it stands in as the log source's input.
 
 A verdict plus fused context maps to a five-level threat score; levels group
-into bands (1 low, 2-3 medium, 4-5 high). Trend forecasting fits an ordinary
-least-squares line plus per-phase seasonal mean residuals.
+into bands (1 low, 2-3 medium, 4-5 high).
 """
 
 from dataclasses import dataclass
@@ -205,13 +204,6 @@ def level_for_score(score: float) -> ThreatLevel:
     return ThreatLevel(level=level)
 
 
-def assess_threat_level(verdict, fused_context: float,
-                        severity: dict[str, float] | None = None,
-                        classes: tuple[str, ...] = LABELS) -> ThreatLevel:
-    """Five-level assessment of one verdict in its fused context."""
-    return level_for_score(threat_score(verdict, fused_context, severity, classes))
-
-
 @dataclass(frozen=True)
 class ThreatDistribution:
     """Fraction of assessed events per band."""
@@ -237,70 +229,3 @@ def summarize_threats(levels: list[ThreatLevel]) -> ThreatDistribution:
     return ThreatDistribution(
         fractions={band: counts[band] / total for band in BANDS}
     )
-
-
-@dataclass(frozen=True)
-class TrendForecast:
-    """OLS trend plus seasonal mean residuals, projected ``horizon`` steps."""
-
-    horizon: int
-    predictions: np.ndarray
-    intercept: float
-    slope: float
-    seasonal: np.ndarray
-    period: int
-
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "predictions": [float(v) for v in self.predictions],
-            "intercept": self.intercept,
-            "slope": self.slope,
-            "seasonal": [float(v) for v in self.seasonal],
-            "period": self.period,
-        }
-
-
-def forecast_trend(series, horizon: int, period: int = 1) -> TrendForecast:
-    """Deterministic trend forecast of per-interval threat counts.
-
-    Fits y = a + b t by least squares (closed-form normal equations), adds
-    the mean residual of each seasonal phase (t mod period), and clamps
-    projections at zero since threat rates cannot be negative.
-    """
-    y = np.asarray(series, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] < 4:
-        raise InputError("series must be one-dimensional with at least 4 points")
-    if not np.isfinite(y).all():
-        raise InputError("series contains non-finite values")
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
-    n = y.shape[0]
-    if not 1 <= period <= n // 2:
-        raise InputError(f"period must lie in [1, {n // 2}] for {n} points")
-    t = np.arange(n, dtype=np.float64)
-    t_mean = t.mean()
-    y_mean = y.mean()
-    var = float(((t - t_mean) ** 2).sum())
-    slope = float(((t - t_mean) * (y - y_mean)).sum() / var)
-    intercept = float(y_mean - slope * t_mean)
-    residuals = y - (intercept + slope * t)
-    seasonal = np.array([residuals[np.arange(n) % period == k].mean()
-                         for k in range(period)])
-    future = np.arange(n, n + horizon, dtype=np.float64)
-    raw = intercept + slope * future + seasonal[(np.arange(n, n + horizon) % period)]
-    return TrendForecast(
-        horizon=horizon,
-        predictions=np.maximum(raw, 0.0),
-        intercept=intercept,
-        slope=slope,
-        seasonal=seasonal,
-        period=period,
-    )
-
-
-def fitted_values(forecast: TrendForecast, n: int) -> np.ndarray:
-    """In-sample fit of the model that produced ``forecast`` (unclamped)."""
-    t = np.arange(n, dtype=np.float64)
-    return forecast.intercept + forecast.slope * t \
-        + forecast.seasonal[np.arange(n) % forecast.period]

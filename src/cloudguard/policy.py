@@ -6,8 +6,8 @@ tiers. They pack into a single integer state key by little-endian mixed-radix
 encoding. A fixed catalog of defense actions combines firewall, rate-limit,
 and isolation tiers; burst and sustained presets reuse the aggressive tier
 combinations at scaled cost. Two Q tables are trained with the double
-estimator update, and tables are stored sparsely so unvisited states read as
-zero without being materialized.
+estimator update. The tables are dense arrays over every state key and
+action, zero until trained, so an unvisited state reads as zero.
 """
 
 import csv
@@ -87,10 +87,15 @@ def encode_state(buckets) -> int:
     return key
 
 
+def _check_state(state: int) -> None:
+    # a negative key would silently index a row from the end
+    if not 0 <= state < N_STATES:
+        raise InputError(f"state key {state} outside [0, {N_STATES})")
+
+
 def decode_state(key: int) -> tuple[int, ...]:
     """Inverse of encode_state: the per-axis bucket tuple."""
-    if not 0 <= key < N_STATES:
-        raise InputError(f"state key {key} outside [0, {N_STATES})")
+    _check_state(key)
     buckets = []
     for radix in STATE_RADICES:
         buckets.append(key % radix)
@@ -146,45 +151,30 @@ def get_action(catalog: tuple[Action, ...], action_id: int) -> Action:
 
 
 class DoubleQTables:
-    """Sparse pair of Q tables plus visit counts.
+    """Dense pair of Q tables plus visit counts over every state key.
 
-    Rows materialize only when written; reads of unvisited states return
-    zeros. ``row_a``/``row_b``/``combined`` are read-only views in spirit:
-    callers must not mutate the arrays they return.
+    ``q_a`` and ``q_b`` are ``[N_STATES, n_actions]`` float64 and ``visits``
+    the matching int64 counts, all zero until trained; a row is indexed by
+    state key. Zero pages are only mapped when first written, so the rows a
+    run never visits cost no memory.
     """
 
     def __init__(self, n_actions: int):
         if n_actions < 0:
             raise ConfigError(f"n_actions must be >= 0, got {n_actions}")
         self.n_actions = n_actions
-        self.q_a: dict[int, np.ndarray] = {}
-        self.q_b: dict[int, np.ndarray] = {}
-        self.visits: dict[int, np.ndarray] = {}
-
-    def row_a(self, state: int) -> np.ndarray:
-        row = self.q_a.get(state)
-        return np.zeros(self.n_actions) if row is None else row
-
-    def row_b(self, state: int) -> np.ndarray:
-        row = self.q_b.get(state)
-        return np.zeros(self.n_actions) if row is None else row
+        self.q_a = np.zeros((N_STATES, n_actions))
+        self.q_b = np.zeros((N_STATES, n_actions))
+        self.visits = np.zeros((N_STATES, n_actions), dtype=np.int64)
 
     def combined(self, state: int) -> np.ndarray:
-        return self.row_a(state) + self.row_b(state)
-
-    def visit_count(self, state: int, action: int) -> int:
-        row = self.visits.get(state)
-        return 0 if row is None else int(row[action])
+        return self.q_a[state] + self.q_b[state]
 
     def states(self) -> list[int]:
-        return sorted(set(self.q_a) | set(self.q_b) | set(self.visits))
-
-    def _writable(self, table: dict, state: int, dtype=np.float64) -> np.ndarray:
-        row = table.get(state)
-        if row is None:
-            row = np.zeros(self.n_actions, dtype=dtype)
-            table[state] = row
-        return row
+        """State keys whose row holds any non-zero value or visit, ascending."""
+        touched = self.q_a.any(axis=1) | self.q_b.any(axis=1) \
+            | self.visits.any(axis=1)
+        return np.flatnonzero(touched).tolist()
 
 
 @dataclass(frozen=True)
@@ -212,6 +202,7 @@ def select_action(tables: DoubleQTables, state: int, epsilon: float,
             raise ConfigError("exploration (epsilon > 0) requires a generator")
         if rng.random() < epsilon:
             return int(rng.integers(tables.n_actions))
+    _check_state(state)
     return int(np.argmax(tables.combined(state)))
 
 
@@ -229,21 +220,19 @@ def double_q_update(tables: DoubleQTables, t: Transition, alpha: float,
         raise ConfigError(f"gamma must be in [0, 1), got {gamma}")
     if not 0 <= t.action < tables.n_actions:
         raise CatalogError(f"action id {t.action} outside catalog of {tables.n_actions}")
+    _check_state(t.state)
+    _check_state(t.next_state)
     update_a = bool(rng.random() < 0.5)
-    if update_a:
-        chosen_next, other_next = tables.row_a(t.next_state), tables.row_b(t.next_state)
-        row = tables._writable(tables.q_a, t.state)
-    else:
-        chosen_next, other_next = tables.row_b(t.next_state), tables.row_a(t.next_state)
-        row = tables._writable(tables.q_b, t.state)
+    table, other = (tables.q_a, tables.q_b) if update_a \
+        else (tables.q_b, tables.q_a)
     if t.terminal:
         target = t.reward
     else:
-        a_star = int(np.argmax(chosen_next))
-        target = t.reward + gamma * float(other_next[a_star])
-    row[t.action] += alpha * (target - row[t.action])
-    tables._writable(tables.visits, t.state, dtype=np.int64)[t.action] += 1
-    return float(row[t.action])
+        a_star = int(np.argmax(table[t.next_state]))
+        target = t.reward + gamma * float(other[t.next_state, a_star])
+    table[t.state, t.action] += alpha * (target - table[t.state, t.action])
+    tables.visits[t.state, t.action] += 1
+    return float(table[t.state, t.action])
 
 
 @dataclass(frozen=True)
@@ -343,7 +332,7 @@ def train_policy(env, cfg: PolicyTrainConfig) -> tuple[DoubleQTables, Convergenc
 
 
 def greedy_policy(tables: DoubleQTables, states=None) -> dict[int, int]:
-    """Greedy action per state (defaults to every materialized state)."""
+    """Greedy action per state (defaults to every touched state)."""
     if states is None:
         states = tables.states()
     return {s: select_action(tables, s, 0.0) for s in states}
@@ -359,15 +348,13 @@ def save_qtables(path, tables: DoubleQTables) -> None:
     Floats are written with repr so a reload is bit-exact.
     """
     lines = [_QT_MAGIC, f"n_actions={tables.n_actions}", _QT_HEADER]
-    for state in tables.states():
-        qa, qb = tables.row_a(state), tables.row_b(state)
-        vis = tables.visits.get(state)
-        for action in range(tables.n_actions):
-            v = 0 if vis is None else int(vis[action])
-            if qa[action] == 0.0 and qb[action] == 0.0 and v == 0:
-                continue
-            lines.append(
-                f"{state},{action},{float(qa[action])!r},{float(qb[action])!r},{v}")
+    touched = (tables.q_a != 0.0) | (tables.q_b != 0.0) | (tables.visits != 0)
+    states, actions = np.nonzero(touched)
+    for s, a, qa, qb, v in zip(states.tolist(), actions.tolist(),
+                               tables.q_a[touched].tolist(),
+                               tables.q_b[touched].tolist(),
+                               tables.visits[touched].tolist()):
+        lines.append(f"{s},{a},{qa!r},{qb!r},{v}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -402,14 +389,11 @@ def load_qtables(path) -> DoubleQTables:
             raise CheckpointError(f"state id {state} outside [0, {N_STATES})")
         if not 0 <= action < n_actions:
             raise CheckpointError(f"action id {action} outside catalog of {n_actions}")
-        if visits < 0:
-            raise CheckpointError(f"negative visit count in row: {ln!r}")
-        if qa != 0.0:
-            tables._writable(tables.q_a, state)[action] = qa
-        if qb != 0.0:
-            tables._writable(tables.q_b, state)[action] = qb
-        if visits != 0:
-            tables._writable(tables.visits, state, dtype=np.int64)[action] = visits
+        if not 0 <= visits <= np.iinfo(np.int64).max:
+            raise CheckpointError(f"visit count outside int64 range in row: {ln!r}")
+        tables.q_a[state, action] = qa
+        tables.q_b[state, action] = qb
+        tables.visits[state, action] = visits
     return tables
 
 

@@ -13,8 +13,8 @@ featurizes every window, then classifies them all in one batched call:
 ``classify_series`` for a network, ``RuleBasedDetector.classify_batch`` for
 the packaged rules and for accept-all, which is the rule detector with no
 rules. The response walk is sequential because each decision feeds the next
-state's recent-action signal, but it is dictionary lookups and arithmetic,
-far cheaper than the network forward.
+state's recent-action signal, but it is table lookups and arithmetic, far
+cheaper than the network forward.
 """
 
 import dataclasses
@@ -29,9 +29,8 @@ import numpy as np
 from .baseline import RuleBasedDetector, default_rules
 from .detector import (DEFAULT_THRESHOLD, DetectionMetrics, classify_series,
                        load_detector)
-from .enforcement import (DefenseState, LatencyBreakdown, apply_action,
-                          default_matrix)
-from .environment import CollateralModel, enforce_window
+from .enforcement import OUTCOMES, DefenseState, LatencyBreakdown, apply_action
+from .environment import enforce_window
 from .errors import (CheckpointError, ComparisonError, ConfigError,
                      FilesystemError, InputError)
 from .features import build_layout, extract_features, fit_normalizer, normalize
@@ -51,8 +50,7 @@ DEFAULT_DEADLINE_MS = 50.0
 BASELINE_DETECTOR = "baseline"
 ACCEPT_ALL_DETECTOR = "accept-all"
 
-# how enforcement left a window; "none" is a window with no attack
-OUTCOMES = ("blocked", "mitigated", "passed", "none")
+LABEL_IDS = {name: i for i, name in enumerate(LABELS)}
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +191,8 @@ class PipelineEvent:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineEvent":
         """Parse one event-log record; InputError on a missing field, a
-        value of the wrong type, or a label, outcome or threat level outside
-        its set."""
+        value of the wrong type, a NaN or infinite score, probability, damage
+        or latency, or a label, outcome or threat level outside its set."""
         try:
             timing = d["timing"]
             lat = timing["latency"]
@@ -208,24 +206,31 @@ class PipelineEvent:
                 truth=d["truth"],
                 predicted=d["predicted"],
                 confident=bool(d["confident"]),
-                max_probability=float(d["max_probability"]),
-                threat_score=float(d["threat_score"]),
+                max_probability=_finite(d, "max_probability"),
+                threat_score=_finite(d, "threat_score"),
                 threat_level=ThreatLevel(int(d["threat_level"])).level,
                 action_id=int(d["action_id"]),
                 outcome=d["outcome"],
-                attack_damage=float(d["attack_damage"]),
-                collateral_damage=float(d["collateral_damage"]),
+                attack_damage=_finite(d, "attack_damage"),
+                collateral_damage=_finite(d, "collateral_damage"),
                 latency=LatencyBreakdown(
-                    detection_ms=float(lat["detection_ms"]),
-                    policy_ms=float(lat["policy_ms"]),
-                    execution_ms=float(lat["execution_ms"]),
-                    total_ms=float(lat["total_ms"]),
+                    detection_ms=_finite(lat, "detection_ms"),
+                    policy_ms=_finite(lat, "policy_ms"),
+                    execution_ms=_finite(lat, "execution_ms"),
+                    total_ms=_finite(lat, "total_ms"),
                 ),
                 started_at=float(timing["started_at"]),
                 finished_at=float(timing["finished_at"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed pipeline event record: {exc}") from exc
+
+
+def _finite(record: dict, field: str) -> float:
+    value = float(record[field])
+    if not math.isfinite(value):
+        raise InputError(f"{field} must be finite, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +265,6 @@ class _Pipeline:
         self.config = config
         self.layout = build_layout()
         self.catalog = build_action_catalog()
-        self.matrix = default_matrix()
-        self.collateral = CollateralModel()
         self.neural = None
         self.rules = None
         if config.detector == BASELINE_DETECTOR:
@@ -325,11 +328,15 @@ def _window_load(window, benign_rate: float) -> float:
     return min(1.0, window.event_count / capacity) if capacity > 0 else 0.0
 
 
+def _window_kind(window) -> str:
+    return window.label or "benign"
+
+
 def window_truths(scenario: ScenarioConfig, windows) -> list[tuple[str, float, float]]:
     """(kind, intensity, load) per window, straight from ground truth."""
     out = []
     for win in windows:
-        kind = win.label or "benign"
+        kind = _window_kind(win)
         intensity = truth_intensity(scenario.attacks, win.start, win.end, kind) \
             if kind != "benign" else 0.0
         out.append((kind, intensity, _window_load(win, scenario.benign_rate)))
@@ -368,8 +375,8 @@ def _respond(pipe: _Pipeline, truths, verdicts, detect_ms,
         action = get_action(pipe.catalog, action_id)
         recent = action.tier_norm()
 
-        outcome = enforce_window(action, kind, intensity, load, pipe.matrix,
-                                 pipe.collateral)
+        code, attack, collateral = enforce_window(action_id, LABEL_IDS[kind],
+                                                  intensity, load)
         latency = LatencyBreakdown.from_parts(detect_ms[i], policy_ms,
                                               execution_ms)
         events.append(PipelineEvent(
@@ -381,9 +388,9 @@ def _respond(pipe: _Pipeline, truths, verdicts, detect_ms,
             threat_score=score,
             threat_level=level.level,
             action_id=action_id,
-            outcome=outcome.verdict,
-            attack_damage=outcome.attack_damage,
-            collateral_damage=outcome.collateral_damage,
+            outcome=OUTCOMES[code],
+            attack_damage=float(attack),
+            collateral_damage=float(collateral),
             latency=latency,
             started_at=started,
             finished_at=time.time(),
@@ -397,9 +404,8 @@ def _respond(pipe: _Pipeline, truths, verdicts, detect_ms,
 
 def metrics_from_events(events) -> DetectionMetrics:
     """Recount the confusion matrix and rates from an event log."""
-    index = {name: i for i, name in enumerate(LABELS)}
-    return DetectionMetrics.from_rows([index[ev.truth] for ev in events],
-                                      [index[ev.predicted] for ev in events],
+    return DetectionMetrics.from_rows([LABEL_IDS[ev.truth] for ev in events],
+                                      [LABEL_IDS[ev.predicted] for ev in events],
                                       [ev.confident for ev in events])
 
 
@@ -419,11 +425,12 @@ def _warning_latency(scenario: ScenarioConfig, events) -> dict:
     lags = []
     detected = 0
     bursts = _attack_burst_windows(scenario)
+    by_id = {ev.window_id: ev for ev in events}
     for first, last, _ in bursts:
         lag = None
-        for i in range(first, min(last + 1, len(events))):
-            ev = events[i]
-            if ev.confident and ev.predicted != "benign":
+        for i in range(first, last + 1):
+            ev = by_id.get(i)
+            if ev is not None and ev.confident and ev.predicted != "benign":
                 lag = i - first
                 break
         if lag is not None:
@@ -533,19 +540,41 @@ def run_simulation(config: SimConfig) -> tuple[SimulationReport, list[PipelineEv
     return build_report(config, events), events
 
 
+def evaluate_detection(config: SimConfig) -> DetectionMetrics:
+    """Detection metrics of the configured run, without its response walk."""
+    pipe = _Pipeline(config)
+    windows = generate_stream(config.resolved_scenario()).windows
+    verdicts, _, _ = _run_detection(pipe, windows, config.threshold)
+    return DetectionMetrics.from_rows(
+        [LABEL_IDS[_window_kind(win)] for win in windows],
+        [v.predicted for v in verdicts], [v.confident for v in verdicts])
+
+
 # ---------------------------------------------------------------------------
 # fixed-action evaluation (no detector in the loop)
 
 
 def fixed_action_damage(truths, action) -> float:
-    """Total damage if one action were enforced on every window."""
-    matrix = default_matrix()
-    collateral = CollateralModel()
-    total = 0.0
-    for kind, intensity, load in truths:
-        out = enforce_window(action, kind, intensity, load, matrix, collateral)
-        total += out.total_damage
-    return total
+    """Total damage if one action were enforced on every window.
+
+    ``truths`` holds (kind, intensity, load) per window, as window_truths
+    gives them; InputError on an unknown kind or a load outside [0, 1].
+    """
+    if not truths:
+        return 0.0
+    kinds, intensity, load = zip(*truths)
+    n = len(truths)
+    try:
+        kind_ids = np.fromiter(map(LABEL_IDS.__getitem__, kinds), np.intp, n)
+    except KeyError as exc:
+        raise InputError(f"unknown window kind {exc}") from None
+    load = np.fromiter(load, np.float64, n)
+    if not np.all((0.0 <= load) & (load <= 1.0)):
+        raise InputError("window loads must lie in [0, 1]")
+    _, attack, collateral = enforce_window(
+        action.action_id, kind_ids, np.fromiter(intensity, np.float64, n), load)
+    # cumsum adds in window order, as a running total would
+    return float(np.cumsum(attack + collateral)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +602,8 @@ def write_events(path: str, events) -> None:
 
 
 def read_events(path: str) -> list[PipelineEvent]:
+    """Parse an event log; InputError unless its window ids are
+    non-negative and strictly rising."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw_lines = [line for line in fh.read().splitlines() if line.strip()]
@@ -584,6 +615,13 @@ def read_events(path: str) -> list[PipelineEvent]:
             events.append(PipelineEvent.from_dict(json.loads(line)))
         except json.JSONDecodeError as exc:
             raise InputError(f"event log line is not valid JSON: {exc}") from exc
+        # a repeated or reordered window id means a damaged log; a missing
+        # window still loads, so a reader can count it per window
+        previous = events[-2].window_id if len(events) > 1 else -1
+        if events[-1].window_id <= previous:
+            raise InputError(f"event log line {len(events)} has window_id "
+                             f"{events[-1].window_id} after {previous}; ids "
+                             f"must rise from 0")
     return events
 
 

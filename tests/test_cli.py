@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from cloudguard import simulate
 from cloudguard.cli import main
 from cloudguard.scenario import ScenarioConfig, generate_stream
 from cloudguard.telemetry import read_stream_jsonl
@@ -236,6 +237,18 @@ def test_evaluate_detection_only(tmp_path, scenario_cfg, capsys):
     for row in per_class[1:]:
         _, p, r, f1, _ = row.split(",")
         assert all(v == repr(float(v)) for v in (p, r, f1))
+    capsys.readouterr()
+
+
+def test_evaluate_never_runs_the_response_walk(tmp_path, scenario_cfg,
+                                              capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate ran the response walk")
+
+    monkeypatch.setattr(simulate, "_respond", refuse)
+    assert main(["evaluate", "--config", scenario_cfg, "--out",
+                 str(tmp_path / "eval")]) == 0
+    assert (tmp_path / "eval" / "evaluation.json").exists()
     capsys.readouterr()
 
 

@@ -1,17 +1,17 @@
-"""Defense posture, effectiveness lookup, and attack resolution."""
+"""Defense posture, effectiveness matrix, and attack resolution."""
 
 import numpy as np
 import pytest
 
 from cloudguard.enforcement import (
     BASE_DAMAGE,
-    AttackOutcome,
+    OUTCOMES,
     DefenseState,
-    EffectivenessMatrix,
     LatencyBreakdown,
     apply_action,
     default_matrix,
     resolve_attack,
+    validate_matrix,
 )
 from cloudguard.errors import CatalogError, ConfigError, InputError
 from cloudguard.policy import build_action_catalog, get_action
@@ -19,15 +19,15 @@ from cloudguard.telemetry import LABELS
 
 CATALOG = build_action_catalog()
 
-ALL_COMBOS = [(f, r, i) for f in range(5) for r in range(5) for i in range(3)]
-
-
-def flat_matrix(kind: str, e: float) -> EffectivenessMatrix:
-    """Single-kind matrix with the same effectiveness everywhere."""
-    return EffectivenessMatrix({(kind, f, r, i): e for f, r, i in ALL_COMBOS})
-
-
+SHAPE = (len(LABELS), 5, 5, 3)
+DDOS = LABELS.index("ddos")
 OPEN = (0, 0, 0)
+
+
+def resolve(kind: str, intensity: float, e: float) -> tuple[str, float]:
+    """(outcome name, damage) of one attack at coverage e."""
+    code, damage = resolve_attack(LABELS.index(kind), intensity, e)
+    return OUTCOMES[code], damage
 
 
 def action_with(fw, rl, iso):
@@ -91,122 +91,122 @@ class TestApplyAction:
 
 class TestMatrixValidation:
     def test_missing_combination_rejected(self):
-        table = {("ddos", f, r, i): 0.5 for f, r, i in ALL_COMBOS}
-        del table[("ddos", 2, 2, 1)]
-        with pytest.raises(InputError, match="every tier combination"):
-            EffectivenessMatrix(table)
+        for shape in ((6, 5, 5, 2), (5, 5, 5, 3), (6, 75)):
+            with pytest.raises(InputError, match="every tier combination"):
+                validate_matrix(np.full(shape, 0.5))
 
     def test_out_of_range_effectiveness_rejected(self):
-        table = {("ddos", f, r, i): 0.5 for f, r, i in ALL_COMBOS}
-        table[("ddos", 1, 1, 1)] = 1.2
-        with pytest.raises(InputError, match="outside"):
-            EffectivenessMatrix(table)
+        for bad in (1.2, -0.1, np.nan):
+            table = np.full(SHAPE, 0.5)
+            table[DDOS, 1, 1, 1] = bad
+            with pytest.raises(InputError, match="outside"):
+                validate_matrix(table)
 
     def test_monotonicity_violation_rejected(self):
-        table = {("ddos", f, r, i): f / 8 for f, r, i in ALL_COMBOS}
-        table[("ddos", 3, 0, 0)] = 0.1  # below the tier-2 value of 0.25
+        table = np.broadcast_to(np.arange(5)[:, None, None] / 8, SHAPE).copy()
+        validate_matrix(table)
+        table[DDOS, 3, 0, 0] = 0.1  # below the tier-2 value of 0.25
         with pytest.raises(InputError, match="decreases"):
-            EffectivenessMatrix(table)
+            validate_matrix(table)
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(InputError):
-            EffectivenessMatrix({})
+        for empty in ([], np.zeros((0, 5, 5, 3))):
+            with pytest.raises(InputError):
+                validate_matrix(empty)
 
     def test_unknown_kind_lookup(self):
-        m = flat_matrix("ddos", 0.5)
-        with pytest.raises(InputError):
-            m.effectiveness("port_scan", 0, 0, 0)
+        # label ids index the tables; an id past the label set cannot resolve
+        with pytest.raises(IndexError):
+            resolve_attack(len(LABELS), 1.0, 0.5)
+        with pytest.raises(IndexError):
+            default_matrix()[len(LABELS), 0, 0, 0]
+
+    def test_validated_matrix_is_read_only(self):
+        table = validate_matrix(np.full(SHAPE, 0.5))
+        with pytest.raises(ValueError):
+            table[DDOS, 0, 0, 0] = 0.9
 
 
 class TestResolveAttack:
     def test_partial_coverage_mitigates(self):
         # e = 0.75 against a full-intensity flood leaves a quarter of the
         # base damage: 0.25 * 10 = 2.5
-        m = flat_matrix("ddos", 0.75)
-        out = resolve_attack("ddos", 1.0, OPEN, m)
-        assert out.verdict == "mitigated"
-        assert out.damage == pytest.approx(0.25 * BASE_DAMAGE["ddos"])
+        verdict, damage = resolve("ddos", 1.0, 0.75)
+        assert verdict == "mitigated"
+        assert damage == pytest.approx(0.25 * BASE_DAMAGE[DDOS])
 
     def test_full_coverage_blocks(self):
-        m = flat_matrix("ddos", 1.0)
-        out = resolve_attack("ddos", 0.9, OPEN, m)
-        assert out == AttackOutcome(verdict="blocked", effectiveness=1.0, damage=0.0)
+        assert resolve("ddos", 0.9, 1.0) == ("blocked", 0.0)
 
     def test_zero_coverage_passes_at_full_damage(self):
-        m = flat_matrix("data_exfiltration", 0.0)
-        out = resolve_attack("data_exfiltration", 0.6, OPEN, m)
-        assert out.verdict == "passed"
-        assert out.damage == pytest.approx(0.6 * BASE_DAMAGE["data_exfiltration"])
+        verdict, damage = resolve("data_exfiltration", 0.6, 0.0)
+        assert verdict == "passed"
+        assert damage == 0.6 * BASE_DAMAGE[LABELS.index("data_exfiltration")]
 
     def test_open_posture_passes_every_kind(self):
         m = default_matrix()
-        for kind in LABELS[1:]:
-            out = resolve_attack(kind, 1.0, OPEN, m)
-            assert out.verdict == "passed"
-            assert out.damage == pytest.approx(BASE_DAMAGE[kind])
+        for kind_id, kind in enumerate(LABELS[1:], start=1):
+            verdict, damage = resolve(kind, 1.0, m[(kind_id, *OPEN)])
+            assert verdict == "passed"
+            assert damage == BASE_DAMAGE[kind_id]
 
     def test_zero_intensity_deals_no_damage_under_any_verdict(self):
         for e in (0.0, 0.5, 1.0):
-            out = resolve_attack("ddos", 0.0, OPEN, flat_matrix("ddos", e))
-            assert out.damage == 0.0
+            assert resolve("ddos", 0.0, e) == ("none", 0.0)
 
     def test_damage_monotone_in_effectiveness(self):
-        damages = [
-            resolve_attack("sql_injection", 0.8, OPEN,
-                           flat_matrix("sql_injection", e)).damage
-            for e in np.linspace(0.0, 1.0, 11)
-        ]
+        grid = np.linspace(0.0, 1.0, 11)
+        codes, damages = resolve_attack(LABELS.index("sql_injection"), 0.8, grid)
         assert all(b <= a for a, b in zip(damages, damages[1:]))
+        # the array call is the scalar call, element by element
+        for e, code, damage in zip(grid, codes, damages):
+            assert resolve("sql_injection", 0.8, e) == (OUTCOMES[code], damage)
 
     def test_damage_linear_in_intensity(self):
-        m = flat_matrix("brute_force", 0.4)
-        lo = resolve_attack("brute_force", 0.3, OPEN, m)
-        hi = resolve_attack("brute_force", 0.9, OPEN, m)
-        assert hi.damage == pytest.approx(3.0 * lo.damage)
+        _, lo = resolve("brute_force", 0.3, 0.4)
+        _, hi = resolve("brute_force", 0.9, 0.4)
+        assert hi == pytest.approx(3.0 * lo)
 
     def test_effectiveness_follows_posture(self):
         m = default_matrix()
-        s = resolve_attack("ddos", 1.0, (0, 4, 0), m)
-        w = resolve_attack("ddos", 1.0, (0, 1, 0), m)
-        assert s.damage < w.damage
+        _, strong = resolve("ddos", 1.0, m[DDOS, 0, 4, 0])
+        _, weak = resolve("ddos", 1.0, m[DDOS, 0, 1, 0])
+        assert strong < weak
 
     def test_unknown_kind_in_base_damage(self):
-        m = flat_matrix("ddos", 0.5)
-        with pytest.raises(InputError):
-            resolve_attack("ddos", 1.0, OPEN, m, base_damage={})
+        # one base damage per label id; benign windows never deal damage
+        assert BASE_DAMAGE.shape == (len(LABELS),)
+        assert BASE_DAMAGE[0] == 0.0 and (BASE_DAMAGE[1:] > 0).all()
+        assert resolve("benign", 1.0, 0.0) == ("none", 0.0)
 
 
 class TestDefaultMatrix:
     def test_covers_every_kind_and_combo(self):
         m = default_matrix()
-        assert m.kinds == tuple(sorted(LABELS))
-        for kind in LABELS:
-            for f, r, i in ALL_COMBOS:
-                assert 0.0 <= m.effectiveness(kind, f, r, i) <= 1.0
+        assert m.shape == SHAPE
+        assert ((0.0 <= m) & (m <= 1.0)).all()
 
     def test_benign_is_never_actionable(self):
-        m = default_matrix()
-        for f, r, i in ALL_COMBOS:
-            assert m.effectiveness("benign", f, r, i) == 0.0
+        assert (default_matrix()[0] == 0.0).all()
 
     def test_posture_specialization(self):
         m = default_matrix()
         # rate limiting is the lever against floods
-        assert m.effectiveness("ddos", 0, 4, 0) > m.effectiveness("ddos", 4, 0, 0)
+        assert m[DDOS, 0, 4, 0] > m[DDOS, 4, 0, 0]
         # the firewall is the lever against scans, injection, brute force
         for kind in ("port_scan", "sql_injection", "brute_force"):
-            assert m.effectiveness(kind, 4, 0, 0) > m.effectiveness(kind, 0, 4, 0)
-            assert m.effectiveness(kind, 4, 0, 0) > m.effectiveness(kind, 0, 0, 2)
+            k = LABELS.index(kind)
+            assert m[k, 4, 0, 0] > m[k, 0, 4, 0]
+            assert m[k, 4, 0, 0] > m[k, 0, 0, 2]
         # isolation is the lever against exfiltration
-        exfil = "data_exfiltration"
-        assert m.effectiveness(exfil, 0, 0, 2) > m.effectiveness(exfil, 4, 0, 0)
-        assert m.effectiveness(exfil, 0, 0, 2) > m.effectiveness(exfil, 0, 4, 0)
+        exfil = LABELS.index("data_exfiltration")
+        assert m[exfil, 0, 0, 2] > m[exfil, 4, 0, 0]
+        assert m[exfil, 0, 0, 2] > m[exfil, 0, 4, 0]
 
     def test_maximum_posture_blocks_every_attack(self):
         m = default_matrix()
-        for kind in LABELS[1:]:
-            out = resolve_attack(kind, 1.0, (4, 4, 2), m)
-            assert out.verdict == "blocked", kind
+        for kind_id, kind in enumerate(LABELS[1:], start=1):
+            assert resolve(kind, 1.0, m[kind_id, 4, 4, 2])[0] == "blocked", kind
 
     def test_packaged_matrix_is_cached(self):
         assert default_matrix() is default_matrix()

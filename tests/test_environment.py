@@ -3,26 +3,32 @@
 import numpy as np
 import pytest
 
-from cloudguard.enforcement import BASE_DAMAGE, EffectivenessMatrix
+from cloudguard.enforcement import BASE_DAMAGE, BLOCKED, OUTCOMES
 from cloudguard.environment import (
-    CollateralModel,
+    ACTION_FRICTION,
+    FIREWALL_FRICTION,
+    ISOLATION_FRICTION,
+    RATE_LIMIT_FRICTION,
     DefenseEnv,
     EnvConfig,
-    WindowOutcome,
     defense_train_config,
     enforce_window,
     reward_for,
 )
 from cloudguard.errors import ConfigError, EnvironmentFault, InputError
 from cloudguard.policy import N_STATES, build_action_catalog, decode_state
-from cloudguard.telemetry import ATTACK_KINDS
+from cloudguard.simulate import fixed_action_damage
+from cloudguard.telemetry import ATTACK_KINDS, LABELS
 
 CATALOG = build_action_catalog()
 ALL_COMBOS = [(f, r, i) for f in range(5) for r in range(5) for i in range(3)]
 
 
-def flat_matrix(kind, e):
-    return EffectivenessMatrix({(kind, f, r, i): e for f, r, i in ALL_COMBOS})
+DDOS = LABELS.index("ddos")
+
+
+def collateral(action, load):
+    return enforce_window(action.action_id, 0, 0.0, load)[2]
 
 
 def core_action(fw, rl, iso):
@@ -46,98 +52,104 @@ def run_episode(env, action=0):
 
 
 class TestCollateralModel:
+    """Collateral damage: load x the action's summed friction x 4."""
+
     def test_friction_lookup_and_scaling(self):
-        m = CollateralModel()
-        assert m.collateral(0, 0, 0, 0.9) == 0.0
-        assert m.collateral(4, 0, 0, 1.0) == pytest.approx(0.18 * 4.0)
-        assert m.collateral(0, 4, 0, 1.0) == pytest.approx(0.28 * 4.0)
-        assert m.collateral(0, 0, 2, 1.0) == pytest.approx(0.30 * 4.0)
-        assert m.collateral(4, 4, 2, 0.5) == pytest.approx(0.5 * 0.76 * 4.0)
+        assert collateral(core_action(0, 0, 0), 0.9) == 0.0
+        assert collateral(core_action(4, 0, 0), 1.0) == pytest.approx(0.18 * 4.0)
+        assert collateral(core_action(0, 4, 0), 1.0) == pytest.approx(0.28 * 4.0)
+        assert collateral(core_action(0, 0, 2), 1.0) == pytest.approx(0.30 * 4.0)
+        assert collateral(core_action(4, 4, 2), 0.5) == pytest.approx(0.5 * 0.76 * 4.0)
 
     def test_linear_in_load(self):
-        m = CollateralModel()
-        lo = m.collateral(2, 3, 1, 0.25)
-        hi = m.collateral(2, 3, 1, 0.75)
-        assert hi == pytest.approx(3.0 * lo)
+        a = core_action(2, 3, 1)
+        assert collateral(a, 0.75) == pytest.approx(3.0 * collateral(a, 0.25))
 
     def test_monotone_in_tiers(self):
-        m = CollateralModel()
-        values = [m.collateral(f, r, i, 1.0) for f, r, i in ALL_COMBOS]
-        by_combo = dict(zip(ALL_COMBOS, values))
+        by_combo = {combo: collateral(core_action(*combo), 1.0)
+                    for combo in ALL_COMBOS}
         for (f, r, i), v in by_combo.items():
             if f + 1 < 5:
                 assert by_combo[(f + 1, r, i)] >= v
+        # burst and sustained presets disrupt exactly like their tiers
+        for a in CATALOG:
+            assert ACTION_FRICTION[a.action_id] == ACTION_FRICTION[
+                core_action(a.firewall_tier, a.rate_limit_tier,
+                            a.isolation_tier).action_id]
 
     def test_validation(self):
+        for values, count in ((FIREWALL_FRICTION, 5), (RATE_LIMIT_FRICTION, 5),
+                              (ISOLATION_FRICTION, 3)):
+            assert len(values) == count
+            assert values[0] == 0.0 and list(values) == sorted(values)
         with pytest.raises(InputError):
-            CollateralModel().collateral(0, 0, 0, 1.5)
-        with pytest.raises(ConfigError):
-            CollateralModel(firewall_friction=(0.0, 0.1))
-        with pytest.raises(ConfigError):
-            CollateralModel(isolation_friction=(0.1, 0.2, 0.3))  # must start at 0
-        with pytest.raises(ConfigError):
-            CollateralModel(rate_limit_friction=(0.0, 0.3, 0.2, 0.4, 0.5))
+            fixed_action_damage([("benign", 0.0, 1.5)], CATALOG[0])
+        with pytest.raises(InputError):
+            fixed_action_damage([("ddos", 0.5, float("nan"))], CATALOG[0])
 
 
 class TestEnforceWindow:
     def test_benign_window_has_only_collateral(self):
-        out = enforce_window(core_action(3, 2, 1), "benign", 0.0, 0.5,
-                             flat_matrix("benign", 0.0), CollateralModel())
-        assert out.attack_damage == 0.0
-        assert out.verdict == "none"
-        assert not out.blocked
-        expected = 0.5 * (0.10 + 0.08 + 0.12) * 4.0
-        assert out.collateral_damage == pytest.approx(expected)
-        assert out.total_damage == pytest.approx(expected)
+        code, attack, coll = enforce_window(core_action(3, 2, 1).action_id, 0,
+                                            0.0, 0.5)
+        assert attack == 0.0
+        assert OUTCOMES[code] == "none"
+        assert coll == pytest.approx(0.5 * (0.10 + 0.08 + 0.12) * 4.0)
 
     def test_blocked_attack(self):
-        out = enforce_window(core_action(0, 0, 0), "ddos", 0.8, 0.0,
-                             flat_matrix("ddos", 1.0), CollateralModel())
-        assert out.blocked
-        assert out.verdict == "blocked"
-        assert out.total_damage == 0.0
+        # ddos coverage at (3, 4, 0) is 0.1875 + 0.85, capped at 1
+        code, attack, coll = enforce_window(core_action(3, 4, 0).action_id,
+                                            DDOS, 0.8, 0.0)
+        assert code == BLOCKED
+        assert OUTCOMES[code] == "blocked"
+        assert attack + coll == 0.0
 
     def test_passed_attack_takes_full_damage(self):
-        out = enforce_window(core_action(0, 0, 0), "ddos", 0.8, 0.0,
-                             flat_matrix("ddos", 0.0), CollateralModel())
-        assert out.verdict == "passed"
-        assert out.attack_damage == pytest.approx(0.8 * BASE_DAMAGE["ddos"])
+        code, attack, _ = enforce_window(0, DDOS, 0.8, 0.0)
+        assert OUTCOMES[code] == "passed"
+        assert attack == 0.8 * BASE_DAMAGE[DDOS]
 
     def test_mitigation_and_collateral_combine(self):
-        out = enforce_window(core_action(0, 4, 0), "ddos", 1.0, 1.0,
-                             flat_matrix("ddos", 0.75), CollateralModel())
-        assert out.attack_damage == pytest.approx(0.25 * BASE_DAMAGE["ddos"])
-        assert out.collateral_damage == pytest.approx(0.28 * 4.0)
-        assert out.total_damage == pytest.approx(2.5 + 1.12)
+        # rate limit 4 covers 0.85 of a flood
+        code, attack, coll = enforce_window(core_action(0, 4, 0).action_id,
+                                            DDOS, 1.0, 1.0)
+        assert OUTCOMES[code] == "mitigated"
+        assert attack == pytest.approx(0.15 * BASE_DAMAGE[DDOS])
+        assert coll == pytest.approx(0.28 * 4.0)
+
+    def test_arrays_broadcast_like_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        actions = rng.integers(len(CATALOG), size=200)
+        kinds = rng.integers(len(LABELS), size=200)
+        intensity = rng.uniform(0.0, 1.0, size=200)
+        load = rng.uniform(0.0, 1.0, size=200)
+        codes, attack, coll = enforce_window(actions, kinds, intensity, load)
+        for j in range(200):
+            one = enforce_window(int(actions[j]), int(kinds[j]),
+                                 float(intensity[j]), float(load[j]))
+            assert one == (codes[j], attack[j], coll[j])
 
 
 class TestReward:
     def test_blocked_reward_includes_bonus(self):
         a = core_action(0, 4, 0)
-        out = WindowOutcome(attack_damage=0.0, collateral_damage=1.2,
-                            blocked=True, verdict="blocked")
-        r = reward_for(out, a, cost_weight=0.1, block_bonus=2.5)
+        r = reward_for(BLOCKED, 0.0, 1.2, a, cost_weight=0.1, block_bonus=2.5)
         assert r == pytest.approx(2.5 - 1.2 - 0.1 * a.cost)
 
     def test_unblocked_reward_is_pure_penalty(self):
         a = core_action(1, 0, 0)
-        out = WindowOutcome(attack_damage=4.0, collateral_damage=0.3,
-                            blocked=False, verdict="mitigated")
-        assert reward_for(out, a) == pytest.approx(-4.3 - 0.1 * a.cost)
+        mitigated = OUTCOMES.index("mitigated")
+        assert reward_for(mitigated, 4.0, 0.3, a) == pytest.approx(-4.3 - 0.1 * a.cost)
 
     def test_idle_on_quiet_window_is_free(self):
-        a = core_action(0, 0, 0)
-        out = WindowOutcome(0.0, 0.0, False, "none")
-        assert reward_for(out, a) == 0.0
+        assert reward_for(OUTCOMES.index("none"), 0.0, 0.0, core_action(0, 0, 0)) == 0.0
 
     def test_best_block_beats_idle_on_attacks(self):
         # the bonus must make some blocking action profitable even at the
         # worst load, or greedy play would never leave the zero posture
-        matrix = flat_matrix("ddos", 1.0)
-        coll = CollateralModel()
         a = core_action(3, 4, 0)
-        out = enforce_window(a, "ddos", 1.0, 1.0, matrix, coll)
-        assert reward_for(out, a) > 0.0
+        outcome = enforce_window(a.action_id, DDOS, 1.0, 1.0)
+        assert reward_for(*outcome, a) > 0.0
 
 
 class TestEnvProtocol:
@@ -197,7 +209,7 @@ class TestEnvDistribution:
         kinds = []
         env.reset()
         for _ in range(4000):
-            kinds.append(env._context.kind)
+            kinds.append(LABELS[env._context.kind])
             env._context = env._sample_context(0.0)
         benign_frac = kinds.count("benign") / len(kinds)
         assert 0.35 < benign_frac < 0.45
@@ -210,7 +222,7 @@ class TestEnvDistribution:
         env.reset()
         for _ in range(600):
             ctx = env._context
-            if ctx.kind == "benign":
+            if ctx.kind == 0:
                 assert ctx.intensity == 0.0
             else:
                 assert 0.3 <= ctx.intensity <= 1.0

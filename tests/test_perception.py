@@ -1,4 +1,4 @@
-"""Attention fusion, threat leveling, and trend forecasting."""
+"""Attention fusion and threat leveling."""
 
 import numpy as np
 import pytest
@@ -14,13 +14,10 @@ from cloudguard.perception import (
     AttentionWeights,
     SourceEmbedding,
     ThreatLevel,
-    assess_threat_level,
     build_embedders,
     build_scorer,
     context_from_fused,
     embed_window,
-    fitted_values,
-    forecast_trend,
     fuse,
     level_for_score,
     summarize_threats,
@@ -196,7 +193,7 @@ class TestThreatLevels:
         for p in (0.3, 0.5, 0.7, 0.9, 0.99):
             rest = (1 - p) / 5
             v = verdict_with([rest, p, rest, rest, rest, rest])
-            level = assess_threat_level(v, context).level
+            level = level_for_score(threat_score(v, context)).level
             assert level >= last
             last = level
 
@@ -247,70 +244,3 @@ class TestSummary:
     def test_single_band(self):
         dist = summarize_threats([ThreatLevel(4), ThreatLevel(5)])
         assert dist.fractions == {"low": 0.0, "medium": 0.0, "high": 1.0}
-
-
-class TestForecast:
-    def test_constant_series_forecasts_the_constant(self):
-        fc = forecast_trend([7.0] * 10, horizon=5)
-        np.testing.assert_allclose(fc.predictions, 7.0, atol=1e-9)
-        assert fc.slope == pytest.approx(0.0, abs=1e-12)
-
-    def test_linear_series_continues_exactly(self):
-        y = [3.0 + 2.0 * t for t in range(12)]
-        fc = forecast_trend(y, horizon=4)
-        expected = [3.0 + 2.0 * t for t in range(12, 16)]
-        np.testing.assert_allclose(fc.predictions, expected, atol=1e-9)
-        assert fc.slope == pytest.approx(2.0, abs=1e-9)
-        assert fc.intercept == pytest.approx(3.0, abs=1e-9)
-
-    def test_coefficients_match_normal_equations(self):
-        rng = np.random.default_rng(21)
-        for _ in range(40):
-            n = int(rng.integers(4, 60))
-            y = rng.normal(size=n) * rng.uniform(0.5, 20)
-            t = np.arange(n, dtype=np.float64)
-            a_mat = np.stack([np.ones(n), t], axis=1)
-            beta = np.linalg.solve(a_mat.T @ a_mat, a_mat.T @ y)
-            fc = forecast_trend(y, horizon=3)
-            assert fc.intercept == pytest.approx(beta[0], abs=1e-9)
-            assert fc.slope == pytest.approx(beta[1], abs=1e-9)
-
-    def test_seasonal_pattern_recovered(self):
-        # zero-mean period-4 pattern chosen orthogonal to the time index
-        pattern = np.array([1.0, -1.0, -1.0, 1.0])
-        t = np.arange(8, dtype=np.float64)
-        y = 5.0 + 0.5 * t + pattern[np.arange(8) % 4]
-        fc = forecast_trend(y, horizon=4, period=4)
-        assert fc.slope == pytest.approx(0.5, abs=1e-9)
-        np.testing.assert_allclose(fc.seasonal, pattern, atol=1e-9)
-        expected = 5.0 + 0.5 * np.arange(8, 12) + pattern[np.arange(8, 12) % 4]
-        np.testing.assert_allclose(fc.predictions, expected, atol=1e-9)
-
-    def test_projections_clamped_at_zero(self):
-        y = [10.0 - 3.0 * t for t in range(8)]
-        fc = forecast_trend(y, horizon=6)
-        assert (fc.predictions >= 0).all()
-        assert fc.predictions[-1] == 0.0
-
-    def test_zero_residual_series_has_zero_in_sample_error(self):
-        y = np.array([1.0 + 0.25 * t for t in range(10)])
-        fc = forecast_trend(y, horizon=2)
-        np.testing.assert_allclose(fitted_values(fc, 10), y, atol=1e-9)
-
-    def test_input_validation(self):
-        with pytest.raises(InputError):
-            forecast_trend([1.0, 2.0, 3.0], horizon=2)
-        with pytest.raises(InputError):
-            forecast_trend([1.0] * 8, horizon=0)
-        with pytest.raises(InputError):
-            forecast_trend([1.0] * 8, horizon=2, period=5)
-        with pytest.raises(InputError):
-            forecast_trend([1.0, np.nan, 2.0, 3.0, 4.0], horizon=1)
-
-    def test_dict_round_trip_fields(self):
-        fc = forecast_trend([2.0, 4.0, 5.0, 9.0, 11.0, 12.0], horizon=3, period=2)
-        d = fc.to_dict()
-        assert d["horizon"] == 3
-        assert len(d["predictions"]) == 3
-        assert len(d["seasonal"]) == 2
-        assert d["period"] == 2

@@ -257,12 +257,13 @@ class TestActionCatalog:
 class TestDoubleQTables:
     def test_missing_states_read_zero_without_materializing(self):
         t = DoubleQTables(4)
-        assert (t.row_a(17) == 0).all()
-        assert (t.row_b(17) == 0).all()
+        assert t.q_a.shape == t.q_b.shape == t.visits.shape == (N_STATES, 4)
+        assert t.visits.dtype == np.int64
+        assert (t.q_a[17] == 0).all()
+        assert (t.q_b[17] == 0).all()
         assert (t.combined(17) == 0).all()
-        assert t.visit_count(17, 2) == 0
-        assert t.q_a == {} and t.q_b == {} and t.visits == {}
-        assert t.states() == []
+        assert t.visits[17, 2] == 0
+        assert t.states() == []  # reading a state touched nothing
 
     def test_negative_size_rejected(self):
         with pytest.raises(ConfigError):
@@ -309,6 +310,13 @@ class TestSelectAction:
         with pytest.raises(ConfigError):
             select_action(t, 0, 1.5, np.random.default_rng(0))
 
+    def test_state_outside_the_key_space_rejected(self):
+        # a negative key would otherwise read a row from the end
+        t = DoubleQTables(2)
+        for state in (-1, N_STATES):
+            with pytest.raises(InputError):
+                select_action(t, state, 0.0)
+
 
 class TestDoubleQUpdate:
     def test_hand_worked_first_update(self):
@@ -321,6 +329,7 @@ class TestDoubleQUpdate:
             new = double_q_update(t, tr, alpha=0.5, gamma=0.9, rng=CoinRng([coin]))
             assert new == pytest.approx(0.5)
             assert t.combined(5)[1] == pytest.approx(0.5)
+            assert t.states() == [5]
 
     def test_bootstrap_crosses_tables(self):
         t = DoubleQTables(2)
@@ -355,21 +364,20 @@ class TestDoubleQUpdate:
         tr = Transition(state=2, action=1, reward=0.0, next_state=3, terminal=False)
         double_q_update(t, tr, alpha=0.7, gamma=0.9, rng=CoinRng([0.0]))
         assert (t.combined(2) == 0.0).all()
-        assert t.visit_count(2, 1) == 1
+        assert t.visits[2, 1] == 1
+        assert t.states() == [2]  # a visit alone touches the state
 
     def test_exactly_one_entry_changes(self):
         rng = np.random.default_rng(4)
         t = DoubleQTables(5)
         for _ in range(30):
-            before = {("a", s): t.row_a(s).copy() for s in range(10)}
-            before.update({("b", s): t.row_b(s).copy() for s in range(10)})
+            before = (t.q_a.copy(), t.q_b.copy())
             tr = Transition(int(rng.integers(10)), int(rng.integers(5)),
                             float(rng.normal()), int(rng.integers(10)),
                             bool(rng.random() < 0.2))
             double_q_update(t, tr, alpha=0.3, gamma=0.8, rng=rng)
-            after = {("a", s): t.row_a(s) for s in range(10)}
-            after.update({("b", s): t.row_b(s) for s in range(10)})
-            changed = sum((before[k] != after[k]).sum() for k in before)
+            changed = sum(int((b != a).sum())
+                          for b, a in zip(before, (t.q_a, t.q_b)))
             assert changed == 1
 
     def test_parameter_validation(self):
@@ -382,6 +390,10 @@ class TestDoubleQUpdate:
         with pytest.raises(CatalogError):
             double_q_update(t, Transition(0, 2, 0.0, 1, False),
                             alpha=0.5, gamma=0.9, rng=rng)
+        for state, next_state in ((-1, 0), (N_STATES, 0), (0, -1), (0, N_STATES)):
+            with pytest.raises(InputError):
+                double_q_update(t, Transition(state, 0, 0.0, next_state, False),
+                                alpha=0.5, gamma=0.9, rng=rng)
 
 
 class TestEpsilonSchedule:
@@ -474,9 +486,8 @@ class TestTraining:
         t2, c2 = train_policy(ChainEnv(3), self.CHAIN_CFG)
         assert c1 == c2
         assert t1.states() == t2.states()
-        for s in t1.states():
-            np.testing.assert_array_equal(t1.row_a(s), t2.row_a(s))
-            np.testing.assert_array_equal(t1.row_b(s), t2.row_b(s))
+        for name in ("q_a", "q_b", "visits"):
+            np.testing.assert_array_equal(getattr(t1, name), getattr(t2, name))
 
     def test_zero_episodes_give_empty_curve_and_zero_tables(self):
         cfg = PolicyTrainConfig(episodes=0)
@@ -520,11 +531,8 @@ class TestGreedyPolicy:
     def test_scale_invariance(self):
         tables, _ = train_policy(ChainEnv(5), TestTraining.CHAIN_CFG)
         base = greedy_policy(tables)
-        for s in tables.states():
-            if s in tables.q_a:
-                tables.q_a[s] *= 3.0
-            if s in tables.q_b:
-                tables.q_b[s] *= 3.0
+        tables.q_a *= 3.0
+        tables.q_b *= 3.0
         assert greedy_policy(tables) == base
 
     def test_unseen_state_maps_to_action_zero(self):
@@ -540,11 +548,9 @@ class TestCheckpoints:
         loaded = load_qtables(path)
         assert loaded.n_actions == tables.n_actions
         assert loaded.states() == tables.states()
-        for s in tables.states():
-            np.testing.assert_array_equal(loaded.row_a(s), tables.row_a(s))
-            np.testing.assert_array_equal(loaded.row_b(s), tables.row_b(s))
-            for a in range(tables.n_actions):
-                assert loaded.visit_count(s, a) == tables.visit_count(s, a)
+        for name in ("q_a", "q_b", "visits"):
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(tables, name))
 
     def test_dump_is_canonical(self, tmp_path):
         tables, _ = train_policy(ChainEnv(2), TestTraining.CHAIN_CFG)
@@ -564,7 +570,7 @@ class TestCheckpoints:
         save_qtables(path, t)
         loaded = load_qtables(path)
         assert loaded.states() == [6]
-        assert (loaded.row_a(5) == 0).all()
+        assert (loaded.q_a[5] == 0).all()
 
     def test_malformed_files_rejected(self, tmp_path):
         missing = tmp_path / "nope.qt"
@@ -588,6 +594,7 @@ class TestCheckpoints:
                             ("n_actions=2", f"{N_STATES},1,0.5,0.0,1"),
                             ("n_actions=2", "99999,1,0.5,0.0,1"),
                             ("n_actions=2", "0,1,0.5,0.0,-3"),
+                            ("n_actions=2", f"0,1,0.5,0.0,{2**63}"),
                             ("n_actions=-1", "")):
             bad = tmp_path / "b.qt"
             bad.write_text(f"# double-q checkpoint v1\n{header}\n"

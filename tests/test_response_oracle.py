@@ -1,0 +1,121 @@
+"""The array response model against the per-window reference model.
+
+Damage, collateral, rewards and outcome codes must match the reference bit
+for bit, since the arithmetic per element is unchanged; so must Q-tables
+trained through either form, and the two matrix validations must agree.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cloudguard.enforcement import OUTCOMES, default_matrix, validate_matrix
+from cloudguard.environment import (DefenseEnv, EnvConfig, defense_train_config,
+                                    enforce_window, reward_for)
+from cloudguard.errors import InputError
+from cloudguard.policy import build_action_catalog, train_policy
+from cloudguard.simulate import fixed_action_damage
+from cloudguard.telemetry import LABELS
+
+from . import response_oracle as oracle
+
+CATALOG = build_action_catalog()
+ORACLE_MATRIX = oracle.default_matrix()
+ORACLE_COLLATERAL = oracle.CollateralModel()
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+kinds = st.integers(0, len(LABELS) - 1)
+actions = st.integers(0, len(CATALOG) - 1)
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_default_matrix_matches_the_keyed_table():
+    m = default_matrix()
+    for (kind, f, r, i), e in ORACLE_MATRIX.table.items():
+        assert same_bits(m[LABELS.index(kind), f, r, i], e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=kinds, action=actions, intensity=unit, load=unit)
+def test_enforce_window_matches_the_reference(kind, action, intensity, load):
+    code, attack, collateral = enforce_window(action, kind, intensity, load)
+    want = oracle.enforce_window(CATALOG[action], LABELS[kind], intensity, load,
+                                 ORACLE_MATRIX, ORACLE_COLLATERAL)
+    assert OUTCOMES[code] == want.verdict
+    assert same_bits(attack, want.attack_damage)
+    assert same_bits(collateral, want.collateral_damage)
+    assert same_bits(reward_for(code, attack, collateral, CATALOG[action]),
+                     oracle.reward_for(want, CATALOG[action]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(action=actions,
+       truths=st.lists(st.tuples(st.sampled_from(LABELS), unit, unit), max_size=80))
+def test_fixed_action_damage_is_the_running_total(action, truths):
+    assert same_bits(fixed_action_damage(truths, CATALOG[action]),
+                     oracle.fixed_action_damage(truths, CATALOG[action]))
+
+
+def test_training_gives_the_reference_tables():
+    cfg = dataclasses.replace(defense_train_config(seed=3), episodes=200)
+    tables, curve = train_policy(DefenseEnv(EnvConfig(seed=3)), cfg)
+    want, want_curve = oracle.train_policy(oracle.OracleDefenseEnv(EnvConfig(seed=3)),
+                                           cfg)
+    assert curve == want_curve
+    assert tables.states() == want.states()
+    assert len(want.states()) > 50
+    for s in want.states():
+        np.testing.assert_array_equal(tables.q_a[s], want.row_a(s))
+        np.testing.assert_array_equal(tables.q_b[s], want.row_b(s))
+        np.testing.assert_array_equal(tables.visits[s], want.visits[s])
+    untouched = np.setdiff1d(np.arange(len(tables.q_a)), want.states())
+    assert not tables.q_a[untouched].any() and not tables.visits[untouched].any()
+
+
+def keyed(table: np.ndarray) -> dict:
+    return {(LABELS[k], f, r, i): float(table[k, f, r, i])
+            for k in range(len(LABELS)) for f, r, i in oracle.COMBOS}
+
+
+def agree_on(table: np.ndarray) -> bool:
+    """Whether both validations accept ``table``; fails if they disagree."""
+    verdicts = []
+    for validate in (validate_matrix, lambda t: oracle.EffectivenessMatrix(keyed(t))):
+        try:
+            validate(table)
+            verdicts.append(True)
+        except InputError:
+            verdicts.append(False)
+    assert verdicts[0] == verdicts[1], verdicts
+    return verdicts[0]
+
+
+@pytest.mark.parametrize("axis", (1, 2, 3))
+def test_a_one_step_decrease_on_each_tier_axis_is_rejected(axis):
+    rng = np.random.default_rng(axis)
+    base = np.array(default_matrix())
+    assert agree_on(base)
+    for _ in range(20):
+        at = [int(rng.integers(n)) for n in base.shape]
+        at[axis] = int(rng.integers(1, base.shape[axis]))
+        below = list(at)
+        below[axis] -= 1
+        table = base.copy()
+        # lift the lower tier just above the one it must not exceed
+        table[tuple(below)] = min(1.0, table[tuple(at)] + 0.01)
+        if table[tuple(below)] <= table[tuple(at)]:
+            table[tuple(at)] -= 0.01
+        assert not agree_on(table)
+
+
+@pytest.mark.parametrize("bad", (-0.25, -1e-12, 1.0 + 1e-12, 1.5))
+def test_a_value_outside_the_unit_interval_is_rejected(bad):
+    table = np.zeros((len(LABELS), 5, 5, 3))
+    table[1, 4, 4, 2] = bad
+    assert not agree_on(table)

@@ -313,6 +313,63 @@ def test_read_events_rejects_garbage(tmp_path):
             read_events(p)
 
 
+def test_read_events_rejects_ids_out_of_order(small_run, tmp_path):
+    _, _, events = small_run
+    lines = [json.dumps(ev.to_dict(), sort_keys=True) for ev in events]
+    shuffled = list(lines)
+    np.random.default_rng(0).shuffle(shuffled)
+    duplicated = [lines[0], lines[0]] + lines[2:]
+    negative = json.loads(lines[0])
+    negative["window_id"] = -1
+    p = tmp_path / "events.jsonl"
+    for bad in (shuffled, duplicated, [json.dumps(negative)] + lines[1:]):
+        p.write_text("\n".join(bad) + "\n")
+        with pytest.raises(InputError, match="window_id"):
+            read_events(p)
+
+
+def test_warning_latency_reads_windows_by_id(small_run, tmp_path):
+    # a log missing a window loads, and no later window takes its place
+    config, report, events = small_run
+    first = next(i for i, ev in enumerate(events)
+                 if ev.confident and ev.predicted != "benign")
+    p = tmp_path / "events.jsonl"
+    write_events(p, events[:first] + events[first + 1:])
+    gapped = build_report(config, read_events(p)).warning_latency
+    assert gapped["bursts_total"] == report.warning_latency["bursts_total"]
+    lags = []
+    for start, last, _ in simulate._attack_burst_windows(
+            config.resolved_scenario()):
+        hits = [i - start for i in range(start, last + 1) if i != first
+                and events[i].confident and events[i].predicted != "benign"]
+        lags += hits[:1]
+    assert gapped["bursts_detected"] == len(lags)
+    assert gapped["max_windows"] == max(lags)
+
+
+NON_FINITE_FIELDS = ("max_probability", "threat_score", "attack_damage",
+                     "collateral_damage", "detection_ms", "policy_ms",
+                     "execution_ms", "total_ms")
+
+
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+def test_read_events_rejects_non_finite_values(field, tmp_path):
+    good = PipelineEvent(
+        window_id=0, truth="ddos", predicted="ddos", confident=True,
+        max_probability=0.9, threat_score=0.7, threat_level=4, action_id=3,
+        outcome="blocked", attack_damage=0.0, collateral_damage=0.1,
+        latency=LatencyBreakdown.from_parts(1.0, 0.1, 0.01), started_at=0.0,
+        finished_at=0.0).to_dict()
+    p = tmp_path / "events.jsonl"
+    for value in (math.nan, math.inf, -math.inf):
+        doc = copy.deepcopy(good)
+        record = doc["timing"]["latency"] if field.endswith("_ms") else doc
+        record[field] = value
+        p.write_text(json.dumps(doc) + "\n")  # json writes bare NaN/Infinity
+        with pytest.raises(InputError, match=field):
+            read_events(p)
+
+
 def test_policy_checkpoint_size_mismatch(tmp_path):
     tables = DoubleQTables(n_actions=5)
     path = tmp_path / "tiny.csv"
