@@ -109,16 +109,16 @@ def _cmd_generate(args) -> int:
 def _cmd_train_detector(args) -> int:
     doc = _load_config(args.config)
     scenario = _resolve_scenario(doc, args.seed)
-    out = _ensure_out(args.out)
-    arch = det.ArchConfig.from_dict(doc["arch"]) if "arch" in doc \
-        else det.ArchConfig()
-    layout = build_layout(dim=arch.feature_dim)
     train_cfg = det.TrainConfig(
         epochs=int(doc.get("epochs", 30)),
         batch_size=int(doc.get("batch_size", 32)),
         lr=float(doc.get("lr", 1e-3)),
         seed=scenario.seed,
     )
+    arch = det.ArchConfig.from_dict(doc["arch"]) if "arch" in doc \
+        else det.ArchConfig()
+    out = _ensure_out(args.out)
+    layout = build_layout(dim=arch.feature_dim)
     stream = generate_stream(scenario)
     x, y, stats = det.prepare_dataset(stream, layout, arch.seq_len)
     model = det.build_model(arch, seed=train_cfg.seed)

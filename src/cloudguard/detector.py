@@ -9,6 +9,7 @@ an "unknown" bucket that evaluation counts separately instead of forcing
 into a class.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,6 +266,16 @@ class TrainConfig:
     optimizer: str = "adam"  # or "sgd"
     class_weighting: bool = True
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+
 
 def _class_weights(y: np.ndarray, num_classes: int) -> np.ndarray:
     """Inverse-frequency weight per class; absent classes weigh 0."""
@@ -304,14 +315,9 @@ def train(model: ModelGraph, x: np.ndarray, y: np.ndarray,
         val_idx = train_idx = np.arange(len(x))
     weights = _class_weights(y[train_idx], num_classes) if cfg.class_weighting \
         else np.ones(num_classes)
-    if cfg.optimizer == "adam":
-        optimizer = Adam(lr=cfg.lr)
-    elif cfg.optimizer == "sgd":
-        optimizer = Sgd(lr=cfg.lr)
-    else:
-        raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
+    optimizer = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else Sgd(lr=cfg.lr)
     history: list[dict] = []
-    best: tuple[float, dict] | None = None
+    best: tuple[float, dict] | None = None  # set by the first epoch; epochs >= 1
     params = model.parameters()
     for epoch in range(cfg.epochs):
         order = rng.permutation(train_idx)

@@ -122,17 +122,27 @@ def conv1d_forward_batch(x: np.ndarray, p: ConvParams) -> np.ndarray:
     return out
 
 
-def conv1d_backward_batch(dout: np.ndarray, x: np.ndarray, p: ConvParams):
-    """Gradients of the batched convolution. Returns ``(dx, dkernel, dbias)``."""
-    k, _, _ = p.kernel.shape
+def conv1d_backward_batch(dout: np.ndarray, x: np.ndarray, p: ConvParams,
+                          need_dx: bool = True):
+    """Gradients of the batched convolution. Returns ``(dx, dkernel, dbias)``.
+
+    Each tap's filter gradient is one matrix product over every (sequence,
+    position) row: ``[B*T', C_in]^T @ [B*T', C_out]``, the backward-filter
+    GEMM of cuDNN (Chetlur et al. 2014). With ``need_dx=False`` the input
+    gradient is not computed and ``dx`` is None; a graph's first layer has
+    no use for it.
+    """
+    k, c_in, c_out = p.kernel.shape
     t_out = dout.shape[1]
-    dx = np.zeros_like(x)
-    dkernel = np.zeros_like(p.kernel)
+    dflat = dout.reshape(-1, c_out)
+    dx = np.zeros_like(x) if need_dx else None
+    dkernel = np.empty_like(p.kernel)
     dbias = dout.sum(axis=(0, 1))
     for kk in range(k):
         sl = slice(kk, kk + (t_out - 1) * p.stride + 1, p.stride)
-        dkernel[kk] = np.einsum("bti,bto->io", x[:, sl, :], dout)
-        dx[:, sl, :] += dout @ p.kernel[kk].T
+        dkernel[kk] = x[:, sl, :].reshape(-1, c_in).T @ dflat
+        if need_dx:
+            dx[:, sl, :] += dout @ p.kernel[kk].T
     return dx, dkernel, dbias
 
 
@@ -145,16 +155,20 @@ def maxpool1d_forward(x: np.ndarray, pool_size: int):
     return out[0], idx[0]
 
 
-def maxpool1d_forward_batch(x: np.ndarray, pool_size: int):
-    """Batched max pooling ``[B, T, C] -> [B, T/P, C]`` plus absolute argmax indices."""
-    x = np.asarray(x, dtype=np.float64)
+def maxpool1d_blocks(x: np.ndarray, pool_size: int) -> np.ndarray:
+    """``[B, T, C]`` reshaped to ``[B, T/P, P, C]``, one pooling block per row."""
     b, t, c = x.shape
     if pool_size < 1 or t % pool_size != 0:
         raise DimensionError(f"pool_size {pool_size} does not divide T={t}")
-    xr = x.reshape(b, t // pool_size, pool_size, c)
+    return x.reshape(b, t // pool_size, pool_size, c)
+
+
+def maxpool1d_forward_batch(x: np.ndarray, pool_size: int):
+    """Batched max pooling ``[B, T, C] -> [B, T/P, C]`` plus absolute argmax indices."""
+    xr = maxpool1d_blocks(np.asarray(x, dtype=np.float64), pool_size)
     within = xr.argmax(axis=2)  # first index wins ties
     out = np.take_along_axis(xr, within[:, :, None, :], axis=2)[:, :, 0, :]
-    idx = within + (np.arange(t // pool_size) * pool_size)[None, :, None]
+    idx = within + (np.arange(xr.shape[1]) * pool_size)[None, :, None]
     return out, idx
 
 
@@ -190,6 +204,8 @@ def lstm_forward_batch(x: np.ndarray, p: LstmParams, return_sequences: bool):
 
     Recurrence: i, f, o are sigmoid gates, g = tanh candidate,
     c_t = f * c_{t-1} + i * g, h_t = o * tanh(c_t), h_0 = c_0 = 0.
+    Because h_0 = 0, the first step has no ``h @ u_*`` products; leaving
+    them out is exact.
     """
     x = np.asarray(x, dtype=np.float64)
     b, t, c_in = x.shape
@@ -202,10 +218,16 @@ def lstm_forward_batch(x: np.ndarray, p: LstmParams, return_sequences: bool):
     steps = []
     for tt in range(t):
         xt = x[:, tt, :]
-        i = _sigmoid(xt @ p.w_i + h @ p.u_i + p.b_i)
-        f = _sigmoid(xt @ p.w_f + h @ p.u_f + p.b_f)
-        o = _sigmoid(xt @ p.w_o + h @ p.u_o + p.b_o)
-        g = np.tanh(xt @ p.w_g + h @ p.u_g + p.b_g)
+        zi, zf, zo, zg = xt @ p.w_i, xt @ p.w_f, xt @ p.w_o, xt @ p.w_g
+        if tt:  # h_0 = 0: no recurrent term on the first step
+            zi += h @ p.u_i
+            zf += h @ p.u_f
+            zo += h @ p.u_o
+            zg += h @ p.u_g
+        i = _sigmoid(zi + p.b_i)
+        f = _sigmoid(zf + p.b_f)
+        o = _sigmoid(zo + p.b_o)
+        g = np.tanh(zg + p.b_g)
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new)
         h_new = o * tanh_c
@@ -216,8 +238,14 @@ def lstm_forward_batch(x: np.ndarray, p: LstmParams, return_sequences: bool):
     return out, steps
 
 
-def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, return_sequences: bool):
-    """Backpropagation through time. Returns ``(dx, grads dict)``."""
+def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, return_sequences: bool,
+                        need_dx: bool = True):
+    """Backpropagation through time. Returns ``(dx, grads dict)``.
+
+    The first step adds nothing to the ``u_*`` gradients and passes nothing
+    back to h_0, since h_0 = 0 is no parameter; both are skipped. With
+    ``need_dx=False`` the input gradient is not computed and ``dx`` is None.
+    """
     t = len(steps)
     b = steps[0][0].shape[0]
     h_dim = p.hidden_size
@@ -229,7 +257,7 @@ def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, return_seq
     grads = {name: np.zeros_like(getattr(p, name))
              for name in ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
                           "b_i", "b_f", "b_o", "b_g")}
-    dx = np.empty((b, t, p.input_size))
+    dx = np.empty((b, t, p.input_size)) if need_dx else None
     dh_next = np.zeros((b, h_dim))
     dc_next = np.zeros((b, h_dim))
     for tt in range(t - 1, -1, -1):
@@ -248,10 +276,13 @@ def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, return_seq
             ("w_g", "u_g", "b_g", dzg),
         ):
             grads[name_w] += xt.T @ dz
-            grads[name_u] += h_prev.T @ dz
+            if tt:
+                grads[name_u] += h_prev.T @ dz
             grads[name_b] += dz.sum(axis=0)
-        dx[:, tt, :] = dzi @ p.w_i.T + dzf @ p.w_f.T + dzo @ p.w_o.T + dzg @ p.w_g.T
-        dh_next = dzi @ p.u_i.T + dzf @ p.u_f.T + dzo @ p.u_o.T + dzg @ p.u_g.T
+        if need_dx:
+            dx[:, tt, :] = dzi @ p.w_i.T + dzf @ p.w_f.T + dzo @ p.w_o.T + dzg @ p.w_g.T
+        if tt:
+            dh_next = dzi @ p.u_i.T + dzf @ p.u_f.T + dzo @ p.u_o.T + dzg @ p.u_g.T
     return dx, grads
 
 
@@ -277,18 +308,20 @@ def dense_forward_batch(x: np.ndarray, p: DenseParams) -> np.ndarray:
     return z
 
 
-def dense_backward_batch(dout: np.ndarray, x: np.ndarray, z_or_out: np.ndarray, p: DenseParams):
-    """Gradients for a dense layer.
+def dense_backward_batch(dout: np.ndarray, x: np.ndarray, z_or_out: np.ndarray, p: DenseParams,
+                         need_dx: bool = True):
+    """Gradients for a dense layer. Returns ``(dx, dw, db)``.
 
     For relu, ``z_or_out`` is the post-activation output (its positive mask equals
     the pre-activation mask). For softmax the caller must supply the gradient
-    with respect to the logits already (the fused cross-entropy path).
+    with respect to the logits already (the fused cross-entropy path). With
+    ``need_dx=False`` the input gradient is not computed and ``dx`` is None.
     """
     if p.activation == "relu":
         dout = dout * (z_or_out > 0.0)
     dw = x.T @ dout
     db = dout.sum(axis=0)
-    dx = dout @ p.weights.T
+    dx = dout @ p.weights.T if need_dx else None
     return dx, dw, db
 
 

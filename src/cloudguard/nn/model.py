@@ -35,8 +35,8 @@ class Conv1dLayer:
         out = L.conv1d_forward_batch(x, self.params)
         return out, x
 
-    def backward(self, dout: np.ndarray, cache):
-        dx, dk, db = L.conv1d_backward_batch(dout, cache, self.params)
+    def backward(self, dout: np.ndarray, cache, need_dx: bool = True):
+        dx, dk, db = L.conv1d_backward_batch(dout, cache, self.params, need_dx)
         return dx, {"kernel": dk, "bias": db}
 
     def parameters(self) -> dict[str, np.ndarray]:
@@ -44,18 +44,24 @@ class Conv1dLayer:
 
 
 class MaxPool1dLayer:
-    """Non-overlapping temporal max pooling."""
+    """Non-overlapping temporal max pooling.
+
+    Forward computes the block maxima only and caches its input; backward
+    recomputes the first-index argmax from that input. Inference, which
+    never runs backward, builds no indices.
+    """
 
     def __init__(self, pool_size: int):
         self.pool_size = pool_size
 
     def forward(self, x: np.ndarray):
-        out, idx = L.maxpool1d_forward_batch(x, self.pool_size)
-        return out, (idx, x.shape[1])
+        return L.maxpool1d_blocks(x, self.pool_size).max(axis=2), x
 
-    def backward(self, dout: np.ndarray, cache):
-        idx, t = cache
-        return L.maxpool1d_backward_batch(dout, idx, t, self.pool_size), {}
+    def backward(self, dout: np.ndarray, cache, need_dx: bool = True):
+        if not need_dx:
+            return None, {}
+        _, idx = L.maxpool1d_forward_batch(cache, self.pool_size)
+        return L.maxpool1d_backward_batch(dout, idx, cache.shape[1], self.pool_size), {}
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {}
@@ -88,9 +94,9 @@ class LstmLayer:
         out, steps = L.lstm_forward_batch(x, self.params, self.return_sequences)
         return out, steps
 
-    def backward(self, dout: np.ndarray, cache):
-        dx, grads = L.lstm_backward_batch(dout, cache, self.params, self.return_sequences)
-        return dx, grads
+    def backward(self, dout: np.ndarray, cache, need_dx: bool = True):
+        return L.lstm_backward_batch(dout, cache, self.params, self.return_sequences,
+                                     need_dx)
 
     def parameters(self) -> dict[str, np.ndarray]:
         p = self.params
@@ -115,10 +121,10 @@ class DenseLayer:
         out = L.dense_forward_batch(x, self.params)
         return out, (x, out)
 
-    def backward(self, dout: np.ndarray, cache):
+    def backward(self, dout: np.ndarray, cache, need_dx: bool = True):
         x, out = cache
         # softmax layers receive d(logits) directly from the fused loss gradient
-        dx, dw, db = L.dense_backward_batch(dout, x, out, self.params)
+        dx, dw, db = L.dense_backward_batch(dout, x, out, self.params, need_dx)
         return dx, {"weights": dw, "bias": db}
 
     def parameters(self) -> dict[str, np.ndarray]:
@@ -169,7 +175,8 @@ class ModelGraph:
 
         The final layer must be a softmax DenseLayer; its backward pass is fed
         the fused ``probs - one_hot`` logits gradient, so the softmax Jacobian
-        is never materialized.
+        is never materialized. The first layer's input gradient is not
+        computed: nothing reads it.
         """
         last = self.layers[-1]
         if not (isinstance(last, DenseLayer) and last.params.activation == "softmax"):
@@ -185,7 +192,7 @@ class ModelGraph:
         grad = L.softmax_xent_grad(probs, labels, sample_weights)
         grads: dict[str, np.ndarray] = {}
         for i in range(len(self.layers) - 1, -1, -1):
-            grad, layer_grads = self.layers[i].backward(grad, caches[i])
+            grad, layer_grads = self.layers[i].backward(grad, caches[i], need_dx=i > 0)
             for name, g in layer_grads.items():
                 grads[f"{i}.{name}"] = g
         return loss, grads

@@ -1,0 +1,116 @@
+"""Reference training kernels: the forms the network layers replaced.
+
+``cloudguard.nn`` takes each tap's filter gradient as one matrix product,
+skips the LSTM's recurrent products on the first step (where h_0 = 0) and
+pools values only, recomputing the argmax in backward. This module keeps
+what they replaced: the ``einsum`` filter gradient, the LSTM that multiplies
+its zero initial state, and a max-pool layer that builds absolute argmax
+indices in forward. Tests require the filter gradient to match within a
+relative tolerance, since its sum runs in another order, and everything
+else bit for bit.
+"""
+
+import numpy as np
+
+from cloudguard.nn import layers as L
+
+
+def conv1d_backward_batch(dout, x, p):
+    """``(dx, dkernel, dbias)`` with the filter gradient as an ``einsum``."""
+    k, _, _ = p.kernel.shape
+    t_out = dout.shape[1]
+    dx = np.zeros_like(x)
+    dkernel = np.zeros_like(p.kernel)
+    dbias = dout.sum(axis=(0, 1))
+    for kk in range(k):
+        sl = slice(kk, kk + (t_out - 1) * p.stride + 1, p.stride)
+        dkernel[kk] = np.einsum("bti,bto->io", x[:, sl, :], dout)
+        dx[:, sl, :] += dout @ p.kernel[kk].T
+    return dx, dkernel, dbias
+
+
+def lstm_forward_batch(x, p, return_sequences):
+    """LSTM forward whose first step multiplies h_0 = 0 by the ``u_*``."""
+    b, t, _ = x.shape
+    h_dim = p.hidden_size
+    h = np.zeros((b, h_dim))
+    c = np.zeros((b, h_dim))
+    hs = np.empty((b, t, h_dim))
+    steps = []
+    for tt in range(t):
+        xt = x[:, tt, :]
+        i = L._sigmoid(xt @ p.w_i + h @ p.u_i + p.b_i)
+        f = L._sigmoid(xt @ p.w_f + h @ p.u_f + p.b_f)
+        o = L._sigmoid(xt @ p.w_o + h @ p.u_o + p.b_o)
+        g = np.tanh(xt @ p.w_g + h @ p.u_g + p.b_g)
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        steps.append((xt, h, c, i, f, o, g, tanh_c))
+        h, c = h_new, c_new
+        hs[:, tt, :] = h
+    out = hs if return_sequences else hs[:, -1, :]
+    return out, steps
+
+
+def lstm_backward_batch(dout, steps, p, return_sequences):
+    """Backpropagation through time over every step, the first included."""
+    t = len(steps)
+    b = steps[0][0].shape[0]
+    h_dim = p.hidden_size
+    if return_sequences:
+        dhs = dout
+    else:
+        dhs = np.zeros((b, t, h_dim))
+        dhs[:, -1, :] = dout
+    grads = {name: np.zeros_like(getattr(p, name))
+             for name in ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
+                          "b_i", "b_f", "b_o", "b_g")}
+    dx = np.empty((b, t, p.input_size))
+    dh_next = np.zeros((b, h_dim))
+    dc_next = np.zeros((b, h_dim))
+    for tt in range(t - 1, -1, -1):
+        xt, h_prev, c_prev, i, f, o, g, tanh_c = steps[tt]
+        dh = dhs[:, tt, :] + dh_next
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        dzo = dh * tanh_c * o * (1.0 - o)
+        dzi = dc * g * i * (1.0 - i)
+        dzg = dc * i * (1.0 - g**2)
+        dzf = dc * c_prev * f * (1.0 - f)
+        dc_next = dc * f
+        for name_w, name_u, name_b, dz in (
+            ("w_i", "u_i", "b_i", dzi),
+            ("w_f", "u_f", "b_f", dzf),
+            ("w_o", "u_o", "b_o", dzo),
+            ("w_g", "u_g", "b_g", dzg),
+        ):
+            grads[name_w] += xt.T @ dz
+            grads[name_u] += h_prev.T @ dz
+            grads[name_b] += dz.sum(axis=0)
+        dx[:, tt, :] = dzi @ p.w_i.T + dzf @ p.w_f.T + dzo @ p.w_o.T + dzg @ p.w_g.T
+        dh_next = dzi @ p.u_i.T + dzf @ p.u_f.T + dzo @ p.u_o.T + dzg @ p.u_g.T
+    return dx, grads
+
+
+class IndexMaxPool1dLayer:
+    """Max pooling that records absolute argmax indices in forward and routes
+    gradients back to them."""
+
+    def __init__(self, pool_size: int):
+        self.pool_size = pool_size
+
+    def forward(self, x):
+        b, t, c = x.shape
+        xr = x.reshape(b, t // self.pool_size, self.pool_size, c)
+        within = xr.argmax(axis=2)  # first index wins ties
+        out = np.take_along_axis(xr, within[:, :, None, :], axis=2)[:, :, 0, :]
+        idx = within + (np.arange(t // self.pool_size) * self.pool_size)[None, :, None]
+        return out, (idx, t)
+
+    def backward(self, dout, cache):
+        idx, t = cache
+        b, t_out, c = dout.shape
+        dxr = np.zeros((b, t_out, self.pool_size, c))
+        within = idx - (np.arange(t_out) * self.pool_size)[None, :, None]
+        np.put_along_axis(dxr, within[:, :, None, :], dout[:, :, None, :], axis=2)
+        return dxr.reshape(b, t, c), {}

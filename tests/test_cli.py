@@ -3,11 +3,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cloudguard
 from cloudguard import simulate
 from cloudguard.cli import main
 from cloudguard.scenario import ScenarioConfig, generate_stream
@@ -123,6 +126,16 @@ def test_train_detector_tiny(tmp_path, capsys):
     doc = json.loads((out / "evaluation.json").read_text())
     assert 0.0 <= doc["accuracy"] <= 1.0
     assert "trained detector" in capsys.readouterr().out
+
+
+def test_train_detector_rejects_zero_epochs(tmp_path, capsys):
+    cfg = write_config(tmp_path, "det.json", {
+        "scenario": SCENARIO, "arch": TINY_ARCH, "epochs": 0,
+    })
+    out = tmp_path / "det"
+    assert main(["train-detector", "--config", cfg, "--out", str(out)]) == 2
+    assert "epochs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_detector_writes_history(tmp_path):
@@ -321,9 +334,12 @@ def test_exit_five_on_blocked_output(tmp_path, scenario_cfg, capsys):
 
 def test_module_entry_point(tmp_path, scenario_cfg):
     out = tmp_path / "mod"
+    # the child imports the package under test, wherever pytest found it
+    src = str(Path(cloudguard.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cloudguard.cli", "generate",
          "--config", scenario_cfg, "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert (out / "telemetry.jsonl").exists()

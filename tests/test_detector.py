@@ -205,6 +205,21 @@ class TestTraining:
                   TrainConfig(epochs=1))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -1), ("batch_size", 0),
+        ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf")),
+        ("val_fraction", -0.1), ("val_fraction", 1.0), ("val_fraction", float("nan")),
+        ("optimizer", "rmsprop"),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{field: value})
+
+    def test_edges_accepted(self):
+        TrainConfig(epochs=1, batch_size=1, lr=0.0, val_fraction=0.0, optimizer="sgd")
+
+
 class TestClassify:
     def test_verdict_fields_and_gating(self):
         model = build_model(tiny_arch(), seed=11)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cloudguard.detector import ArchConfig, build_model
 from cloudguard.errors import DimensionError
 from cloudguard.nn import (
     Conv1dLayer,
@@ -134,6 +135,19 @@ class TestGradientsAgainstFiniteDifferences:
         err = grad_check(model, x, np.array([1, 0]), epsilon=1e-5)
         assert err < 1e-6
 
+    def test_unpooled_detector_lstm_sees_several_steps(self):
+        """With no pooling the LSTM runs 8 steps, so the recurrent products
+        and gradients of steps after the first are under finite differences."""
+        arch = ArchConfig(feature_dim=6, seq_len=16, conv_filters=(3, 3, 4, 4),
+                          pool_after=(), lstm_hidden=4, fc_widths=(5,), num_classes=3)
+        model = build_model(arch, seed=63)
+        assert arch.timeline()[-1] == 8
+        rng = np.random.default_rng(63)
+        x = rng.normal(size=(2, arch.seq_len, arch.feature_dim))
+        err = grad_check(model, x, np.array([2, 0]), epsilon=1e-5,
+                         max_entries_per_param=12, rng=np.random.default_rng(64))
+        assert err < 1e-4, f"worst relative gradient error {err:.3e}"
+
     def test_central_difference_error_shrinks_quadratically(self):
         """Central FD has O(eps^2) truncation error: on a curved scalar loss the
         deviation from the true derivative must grow ~4x when eps doubles."""
@@ -150,6 +164,54 @@ class TestGradientsAgainstFiniteDifferences:
         e1 = abs(fd(1e-3) - true_grad)
         e2 = abs(fd(2e-3) - true_grad)
         assert 3.0 < e2 / e1 < 5.0
+
+
+def full_walk_gradients(model, x, labels):
+    """``loss_and_gradients`` with every layer's input gradient computed,
+    the first layer's included."""
+    caches, out = [], x
+    for layer in model.layers:
+        out, cache = layer.forward(out)
+        caches.append(cache)
+    grad = L.softmax_xent_grad(out, labels)
+    grads = {}
+    for i in range(len(model.layers) - 1, -1, -1):
+        grad, layer_grads = model.layers[i].backward(grad, caches[i])
+        grads.update({f"{i}.{name}": g for name, g in layer_grads.items()})
+    assert grad.shape == x.shape
+    return grads
+
+
+def default_detector():
+    arch = ArchConfig()
+    return build_model(arch, seed=4), (arch.seq_len, arch.feature_dim)
+
+
+def first_layer_graphs():
+    rng = np.random.default_rng(61)
+    return {
+        "dense": (ModelGraph([DenseLayer(6, 5, activation="relu", rng=rng),
+                              DenseLayer(5, 3, activation="softmax", rng=rng)]), (6,)),
+        "lstm": (ModelGraph([LstmLayer(3, 4, rng=rng),
+                             DenseLayer(4, 3, activation="softmax", rng=rng)]), (5, 3)),
+        "pool": (ModelGraph([MaxPool1dLayer(2), LstmLayer(3, 4, rng=rng),
+                             DenseLayer(4, 3, activation="softmax", rng=rng)]), (6, 3)),
+    }
+
+
+class TestFirstLayerSkipsInputGradient:
+    @pytest.mark.parametrize("name", ["default", "dense", "lstm", "pool"])
+    def test_parameter_gradients_bitwise_equal_to_full_walk(self, name):
+        model, shape = default_detector() if name == "default" \
+            else first_layer_graphs()[name]
+        rng = np.random.default_rng(62)
+        x = rng.normal(size=(4, *shape))
+        labels = rng.integers(0, 3, size=4)
+        _, grads = model.loss_and_gradients(x, labels)
+        want = full_walk_gradients(model, x, labels)
+        assert grads.keys() == want.keys()
+        for key, g in grads.items():
+            np.testing.assert_array_equal(g, want[key], err_msg=key)
 
 
 class TestTrainingSmoke:

@@ -1,0 +1,112 @@
+"""Training kernels against the reference forms in ``nn_oracle``.
+
+The filter gradient sums in another order than the reference ``einsum``,
+so it must agree within a relative tolerance of 1e-12, taken against the
+sum of the absolute products each entry adds up (the scale its rounding
+error grows with). Everything else keeps its arithmetic and must match
+bit for bit: the input and bias gradients, every LSTM output and gradient,
+and the pooled values and routed gradients, ties included.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cloudguard.nn import MaxPool1dLayer
+from cloudguard.nn import layers as L
+
+from . import nn_oracle as oracle
+
+DKERNEL_RTOL = 1e-12
+
+seeds = st.integers(0, 2**32 - 1)
+sizes = st.integers(1, 5)
+
+
+def random_lstm_params(rng, c_in, h):
+    names = ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
+             "b_i", "b_f", "b_o", "b_g")
+    shapes = [(c_in, h)] * 4 + [(h, h)] * 4 + [(h,)] * 4
+    return L.LstmParams(**{n: rng.normal(size=s) for n, s in zip(names, shapes)})
+
+
+@st.composite
+def conv_cases(draw):
+    """(x, dout, params) for B 1-5, C_in and C_out 1-5, K 1-5, stride 1-3."""
+    b, c_in, c_out, k = draw(sizes), draw(sizes), draw(sizes), draw(sizes)
+    stride = draw(st.integers(1, 3))
+    t_out = draw(st.integers(1, 6))
+    t = (t_out - 1) * stride + k + draw(st.integers(0, stride - 1))
+    rng = np.random.default_rng(draw(seeds))
+    p = L.ConvParams(kernel=rng.normal(size=(k, c_in, c_out)),
+                     bias=rng.normal(size=c_out), stride=stride)
+    return rng.normal(size=(b, t, c_in)), rng.normal(size=(b, t_out, c_out)), p
+
+
+class TestConvBackward:
+    @settings(max_examples=200, deadline=None)
+    @given(conv_cases())
+    def test_matches_einsum_reference(self, case):
+        x, dout, p = case
+        dx, dkernel, dbias = L.conv1d_backward_batch(dout, x, p)
+        ref_dx, ref_dkernel, ref_dbias = oracle.conv1d_backward_batch(dout, x, p)
+        np.testing.assert_array_equal(dx, ref_dx)
+        np.testing.assert_array_equal(dbias, ref_dbias)
+        scale = oracle.conv1d_backward_batch(np.abs(dout), np.abs(x), p)[1]
+        assert np.all(np.abs(dkernel - ref_dkernel) <= DKERNEL_RTOL * scale)
+
+    @settings(max_examples=50, deadline=None)
+    @given(conv_cases())
+    def test_skipping_dx_keeps_parameter_gradients(self, case):
+        x, dout, p = case
+        _, dkernel, dbias = L.conv1d_backward_batch(dout, x, p)
+        dx, dkernel_skip, dbias_skip = L.conv1d_backward_batch(dout, x, p, need_dx=False)
+        assert dx is None
+        np.testing.assert_array_equal(dkernel_skip, dkernel)
+        np.testing.assert_array_equal(dbias_skip, dbias)
+
+
+class TestLstmAgainstZeroStateReference:
+    @settings(max_examples=150, deadline=None)
+    @given(b=sizes, t=sizes, c_in=sizes, h=sizes, return_sequences=st.booleans(),
+           seed=seeds)
+    def test_outputs_and_gradients_bitwise(self, b, t, c_in, h, return_sequences, seed):
+        rng = np.random.default_rng(seed)
+        p = random_lstm_params(rng, c_in, h)
+        x = rng.normal(size=(b, t, c_in))
+        out, steps = L.lstm_forward_batch(x, p, return_sequences)
+        ref_out, ref_steps = oracle.lstm_forward_batch(x, p, return_sequences)
+        np.testing.assert_array_equal(out, ref_out)
+        dout = rng.normal(size=out.shape)
+        dx, grads = L.lstm_backward_batch(dout, steps, p, return_sequences)
+        ref_dx, ref_grads = oracle.lstm_backward_batch(dout, ref_steps, p, return_sequences)
+        np.testing.assert_array_equal(dx, ref_dx)
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
+        no_dx, skip_grads = L.lstm_backward_batch(dout, steps, p, return_sequences,
+                                                  need_dx=False)
+        assert no_dx is None
+        for name, g in skip_grads.items():
+            np.testing.assert_array_equal(g, grads[name], err_msg=name)
+
+
+class TestValuesOnlyPool:
+    @settings(max_examples=150, deadline=None)
+    @given(b=sizes, blocks=sizes, pool=st.integers(1, 4), c=sizes, seed=seeds,
+           ties=st.booleans())
+    def test_values_and_gradients_bitwise(self, b, blocks, pool, c, seed, ties):
+        rng = np.random.default_rng(seed)
+        shape = (b, blocks * pool, c)
+        # small integers make most blocks hold a tie for the maximum
+        x = rng.integers(-1, 2, size=shape).astype(np.float64) if ties \
+            else rng.normal(size=shape)
+        layer, ref = MaxPool1dLayer(pool), oracle.IndexMaxPool1dLayer(pool)
+        out, cache = layer.forward(x)
+        ref_out, ref_cache = ref.forward(x)
+        np.testing.assert_array_equal(out, ref_out)
+        dout = rng.normal(size=out.shape)
+        dx, grads = layer.backward(dout, cache)
+        np.testing.assert_array_equal(dx, ref.backward(dout, ref_cache)[0])
+        assert grads == {}
+        assert layer.backward(dout, cache, need_dx=False) == (None, {})
