@@ -19,12 +19,24 @@ Config schemas (all fields optional unless noted):
                    "epsilon_end": float, "anneal_fraction": float}
   simulate        {"scenario": {...}, "detector": path|"baseline"|"accept-all",
                    "policy": path, "fixed_action": int, "threshold": float,
-                   "replicas": int, "deadline_ms": float, "convergence": path}
-  evaluate        {"scenario": {...}, "detector": ..., "threshold": float}
+                   "replicas": int, "seed": int, "deadline_ms": float,
+                   "convergence": path}
+  evaluate        the simulate document; its scenario, seed, detector and
+                  threshold decide the scores
   compare         {"baseline": path, "candidate": path}  (or two positionals)
 
-The "scenario" object is the same shape ScenarioConfig.to_dict produces;
-when omitted, the default desk-scale scenario is used with the given seed.
+Each object that maps to a config class takes exactly that class's fields:
+the simulate (and evaluate) document is SimConfig, "scenario" is
+ScenarioConfig (each attack an AttackSpec), "arch" is ArchConfig and "env"
+is EnvConfig (less its seed, which --seed sets). A missing field keeps its
+default, so "arch" may be partial; an unknown key, a value of the wrong
+type, an int field given a fraction or a non-finite number is a
+configuration error (exit 2). Numeric strings are read as numbers. The generate, train-detector and
+train-policy documents themselves (like compare's) still ignore keys
+outside their schema, though each listed key they hold is read the same
+way.
+When "scenario" is omitted, the default desk-scale scenario is used with
+the given seed.
 """
 
 import argparse
@@ -34,19 +46,22 @@ import os
 import sys
 
 from . import detector as det
-from .baseline import RuleBasedDetector, default_rules
+from .config import read_config, read_value
 from .environment import DefenseEnv, EnvConfig, defense_train_config
 from .errors import (CatalogError, CheckpointError, CloudguardError,
                      ConfigError, DimensionError, FilesystemError, InputError)
-from .features import build_layout, extract_features
+from .features import build_layout
 from .policy import PolicyTrainConfig, save_qtables, train_policy, \
     write_convergence_csv
 from .scenario import ScenarioConfig, default_scenario, generate_stream
-from .simulate import (BASELINE_DETECTOR, SimConfig, canonical_json,
-                       comparison_to_dict, compare_reports, emit_report,
-                       evaluate_detection, per_class_csv, run_simulation,
-                       write_text)
+from .simulate import (SimConfig, canonical_json, comparison_to_dict,
+                       compare_reports, emit_report, evaluate_detection,
+                       per_class_csv, run_simulation, write_text)
 from .telemetry import write_events_jsonl, write_label_sidecar
+
+# train-policy document keys overlaid on the defense_train_config preset
+_POLICY_KEYS = ("episodes", "steps_per_episode", "alpha", "gamma",
+                "epsilon_start", "epsilon_end", "anneal_fraction")
 
 
 def _load_config(path: str | None) -> dict:
@@ -64,16 +79,24 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _pick(doc: dict, keys) -> dict:
+    return {key: doc[key] for key in keys if key in doc}
+
+
 def _resolve_scenario(doc: dict, seed: int | None) -> ScenarioConfig:
-    scenario = doc.get("scenario")
-    if scenario is None:
-        return default_scenario(seed=seed if seed is not None else 0)
-    if not isinstance(scenario, dict):
-        raise ConfigError("scenario must be an object")
-    cfg = ScenarioConfig.from_dict(scenario)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg
+    if doc.get("scenario") is None:
+        return default_scenario(seed=seed or 0)
+    cfg = ScenarioConfig.from_dict(doc["scenario"])
+    return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
+
+
+def _sim_config(args) -> SimConfig:
+    """The simulate document with the command-line overrides applied."""
+    doc = _load_config(args.config)
+    for key in ("seed", "replicas"):
+        if getattr(args, key, None) is not None:
+            doc[key] = getattr(args, key)
+    return SimConfig.from_dict(doc)
 
 
 def _ensure_out(out: str | None) -> str:
@@ -109,14 +132,14 @@ def _cmd_generate(args) -> int:
 def _cmd_train_detector(args) -> int:
     doc = _load_config(args.config)
     scenario = _resolve_scenario(doc, args.seed)
-    train_cfg = det.TrainConfig(
-        epochs=int(doc.get("epochs", 30)),
-        batch_size=int(doc.get("batch_size", 32)),
-        lr=float(doc.get("lr", 1e-3)),
-        seed=scenario.seed,
-    )
-    arch = det.ArchConfig.from_dict(doc["arch"]) if "arch" in doc \
-        else det.ArchConfig()
+    train_cfg = read_config(det.TrainConfig,
+                            _pick(doc, ("epochs", "batch_size", "lr")),
+                            seed=scenario.seed)
+    arch = det.ArchConfig.from_dict(doc.get("arch", {}))
+    eval_seed = read_value(int, doc.get("eval_seed", scenario.seed + 1),
+                           "eval_seed")
+    threshold = read_value(float, doc.get("threshold", det.DEFAULT_THRESHOLD),
+                           "threshold")
     out = _ensure_out(args.out)
     layout = build_layout(dim=arch.feature_dim)
     stream = generate_stream(scenario)
@@ -124,12 +147,9 @@ def _cmd_train_detector(args) -> int:
     model = det.build_model(arch, seed=train_cfg.seed)
     model, history = det.train(model, x, y, train_cfg)
 
-    eval_seed = int(doc.get("eval_seed", scenario.seed + 1))
     eval_stream = generate_stream(dataclasses.replace(scenario, seed=eval_seed))
     xe, ye, _ = det.prepare_dataset(eval_stream, layout, arch.seq_len, stats)
-    metrics = det.evaluate(model, xe, ye,
-                           threshold=float(doc.get("threshold",
-                                                   det.DEFAULT_THRESHOLD)))
+    metrics = det.evaluate(model, xe, ye, threshold=threshold)
     ckpt = os.path.join(out, "detector.npz")
     det.save_detector(ckpt, model, arch, stats, layout)
     write_text(os.path.join(out, "evaluation.json"),
@@ -145,24 +165,11 @@ def _cmd_train_detector(args) -> int:
 
 def _cmd_train_policy(args) -> int:
     doc = _load_config(args.config)
-    out = _ensure_out(args.out)
     seed = args.seed if args.seed is not None else 0
-    env_doc = doc.get("env", {})
-    if not isinstance(env_doc, dict):
-        raise ConfigError("env must be an object")
-    env = DefenseEnv(EnvConfig(seed=seed, **env_doc))
-    base = defense_train_config(seed=seed)
-    cfg = PolicyTrainConfig(
-        episodes=int(doc.get("episodes", base.episodes)),
-        steps_per_episode=int(doc.get("steps_per_episode",
-                                      base.steps_per_episode)),
-        alpha=float(doc.get("alpha", base.alpha)),
-        gamma=float(doc.get("gamma", base.gamma)),
-        epsilon_start=float(doc.get("epsilon_start", base.epsilon_start)),
-        epsilon_end=float(doc.get("epsilon_end", base.epsilon_end)),
-        anneal_fraction=float(doc.get("anneal_fraction", base.anneal_fraction)),
-        seed=seed,
-    )
+    env = DefenseEnv(read_config(EnvConfig, doc.get("env", {}), seed=seed))
+    preset = dataclasses.asdict(defense_train_config(seed=seed))
+    cfg = read_config(PolicyTrainConfig, preset | _pick(doc, _POLICY_KEYS))
+    out = _ensure_out(args.out)
     tables, curve = train_policy(env, cfg)
     qt = os.path.join(out, "policy.csv")
     save_qtables(qt, tables)
@@ -174,12 +181,7 @@ def _cmd_train_policy(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    doc = _load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.replicas is not None:
-        doc["replicas"] = args.replicas
-    config = SimConfig.from_dict(doc)
+    config = _sim_config(args)
     out = _ensure_out(args.out)
     report, events = run_simulation(config)
     emit_report(report, events, out, args.format)
@@ -193,13 +195,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    doc = _load_config(args.config)
-    scenario = _resolve_scenario(doc, args.seed)
+    config = _sim_config(args)
     out = _ensure_out(args.out)
-    name = doc.get("detector", BASELINE_DETECTOR)
-    config = SimConfig(scenario=scenario, detector=name,
-                       threshold=float(doc.get("threshold",
-                                               det.DEFAULT_THRESHOLD)))
     metrics = evaluate_detection(config)
     write_text(os.path.join(out, "evaluation.json"),
                canonical_json(metrics.to_dict()))
@@ -224,8 +221,10 @@ def _read_report(path: str) -> dict:
 
 def _cmd_compare(args) -> int:
     doc = _load_config(args.config)
-    baseline = args.baseline or doc.get("baseline")
-    candidate = args.candidate or doc.get("candidate")
+    baseline = args.baseline or read_value(str | None, doc.get("baseline"),
+                                           "baseline")
+    candidate = args.candidate or read_value(str | None, doc.get("candidate"),
+                                             "candidate")
     if not baseline or not candidate:
         raise ConfigError("compare needs a baseline and a candidate report "
                           "(two positionals or config keys)")

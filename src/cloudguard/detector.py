@@ -9,12 +9,15 @@ an "unknown" bucket that evaluation counts separately instead of forcing
 into a class.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InputError, TrainingDivergedError
+from .config import read_config
+from .errors import (CheckpointError, ConfigError, DimensionError, InputError,
+                     TrainingDivergedError)
 from .features import FeatureLayout, NormStats, extract_features, fit_normalizer, normalize
 from .nn import Adam, Conv1dLayer, DenseLayer, LstmLayer, MaxPool1dLayer, ModelGraph, Sgd
 from .nn import layers as nnl
@@ -74,35 +77,9 @@ class ArchConfig:
                 chain.append(t)
         return chain
 
-    def to_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "seq_len": self.seq_len,
-            "conv_filters": list(self.conv_filters),
-            "kernel_size": self.kernel_size,
-            "pool_size": self.pool_size,
-            "pool_after": list(self.pool_after),
-            "lstm_hidden": self.lstm_hidden,
-            "fc_widths": list(self.fc_widths),
-            "num_classes": self.num_classes,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ArchConfig":
-        try:
-            return cls(
-                feature_dim=d["feature_dim"],
-                seq_len=d["seq_len"],
-                conv_filters=tuple(d["conv_filters"]),
-                kernel_size=d["kernel_size"],
-                pool_size=d["pool_size"],
-                pool_after=tuple(d["pool_after"]),
-                lstm_hidden=d["lstm_hidden"],
-                fc_widths=tuple(d["fc_widths"]),
-                num_classes=d["num_classes"],
-            )
-        except KeyError as exc:
-            raise ConfigError(f"arch config missing field {exc}") from exc
+        return read_config(cls, d)
 
 
 def build_model(arch: ArchConfig, seed: int = 0) -> ModelGraph:
@@ -264,7 +241,6 @@ class TrainConfig:
     seed: int = 0
     val_fraction: float = 0.15
     optimizer: str = "adam"  # or "sgd"
-    class_weighting: bool = True
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -313,8 +289,7 @@ def train(model: ModelGraph, x: np.ndarray, y: np.ndarray,
     else:
         # too small to hold anything out; validate on the training data
         val_idx = train_idx = np.arange(len(x))
-    weights = _class_weights(y[train_idx], num_classes) if cfg.class_weighting \
-        else np.ones(num_classes)
+    weights = _class_weights(y[train_idx], num_classes)
     optimizer = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else Sgd(lr=cfg.lr)
     history: list[dict] = []
     best: tuple[float, dict] | None = None  # set by the first epoch; epochs >= 1
@@ -459,7 +434,7 @@ def save_detector(path: str, model: ModelGraph, arch: ArchConfig,
     params["norm.std"] = stats.std
     meta = {
         "kind": "detector",
-        "arch": arch.to_dict(),
+        "arch": dataclasses.asdict(arch),
         "classes": list(classes),
         "layout": layout.to_dict(),
     }
@@ -469,13 +444,16 @@ def save_detector(path: str, model: ModelGraph, arch: ArchConfig,
 def load_detector(path: str):
     """Rebuild ``(model, arch, stats, layout, classes)`` from a bundle."""
     params, meta = load_params(path)
-    from .errors import CheckpointError
-
-    if meta.get("kind") != "detector":
+    if not isinstance(meta, dict) or meta.get("kind") != "detector":
         raise CheckpointError(f"{path}: not a detector checkpoint")
-    arch = ArchConfig.from_dict(meta["arch"])
-    layout = FeatureLayout.from_dict(meta["layout"])
-    classes = tuple(meta["classes"])
+    try:
+        arch = ArchConfig.from_dict(meta["arch"])
+        layout = FeatureLayout.from_dict(meta["layout"])
+        classes = tuple(meta["classes"])
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: metadata lacks {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: malformed metadata: {exc}") from exc
     for key in ("norm.mean", "norm.std"):
         if key not in params:
             raise CheckpointError(f"{path}: missing parameter {key!r}")

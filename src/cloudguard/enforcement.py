@@ -172,11 +172,3 @@ class LatencyBreakdown:
         return cls(detection_ms=detection_ms, policy_ms=policy_ms,
                    execution_ms=execution_ms,
                    total_ms=detection_ms + policy_ms + execution_ms)
-
-    def to_dict(self) -> dict:
-        return {
-            "detection_ms": self.detection_ms,
-            "policy_ms": self.policy_ms,
-            "execution_ms": self.execution_ms,
-            "total_ms": self.total_ms,
-        }

@@ -9,8 +9,9 @@ The vector is split into three contiguous segments:
 - ``behavior``     user-action and system-log statistics
 
 Every position has a stable name (``"traffic.byte_sum"``); the full catalog
-lives in a FeatureLayout that serializes to JSON next to datasets, so tests
-and downstream consumers address features by name instead of raw index.
+lives in a FeatureLayout, which detector checkpoints carry in their
+metadata, so tests and downstream consumers address features by name
+instead of raw index.
 Positions the catalog does not populate are named ``*.reserved_*`` and are
 always zero. Extraction is pure: the same window yields the same vector, and
 all time handling is window-relative, so shifting a window and its events by
@@ -23,7 +24,6 @@ resolves its names to positions in those statistics once, when it is
 built, so a window costs one gather instead of a name lookup per feature.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,20 +210,6 @@ def build_layout(dim: int = DEFAULT_DIM, n_bins: int = 16) -> FeatureLayout:
     return FeatureLayout(dim=dim, n_bins=n_bins, segments=segments, names=tuple(names))
 
 
-def save_layout(path: str, layout: FeatureLayout) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(layout.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_layout(path: str) -> FeatureLayout:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return FeatureLayout.from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid layout JSON ({exc})") from exc
-
-
 # fixed-string codes the extractor counts by (equal in every window)
 _ACTION_CODES = np.array([FIXED_CODES[a] for a in BEHAVIOR_ACTIONS])
 _SUBSYSTEM_CODES = np.array([FIXED_CODES[s] for s in LOG_SUBSYSTEMS])
@@ -375,14 +361,6 @@ class NormStats:
 
     mean: np.ndarray
     std: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(mean=np.asarray(d["mean"], dtype=np.float64),
-                   std=np.asarray(d["std"], dtype=np.float64))
 
 
 def fit_normalizer(dataset: list[np.ndarray] | np.ndarray) -> NormStats:

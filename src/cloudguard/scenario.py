@@ -26,10 +26,12 @@ time wins; ties resolve toward the attack, and between attacks toward the
 canonical label order.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_config
 from .errors import ConfigError, InputError, StratificationError
 from .features import FeatureLayout, extract_features
 from .telemetry import (
@@ -96,7 +98,7 @@ class AttackSpec:
     end: int  # ms
 
     def __post_init__(self):
-        if self.kind not in LABELS:
+        if self.kind not in ATTACK_KINDS:
             raise ConfigError(f"unknown attack kind {self.kind!r}")
         if not 0.0 < self.intensity <= 1.0:
             raise ConfigError(f"intensity must be in (0, 1], got {self.intensity}")
@@ -139,34 +141,11 @@ class ScenarioConfig:
         return self.duration_ms // self.window_ms
 
     def to_dict(self) -> dict:
-        return {
-            "duration_ms": self.duration_ms,
-            "window_ms": self.window_ms,
-            "benign_rate": self.benign_rate,
-            "seed": self.seed,
-            "ddos_surge": self.ddos_surge,
-            "attacks": [
-                {"kind": a.kind, "intensity": a.intensity, "start": a.start, "end": a.end}
-                for a in self.attacks
-            ],
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        try:
-            attacks = tuple(AttackSpec(**a) for a in d.get("attacks", []))
-            return cls(
-                duration_ms=d["duration_ms"],
-                window_ms=d.get("window_ms", 1000),
-                benign_rate=d.get("benign_rate", 60.0),
-                attacks=attacks,
-                seed=d.get("seed", 0),
-                ddos_surge=d.get("ddos_surge", 8.0),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"scenario config missing field {exc}") from exc
-        except TypeError as exc:
-            raise ConfigError(f"malformed scenario config: {exc}") from exc
+        return read_config(cls, d)
 
 
 @dataclass
@@ -219,8 +198,6 @@ def label_for_window(attacks, start: int, end: int) -> str:
     """
     by_kind: dict[str, list[tuple[int, int]]] = {}
     for spec in attacks:
-        if spec.kind == "benign":
-            continue
         lo, hi = _overlap(spec, start, end)
         if lo < hi:
             by_kind.setdefault(spec.kind, []).append((lo, hi))
@@ -512,8 +489,6 @@ def generate_window(config: ScenarioConfig, index: int) -> TelemetryWindow:
     rng = _window_rng(config.seed, index)
     parts = _benign_events(rng, start, config.window_ms, config.benign_rate)
     for spec in config.attacks:
-        if spec.kind == "benign":
-            continue
         lo, hi = _overlap(spec, start, end)
         if lo < hi:
             parts.extend(_attack_events(rng, spec, lo, hi, config))

@@ -8,13 +8,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cloudguard
 from cloudguard import simulate
 from cloudguard.cli import main
+from cloudguard.detector import ArchConfig, build_model
+from cloudguard.features import build_layout
+from cloudguard.nn import save_params
 from cloudguard.scenario import ScenarioConfig, generate_stream
-from cloudguard.telemetry import read_stream_jsonl
+from cloudguard.telemetry import LABELS, read_stream_jsonl
 
 SCENARIO = {
     "duration_ms": 60000,
@@ -322,6 +326,87 @@ def test_exit_four_on_corrupt_checkpoint(tmp_path, scenario_cfg, capsys):
     assert main(["simulate", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 4
     assert "checkpoint error" in capsys.readouterr().err
+
+
+def _detector_checkpoint(tmp_path, meta_edit):
+    """A checkpoint of TINY_ARCH's shape whose metadata ``meta_edit`` alters."""
+    arch = ArchConfig.from_dict(TINY_ARCH)
+    params = dict(build_model(arch).parameters())
+    params["norm.mean"] = params["norm.std"] = np.ones(arch.feature_dim)
+    meta = {"kind": "detector", "arch": TINY_ARCH, "classes": list(LABELS),
+            "layout": build_layout(arch.feature_dim).to_dict()}
+    meta_edit(meta)
+    path = tmp_path / "detector.npz"
+    save_params(str(path), params, meta)
+    return str(path)
+
+
+@pytest.mark.parametrize("meta_edit", [
+    lambda meta: meta.pop("arch"),
+    lambda meta: meta.pop("layout"),
+    lambda meta: meta.pop("classes"),
+    lambda meta: meta.update(arch={"seq_len": 4}),
+    lambda meta: meta.update(layout={"dim": 428}),
+], ids=["no-arch", "no-layout", "no-classes", "bad-arch", "bad-layout"])
+def test_exit_four_on_malformed_detector_metadata(tmp_path, capsys, meta_edit):
+    ckpt = _detector_checkpoint(tmp_path, meta_edit)
+    cfg = write_config(tmp_path, "c.json",
+                       {"scenario": SCENARIO, "detector": ckpt})
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 4
+    assert ckpt in capsys.readouterr().err
+
+
+# each document exits 2 before any --out directory is made
+MALFORMED = [
+    ("train-detector", {"epochs": "two"}),
+    ("train-detector", {"scenario": SCENARIO, "arch": TINY_ARCH,
+                        "eval_seed": "x", "epochs": 1}),
+    ("train-detector", {"threshold": "x"}),
+    ("train-detector", {"arch": dict(TINY_ARCH, conv_filters=5)}),
+    ("train-policy", {"env": {"bogus": 1}}),
+    ("train-policy", {"episodes": "x"}),
+    ("train-policy", {"env": {"intensity_range": 5}}),
+    ("train-policy", {"env": {"seed": 1}}),
+    ("evaluate", {"threshold": "x"}),
+    ("evaluate", {"scenario": SCENARIO, "bogus": 1}),
+    ("simulate", {"seed": "x"}),
+    ("simulate", {"scenario": SCENARIO, "fixed_action": 3.7}),
+    ("simulate", {"scenario": SCENARIO, "treshold": 0.2}),
+    ("simulate", {"scenario": SCENARIO, "deadline_ms": float("nan")}),
+    ("compare", {"baseline": 5, "candidate": "b.json"}),
+    ("simulate", {"scenario": dict(SCENARIO, attacks=[
+        {"kind": "benign", "intensity": 1.0, "start": 0, "end": 3000}])}),
+]
+
+
+@pytest.mark.parametrize("command,doc", MALFORMED,
+                         ids=[f"{c}-{i}" for i, (c, _) in enumerate(MALFORMED)])
+def test_exit_two_on_malformed_config(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numeric_string_seed_runs_as_that_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"scenario": SCENARIO, "seed": "7"})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "metrics.json").read_text())["config"]["seed"] == 7
+    capsys.readouterr()
+
+
+def test_partial_arch_takes_defaults(tmp_path, capsys):
+    cfg = write_config(tmp_path, "det.json", {
+        "scenario": SCENARIO, "epochs": 1, "batch_size": 16,
+        "arch": {key: TINY_ARCH[key] for key in
+                 ("seq_len", "conv_filters", "pool_after", "lstm_hidden",
+                  "fc_widths")}})
+    out = tmp_path / "det"
+    assert main(["train-detector", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
 
 
 def test_exit_five_on_blocked_output(tmp_path, scenario_cfg, capsys):

@@ -1,5 +1,7 @@
 """Detector architecture, training behavior, verdicts, and metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -105,7 +107,7 @@ class TestArchConfig:
 
     def test_dict_round_trip(self):
         arch = tiny_arch()
-        assert ArchConfig.from_dict(arch.to_dict()) == arch
+        assert ArchConfig.from_dict(dataclasses.asdict(arch)) == arch
 
     def test_gradients_on_shrunken_config(self):
         rng = np.random.default_rng(1)
@@ -473,7 +475,7 @@ class TestDetectorBundle:
         arch = tiny_arch()
         model = build_model(arch, seed=23)
         layout = build_layout(dim=16)
-        meta = {"kind": "detector", "arch": arch.to_dict(),
+        meta = {"kind": "detector", "arch": dataclasses.asdict(arch),
                 "classes": ["a", "b", "c"], "layout": layout.to_dict()}
         path = str(tmp_path / "broken.npz")
         save_params(path, dict(model.parameters()), meta)  # no norm arrays

@@ -1,5 +1,7 @@
 """Defense posture, effectiveness matrix, and attack resolution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -233,7 +235,7 @@ class TestLatencyBreakdown:
 
     def test_dict_export(self):
         lb = LatencyBreakdown.from_parts(1.0, 2.0, 3.0)
-        assert lb.to_dict() == {
+        assert dataclasses.asdict(lb) == {
             "detection_ms": 1.0, "policy_ms": 2.0,
             "execution_ms": 3.0, "total_ms": 6.0,
         }

@@ -11,9 +11,7 @@ from cloudguard.features import (
     entropy_nats,
     extract_features,
     fit_normalizer,
-    load_layout,
     normalize,
-    save_layout,
 )
 from cloudguard.telemetry import (
     BehaviorData,
@@ -72,12 +70,6 @@ class TestLayout:
         assert not any("reserved" in n for n in names)
         assert names[0] == "time_series.flows_bin_00"
         assert names[-1] == "time_series.actions_peak_ratio"
-
-    def test_descriptor_file_round_trip(self, tmp_path, layout):
-        path = str(tmp_path / "layout.json")
-        save_layout(path, layout)
-        got = load_layout(path)
-        assert got == layout
 
     def test_small_dim_still_partitions(self):
         lo = build_layout(dim=16)

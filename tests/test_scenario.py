@@ -50,6 +50,9 @@ class TestConfigValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             AttackSpec(kind="phishing", intensity=0.5, start=0, end=1000)
+        # a spec names an attack; benign is what no spec covers
+        with pytest.raises(ConfigError):
+            AttackSpec(kind="benign", intensity=0.5, start=0, end=1000)
 
     def test_window_must_tile_duration(self):
         with pytest.raises(ConfigError):

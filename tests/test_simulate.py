@@ -142,7 +142,7 @@ def test_config_seed_override():
 def test_config_dict_round_trip():
     cfg = SimConfig(scenario=small_scenario(), threshold=0.6, replicas=2,
                     seed=5, fixed_action=7)
-    back = SimConfig.from_dict(cfg.to_dict())
+    back = SimConfig.from_dict(dataclasses.asdict(cfg))
     assert back == cfg
 
 
