@@ -138,8 +138,8 @@ def _cmd_train_detector(args) -> int:
     arch = det.ArchConfig.from_dict(doc.get("arch", {}))
     eval_seed = read_value(int, doc.get("eval_seed", scenario.seed + 1),
                            "eval_seed")
-    threshold = read_value(float, doc.get("threshold", det.DEFAULT_THRESHOLD),
-                           "threshold")
+    threshold = det.check_threshold(read_value(
+        float, doc.get("threshold", det.DEFAULT_THRESHOLD), "threshold"))
     out = _ensure_out(args.out)
     layout = build_layout(dim=arch.feature_dim)
     stream = generate_stream(scenario)

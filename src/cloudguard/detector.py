@@ -27,6 +27,13 @@ from .telemetry import LABELS
 DEFAULT_THRESHOLD = 0.75
 
 
+def check_threshold(threshold: float) -> float:
+    """A decision threshold as given; ConfigError unless it lies in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
+    return threshold
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     """Network shape. Defaults give 4 conv, 2 pool, and 3 dense layers."""

@@ -1,9 +1,8 @@
-"""Simulated enforcement: defense posture, attack resolution, latency.
+"""Simulated enforcement: attack resolution, damage, latency.
 
-A DefenseState carries the current firewall, rate-limit, and isolation
-tiers. Applying an action sets the tiers to the action's targets (absolute,
-so reapplying is a no-op) and measures how long the mutation took on the
-monotonic clock.
+An action's firewall, rate-limit, and isolation tiers are absolute targets,
+so a window's posture is its own action's, and enforcing a run is one timed
+array call, ``apply_action``.
 
 Attack outcomes come from an effectiveness matrix, one array indexed by
 (label id, firewall, rate-limit, isolation tier) holding a coverage fraction
@@ -14,6 +13,8 @@ so a single window and a whole run of windows take the same path.
 The default matrix is built from per-kind tier leverage: rate limiting
 against volumetric floods, the firewall against scans, injections, and
 credential stuffing, and isolation against data exfiltration.
+``enforce_window`` adds collateral damage: load x the action's summed tier
+friction x the damage of one fully disrupted window.
 """
 
 import time
@@ -22,13 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import CatalogError, InputError
 from .policy import (
+    ACTION_CATALOG,
     FIREWALL_TIERS,
     ISOLATION_TIERS,
+    N_ACTIONS,
     RATE_LIMIT_TIERS,
-    Action,
-    get_action,
 )
 from .telemetry import LABELS
 
@@ -52,44 +53,6 @@ _TIER_WEIGHTS = np.array([
 # returns; "none" is a window with no attack
 OUTCOMES = ("none", "passed", "mitigated", "blocked")
 BLOCKED = OUTCOMES.index("blocked")
-
-
-@dataclass
-class DefenseState:
-    """Current posture: absolute firewall, rate-limit, and isolation tiers."""
-
-    firewall_tier: int = 0
-    rate_limit_tier: int = 0
-    isolation_tier: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.firewall_tier < FIREWALL_TIERS:
-            raise ConfigError(f"firewall tier {self.firewall_tier} out of range")
-        if not 0 <= self.rate_limit_tier < RATE_LIMIT_TIERS:
-            raise ConfigError(f"rate-limit tier {self.rate_limit_tier} out of range")
-        if not 0 <= self.isolation_tier < ISOLATION_TIERS:
-            raise ConfigError(f"isolation tier {self.isolation_tier} out of range")
-
-    def tiers(self) -> tuple[int, int, int]:
-        return (self.firewall_tier, self.rate_limit_tier, self.isolation_tier)
-
-
-def apply_action(state: DefenseState, action_id: int,
-                 catalog: tuple[Action, ...]) -> tuple[DefenseState, float]:
-    """Set the posture to the action's tier targets.
-
-    Returns the mutated state together with the execution latency in
-    milliseconds, measured around the mutation on the monotonic clock.
-    Tiers are absolute targets, not deltas, so applying the same action twice
-    leaves the state unchanged. Unknown action ids raise CatalogError before
-    any change.
-    """
-    action = get_action(catalog, action_id)
-    started = time.perf_counter()
-    state.firewall_tier = action.firewall_tier
-    state.rate_limit_tier = action.rate_limit_tier
-    state.isolation_tier = action.isolation_tier
-    return state, (time.perf_counter() - started) * 1000.0
 
 
 def validate_matrix(table) -> np.ndarray:
@@ -145,6 +108,53 @@ def default_matrix() -> np.ndarray:
            + wr * r / (RATE_LIMIT_TIERS - 1)
            + wi * i / (ISOLATION_TIERS - 1))
     return validate_matrix(np.minimum(1.0, raw))
+
+
+# fraction of legitimate traffic each tier degrades; collateral damage is
+# load x the action's summed friction x the damage value of one
+# fully-disrupted window
+FIREWALL_FRICTION = (0.0, 0.02, 0.05, 0.10, 0.18)
+RATE_LIMIT_FRICTION = (0.0, 0.03, 0.08, 0.16, 0.28)
+ISOLATION_FRICTION = (0.0, 0.12, 0.30)
+DISRUPTION_DAMAGE = 4.0
+
+# per action id of the catalog: its summed friction, and the default
+# matrix's coverage of each label id under its tiers ([len(LABELS), n])
+_FW, _RL, _ISO = np.array([(a.firewall_tier, a.rate_limit_tier, a.isolation_tier)
+                           for a in ACTION_CATALOG]).T
+ACTION_FRICTION = (np.array(FIREWALL_FRICTION)[_FW] + np.array(RATE_LIMIT_FRICTION)[_RL]
+                   + np.array(ISOLATION_FRICTION)[_ISO])
+ACTION_COVERAGE = default_matrix()[:, _FW, _RL, _ISO]
+
+
+def enforce_window(action_ids, kind_ids, intensity, load):
+    """Resolve windows under catalog actions: (outcome code, attack damage,
+    collateral damage).
+
+    Scalars give one window; arrays broadcast, so one call scores a whole
+    run. Loads must lie in [0, 1] (fixed_action_damage checks the ones it
+    is given).
+    """
+    code, damage = resolve_attack(kind_ids, intensity,
+                                  ACTION_COVERAGE[kind_ids, action_ids])
+    return code, damage, load * ACTION_FRICTION[action_ids] * DISRUPTION_DAMAGE
+
+
+def apply_action(action_ids, kind_ids, intensity, load):
+    """Enforce a run: ``enforce_window`` over its arrays, plus the wall time.
+
+    Returns (outcome codes, attack damage, collateral damage, milliseconds
+    spent in the call on the monotonic clock). An action id outside the
+    catalog raises CatalogError before anything is enforced.
+    """
+    started = time.perf_counter()
+    action_ids = np.asarray(action_ids, dtype=np.intp)
+    outside = (action_ids < 0) | (action_ids >= N_ACTIONS)
+    if outside.any():
+        raise CatalogError(f"action id {action_ids[outside].flat[0]} outside "
+                           f"catalog of {N_ACTIONS}")
+    code, attack, collateral = enforce_window(action_ids, kind_ids, intensity, load)
+    return code, attack, collateral, (time.perf_counter() - started) * 1e3
 
 
 @dataclass(frozen=True)

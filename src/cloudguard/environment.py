@@ -9,11 +9,9 @@ from the defense tiers themselves under load. The block bonus defaults high
 enough that blocking an attack nets a positive reward; with zero-initialized
 tables that keeps never-tried actions from outranking known-good ones.
 
-Damage comes from ``enforce_window``, one array expression over catalog
-action ids: the attack damage ``resolve_attack`` gives at the action's
-coverage of the window's kind, plus collateral load x the action's summed
-tier friction x the damage of one fully disrupted window. A step calls it on
-scalars; a whole run under one action is a single call on arrays.
+Damage comes from ``enforcement.enforce_window``, called on one step's
+scalars: the attack damage at the action's coverage of the window's kind
+plus collateral damage from the action's tier friction under the load.
 
 Episodes draw from dedicated counter-based substreams (seed, episode index),
 so an episode's windows do not depend on how earlier episodes were played.
@@ -24,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .enforcement import BLOCKED, default_matrix, resolve_attack
+from .enforcement import BLOCKED, enforce_window
 from .errors import ConfigError, EnvironmentFault
 from .perception import DEFAULT_SEVERITY
 from .policy import (
+    ACTION_CATALOG,
     Action,
     PolicyTrainConfig,
-    build_action_catalog,
     compose_indicators,
     encode_state,
     get_action,
@@ -47,38 +45,6 @@ _LOAD_RANGES = {
     "brute_force": (0.55, 1.00),
     "data_exfiltration": (0.30, 0.80),
 }
-
-
-# fraction of legitimate traffic each tier degrades; collateral damage is
-# load x the action's summed friction x the damage value of one
-# fully-disrupted window
-FIREWALL_FRICTION = (0.0, 0.02, 0.05, 0.10, 0.18)
-RATE_LIMIT_FRICTION = (0.0, 0.03, 0.08, 0.16, 0.28)
-ISOLATION_FRICTION = (0.0, 0.12, 0.30)
-DISRUPTION_DAMAGE = 4.0
-
-# per action id of the catalog: its summed friction, and the default
-# matrix's coverage of each label id under its tiers ([len(LABELS), n])
-_CATALOG = build_action_catalog()
-ACTION_FRICTION = np.array([
-    FIREWALL_FRICTION[a.firewall_tier] + RATE_LIMIT_FRICTION[a.rate_limit_tier]
-    + ISOLATION_FRICTION[a.isolation_tier] for a in _CATALOG])
-ACTION_COVERAGE = default_matrix()[
-    :, [a.firewall_tier for a in _CATALOG], [a.rate_limit_tier for a in _CATALOG],
-    [a.isolation_tier for a in _CATALOG]]
-
-
-def enforce_window(action_ids, kind_ids, intensity, load):
-    """Resolve windows under catalog actions: (outcome code, attack damage,
-    collateral damage).
-
-    Scalars give one window; arrays broadcast, so one call scores a whole
-    run under one action. Loads must lie in [0, 1] (fixed_action_damage
-    checks the ones it is given).
-    """
-    code, damage = resolve_attack(kind_ids, intensity,
-                                  ACTION_COVERAGE[kind_ids, action_ids])
-    return code, damage, load * ACTION_FRICTION[action_ids] * DISRUPTION_DAMAGE
 
 
 def reward_for(code, attack_damage, collateral_damage, action: Action,
@@ -130,7 +96,7 @@ class DefenseEnv:
 
     def __init__(self, cfg: EnvConfig | None = None):
         self.cfg = cfg or EnvConfig()
-        self.catalog = _CATALOG
+        self.catalog = ACTION_CATALOG
         self._episode = -1
         self._steps = 0
         self._context: _StepContext | None = None

@@ -6,6 +6,10 @@ each source is scored against a learned vector, scores softmax into weights,
 and the fused context is the weighted sum. The temporal segment carries the
 per-bin log activity counts, so it stands in as the log source's input.
 
+Embedding, fusion and the context factor take one window's ``[D]`` feature
+vector or a run's ``[N, D]`` matrix: a leading window axis carries through
+each step, so a run is perceived in one call along the same path as a window.
+
 A verdict plus fused context maps to a five-level threat score; levels group
 into bands (1 low, 2-3 medium, 4-5 high).
 """
@@ -45,7 +49,7 @@ DEFAULT_PERCEPTION_SEED = 7
 
 @dataclass(frozen=True)
 class SourceEmbedding:
-    """One source's fixed-width embedding."""
+    """One source's fixed-width embedding: ``[F]``, or ``[N, F]`` for a run."""
 
     source: str
     vector: np.ndarray
@@ -60,17 +64,20 @@ class SourceEmbedding:
 
 @dataclass(frozen=True)
 class AttentionWeights:
-    """Per-source fusion weights, in the order the sources were given."""
+    """Per-source fusion weights, in the order the sources were given:
+    ``[3]``, or ``[N, 3]`` with one row per window of a run."""
 
     sources: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if (self.values < 0).any() or abs(self.values.sum() - 1.0) > 1e-9:
+        if (self.values < 0).any() or \
+                (np.abs(self.values.sum(axis=-1) - 1.0) > 1e-9).any():
             raise InputError("attention weights must be nonnegative and sum to 1")
 
     def by_source(self) -> dict[str, float]:
+        """One window's weights by source name."""
         return {s: float(v) for s, v in zip(self.sources, self.values)}
 
 
@@ -82,8 +89,10 @@ class SourceEmbedder:
         self.weights = rng.uniform(-scale, scale, size=(in_width, fusion_dim))
 
     def embed(self, segment_values: np.ndarray) -> np.ndarray:
+        """``[W]`` or ``[N, W]`` segment values to ``[F]`` or ``[N, F]``."""
         segment_values = np.asarray(segment_values, dtype=np.float64)
-        if segment_values.shape != (self.weights.shape[0],):
+        if segment_values.ndim not in (1, 2) \
+                or segment_values.shape[-1] != self.weights.shape[0]:
             raise DimensionError(
                 f"segment width {segment_values.shape} does not match embedder "
                 f"{self.weights.shape[0]}"
@@ -121,13 +130,14 @@ def build_scorer(fusion_dim: int = DEFAULT_FUSION_DIM,
 
 def embed_window(fv: np.ndarray, layout: FeatureLayout,
                  embedders: dict[str, SourceEmbedder]) -> list[SourceEmbedding]:
-    """Slice a feature vector into its three source embeddings."""
+    """Slice a feature vector, ``[D]``, or a run's ``[N, D]`` feature matrix
+    into its three source embeddings."""
     fv = np.asarray(fv, dtype=np.float64)
-    if fv.shape != (layout.dim,):
+    if fv.ndim not in (1, 2) or fv.shape[-1] != layout.dim:
         raise DimensionError(f"vector shape {fv.shape} does not match layout {layout.dim}")
     out = []
     for source in SOURCES:
-        seg = fv[layout.segment_slice(SOURCE_SEGMENTS[source])]
+        seg = fv[..., layout.segment_slice(SOURCE_SEGMENTS[source])]
         out.append(SourceEmbedding(source=source, vector=embedders[source].embed(seg)))
     return out
 
@@ -137,7 +147,8 @@ def fuse(embeddings: list[SourceEmbedding],
     """Attention-weighted combination of the three source embeddings.
 
     weight_i = softmax_i(score_vector . e_i); fused = sum_i weight_i * e_i.
-    The weights follow the order the embeddings were passed in.
+    The weights follow the order the embeddings were passed in. Embeddings of
+    a run, ``[N, F]`` each, give ``[N, F]`` fused rows and ``[N, 3]`` weights.
     """
     present = [e.source for e in embeddings]
     if sorted(present) != sorted(SOURCES):
@@ -149,13 +160,11 @@ def fuse(embeddings: list[SourceEmbedding],
     dims = {e.vector.shape for e in embeddings}
     if len(dims) != 1:
         raise DimensionError(f"embedding dimensions disagree: {sorted(dims)}")
-    if embeddings[0].vector.shape != scorer.score_vector.shape:
+    if embeddings[0].vector.shape[-1:] != scorer.score_vector.shape:
         raise DimensionError("scorer dimension does not match embeddings")
-    scores = np.array([float(scorer.score_vector @ e.vector) for e in embeddings])
-    weights = softmax(scores)
-    fused = np.zeros_like(embeddings[0].vector)
-    for w, e in zip(weights, embeddings):
-        fused += w * e.vector
+    vectors = np.stack([e.vector for e in embeddings], axis=-2)  # [..., 3, F]
+    weights = softmax(vectors @ scorer.score_vector)
+    fused = (weights[..., None] * vectors).sum(axis=-2)
     return fused, AttentionWeights(sources=tuple(present), values=weights)
 
 
@@ -178,9 +187,10 @@ class ThreatLevel:
         return "high"
 
 
-def context_from_fused(fused: np.ndarray) -> float:
-    """Squash a fused embedding into a [0, 1] context factor."""
-    return float(0.5 + 0.5 * np.tanh(np.abs(np.asarray(fused)).mean()))
+def context_from_fused(fused: np.ndarray) -> float | np.ndarray:
+    """Squash a fused embedding into a [0, 1] context factor: a float for
+    ``[F]``, one factor per window for a run's ``[N, F]``."""
+    return 0.5 + 0.5 * np.tanh(np.abs(np.asarray(fused)).mean(axis=-1))
 
 
 def threat_score(verdict, context_factor: float,

@@ -144,6 +144,12 @@ def build_action_catalog() -> tuple[Action, ...]:
     return tuple(actions)
 
 
+# the catalog, built once: configs check ids against its size and the
+# response model reads its tier vectors
+ACTION_CATALOG = build_action_catalog()
+N_ACTIONS = len(ACTION_CATALOG)
+
+
 def get_action(catalog: tuple[Action, ...], action_id: int) -> Action:
     if not 0 <= action_id < len(catalog):
         raise CatalogError(f"action id {action_id} outside catalog of {len(catalog)}")

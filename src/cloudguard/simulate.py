@@ -8,13 +8,13 @@ vary between runs are measured wall-clock latencies, which are confined to
 the per-event ``timing`` record and the report's ``timing`` subtree so that
 everything else can be compared byte for byte.
 
-Windows are processed in two phases, both in one thread. Detection
-featurizes every window, then classifies them all in one batched call:
-``classify_series`` for a network, ``RuleBasedDetector.classify_batch`` for
-the packaged rules and for accept-all, which is the rule detector with no
-rules. The response walk is sequential because each decision feeds the next
-state's recent-action signal, but it is table lookups and arithmetic, far
-cheaper than the network forward.
+A run has three phases, all in one thread. Detect: featurize every window,
+classify them all in one batched call (``classify_series`` for a network,
+``RuleBasedDetector.classify_batch`` for the rules and for accept-all, the
+rule detector with no rules), and perceive the whole run in one call. Walk:
+score each window's threat and choose its action, in order, since each
+decision feeds the next state's recent-action signal. Enforce: one
+``apply_action`` call over the run.
 """
 
 import dataclasses
@@ -28,18 +28,17 @@ import numpy as np
 
 from .baseline import RuleBasedDetector, default_rules
 from .config import read_config
-from .detector import (DEFAULT_THRESHOLD, DetectionMetrics, classify_series,
-                       load_detector)
-from .enforcement import OUTCOMES, DefenseState, LatencyBreakdown, apply_action
-from .environment import enforce_window
+from .detector import (DEFAULT_THRESHOLD, DetectionMetrics, check_threshold,
+                       classify_series, load_detector)
+from .enforcement import OUTCOMES, LatencyBreakdown, apply_action, enforce_window
 from .errors import (CheckpointError, ComparisonError, ConfigError,
                      FilesystemError, InputError)
 from .features import build_layout, extract_features, fit_normalizer, normalize
 from .perception import (ThreatLevel, build_embedders, build_scorer,
                          context_from_fused, embed_window, fuse,
                          level_for_score, summarize_threats, threat_score)
-from .policy import (build_action_catalog, compose_indicators, encode_state,
-                     get_action, load_qtables, read_convergence_csv,
+from .policy import (ACTION_CATALOG, N_ACTIONS, compose_indicators,
+                     encode_state, load_qtables, read_convergence_csv,
                      select_action)
 from .scenario import ScenarioConfig, default_scenario, generate_stream, \
     truth_intensity
@@ -88,8 +87,10 @@ class SimConfig:
     def __post_init__(self):
         if self.scenario is None:
             object.__setattr__(self, "scenario", default_scenario(seed=self.seed or 0))
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
+        check_threshold(self.threshold)
+        if not 0 <= self.fixed_action < N_ACTIONS:
+            raise ConfigError(f"fixed_action {self.fixed_action} outside the "
+                              f"catalog of {N_ACTIONS} actions")
         if self.replicas < 1:
             raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
         if self.deadline_ms <= 0:
@@ -227,12 +228,11 @@ def compute_percentiles(samples, qs) -> list[float]:
 
 
 class _Pipeline:
-    """Loaded models plus the shared layout, catalog, and damage models."""
+    """Loaded models plus the shared layout and perception maps."""
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.layout = build_layout()
-        self.catalog = build_action_catalog()
         self.neural = None
         self.rules = None
         if config.detector == BASELINE_DETECTOR:
@@ -251,13 +251,10 @@ class _Pipeline:
         self.embedders = build_embedders(self.layout)
         self.scorer = build_scorer()
         self.tables = load_qtables(config.policy) if config.policy else None
-        if self.tables is not None and self.tables.n_actions != len(self.catalog):
+        if self.tables is not None and self.tables.n_actions != N_ACTIONS:
             raise CheckpointError(
                 f"{config.policy}: n_actions {self.tables.n_actions} does not "
-                f"match the catalog size {len(self.catalog)}")
-        if not 0 <= config.fixed_action < len(self.catalog):
-            raise ConfigError(f"fixed_action {config.fixed_action} outside the "
-                              f"catalog of {len(self.catalog)} actions")
+                f"match the catalog size {N_ACTIONS}")
 
 
 def _run_detection(pipe: _Pipeline, windows, threshold: float):
@@ -311,59 +308,61 @@ def window_truths(scenario: ScenarioConfig, windows) -> list[tuple[str, float, f
     return out
 
 
+def _truth_arrays(truths):
+    """The label ids, intensities and loads of ``window_truths`` as arrays;
+    InputError on an unknown kind or a load outside [0, 1]."""
+    kinds, intensity, load = zip(*truths)
+    n = len(truths)
+    try:
+        kind_ids = np.fromiter(map(LABEL_IDS.__getitem__, kinds), np.intp, n)
+    except KeyError as exc:
+        raise InputError(f"unknown window kind {exc}") from None
+    load = np.fromiter(load, np.float64, n)
+    if not np.all((0.0 <= load) & (load <= 1.0)):
+        raise InputError("window loads must lie in [0, 1]")
+    return kind_ids, np.fromiter(intensity, np.float64, n), load
+
+
 def _respond(pipe: _Pipeline, truths, verdicts, detect_ms,
              normed) -> list[PipelineEvent]:
-    """Sequential response walk: perceive, decide, enforce, record.
+    """Perceive the run, walk its decisions in order, enforce the run.
 
     ``truths`` holds each window's (kind, intensity, load) from
-    ``window_truths``.
+    ``window_truths``; ``normed`` is the run's ``[N, D]`` feature matrix.
     """
-    events = []
-    defense = DefenseState()
-    recent = 0.0
-    for i, (kind, intensity, load) in enumerate(truths):
-        started = time.time()
-        verdict = verdicts[i]
-        t0 = time.perf_counter()
-        embeddings = embed_window(normed[i], pipe.layout, pipe.embedders)
-        fused, _ = fuse(embeddings, pipe.scorer)
-        context = context_from_fused(fused)
+    n = len(truths)
+    t0 = time.perf_counter()
+    fused, _ = fuse(embed_window(normed, pipe.layout, pipe.embedders), pipe.scorer)
+    contexts = context_from_fused(fused)
+    perceive_ms = (time.perf_counter() - t0) * 1e3 / n
+
+    walk, recent = [], 0.0
+    for verdict, (_, _, load), context in zip(verdicts, truths, contexts):
+        started, t0 = time.time(), time.perf_counter()
         score = threat_score(verdict, context)
-        level = level_for_score(score)
+        action_id = pipe.config.fixed_action
         if pipe.tables is not None:
-            buckets = compose_indicators(score, load, verdict.probabilities,
-                                         recent)
-            state_key = encode_state(buckets)
+            state_key = encode_state(compose_indicators(
+                score, load, verdict.probabilities, recent))
             action_id = select_action(pipe.tables, state_key, epsilon=0.0)
-        else:
-            action_id = pipe.config.fixed_action
-        policy_ms = (time.perf_counter() - t0) * 1e3
+            recent = ACTION_CATALOG[action_id].tier_norm()
+        level = level_for_score(score).level
+        walk.append((started, score, level, action_id,
+                     perceive_ms + (time.perf_counter() - t0) * 1e3))
 
-        defense, execution_ms = apply_action(defense, action_id, pipe.catalog)
-        action = get_action(pipe.catalog, action_id)
-        recent = action.tier_norm()
-
-        code, attack, collateral = enforce_window(action_id, LABEL_IDS[kind],
-                                                  intensity, load)
-        latency = LatencyBreakdown.from_parts(detect_ms[i], policy_ms,
-                                              execution_ms)
-        events.append(PipelineEvent(
-            window_id=i,
-            truth=kind,
-            predicted=LABELS[verdict.predicted],
-            confident=verdict.confident,
-            max_probability=verdict.max_probability,
-            threat_score=score,
-            threat_level=level.level,
-            action_id=action_id,
-            outcome=OUTCOMES[code],
-            attack_damage=float(attack),
-            collateral_damage=float(collateral),
-            latency=latency,
-            started_at=started,
-            finished_at=time.time(),
-        ))
-    return events
+    started, scores, levels, actions, policy_ms = zip(*walk)
+    codes, attack, collateral, enforce_ms = apply_action(actions, *_truth_arrays(truths))
+    finished, execution_ms = time.time(), enforce_ms / n
+    codes, attack, collateral = codes.tolist(), attack.tolist(), collateral.tolist()
+    return [PipelineEvent(
+        window_id=i, truth=kind, predicted=LABELS[verdict.predicted],
+        confident=verdict.confident, max_probability=verdict.max_probability,
+        threat_score=scores[i], threat_level=levels[i], action_id=actions[i],
+        outcome=OUTCOMES[codes[i]], attack_damage=attack[i],
+        collateral_damage=collateral[i],
+        latency=LatencyBreakdown.from_parts(detect_ms[i], policy_ms[i], execution_ms),
+        started_at=started[i], finished_at=finished)
+        for i, ((kind, _, _), verdict) in enumerate(zip(truths, verdicts))]
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +424,12 @@ def _unknown_attack_detection_rate(events) -> float:
 class SimulationReport:
     """Scored run. Everything outside ``timing`` is deterministic.
 
-    A window's ``detection_ms`` is its own featurize time plus the wall time
-    of the run's one batched classify call divided by the number of windows;
-    ``total_ms`` adds the window's policy and execution time to it.
+    An event's latency, in ms, shares each run-wide call equally among the
+    run's windows. ``detection_ms`` is its featurize time plus a share of
+    the classify call; ``policy_ms`` a share of the perception call plus its
+    own walk step; ``execution_ms`` a share of the ``apply_action`` call;
+    ``total_ms`` their sum. Its ``started_at`` is the wall-clock time its
+    walk step began, ``finished_at`` the time enforcement returned.
     """
 
     config: dict
@@ -530,17 +532,7 @@ def fixed_action_damage(truths, action) -> float:
     """
     if not truths:
         return 0.0
-    kinds, intensity, load = zip(*truths)
-    n = len(truths)
-    try:
-        kind_ids = np.fromiter(map(LABEL_IDS.__getitem__, kinds), np.intp, n)
-    except KeyError as exc:
-        raise InputError(f"unknown window kind {exc}") from None
-    load = np.fromiter(load, np.float64, n)
-    if not np.all((0.0 <= load) & (load <= 1.0)):
-        raise InputError("window loads must lie in [0, 1]")
-    _, attack, collateral = enforce_window(
-        action.action_id, kind_ids, np.fromiter(intensity, np.float64, n), load)
+    _, attack, collateral = enforce_window(action.action_id, *_truth_arrays(truths))
     # cumsum adds in window order, as a running total would
     return float(np.cumsum(attack + collateral)[-1])
 

@@ -7,11 +7,17 @@ test, so this module checks those names from the benchmark's own files.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from cloudguard.environment import DefenseEnv, EnvConfig, defense_train_config
+from cloudguard.policy import save_qtables, train_policy
+from cloudguard.scenario import AttackSpec, ScenarioConfig
+from cloudguard.simulate import SimConfig, run_simulation
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -43,6 +49,32 @@ def test_traced_run_patches_resolve_and_restore():
         probes.install(tracer)
     finally:
         tracer.uninstall()
+
+
+# spans the traced sims must record for BENCHMARK.json's per-layer metrics
+SIM_SPANS = ("perception.embed", "perception.fuse", "enforcement.apply",
+             "policy.select", "environment.enforce_window")
+
+
+def test_traced_simulation_passes_through_every_response_probe(tmp_path):
+    tables, _ = train_policy(DefenseEnv(EnvConfig(episode_len=20)),
+                             dataclasses.replace(defense_train_config(),
+                                                 episodes=5, steps_per_episode=20))
+    policy = tmp_path / "policy.csv"
+    save_qtables(str(policy), tables)
+    scenario = ScenarioConfig(duration_ms=12000, attacks=(
+        AttackSpec(kind="ddos", intensity=0.9, start=4000, end=8000),))
+    probes, tracing = _load("probes"), _load("tracing")
+    tracer = tracing.Tracer()
+    try:
+        probes.install(tracer)
+        _, events = run_simulation(SimConfig(scenario=scenario, policy=str(policy)))
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+    assert len(events) == 12
+    assert {name: spans.count(name) >= 1 for name in SIM_SPANS} == \
+        dict.fromkeys(SIM_SPANS, True)
 
 
 def test_harness_references_exist():

@@ -377,6 +377,9 @@ MALFORMED = [
     ("compare", {"baseline": 5, "candidate": "b.json"}),
     ("simulate", {"scenario": dict(SCENARIO, attacks=[
         {"kind": "benign", "intensity": 1.0, "start": 0, "end": 3000}])}),
+    ("simulate", {"scenario": {"duration_ms": 5000}, "fixed_action": 999}),
+    ("train-detector", {"scenario": SCENARIO, "arch": TINY_ARCH, "epochs": 1,
+                        "threshold": 5}),
 ]
 
 

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from cloudguard.enforcement import BASE_DAMAGE, BLOCKED, OUTCOMES
-from cloudguard.environment import (
+from cloudguard.enforcement import (
     ACTION_FRICTION,
+    BASE_DAMAGE,
+    BLOCKED,
     FIREWALL_FRICTION,
     ISOLATION_FRICTION,
+    OUTCOMES,
     RATE_LIMIT_FRICTION,
+)
+from cloudguard.environment import (
     DefenseEnv,
     EnvConfig,
     defense_train_config,

@@ -153,6 +153,48 @@ class TestFusion:
             AttentionWeights(sources=SOURCES, values=np.array([1.2, -0.1, -0.1]))
 
 
+class TestRunPerception:
+    """A run's [N, D] matrix in one call against the per-window chain."""
+
+    @staticmethod
+    def window_chain(fv, layout, embedders, scorer):
+        fused, weights = fuse(embed_window(fv, layout, embedders), scorer)
+        return context_from_fused(fused), weights.values
+
+    @pytest.mark.parametrize("n", [1, 7, 33, 130])
+    def test_run_matches_the_window_chain(self, n):
+        layout = build_layout(dim=428)
+        embedders, scorer = build_embedders(layout), build_scorer()
+        x = np.random.default_rng(n).normal(size=(n, 428)) * 3.0
+        fused, weights = fuse(embed_window(x, layout, embedders), scorer)
+        contexts = context_from_fused(fused)
+        assert fused.shape == (n, 16) and weights.values.shape == (n, 3)
+        assert (weights.values >= 0).all()
+        assert np.abs(weights.values.sum(axis=1) - 1.0).max() <= 1e-9
+        for i in range(n):
+            context, values = self.window_chain(x[i], layout, embedders, scorer)
+            assert abs(contexts[i] - context) <= 4.5e-16, i
+            if n == 1:
+                assert contexts[i] == context
+                assert np.array_equal(weights.values[i], values)
+
+    def test_run_rows_of_the_wrong_width_rejected(self):
+        layout = build_layout(dim=64)
+        embedders = build_embedders(layout)
+        with pytest.raises(DimensionError):
+            embed_window(np.zeros((5, 63)), layout, embedders)
+        with pytest.raises(DimensionError):
+            embed_window(np.zeros((2, 5, 64)), layout, embedders)
+
+    def test_weights_object_validates_each_row(self):
+        good = np.full((4, 3), 1 / 3)
+        assert AttentionWeights(sources=SOURCES, values=good).values.shape == (4, 3)
+        bad = good.copy()
+        bad[2] = [0.5, 0.5, 0.5]
+        with pytest.raises(InputError):
+            AttentionWeights(sources=SOURCES, values=bad)
+
+
 class TestThreatLevels:
     def test_band_edges_are_half_open(self):
         cases = [
