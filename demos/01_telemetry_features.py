@@ -52,9 +52,10 @@ print(f"\nfeature vector width {layout.dim}, segments:")
 for segment, (start, end) in layout.segments.items():
     print(f"  {segment:12s} [{start:3d}, {end:3d})  {end - start} features")
 
-# 4. extract both windows and compare each attack kind's marker feature
-fv_benign = extract_features(benign_win, layout)
-fv_ddos = extract_features(ddos_win, layout)
+# 4. featurize the whole stream in one call ([windows, features]) and
+#    compare each attack kind's marker feature on the two windows
+vectors = extract_features(stream.windows, layout)
+fv_benign, fv_ddos = vectors[5], vectors[30]
 print("\nmarker features, benign vs ddos window:")
 for kind, feature in MARKER_FEATURES.items():
     i = layout.index_of(feature)
@@ -68,7 +69,6 @@ for kind, z in sorted(z_scores.items()):
     print(f"  {kind:18s} z = {z:8.1f}")
 
 # 6. normalization stats fitted on the stream make the scales comparable
-vectors = np.array([extract_features(w, layout) for w in stream.windows])
 stats = fit_normalizer(vectors)
 normed = normalize(vectors, stats)
 print(f"\nafter normalization: mean |column| = "

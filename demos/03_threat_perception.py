@@ -7,8 +7,6 @@ into five threat levels, and summarize a whole stream into band
 fractions.
 """
 
-import numpy as np
-
 from cloudguard.baseline import RuleBasedDetector, default_rules
 from cloudguard.features import build_layout, extract_features, fit_normalizer, normalize
 from cloudguard.perception import (
@@ -37,7 +35,7 @@ config = ScenarioConfig(
 )
 stream = generate_stream(config)
 layout = build_layout()
-vectors = np.array([extract_features(w, layout) for w in stream.windows])
+vectors = extract_features(stream.windows, layout)  # one call per run
 normed = normalize(vectors, fit_normalizer(vectors))
 
 # 2. seeded embedders map each layout segment into one fusion space;

@@ -137,7 +137,7 @@ def prepare_dataset(stream, layout: FeatureLayout, seq_len: int,
     training stream's stats when preparing evaluation data). Returns
     ``(sequences, int labels, stats)``.
     """
-    raw = np.array([extract_features(w, layout) for w in stream.windows])
+    raw = extract_features(stream.windows, layout)
     if stats is None:
         stats = fit_normalizer(raw)
     normed = normalize(raw, stats)

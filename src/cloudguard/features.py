@@ -13,15 +13,21 @@ lives in a FeatureLayout, which detector checkpoints carry in their
 metadata, so tests and downstream consumers address features by name
 instead of raw index.
 Positions the catalog does not populate are named ``*.reserved_*`` and are
-always zero. Extraction is pure: the same window yields the same vector, and
-all time handling is window-relative, so shifting a window and its events by
-a constant changes nothing.
+always zero. Extraction is pure: a window yields the same vector bit for
+bit whichever windows it is extracted with, and all time handling is
+window-relative, so shifting a window and its events by a constant changes
+nothing.
 
-Extraction works on a window's numpy columns in one pass per segment:
-counts and histograms come from ``bincount``/``unique`` and exact log2
-buckets, giving each segment's statistics in catalog order. A layout
-resolves its names to positions in those statistics once, when it is
-built, so a window costs one gather instead of a name lookup per feature.
+Featurization is one call per run. ``extract_features`` concatenates the
+run's columns per source, with each row's window index, and computes every
+window's statistics in one pass per segment: counts and histograms from one
+``bincount`` over (window, bin) ids, sums and squared deviations from
+weighted ``bincount``s (each window's in row order), maxima and minima from
+``reduceat``, and distinct counts and entropies from one sort of (window,
+value) keys. Long runs go through in fixed blocks of windows, which bounds
+the concatenated buffers; a single window is the run of one. A layout
+resolves its names to positions in those statistics once, when it is built,
+so a block costs one gather instead of a name lookup per feature.
 """
 
 from dataclasses import dataclass
@@ -30,7 +36,7 @@ import numpy as np
 
 from .errors import DimensionError, InputError
 from .telemetry import (BEHAVIOR_ACTIONS, FIXED_CODES, FIXED_STRINGS, LOG_SUBSYSTEMS,
-                        TelemetryWindow)
+                        BehaviorColumns, FlowColumns, LogColumns, TelemetryWindow)
 
 DEFAULT_DIM = 428
 
@@ -234,125 +240,215 @@ _TS_ROWS = np.array([TS_SERIES.index(s) for s in ("flows", "logs", "actions")])
 _TS_BYTES = TS_SERIES.index("bytes")
 
 
-def _group_sizes(codes: np.ndarray) -> np.ndarray:
-    """How often each distinct code occurs."""
-    counts = np.bincount(codes)
-    return counts[counts > 0]
+def _concat(parts: list, cls) -> tuple:
+    """One source's columns of many windows concatenated, each row's window
+    index (sorted), and each window's row count."""
+    count = np.array([len(p) for p in parts], dtype=np.int64)
+    cols = cls(**{name: np.concatenate([getattr(p, name) for p in parts])
+                  for name in cls.names})
+    return cols, np.repeat(np.arange(len(parts)), count), count
 
 
-def _traffic_stats(window: TelemetryWindow) -> np.ndarray:
-    """The traffic catalog's values, in catalog order."""
-    flows = window.flows
-    out = np.zeros(_N_TRAFFIC)
-    seconds = window.duration_ms / 1000.0
-    n = len(flows)
-    out[0] = n
-    out[1] = n / seconds
-    if n == 0:
-        return out
+class _Run:
+    """A run of windows as one set of concatenated columns per source."""
+
+    def __init__(self, windows: list[TelemetryWindow]):
+        self.n = len(windows)
+        self.start = np.array([w.start for w in windows], dtype=np.int64)
+        self.duration = np.array([w.duration_ms for w in windows], dtype=np.int64)
+        self.seconds = self.duration / 1000.0
+        self.flows, self.flow_win, self.flow_n = _concat(
+            [w.flows for w in windows], FlowColumns)
+        self.logs, self.log_win, self.log_n = _concat([w.logs for w in windows], LogColumns)
+        self.behaviors, self.behavior_win, self.behavior_n = _concat(
+            [w.behaviors for w in windows], BehaviorColumns)
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0)
+
+
+def _starts(*keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows begins in columns sorted by ``keys``."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
+
+
+def _per_window(ufunc, values: np.ndarray, win: np.ndarray, n: int) -> np.ndarray:
+    """``ufunc`` reduced over each window's values (``win`` sorted); 0 for a
+    window with none."""
+    out = np.zeros(n)
+    starts = _starts(win)
+    out[win[starts]] = ufunc.reduceat(values, starts)
+    return out
+
+
+def _sums(values: np.ndarray, win: np.ndarray, n: int) -> np.ndarray:
+    """Per-window sums, each accumulated in row order."""
+    return np.bincount(win, weights=values, minlength=n)
+
+
+def _std(values: np.ndarray, win: np.ndarray, count: np.ndarray, mean: np.ndarray):
+    """Per-window population std, from deviations about each window's mean."""
+    dev = values - mean[win]
+    return np.sqrt(_ratio(_sums(dev * dev, win, len(count)), count))
+
+
+def _code_counts(codes: np.ndarray, win: np.ndarray, n: int, width: int) -> np.ndarray:
+    """[n, width]: how often each code in [0, width) occurs per window; codes
+    at or past ``width`` share a spare slot that is dropped."""
+    slot = np.minimum(codes, width)
+    counts = np.bincount(win * (width + 1) + slot, minlength=n * (width + 1))
+    return counts.reshape(n, width + 1)[:, :width]
+
+
+class _Groups:
+    """The (window, distinct value) groups of a column: each group's window
+    and size, in window then value order."""
+
+    def __init__(self, values: np.ndarray, win: np.ndarray, n: int):
+        # one sort key per row, window-major; values spanning too wide a
+        # range for that are replaced by their ranks first
+        lo, hi = int(values.min(initial=0)), int(values.max(initial=0))
+        if (hi - lo + 1) * n >= 2**63:
+            values = np.unique(values, return_inverse=True)[1]
+            lo, hi = 0, int(values.max(initial=0))
+        span = hi - lo + 1
+        key = np.sort(win * span + (values - lo))
+        first = _starts(key)
+        self.win = key[first] // span
+        self.size = np.diff(np.r_[first, len(key)])
+        self.count = np.bincount(self.win, minlength=n)  # distinct values per window
+
+    def entropy(self) -> np.ndarray:
+        """Shannon entropy (nats) of each window's value distribution."""
+        n = len(self.count)
+        total = np.bincount(self.win, weights=self.size, minlength=n)
+        p = self.size / total[self.win]
+        plogp = np.bincount(self.win, weights=p * np.log(p), minlength=n)
+        return np.negative(plogp, out=np.zeros(n), where=self.count > 0)
+
+    def max_size(self) -> np.ndarray:
+        return _per_window(np.maximum, self.size, self.win, len(self.count))
+
+
+def _traffic_stats(run: _Run) -> np.ndarray:
+    """[n, traffic catalog]: the traffic values, in catalog order."""
+    flows, win, n = run.flows, run.flow_win, run.flow_n
     sizes = np.stack([flows.bytes, flows.packets, flows.duration_ms])
-    sums = sizes.sum(axis=1, dtype=np.float64)
-    means = sums / n
-    stds = sizes.std(axis=1)
-    maxes = sizes.max(axis=1)
+    sums = [_sums(col, win, run.n) for col in sizes]
+    means = [_ratio(s, n) for s in sums]
+    stds = [_std(col, win, n, m) for col, m in zip(sizes, means)]
+    maxes = [_per_window(np.maximum, col, win, run.n) for col in sizes]
     byte_sum, packet_sum, _ = sums
-    b_max = float(maxes[0])
-    flags = np.stack([flows.syn_flag, flows.protocol == _TCP, flows.payload_class > 0,
-                      flows.port < 1024])
-    syn, tcp, markers, low_ports = np.count_nonzero(flags, axis=1).tolist()
-    ports = np.unique(flows.port, return_counts=True)[1]
-    srcs = _group_sizes(flows.src)
-    dsts = _group_sizes(flows.dst)
-    out[2:_N_TRAFFIC_SCALARS] = (
-        byte_sum, byte_sum / seconds, means[0], stds[0], b_max, flows.bytes.min(),
-        packet_sum, packet_sum / seconds, means[1], stds[1], maxes[1],
+    b_max = maxes[0]
+    syn, tcp, markers, low_ports = (
+        _sums(flag, win, run.n) for flag in (flows.syn_flag, flows.protocol == _TCP,
+                                             flows.payload_class > 0, flows.port < 1024))
+    ports = _Groups(flows.port, win, run.n)
+    srcs = _Groups(flows.src, win, run.n)
+    dsts = _Groups(flows.dst, win, run.n)
+    scalars = np.column_stack([
+        n, n / run.seconds,
+        byte_sum, byte_sum / run.seconds, means[0], stds[0], b_max,
+        _per_window(np.minimum, flows.bytes, win, run.n),
+        packet_sum, packet_sum / run.seconds, means[1], stds[1], maxes[1],
         means[2], stds[2], maxes[2],
-        byte_sum / packet_sum if packet_sum else 0.0,
-        b_max / byte_sum if byte_sum else 0.0,
-        syn, syn / n, tcp, tcp / n, n - tcp, (n - tcp) / n,
-        len(ports), entropy_nats(ports), low_ports / n, n - low_ports,
-        len(srcs), entropy_nats(srcs), len(dsts), entropy_nats(dsts),
-        markers, markers / n,
-        n / len(srcs), srcs.max(), n / len(dsts), dsts.max(),
-    )
+        _ratio(byte_sum, packet_sum), _ratio(b_max, byte_sum),
+        syn, _ratio(syn, n), tcp, _ratio(tcp, n), n - tcp, _ratio(n - tcp, n),
+        ports.count, ports.entropy(), _ratio(low_ports, n), n - low_ports,
+        srcs.count, srcs.entropy(), dsts.count, dsts.entropy(),
+        markers, _ratio(markers, n),
+        _ratio(n, srcs.count), srcs.max_size(), _ratio(n, dsts.count), dsts.max_size(),
+    ])
     # floor(log2(v + 1)) read off frexp's exponent, exact for integers
     log2 = np.minimum(np.frexp(sizes + 1)[1] - 1, _LOG2_CAPS) + _LOG2_OFFSETS
-    out[_N_TRAFFIC_SCALARS:] = np.bincount(np.concatenate([
+    buckets = np.concatenate([
         np.minimum(flows.port // 2048, _PORT_BUCKETS - 1),
         log2.ravel(),
         np.clip(flows.payload_class, 0, 3) + _PAYLOAD_OFFSET,
-    ]), minlength=_N_HISTOGRAM)
-    return out
-
-
-def _timeseries_stats(window: TelemetryWindow, n_bins: int) -> np.ndarray:
-    """Sub-bin counts, their first differences and peak ratios, in catalog order."""
-    duration = window.duration_ms
-    flows, logs, behaviors = window.flows, window.logs, window.behaviors
-    stamps = np.concatenate([flows.timestamp, logs.timestamp, behaviors.timestamp])
-    # window-relative offset keeps features invariant under time shifts
-    sub_bin = np.minimum((stamps - window.start) * n_bins // duration, n_bins - 1)
-    series = np.repeat(_TS_ROWS, (len(flows), len(logs), len(behaviors)))
-    bins = np.bincount(series * n_bins + sub_bin, minlength=len(TS_SERIES) * n_bins)
-    bins = bins.reshape(len(TS_SERIES), n_bins).astype(np.float64)
-    bins[_TS_BYTES] = np.bincount(sub_bin[:len(flows)], weights=flows.bytes,
-                                  minlength=n_bins)
-    mean = bins.mean(axis=1)
-    peak = np.divide(bins.max(axis=1), mean, out=np.zeros(len(TS_SERIES)),
-                     where=mean > 0)
-    return np.concatenate([bins.ravel(), np.diff(bins, axis=1).ravel(), peak])
-
-
-def _behavior_stats(window: TelemetryWindow) -> np.ndarray:
-    """The behavior catalog's values, in catalog order."""
-    out = np.zeros(_N_BEHAVIOR)
-    seconds = window.duration_ms / 1000.0
-    acts, logs = window.behaviors, window.logs
-    n = len(acts)
-    n_actions = len(BEHAVIOR_ACTIONS)
-    if n:
-        failed = ~acts.success
-        count = np.bincount(acts.action, minlength=_N_FIXED)[_ACTION_CODES]
-        fail = np.bincount(acts.action[failed], minlength=_N_FIXED)[_ACTION_CODES]
-        out[:n_actions] = count
-        out[n_actions:2 * n_actions] = fail
-        out[2 * n_actions:3 * n_actions] = np.divide(
-            count - fail, count, out=np.zeros(n_actions), where=count > 0)
-        failures = int(np.count_nonzero(failed))
-        users = _group_sizes(acts.user_id)
-        failed_logins = acts.user_id[failed & (acts.action == _LOGIN)]
-        out[3 * n_actions:_N_ACTION_STATS] = (
-            n, n / seconds, failures, failures / n, len(users),
-            entropy_nats(users), n / len(users), users.max(),
-            np.bincount(failed_logins).max() if len(failed_logins) else 0,
-        )
-    n_logs = len(logs)
-    out[_N_ACTION_STATS:_N_ACTION_STATS + 2] = n_logs, n_logs / seconds
-    if n_logs:
-        severity = logs.severity
-        high = int(np.count_nonzero(severity >= 5))
-        in_range = severity[(severity >= 0) & (severity < 8)]
-        subsystems = np.bincount(logs.subsystem, minlength=_N_FIXED)
-        codes = np.unique(logs.event_code, return_counts=True)[1]
-        out[_N_ACTION_STATS + 2:] = np.concatenate([
-            (severity.mean(), severity.std(), severity.max(), high, high / n_logs),
-            np.bincount(in_range, minlength=8),
-            subsystems[_SUBSYSTEM_CODES],
-            (entropy_nats(subsystems), len(codes), entropy_nats(codes)),
-        ])
-    return out
-
-
-def extract_features(window: TelemetryWindow, layout: FeatureLayout) -> np.ndarray:
-    """Compute the named feature vector for one window. Pure and deterministic."""
-    stats = np.concatenate([
-        _traffic_stats(window),
-        _timeseries_stats(window, layout.n_bins),
-        _behavior_stats(window),
     ])
-    vec = np.zeros(layout.dim)
-    vec[layout._dest] = stats[layout._src]
-    return vec
+    histograms = np.bincount(np.tile(win, 5) * _N_HISTOGRAM + buckets,
+                             minlength=run.n * _N_HISTOGRAM)
+    return np.concatenate([scalars, histograms.reshape(run.n, _N_HISTOGRAM)], axis=1)
+
+
+def _timeseries_stats(run: _Run, n_bins: int) -> np.ndarray:
+    """[n, time-series catalog]: sub-bin counts, their first differences and
+    peak ratios, in catalog order."""
+    wins = (run.flow_win, run.log_win, run.behavior_win)
+    # window-relative offset keeps features invariant under time shifts
+    sub_bins = [np.minimum((cols.timestamp - run.start[win]) * n_bins // run.duration[win],
+                           n_bins - 1)
+                for cols, win in zip((run.flows, run.logs, run.behaviors), wins)]
+    keys = np.concatenate([(win * len(TS_SERIES) + series) * n_bins + sub_bin
+                           for win, series, sub_bin in zip(wins, _TS_ROWS, sub_bins)])
+    bins = np.bincount(keys, minlength=run.n * len(TS_SERIES) * n_bins)
+    bins = bins.reshape(run.n, len(TS_SERIES), n_bins).astype(np.float64)
+    bins[:, _TS_BYTES] = np.bincount(run.flow_win * n_bins + sub_bins[0],
+                                     weights=run.flows.bytes,
+                                     minlength=run.n * n_bins).reshape(run.n, n_bins)
+    # every bin holds an integer, so the mean is exact in any summation order
+    peak = _ratio(bins.max(axis=2), bins.mean(axis=2))
+    return np.concatenate([bins.reshape(run.n, -1),
+                           np.diff(bins, axis=2).reshape(run.n, -1), peak], axis=1)
+
+
+def _behavior_stats(run: _Run) -> np.ndarray:
+    """[n, behavior catalog]: the behavior values, in catalog order."""
+    acts, win, n = run.behaviors, run.behavior_win, run.behavior_n
+    failed = ~acts.success
+    count = _code_counts(acts.action, win, run.n, _N_FIXED)[:, _ACTION_CODES]
+    fail = _code_counts(acts.action[failed], win[failed], run.n, _N_FIXED)[:, _ACTION_CODES]
+    failures = _sums(failed, win, run.n)
+    users = _Groups(acts.user_id, win, run.n)
+    login_fail = failed & (acts.action == _LOGIN)
+    failed_logins = _Groups(acts.user_id[login_fail], win[login_fail], run.n)
+    logs, log_win, n_logs = run.logs, run.log_win, run.log_n
+    severity = logs.severity
+    severity_mean = _ratio(_sums(severity, log_win, run.n), n_logs)
+    high = _sums(severity >= 5, log_win, run.n)
+    in_range = (severity >= 0) & (severity < 8)
+    subsystems = _Groups(logs.subsystem, log_win, run.n)
+    codes = _Groups(logs.event_code, log_win, run.n)
+    return np.concatenate([
+        count, fail, _ratio(count - fail, count),
+        np.column_stack([
+            n, n / run.seconds, failures, _ratio(failures, n), users.count,
+            users.entropy(), _ratio(n, users.count), users.max_size(),
+            failed_logins.max_size(),
+            n_logs, n_logs / run.seconds, severity_mean,
+            _std(severity, log_win, n_logs, severity_mean),
+            _per_window(np.maximum, severity, log_win, run.n), high, _ratio(high, n_logs),
+        ]),
+        _code_counts(severity[in_range], log_win[in_range], run.n, 8),
+        _code_counts(logs.subsystem, log_win, run.n, _N_FIXED)[:, _SUBSYSTEM_CODES],
+        np.column_stack([subsystems.entropy(), codes.count, codes.entropy()]),
+    ], axis=1)
+
+
+# windows featurized together: bounds the concatenated buffers (about 350
+# bytes per event) on long runs without giving back the per-call savings
+_BLOCK = 64
+
+
+def extract_features(windows, layout: FeatureLayout) -> np.ndarray:
+    """The named feature vectors of a run: ``[N, D]`` for a sequence of
+    windows, ``[D]`` for one window. Pure and deterministic: a window's
+    vector does not depend on the other windows it is extracted with."""
+    one = isinstance(windows, TelemetryWindow)
+    windows = [windows] if one else list(windows)
+    out = np.zeros((len(windows), layout.dim))
+    for lo in range(0, len(windows), _BLOCK):
+        run = _Run(windows[lo:lo + _BLOCK])
+        stats = np.concatenate([_traffic_stats(run), _timeseries_stats(run, layout.n_bins),
+                                _behavior_stats(run)], axis=1)
+        out[lo:lo + run.n, layout._dest] = stats[:, layout._src]
+    return out[0] if one else out
 
 
 @dataclass

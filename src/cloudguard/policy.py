@@ -365,10 +365,16 @@ def save_qtables(path, tables: DoubleQTables) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_QT_ROW = np.dtype([("state", np.int64), ("action", np.int64), ("q_a", np.float64),
+                    ("q_b", np.float64), ("visits", np.int64)])
+
+
 def load_qtables(path) -> DoubleQTables:
+    """Read a ``save_qtables`` file; CheckpointError on any malformed part,
+    a non-finite Q value or a repeated (state, action) row."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise CheckpointError(f"cannot read q-table checkpoint: {exc}") from exc
     if len(lines) < 3 or lines[0] != _QT_MAGIC or lines[2] != _QT_HEADER:
@@ -379,27 +385,32 @@ def load_qtables(path) -> DoubleQTables:
         raise CheckpointError(f"bad n_actions line: {lines[1]!r}") from exc
     if n_actions < 0:
         raise CheckpointError(f"negative n_actions: {lines[1]!r}")
+    body = [ln for ln in lines[3:] if ln]
+    try:
+        rows = np.loadtxt(body, dtype=_QT_ROW, delimiter=",", comments=None, ndmin=1) \
+            if body else np.empty(0, _QT_ROW)
+    except ValueError as exc:
+        raise CheckpointError(f"malformed q-table row: {exc}") from exc
+
+    def reject(bad, what: str):
+        if bad.any():
+            raise CheckpointError(f"{what} in row: {body[int(np.argmax(bad))]!r}")
+
+    state, action = rows["state"], rows["action"]
+    reject((state < 0) | (state >= N_STATES), f"state id outside [0, {N_STATES})")
+    reject((action < 0) | (action >= n_actions),
+           f"action id outside catalog of {n_actions}")
+    reject(rows["visits"] < 0, "negative visit count")
+    reject(~(np.isfinite(rows["q_a"]) & np.isfinite(rows["q_b"])), "non-finite Q value")
+    key = state * n_actions + action
+    order = np.argsort(key, kind="stable")
+    repeated = np.zeros(len(key), dtype=bool)
+    repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+    reject(repeated, "repeated (state, action)")
     tables = DoubleQTables(n_actions)
-    for ln in lines[3:]:
-        if not ln:
-            continue
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise CheckpointError(f"malformed q-table row: {ln!r}")
-        try:
-            state, action = int(parts[0]), int(parts[1])
-            qa, qb, visits = float(parts[2]), float(parts[3]), int(parts[4])
-        except ValueError as exc:
-            raise CheckpointError(f"malformed q-table row: {ln!r}") from exc
-        if not 0 <= state < N_STATES:
-            raise CheckpointError(f"state id {state} outside [0, {N_STATES})")
-        if not 0 <= action < n_actions:
-            raise CheckpointError(f"action id {action} outside catalog of {n_actions}")
-        if not 0 <= visits <= np.iinfo(np.int64).max:
-            raise CheckpointError(f"visit count outside int64 range in row: {ln!r}")
-        tables.q_a[state, action] = qa
-        tables.q_b[state, action] = qb
-        tables.visits[state, action] = visits
+    tables.q_a[state, action] = rows["q_a"]
+    tables.q_b[state, action] = rows["q_b"]
+    tables.visits[state, action] = rows["visits"]
     return tables
 
 

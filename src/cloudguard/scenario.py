@@ -7,8 +7,10 @@ byte-identical. A window is drawn as numpy columns, block by block (benign
 flows, logs and behaviors, then the blocks of every attack overlapping it),
 with one generator call for a block's uniform draws instead of one per
 event. The blocks of a source merge by a stable timestamp sort, so ties keep
-draw order. String fields are drawn as integer keys, and only the distinct
-keys of a window are formatted into its vocabulary. Five attack kinds
+draw order. String fields are drawn as integer keys; a window's vocabulary
+holds only its own distinct keys' strings, and a stream formats each
+distinct key once. Windows find the attack specs overlapping them through
+one sorted index per scenario (``BurstIndex``). Five attack kinds
 perturb a benign baseline, each with a distinct signature tied to a
 documented marker feature:
 
@@ -189,6 +191,52 @@ def _union_length(intervals: list[tuple[int, int]]) -> int:
     return covered + (cur_hi - cur_lo)
 
 
+class BurstIndex:
+    """A scenario's attack specs sorted by start, so that a window finds the
+    specs overlapping it by binary search instead of a scan of every spec."""
+
+    def __init__(self, attacks):
+        self.attacks = tuple(attacks)
+        starts = np.array([spec.start for spec in self.attacks], dtype=np.int64)
+        ends = np.array([spec.end for spec in self.attacks], dtype=np.int64)
+        self._order = np.argsort(starts, kind="stable")
+        self._starts = starts[self._order]
+        # running max of the sorted specs' ends: the specs before the first
+        # one reaching past ``start`` all end by ``start``
+        self._reach = np.maximum.accumulate(ends[self._order])
+
+    def overlapping(self, start: int, end: int) -> list[AttackSpec]:
+        """The specs overlapping ``[start, end)``, in configured order."""
+        lo = int(np.searchsorted(self._reach, start, side="right"))
+        hi = int(np.searchsorted(self._starts, end, side="left"))
+        return [self.attacks[i] for i in sorted(self._order[lo:hi].tolist())
+                if self.attacks[i].end > start]
+
+    def label(self, start: int, end: int) -> str:
+        """Majority-overlap label of ``[start, end)`` (see label_for_window)."""
+        by_kind: dict[str, list[tuple[int, int]]] = {}
+        for spec in self.overlapping(start, end):
+            by_kind.setdefault(spec.kind, []).append(_overlap(spec, start, end))
+        if not by_kind:
+            return "benign"
+        per_kind = {kind: _union_length(iv) for kind, iv in by_kind.items()}
+        attacked = _union_length([iv for ivs in by_kind.values() for iv in ivs])
+        benign_cover = (end - start) - attacked
+        best_kind = min(per_kind, key=lambda k: (-per_kind[k], LABELS.index(k)))
+        if per_kind[best_kind] >= benign_cover:  # tie resolves to the attack
+            return best_kind
+        return "benign"
+
+    def intensity(self, start: int, end: int, kind: str) -> float:
+        """Attack pressure of ``kind`` on ``[start, end)`` (see truth_intensity)."""
+        best = 0.0
+        for spec in self.overlapping(start, end):
+            if spec.kind == kind:
+                lo, hi = _overlap(spec, start, end)
+                best = max(best, spec.intensity * (hi - lo) / (end - start))
+        return best
+
+
 def label_for_window(attacks, start: int, end: int) -> str:
     """Majority-overlap label, recomputable independently of generation.
 
@@ -196,38 +244,18 @@ def label_for_window(attacks, start: int, end: int) -> str:
     benign share is whatever no attack covers. Ties go to the attack, and
     between attacks to the canonical label order.
     """
-    by_kind: dict[str, list[tuple[int, int]]] = {}
-    for spec in attacks:
-        lo, hi = _overlap(spec, start, end)
-        if lo < hi:
-            by_kind.setdefault(spec.kind, []).append((lo, hi))
-    if not by_kind:
-        return "benign"
-    per_kind = {kind: _union_length(iv) for kind, iv in by_kind.items()}
-    attacked = _union_length([iv for ivs in by_kind.values() for iv in ivs])
-    benign_cover = (end - start) - attacked
-    best_kind = min(per_kind, key=lambda k: (-per_kind[k], LABELS.index(k)))
-    if per_kind[best_kind] >= benign_cover:  # tie resolves to the attack
-        return best_kind
-    return "benign"
+    return BurstIndex(attacks).label(start, end)
 
 
 def truth_intensity(attacks, start: int, end: int, kind: str) -> float:
     """Effective attack pressure on a window: max spec intensity x coverage."""
-    window_len = end - start
-    best = 0.0
-    for spec in attacks:
-        if spec.kind != kind:
-            continue
-        lo, hi = _overlap(spec, start, end)
-        if lo < hi:
-            best = max(best, spec.intensity * (hi - lo) / window_len)
-    return best
+    return BurstIndex(attacks).intensity(start, end, kind)
 
 
 # A string column is drawn as int64 keys ``family << 32 | value``; a window
-# formats only the distinct keys it holds (see _assemble). Families never
-# format to the same string, so keys are equal exactly when strings are.
+# turns only the distinct keys it holds into strings (see _assemble), each
+# formatted once per stream (_KeyNames). Families never format to the same
+# string, so keys are equal exactly when strings are.
 _FORMATS = (
     FIXED_STRINGS.__getitem__,
     lambda v: f"10.0.{v // 199}.{v % 199 + 1}",  # internal hosts, 8 x 199
@@ -247,6 +275,15 @@ _LAN_HOSTS = 8 * 199
 def _format_key(key: int) -> str:
     """The string a key stands for."""
     return _FORMATS[key >> 32](key & 0xFFFFFFFF)
+
+
+class _KeyNames(dict):
+    """Key -> string, each key formatted on first use. One lives for one
+    generate_stream call, so a stream formats each distinct key once."""
+
+    def __missing__(self, key: int) -> str:
+        self[key] = name = _format_key(key)
+        return name
 
 
 _TCP = FIXED_CODES["tcp"]
@@ -462,7 +499,8 @@ def _attack_events(rng: np.random.Generator, spec: AttackSpec, lo: int, hi: int,
     return []
 
 
-def _assemble(start: int, end: int, parts: list, label: str) -> TelemetryWindow:
+def _assemble(start: int, end: int, parts: list, label: str,
+              names: _KeyNames) -> TelemetryWindow:
     """Merge drawn parts into one window: each source's parts (each sorted
     already) by a stable timestamp sort, so ties keep draw order; then
     string keys turned into codes."""
@@ -475,29 +513,36 @@ def _assemble(start: int, end: int, parts: list, label: str) -> TelemetryWindow:
         order = np.argsort(np.concatenate([p.timestamp for p in group]), kind="stable")
         merged.append({name: np.concatenate([getattr(p, name) for p in group])[order]
                        for name in cls.names})
-    strings = encode_strings(merged, _format_key)
+    strings = encode_strings(merged, names.__getitem__)
     return TelemetryWindow(
         start, end, label=label,
         sources=tuple(cls(**cols) for cls, cols in zip(SOURCE_COLUMNS, merged)),
         strings=strings)
 
 
-def generate_window(config: ScenarioConfig, index: int) -> TelemetryWindow:
-    """Generate one labeled window from its own substream."""
+def generate_window(config: ScenarioConfig, index: int, bursts: BurstIndex | None = None,
+                    names: _KeyNames | None = None) -> TelemetryWindow:
+    """Generate one labeled window from its own substream.
+
+    ``bursts`` (the index of ``config.attacks``) and ``names`` (a key-name
+    memo) let a stream share both across its windows; the window is the
+    same without them.
+    """
+    bursts = bursts if bursts is not None else BurstIndex(config.attacks)
     start = index * config.window_ms
     end = start + config.window_ms
     rng = _window_rng(config.seed, index)
     parts = _benign_events(rng, start, config.window_ms, config.benign_rate)
-    for spec in config.attacks:
-        lo, hi = _overlap(spec, start, end)
-        if lo < hi:
-            parts.extend(_attack_events(rng, spec, lo, hi, config))
-    return _assemble(start, end, parts, label_for_window(config.attacks, start, end))
+    for spec in bursts.overlapping(start, end):
+        parts.extend(_attack_events(rng, spec, *_overlap(spec, start, end), config))
+    return _assemble(start, end, parts, bursts.label(start, end),
+                     names if names is not None else _KeyNames())
 
 
 def generate_stream(config: ScenarioConfig) -> LabeledStream:
     """Generate the full labeled stream. Pure function of the config."""
-    windows = [generate_window(config, i) for i in range(config.n_windows)]
+    bursts, names = BurstIndex(config.attacks), _KeyNames()
+    windows = [generate_window(config, i, bursts, names) for i in range(config.n_windows)]
     return LabeledStream(windows=windows, config=config)
 
 
@@ -539,22 +584,17 @@ def verify_separability(stream: LabeledStream, layout: FeatureLayout,
                         min_z: float = 3.0) -> dict[str, float]:
     """Check each attack kind's marker feature stands >= min_z benign stds
     from the benign mean. Returns the per-kind z-scores."""
-    vectors: dict[str, list[float]] = {}
-    marker_idx = {kind: layout.index_of(name) for kind, name in MARKER_FEATURES.items()}
-    benign_by_marker: dict[str, list[float]] = {k: [] for k in MARKER_FEATURES}
-    for w in stream.windows:
-        fv = extract_features(w, layout)
-        if w.label == "benign":
-            for kind, idx in marker_idx.items():
-                benign_by_marker[kind].append(fv[idx])
-        elif w.label in marker_idx:
-            vectors.setdefault(w.label, []).append(fv[marker_idx[w.label]])
-    if not any(benign_by_marker.values()):
+    labels = [w.label for w in stream.windows]
+    benign = np.array([label == "benign" for label in labels], dtype=bool)
+    if not benign.any():
         raise InputError("stream has no benign windows to compare against")
+    vectors = extract_features(stream.windows, layout)
     scores = {}
-    for kind, values in vectors.items():
-        benign = np.asarray(benign_by_marker[kind])
-        z = (float(np.mean(values)) - float(benign.mean())) / max(float(benign.std()), 1e-9)
+    for kind in dict.fromkeys(label for label in labels if label in MARKER_FEATURES):
+        marker = vectors[:, layout.index_of(MARKER_FEATURES[kind])]
+        attacked = marker[[label == kind for label in labels]]
+        z = (float(attacked.mean()) - float(marker[benign].mean())) \
+            / max(float(marker[benign].std()), 1e-9)
         scores[kind] = z
         if z < min_z:
             raise InputError(

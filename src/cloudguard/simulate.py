@@ -8,8 +8,8 @@ vary between runs are measured wall-clock latencies, which are confined to
 the per-event ``timing`` record and the report's ``timing`` subtree so that
 everything else can be compared byte for byte.
 
-A run has three phases, all in one thread. Detect: featurize every window,
-classify them all in one batched call (``classify_series`` for a network,
+A run has three phases, all in one thread. Detect: featurize the whole run in
+one call, classify it in one batched call (``classify_series`` for a network,
 ``RuleBasedDetector.classify_batch`` for the rules and for accept-all, the
 rule detector with no rules), and perceive the whole run in one call. Walk:
 score each window's threat and choose its action, in order, since each
@@ -40,8 +40,7 @@ from .perception import (ThreatLevel, build_embedders, build_scorer,
 from .policy import (ACTION_CATALOG, N_ACTIONS, compose_indicators,
                      encode_state, load_qtables, read_convergence_csv,
                      select_action)
-from .scenario import ScenarioConfig, default_scenario, generate_stream, \
-    truth_intensity
+from .scenario import BurstIndex, ScenarioConfig, default_scenario, generate_stream
 from .telemetry import LABELS
 
 DEFAULT_DEADLINE_MS = 50.0
@@ -258,18 +257,15 @@ class _Pipeline:
 
 
 def _run_detection(pipe: _Pipeline, windows, threshold: float):
-    """Featurize every window, then classify them all in one batched call.
+    """Featurize the run in one call, then classify it in one batched call.
 
-    Returns the verdicts, each window's detection latency in ms (its own
-    featurize time plus an equal share of the batch call) and the normalized
-    feature matrix that perception reads.
+    Returns the verdicts, each window's detection latency in ms (an equal
+    share of the featurize call plus an equal share of the classify call)
+    and the normalized feature matrix that perception reads.
     """
-    raw = np.empty((len(windows), pipe.layout.dim))
-    feature_ms = np.empty(len(windows))
-    for i, win in enumerate(windows):
-        t0 = time.perf_counter()
-        raw[i] = extract_features(win, pipe.layout)
-        feature_ms[i] = (time.perf_counter() - t0) * 1e3
+    t0 = time.perf_counter()
+    raw = extract_features(windows, pipe.layout)
+    feature_ms = (time.perf_counter() - t0) * 1e3
     if pipe.neural is not None:
         stats = pipe.neural[2]
     else:
@@ -283,8 +279,9 @@ def _run_detection(pipe: _Pipeline, windows, threshold: float):
         verdicts = classify_series(model, arch, normed, threshold)
     else:
         verdicts = pipe.rules.classify_batch(raw)
-    share_ms = (time.perf_counter() - t0) * 1e3 / max(len(windows), 1)
-    return verdicts, (feature_ms + share_ms).tolist(), normed
+    classify_ms = (time.perf_counter() - t0) * 1e3
+    share_ms = (feature_ms + classify_ms) / max(len(windows), 1)
+    return verdicts, [share_ms] * len(windows), normed
 
 
 def _window_load(window, benign_rate: float) -> float:
@@ -299,11 +296,11 @@ def _window_kind(window) -> str:
 
 def window_truths(scenario: ScenarioConfig, windows) -> list[tuple[str, float, float]]:
     """(kind, intensity, load) per window, straight from ground truth."""
+    bursts = BurstIndex(scenario.attacks)
     out = []
     for win in windows:
         kind = _window_kind(win)
-        intensity = truth_intensity(scenario.attacks, win.start, win.end, kind) \
-            if kind != "benign" else 0.0
+        intensity = bursts.intensity(win.start, win.end, kind) if kind != "benign" else 0.0
         out.append((kind, intensity, _window_load(win, scenario.benign_rate)))
     return out
 
@@ -425,11 +422,11 @@ class SimulationReport:
     """Scored run. Everything outside ``timing`` is deterministic.
 
     An event's latency, in ms, shares each run-wide call equally among the
-    run's windows. ``detection_ms`` is its featurize time plus a share of
-    the classify call; ``policy_ms`` a share of the perception call plus its
-    own walk step; ``execution_ms`` a share of the ``apply_action`` call;
-    ``total_ms`` their sum. Its ``started_at`` is the wall-clock time its
-    walk step began, ``finished_at`` the time enforcement returned.
+    run's windows. ``detection_ms`` is a share of the featurize call plus a
+    share of the classify call; ``policy_ms`` a share of the perception call
+    plus its own walk step; ``execution_ms`` a share of the ``apply_action``
+    call; ``total_ms`` their sum. Its ``started_at`` is the wall-clock time
+    its walk step began, ``finished_at`` the time enforcement returned.
     """
 
     config: dict

@@ -1,13 +1,20 @@
 """The columnar extractor against the event-by-event reference extractor.
 
 Entropies sum their terms in another order (bincount/unique order instead of
-first occurrence), so vectors are compared with a tolerance fixed up front
-from float64 rounding, not tuned to the observed differences.
+first occurrence), and sums and standard deviations accumulate in row order
+rather than numpy's pairwise order, so vectors are compared with a
+tolerance fixed up front from float64 rounding, not tuned to the observed
+differences.
+
+A run is featurized in one call. Its rows must equal, bit for bit, the
+vectors of its windows featurized one at a time, and the rows of any slice
+of the run: no window's features depend on the windows around it.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cloudguard.features import build_layout, extract_features
 from cloudguard.scenario import (AttackSpec, ScenarioConfig, default_scenario,
@@ -29,6 +36,28 @@ def assert_matches_oracle(window):
         np.testing.assert_allclose(extract_features(window, layout),
                                    reference_features(window, layout),
                                    rtol=RTOL, atol=ATOL)
+
+
+def assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def assert_run_matches(windows, slices=None):
+    """The run form against the one-window form, slices of the run and the
+    oracle, for every layout. ``slices`` defaults to every slice."""
+    n = len(windows)
+    if slices is None:
+        slices = [(a, b) for a in range(n + 1) for b in range(a, n + 1)]
+    for layout in LAYOUTS:
+        run = extract_features(windows, layout)
+        assert run.shape == (n, layout.dim)
+        for k, window in enumerate(windows):
+            assert_bitwise(run[k], extract_features(window, layout))
+            np.testing.assert_allclose(run[k], reference_features(window, layout),
+                                       rtol=RTOL, atol=ATOL)
+        for a, b in slices:
+            assert_bitwise(extract_features(windows[a:b], layout), run[a:b])
 
 
 def window_of(events, start=0, end=1000, label=None):
@@ -80,6 +109,60 @@ class TestHandBuiltEdges:
         events = [flow_event(ts=10**9 + 2), log_event(ts=10**9 + 2),
                   behavior_event(ts=10**9 + 4)]
         assert_matches_oracle(window_of(events, start=10**9, end=10**9 + 5))
+
+    def test_values_spanning_all_of_int64(self):
+        # too wide a range to key (window, value) pairs directly
+        events = [flow_event(ts=1, port=10**18), flow_event(ts=2, port=3),
+                  flow_event(ts=3, port=10**18)]
+        events += [TelemetryEvent(kind="log", timestamp=t,
+                                  log=LogData(severity=1, event_code=c, subsystem="db"))
+                   for t, c in [(4, -10**18), (5, 10**18), (6, -10**18), (7, 0)]]
+        window = window_of(events)
+        assert_matches_oracle(window)
+        assert_run_matches([window, TelemetryWindow(start=0, end=10), window])
+
+
+class TestRuns:
+    def test_empty_run(self):
+        for layout in LAYOUTS:
+            assert extract_features([], layout).shape == (0, layout.dim)
+
+    def test_mixed_sources_starts_and_durations(self):
+        logs = [TelemetryEvent(kind="log", timestamp=t,
+                               log=LogData(severity=s, event_code=c, subsystem=sub))
+                for t, s, c, sub in [(5001, 6, 401, "auth"), (5003, -1, 3, "other"),
+                                     (5003, 9, 120, "db")]]
+        flows = [flow_event(ts=10**9 + i, port=p, src=src, bytes=b)
+                 for i, (p, src, b) in enumerate([(22, "a", 10**9), (70000, "b", 0),
+                                                  (22, "a", 7)])]
+        mixed = [flow_event(ts=40, src="login"), log_event(ts=41),
+                 behavior_event(ts=42, action="login", success=False, user="u"),
+                 behavior_event(ts=43, action="reboot", user="tcp")]
+        windows = [
+            TelemetryWindow(start=0, end=1000),
+            window_of(logs, start=5000, end=5004),
+            window_of(flows, start=10**9, end=10**9 + 3000),
+            TelemetryWindow(start=7, end=8),
+            window_of(mixed, start=0, end=50),
+            window_of(flows, start=10**9 - 1, end=10**9 + 3),
+            TelemetryWindow(start=0, end=1000),
+        ]
+        assert_run_matches(windows)
+
+    @pytest.mark.parametrize("benign_rate", [60.0, 6.0])
+    def test_generated_runs(self, benign_rate):
+        windows = generate_stream(default_scenario(seed=5, rounds=1,
+                                                   benign_rate=benign_rate)).windows
+        n = len(windows)
+        assert_run_matches(windows, slices=[(0, 1), (0, n // 2), (n // 3, n), (7, 8),
+                                            (10, 40), (n - 1, n), (5, 5)])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(random_windows(), max_size=5))
+def test_random_runs_match_windows_and_oracle(cases):
+    assert_run_matches([window for _, window in cases])
 
 
 class TestGeneratedWindows:

@@ -602,6 +602,31 @@ class TestCheckpoints:
             with pytest.raises(CheckpointError):
                 load_qtables(bad)
 
+    def test_non_finite_q_values_rejected(self, tmp_path):
+        # a NaN or infinite Q value would steer argmax: a "3,4,nan,inf,2"
+        # row made select_action(t, 3, 0.0) return action 4
+        for row in ("3,4,nan,inf,2", "3,4,0.5,-inf,2", "3,1,nan,0.5,1", "3,1,1e400,0,1"):
+            path = tmp_path / "nf.qt"
+            path.write_text("# double-q checkpoint v1\nn_actions=5\n"
+                            f"state,action,q_a,q_b,visits\n3,0,0.25,0.25,1\n{row}\n")
+            with pytest.raises(CheckpointError, match="non-finite"):
+                load_qtables(path)
+
+    def test_repeated_state_action_rejected(self, tmp_path):
+        path = tmp_path / "dup.qt"
+        path.write_text("# double-q checkpoint v1\nn_actions=3\n"
+                        "state,action,q_a,q_b,visits\n"
+                        "0,1,0.5,0.5,1\n2,0,1.0,1.0,1\n0,1,-7.0,-7.0,4\n")
+        with pytest.raises(CheckpointError, match="repeated"):
+            load_qtables(path)
+        # the same action in another state, or another action, is no repeat
+        path.write_text("# double-q checkpoint v1\nn_actions=3\n"
+                        "state,action,q_a,q_b,visits\n0,1,0.5,0.5,1\n1,1,1.0,1.0,1\n"
+                        "0,2,2.0,2.0,1\n")
+        tables = load_qtables(path)
+        assert tables.states() == [0, 1]
+        assert tables.q_a[0, 2] == 2.0
+
     def test_convergence_csv_round_trip(self, tmp_path):
         _, curve = train_policy(
             ChainEnv(4), PolicyTrainConfig(episodes=30, steps_per_episode=10))
