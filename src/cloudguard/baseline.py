@@ -43,7 +43,7 @@ class Rule:
             raise InputError(f"unknown rule operator {self.op!r}")
 
     def matches(self, value):
-        """Whether the rule fires on a value, or elementwise on an array."""
+        """Whether the rule fires, elementwise on an array of values."""
         return _OPS[self.op](value, self.threshold)
 
 
@@ -66,12 +66,7 @@ class RuleBasedDetector:
                 f"feature vector shape {raw_features.shape} does not match "
                 f"layout dimension {self.layout.dim}"
             )
-        label = "benign"
-        for rule, idx in zip(self.rules, self._indices):
-            if rule.matches(float(raw_features[idx])):
-                label = rule.label
-                break
-        return _one_hot_verdict(LABELS.index(label))
+        return self.classify_batch(raw_features[None])[0]
 
     def classify_batch(self, raw: np.ndarray) -> list[ThreatVerdict]:
         """``classify`` on every row of ``[N, D]`` raw features at once.

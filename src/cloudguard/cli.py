@@ -31,10 +31,10 @@ ScenarioConfig (each attack an AttackSpec), "arch" is ArchConfig and "env"
 is EnvConfig (less its seed, which --seed sets). A missing field keeps its
 default, so "arch" may be partial; an unknown key, a value of the wrong
 type, an int field given a fraction or a non-finite number is a
-configuration error (exit 2). Numeric strings are read as numbers. The generate, train-detector and
-train-policy documents themselves (like compare's) still ignore keys
-outside their schema, though each listed key they hold is read the same
-way.
+configuration error (exit 2). Numeric strings are read as numbers. The
+generate, train-detector, train-policy and compare documents take only the
+keys listed above, read the same way. A configuration error, and for
+simulate and evaluate a checkpoint error, exits before --out is made.
 When "scenario" is omitted, the default desk-scale scenario is used with
 the given seed.
 """
@@ -63,12 +63,23 @@ from .telemetry import write_events_jsonl, write_label_sidecar
 _POLICY_KEYS = ("episodes", "steps_per_episode", "alpha", "gamma",
                 "epsilon_start", "epsilon_end", "anneal_fraction")
 
+# the keys a command's document may hold; SimConfig checks the simulate and
+# evaluate documents itself
+_DOC_KEYS = {
+    "generate": ("scenario",),
+    "train-detector": ("scenario", "arch", "epochs", "batch_size", "lr",
+                       "threshold", "eval_seed"),
+    "train-policy": ("env",) + _POLICY_KEYS,
+    "compare": ("baseline", "candidate"),
+}
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
+
+def _load_config(args) -> dict:
+    """The command's --config document; ConfigError on a key it does not take."""
+    if args.config is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -76,6 +87,10 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a single JSON object")
+    keys = _DOC_KEYS.get(args.command)
+    for key in doc:
+        if keys is not None and key not in keys:
+            raise ConfigError(f"the {args.command} document has no key {key!r}")
     return doc
 
 
@@ -92,16 +107,14 @@ def _resolve_scenario(doc: dict, seed: int | None) -> ScenarioConfig:
 
 def _sim_config(args) -> SimConfig:
     """The simulate document with the command-line overrides applied."""
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     for key in ("seed", "replicas"):
         if getattr(args, key, None) is not None:
             doc[key] = getattr(args, key)
     return SimConfig.from_dict(doc)
 
 
-def _ensure_out(out: str | None) -> str:
-    if out is None:
-        raise ConfigError("this subcommand requires --out")
+def _ensure_out(out: str) -> str:
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -110,7 +123,7 @@ def _ensure_out(out: str | None) -> str:
 
 
 def _cmd_generate(args) -> int:
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     scenario = _resolve_scenario(doc, args.seed)
     out = _ensure_out(args.out)
     stream = generate_stream(scenario)
@@ -130,7 +143,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train_detector(args) -> int:
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     scenario = _resolve_scenario(doc, args.seed)
     train_cfg = read_config(det.TrainConfig,
                             _pick(doc, ("epochs", "batch_size", "lr")),
@@ -164,7 +177,7 @@ def _cmd_train_detector(args) -> int:
 
 
 def _cmd_train_policy(args) -> int:
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     seed = args.seed if args.seed is not None else 0
     env = DefenseEnv(read_config(EnvConfig, doc.get("env", {}), seed=seed))
     preset = dataclasses.asdict(defense_train_config(seed=seed))
@@ -182,11 +195,10 @@ def _cmd_train_policy(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _sim_config(args)
-    out = _ensure_out(args.out)
     report, events = run_simulation(config)
-    emit_report(report, events, out, args.format)
+    emit_report(report, events, args.out, args.format)
     d = report.to_dict()
-    print(f"simulated {len(events)} windows -> {out} "
+    print(f"simulated {len(events)} windows -> {args.out} "
           f"(accuracy {d['detection']['accuracy']:.4f}, "
           f"unknown rate {d['detection']['unknown_rate']:.4f}, "
           f"total damage {d['damage']['total']:.1f}, "
@@ -196,8 +208,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _sim_config(args)
-    out = _ensure_out(args.out)
     metrics = evaluate_detection(config)
+    out = _ensure_out(args.out)
     write_text(os.path.join(out, "evaluation.json"),
                canonical_json(metrics.to_dict()))
     if args.format == "csv":
@@ -220,7 +232,7 @@ def _read_report(path: str) -> dict:
 
 
 def _cmd_compare(args) -> int:
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     baseline = args.baseline or read_value(str | None, doc.get("baseline"),
                                            "baseline")
     candidate = args.candidate or read_value(str | None, doc.get("candidate"),
@@ -246,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "the detector and response policy, simulate, and score.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=False, replicas=False):
+    def common(p, fmt=False, replicas=False, out_required=True):
         p.add_argument("--config", help="JSON configuration document")
         p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", required=out_required, help="output directory")
         if fmt:
             p.add_argument("--format", choices=("json", "csv"),
                            default="json", help="report format")
@@ -268,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="diff two metrics.json reports")
     cmp_p.add_argument("baseline", nargs="?", help="baseline metrics.json")
     cmp_p.add_argument("candidate", nargs="?", help="candidate metrics.json")
-    common(cmp_p)
+    common(cmp_p, out_required=False)
     return parser
 
 

@@ -99,8 +99,7 @@ def build_model(arch: ArchConfig, seed: int = 0) -> ModelGraph:
         channels = filters
         if i in arch.pool_after:
             layer_list.append(MaxPool1dLayer(arch.pool_size))
-    layer_list.append(LstmLayer(channels, arch.lstm_hidden,
-                                return_sequences=False, rng=rng))
+    layer_list.append(LstmLayer(channels, arch.lstm_hidden, rng=rng))
     width = arch.lstm_hidden
     for fc in arch.fc_widths:
         layer_list.append(DenseLayer(width, fc, activation="relu", rng=rng))
@@ -174,6 +173,7 @@ def classify(model: ModelGraph, sequence: np.ndarray,
 
 
 SERIES_CHUNK = 32  # windows per batched forward in classify_series
+PREDICT_CHUNK = 256  # sequences per forward in predict_probs
 
 
 def _shared_prefix(model: ModelGraph) -> int:
@@ -234,9 +234,10 @@ def classify_series(model: ModelGraph, arch: ArchConfig, normed: np.ndarray,
     return [_verdict(p, threshold) for p in probs]
 
 
-def predict_probs(model: ModelGraph, x: np.ndarray, chunk: int = 256) -> np.ndarray:
+def predict_probs(model: ModelGraph, x: np.ndarray) -> np.ndarray:
     """Forward pass over ``[M, T, D]`` in bounded-memory chunks."""
-    outs = [model.forward(x[i:i + chunk]) for i in range(0, len(x), chunk)]
+    outs = [model.forward(x[i:i + PREDICT_CHUNK])
+            for i in range(0, len(x), PREDICT_CHUNK)]
     return np.concatenate(outs, axis=0)
 
 

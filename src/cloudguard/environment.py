@@ -48,7 +48,7 @@ _LOAD_RANGES = {
 
 
 def reward_for(code, attack_damage, collateral_damage, action: Action,
-               cost_weight: float = 0.1, block_bonus: float = 2.5) -> float:
+               cost_weight: float, block_bonus: float) -> float:
     """r = -(attack + collateral damage) - lambda * cost + bonus if blocked."""
     reward = -(attack_damage + collateral_damage)
     reward -= cost_weight * action.cost

@@ -13,10 +13,6 @@ class InputError(CloudguardError, ValueError):
     """Invalid or empty input data."""
 
 
-class StratificationError(InputError):
-    """A label class is too small to split."""
-
-
 class ConfigError(CloudguardError, ValueError):
     """Invalid configuration values."""
 

@@ -11,7 +11,7 @@ import zipfile
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, FilesystemError
 
 _META_KEY = "meta_json"
 
@@ -20,7 +20,8 @@ def save_params(path: str, params: dict[str, np.ndarray], meta: dict) -> None:
     """Write parameters and metadata to ``path`` as an uncompressed npz archive.
 
     float64 weights barely compress, and inflating them dominated loading;
-    ``load_params`` reads compressed archives as well.
+    ``load_params`` reads compressed archives as well. FilesystemError when
+    ``path`` cannot be written.
     """
     if _META_KEY in params:
         raise CheckpointError(f"parameter name {_META_KEY!r} is reserved")
@@ -28,7 +29,10 @@ def save_params(path: str, params: dict[str, np.ndarray], meta: dict) -> None:
     arrays = {_META_KEY: blob}
     for name, arr in params.items():
         arrays[name] = np.asarray(arr, dtype=np.float64)
-    np.savez(path, **arrays)
+    try:
+        np.savez(path, **arrays)
+    except OSError as exc:
+        raise FilesystemError(f"cannot write {path}: {exc}") from exc
 
 
 def load_params(path: str) -> tuple[dict[str, np.ndarray], dict]:

@@ -2,7 +2,8 @@
 
 Every function works on float64 arrays. Single-sample signatures take
 ``[T, C]`` inputs; the ``*_batch`` variants used by training take
-``[B, T, C]`` and are what the backward passes pair with.
+``[B, T, C]`` and are what the backward passes pair with. The LSTM returns
+only its last hidden state, the one thing the dense head reads.
 """
 
 from dataclasses import dataclass
@@ -190,17 +191,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def lstm_forward(x: np.ndarray, p: LstmParams, return_sequences: bool = True) -> np.ndarray:
-    """Single-sequence LSTM over ``[T, C_in]`` with zero initial state."""
+def lstm_forward(x: np.ndarray, p: LstmParams) -> np.ndarray:
+    """Single-sequence LSTM over ``[T, C_in]`` with zero initial state.
+
+    Returns the last hidden state ``[H]``.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"input must be [T, C_in], got shape {x.shape}")
-    out, _ = lstm_forward_batch(x[None], p, return_sequences)
+    out, _ = lstm_forward_batch(x[None], p)
     return out[0]
 
 
-def lstm_forward_batch(x: np.ndarray, p: LstmParams, return_sequences: bool):
-    """Batched LSTM. Returns output and the per-step cache needed by backward.
+def lstm_forward_batch(x: np.ndarray, p: LstmParams):
+    """Batched LSTM. Returns the last state ``h_T`` ``[B, H]`` and the
+    per-step cache needed by backward.
 
     Recurrence: i, f, o are sigmoid gates, g = tanh candidate,
     c_t = f * c_{t-1} + i * g, h_t = o * tanh(c_t), h_0 = c_0 = 0.
@@ -214,7 +219,6 @@ def lstm_forward_batch(x: np.ndarray, p: LstmParams, return_sequences: bool):
     h_dim = p.hidden_size
     h = np.zeros((b, h_dim))
     c = np.zeros((b, h_dim))
-    hs = np.empty((b, t, h_dim))
     steps = []
     for tt in range(t):
         xt = x[:, tt, :]
@@ -233,14 +237,12 @@ def lstm_forward_batch(x: np.ndarray, p: LstmParams, return_sequences: bool):
         h_new = o * tanh_c
         steps.append((xt, h, c, i, f, o, g, tanh_c))
         h, c = h_new, c_new
-        hs[:, tt, :] = h
-    out = hs if return_sequences else hs[:, -1, :]
-    return out, steps
+    return h, steps
 
 
-def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, return_sequences: bool,
-                        need_dx: bool = True):
-    """Backpropagation through time. Returns ``(dx, grads dict)``.
+def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, need_dx: bool = True):
+    """Backpropagation through time from ``dout``, the gradient of ``h_T``.
+    Returns ``(dx, grads dict)``.
 
     The first step adds nothing to the ``u_*`` gradients and passes nothing
     back to h_0, since h_0 = 0 is no parameter; both are skipped. With
@@ -248,21 +250,14 @@ def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, return_seq
     """
     t = len(steps)
     b = steps[0][0].shape[0]
-    h_dim = p.hidden_size
-    if return_sequences:
-        dhs = dout
-    else:
-        dhs = np.zeros((b, t, h_dim))
-        dhs[:, -1, :] = dout
     grads = {name: np.zeros_like(getattr(p, name))
              for name in ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
                           "b_i", "b_f", "b_o", "b_g")}
     dx = np.empty((b, t, p.input_size)) if need_dx else None
-    dh_next = np.zeros((b, h_dim))
-    dc_next = np.zeros((b, h_dim))
+    dh = dout
+    dc_next = np.zeros((b, p.hidden_size))
     for tt in range(t - 1, -1, -1):
         xt, h_prev, c_prev, i, f, o, g, tanh_c = steps[tt]
-        dh = dhs[:, tt, :] + dh_next
         dc = dc_next + dh * o * (1.0 - tanh_c**2)
         dzo = dh * tanh_c * o * (1.0 - o)
         dzi = dc * g * i * (1.0 - i)
@@ -282,7 +277,7 @@ def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, return_seq
         if need_dx:
             dx[:, tt, :] = dzi @ p.w_i.T + dzf @ p.w_f.T + dzo @ p.w_o.T + dzg @ p.w_g.T
         if tt:
-            dh_next = dzi @ p.u_i.T + dzf @ p.u_f.T + dzo @ p.u_o.T + dzg @ p.u_g.T
+            dh = dzi @ p.u_i.T + dzf @ p.u_f.T + dzo @ p.u_o.T + dzg @ p.u_g.T
     return dx, grads
 
 

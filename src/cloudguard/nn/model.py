@@ -68,12 +68,11 @@ class MaxPool1dLayer:
 
 
 class LstmLayer:
-    """LSTM returning either the full sequence or the last hidden state."""
+    """LSTM over ``[B, T, C]`` returning its last hidden state ``[B, H]``."""
 
     def __init__(self, input_size: int, hidden_size: int,
-                 return_sequences: bool = False, rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
-        self.return_sequences = return_sequences
 
         def w():
             return _glorot(rng, input_size, hidden_size, (input_size, hidden_size))
@@ -91,12 +90,10 @@ class LstmLayer:
         )
 
     def forward(self, x: np.ndarray):
-        out, steps = L.lstm_forward_batch(x, self.params, self.return_sequences)
-        return out, steps
+        return L.lstm_forward_batch(x, self.params)
 
     def backward(self, dout: np.ndarray, cache, need_dx: bool = True):
-        return L.lstm_backward_batch(dout, cache, self.params, self.return_sequences,
-                                     need_dx)
+        return L.lstm_backward_batch(dout, cache, self.params, need_dx)
 
     def parameters(self) -> dict[str, np.ndarray]:
         p = self.params

@@ -10,8 +10,12 @@ Embedding, fusion and the context factor take one window's ``[D]`` feature
 vector or a run's ``[N, D]`` matrix: a leading window axis carries through
 each step, so a run is perceived in one call along the same path as a window.
 
-A verdict plus fused context maps to a five-level threat score; levels group
-into bands (1 low, 2-3 medium, 4-5 high).
+The sizes are fixed: embedders and scorer draw a ``DEFAULT_FUSION_DIM``-wide
+fusion space from ``DEFAULT_PERCEPTION_SEED``.
+
+A verdict plus fused context maps to a five-level threat score, weighted by
+the predicted class's ``DEFAULT_SEVERITY``; levels group into bands (1 low,
+2-3 medium, 4-5 high).
 """
 
 from dataclasses import dataclass
@@ -111,21 +115,21 @@ class AttentionScorer:
                            np.asarray(self.score_vector, dtype=np.float64))
 
 
-def build_embedders(layout: FeatureLayout, fusion_dim: int = DEFAULT_FUSION_DIM,
-                    seed: int = DEFAULT_PERCEPTION_SEED) -> dict[str, SourceEmbedder]:
+def build_embedders(layout: FeatureLayout) -> dict[str, SourceEmbedder]:
     """One embedder per source, drawn from a single seeded stream."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_PERCEPTION_SEED)
     out = {}
     for source in SOURCES:
         start, end = layout.segments[SOURCE_SEGMENTS[source]]
-        out[source] = SourceEmbedder(end - start, fusion_dim, rng)
+        out[source] = SourceEmbedder(end - start, DEFAULT_FUSION_DIM, rng)
     return out
 
 
-def build_scorer(fusion_dim: int = DEFAULT_FUSION_DIM,
-                 seed: int = DEFAULT_PERCEPTION_SEED) -> AttentionScorer:
-    rng = np.random.default_rng(seed + 1)  # distinct stream from the embedders
-    return AttentionScorer(score_vector=rng.normal(size=fusion_dim) / np.sqrt(fusion_dim))
+def build_scorer() -> AttentionScorer:
+    # seed + 1: a distinct stream from the embedders
+    rng = np.random.default_rng(DEFAULT_PERCEPTION_SEED + 1)
+    return AttentionScorer(score_vector=rng.normal(size=DEFAULT_FUSION_DIM)
+                           / np.sqrt(DEFAULT_FUSION_DIM))
 
 
 def embed_window(fv: np.ndarray, layout: FeatureLayout,
@@ -193,18 +197,11 @@ def context_from_fused(fused: np.ndarray) -> float | np.ndarray:
     return 0.5 + 0.5 * np.tanh(np.abs(np.asarray(fused)).mean(axis=-1))
 
 
-def threat_score(verdict, context_factor: float,
-                 severity: dict[str, float] | None = None,
-                 classes: tuple[str, ...] = LABELS) -> float:
+def threat_score(verdict, context_factor: float) -> float:
     """Raw threat score: max probability x class severity x context factor."""
     if not 0.0 <= context_factor <= 1.0:
         raise InputError(f"context factor must be in [0, 1], got {context_factor}")
-    severity = DEFAULT_SEVERITY if severity is None else severity
-    name = classes[verdict.predicted]
-    try:
-        sev = severity[name]
-    except KeyError:
-        raise InputError(f"severity table has no entry for class {name!r}") from None
+    sev = DEFAULT_SEVERITY[LABELS[verdict.predicted]]
     return float(verdict.max_probability * sev * context_factor)
 
 

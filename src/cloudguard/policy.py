@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     DimensionError,
     EnvironmentFault,
+    FilesystemError,
     InputError,
 )
 from .perception import BAND_EDGES
@@ -351,7 +352,8 @@ _QT_MAGIC = "# double-q checkpoint v1"
 def save_qtables(path, tables: DoubleQTables) -> None:
     """Canonical text dump: one row per touched entry, sorted by state, action.
 
-    Floats are written with repr so a reload is bit-exact.
+    Floats are written with repr so a reload is bit-exact. FilesystemError
+    when ``path`` cannot be written.
     """
     lines = [_QT_MAGIC, f"n_actions={tables.n_actions}", _QT_HEADER]
     touched = (tables.q_a != 0.0) | (tables.q_b != 0.0) | (tables.visits != 0)
@@ -361,8 +363,11 @@ def save_qtables(path, tables: DoubleQTables) -> None:
                                tables.q_b[touched].tolist(),
                                tables.visits[touched].tolist()):
         lines.append(f"{s},{a},{qa!r},{qb!r},{v}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise FilesystemError(f"cannot write {path}: {exc}") from exc
 
 
 _QT_ROW = np.dtype([("state", np.int64), ("action", np.int64), ("q_a", np.float64),
@@ -415,11 +420,15 @@ def load_qtables(path) -> DoubleQTables:
 
 
 def write_convergence_csv(path, curve: ConvergenceCurve) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "mean_reward", "moving_avg"])
-        for episode, reward, moving in curve.to_rows():
-            writer.writerow([episode, repr(reward), repr(moving)])
+    """FilesystemError when ``path`` cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["episode", "mean_reward", "moving_avg"])
+            for episode, reward, moving in curve.to_rows():
+                writer.writerow([episode, repr(reward), repr(moving)])
+    except OSError as exc:
+        raise FilesystemError(f"cannot write {path}: {exc}") from exc
 
 
 def read_convergence_csv(path) -> ConvergenceCurve:

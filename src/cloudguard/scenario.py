@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import read_config
-from .errors import ConfigError, InputError, StratificationError
+from .errors import ConfigError, InputError
 from .features import FeatureLayout, extract_features
 from .telemetry import (
     ATTACK_KINDS,
@@ -60,6 +60,7 @@ MARKER_FEATURES = {
     "brute_force": "behavior.action_login_failure_count",
     "data_exfiltration": "traffic.byte_max",
 }
+SEPARABILITY_MIN_Z = 3.0  # benign stds a marker must stand off the benign mean
 
 # share of benign events by source
 _FLOW_SHARE = 0.6
@@ -159,9 +160,6 @@ class LabeledStream:
 
     def __len__(self) -> int:
         return len(self.windows)
-
-    def labels(self) -> list[str]:
-        return [w.label for w in self.windows]
 
 
 def _window_rng(seed: int, window_index: int) -> np.random.Generator:
@@ -546,44 +544,9 @@ def generate_stream(config: ScenarioConfig) -> LabeledStream:
     return LabeledStream(windows=windows, config=config)
 
 
-def split_dataset(stream: LabeledStream, train_fraction: float,
-                  seed: int = 0) -> tuple[LabeledStream, LabeledStream]:
-    """Stratified split into disjoint train/test streams.
-
-    Per-class train counts are round(fraction * n), clamped so both sides
-    keep at least one window of every class. Classes with fewer than two
-    windows cannot be split.
-    """
-    if not 0.0 < train_fraction < 1.0:
-        raise InputError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    by_label: dict[str, list[int]] = {}
-    for i, w in enumerate(stream.windows):
-        by_label.setdefault(w.label or "benign", []).append(i)
-    rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    for label in LABELS:  # canonical order keeps the split seed-stable
-        idx = by_label.get(label)
-        if idx is None:
-            continue
-        if len(idx) < 2:
-            raise StratificationError(
-                f"label {label!r} has only {len(idx)} window(s), cannot split"
-            )
-        perm = rng.permutation(len(idx))
-        n_train = int(round(train_fraction * len(idx)))
-        n_train = min(max(n_train, 1), len(idx) - 1)
-        train_idx.extend(idx[j] for j in perm[:n_train])
-    train_set = set(train_idx)
-    train = [stream.windows[i] for i in range(len(stream.windows)) if i in train_set]
-    test = [stream.windows[i] for i in range(len(stream.windows)) if i not in train_set]
-    return (LabeledStream(windows=train, config=stream.config),
-            LabeledStream(windows=test, config=stream.config))
-
-
-def verify_separability(stream: LabeledStream, layout: FeatureLayout,
-                        min_z: float = 3.0) -> dict[str, float]:
-    """Check each attack kind's marker feature stands >= min_z benign stds
-    from the benign mean. Returns the per-kind z-scores."""
+def verify_separability(stream: LabeledStream, layout: FeatureLayout) -> dict[str, float]:
+    """Check each attack kind's marker feature stands >= SEPARABILITY_MIN_Z
+    benign stds from the benign mean. Returns the per-kind z-scores."""
     labels = [w.label for w in stream.windows]
     benign = np.array([label == "benign" for label in labels], dtype=bool)
     if not benign.any():
@@ -596,9 +559,10 @@ def verify_separability(stream: LabeledStream, layout: FeatureLayout,
         z = (float(attacked.mean()) - float(marker[benign].mean())) \
             / max(float(marker[benign].std()), 1e-9)
         scores[kind] = z
-        if z < min_z:
+        if z < SEPARABILITY_MIN_Z:
             raise InputError(
-                f"{kind} marker {MARKER_FEATURES[kind]} separates at z={z:.2f} < {min_z}"
+                f"{kind} marker {MARKER_FEATURES[kind]} separates at "
+                f"z={z:.2f} < {SEPARABILITY_MIN_Z}"
             )
     return scores
 

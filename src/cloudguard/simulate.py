@@ -373,24 +373,14 @@ def metrics_from_events(events) -> DetectionMetrics:
                                       [ev.confident for ev in events])
 
 
-def _attack_burst_windows(scenario: ScenarioConfig) -> list[tuple[int, int, str]]:
-    """(first window id, last window id, kind) per configured burst."""
-    w = scenario.window_ms
-    out = []
-    for spec in scenario.attacks:
-        first = spec.start // w
-        last = (spec.end - 1) // w
-        out.append((first, last, spec.kind))
-    return out
-
-
 def _warning_latency(scenario: ScenarioConfig, events) -> dict:
     """Windows from each burst's onset to its first confident attack verdict."""
     lags = []
     detected = 0
-    bursts = _attack_burst_windows(scenario)
+    w = scenario.window_ms
     by_id = {ev.window_id: ev for ev in events}
-    for first, last, _ in bursts:
+    for spec in scenario.attacks:
+        first, last = spec.start // w, (spec.end - 1) // w
         lag = None
         for i in range(first, last + 1):
             ev = by_id.get(i)
@@ -401,7 +391,7 @@ def _warning_latency(scenario: ScenarioConfig, events) -> dict:
             detected += 1
             lags.append(lag)
     return {
-        "bursts_total": len(bursts),
+        "bursts_total": len(scenario.attacks),
         "bursts_detected": detected,
         "mean_windows": float(np.mean(lags)) if lags else None,
         "max_windows": int(max(lags)) if lags else None,

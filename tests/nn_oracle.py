@@ -29,8 +29,9 @@ def conv1d_backward_batch(dout, x, p):
     return dx, dkernel, dbias
 
 
-def lstm_forward_batch(x, p, return_sequences):
-    """LSTM forward whose first step multiplies h_0 = 0 by the ``u_*``."""
+def lstm_forward_batch(x, p):
+    """LSTM forward whose first step multiplies h_0 = 0 by the ``u_*``;
+    returns the last state."""
     b, t, _ = x.shape
     h_dim = p.hidden_size
     h = np.zeros((b, h_dim))
@@ -49,20 +50,17 @@ def lstm_forward_batch(x, p, return_sequences):
         steps.append((xt, h, c, i, f, o, g, tanh_c))
         h, c = h_new, c_new
         hs[:, tt, :] = h
-    out = hs if return_sequences else hs[:, -1, :]
-    return out, steps
+    return hs[:, -1, :], steps
 
 
-def lstm_backward_batch(dout, steps, p, return_sequences):
-    """Backpropagation through time over every step, the first included."""
+def lstm_backward_batch(dout, steps, p):
+    """Backpropagation through time from the last state's gradient, over
+    every step, the first included."""
     t = len(steps)
     b = steps[0][0].shape[0]
     h_dim = p.hidden_size
-    if return_sequences:
-        dhs = dout
-    else:
-        dhs = np.zeros((b, t, h_dim))
-        dhs[:, -1, :] = dout
+    dhs = np.zeros((b, t, h_dim))
+    dhs[:, -1, :] = dout
     grads = {name: np.zeros_like(getattr(p, name))
              for name in ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
                           "b_i", "b_f", "b_o", "b_g")}

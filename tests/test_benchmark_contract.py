@@ -12,12 +12,16 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cloudguard.detector import ArchConfig, TrainConfig
 from cloudguard.environment import DefenseEnv, EnvConfig, defense_train_config
-from cloudguard.policy import save_qtables, train_policy
+from cloudguard.nn import Conv1dLayer, DenseLayer, LstmLayer
+from cloudguard.policy import (Action, ConvergenceCurve, DoubleQTables,
+                               PolicyTrainConfig, save_qtables, train_policy)
 from cloudguard.scenario import AttackSpec, ScenarioConfig
-from cloudguard.simulate import SimConfig, run_simulation
+from cloudguard.simulate import PipelineEvent, SimConfig, run_simulation
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -92,3 +96,40 @@ def test_harness_references_exist():
 def test_harness_config_methods_exist(module, owner, method):
     cls = getattr(importlib.import_module(f"cloudguard.{module}"), owner)
     assert callable(getattr(cls, method))
+
+
+# attributes the benchmark reads off cloudguard objects: the harness's
+# workloads and output checks, and probes._flops on each network layer
+ATTRIBUTE_READS = [
+    (TrainConfig, ("val_fraction", "epochs", "batch_size")),
+    (PolicyTrainConfig, ("episodes", "steps_per_episode")),
+    (EnvConfig, ("episode_len",)),
+    (ScenarioConfig, ("window_ms", "n_windows", "attacks")),
+    (ArchConfig, ("seq_len", "feature_dim")),
+    (ConvergenceCurve, ("moving_avg", "episode_rewards")),
+    (DoubleQTables, ("states",)),
+    (Action, ("firewall_tier", "rate_limit_tier", "isolation_tier")),
+    (PipelineEvent, ("window_id", "latency")),
+    (Conv1dLayer(2, 3, 2).params, ("kernel", "stride")),
+    (LstmLayer(2, 3).params, ("hidden_size",)),
+    (DenseLayer(2, 3).params, ("weights",)),
+]
+
+
+@pytest.mark.parametrize("owner,names", ATTRIBUTE_READS,
+                         ids=[getattr(o, "__name__", type(o).__name__)
+                              for o, _ in ATTRIBUTE_READS])
+def test_benchmark_attribute_reads_exist(owner, names):
+    fields = {f.name for f in dataclasses.fields(owner)} \
+        if dataclasses.is_dataclass(owner) else set()
+    assert [name for name in names
+            if name not in fields and not hasattr(owner, name)] == []
+
+
+@pytest.mark.parametrize("layer,x", [
+    (Conv1dLayer(2, 3, 2), np.zeros((1, 5, 2))),
+    (LstmLayer(2, 3), np.zeros((1, 4, 2))),
+    (DenseLayer(2, 3), np.zeros((1, 2))),
+], ids=["conv", "lstm", "dense"])
+def test_traced_layer_flops_read_each_layer(layer, x):
+    assert _load("probes")._flops(layer, x) > 0

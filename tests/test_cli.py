@@ -323,9 +323,10 @@ def test_exit_four_on_corrupt_checkpoint(tmp_path, scenario_cfg, capsys):
     doc = json.loads(open(scenario_cfg).read())
     doc["policy"] = str(corrupt)
     cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["simulate", "--config", cfg,
-                 "--out", str(tmp_path / "o")]) == 4
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
     assert "checkpoint error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _detector_checkpoint(tmp_path, meta_edit):
@@ -352,9 +353,32 @@ def test_exit_four_on_malformed_detector_metadata(tmp_path, capsys, meta_edit):
     ckpt = _detector_checkpoint(tmp_path, meta_edit)
     cfg = write_config(tmp_path, "c.json",
                        {"scenario": SCENARIO, "detector": ckpt})
-    assert main(["simulate", "--config", cfg,
-                 "--out", str(tmp_path / "o")]) == 4
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
     assert ckpt in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _policy_of_five_actions(tmp_path):
+    path = tmp_path / "policy.csv"
+    path.write_text("# double-q checkpoint v1\nn_actions=5\n"
+                    "state,action,q_a,q_b,visits\n")
+    return {"policy": str(path)}
+
+
+@pytest.mark.parametrize("command,checkpoint,message", [
+    ("simulate", _policy_of_five_actions, "n_actions 5 does not match"),
+    ("evaluate", lambda tmp_path: {"detector": _detector_checkpoint(
+        tmp_path, lambda meta: meta.pop("arch"))}, "detector.npz"),
+], ids=["simulate-policy", "evaluate-detector"])
+def test_exit_four_before_out_is_made(tmp_path, capsys, command, checkpoint,
+                                      message):
+    cfg = write_config(tmp_path, "c.json",
+                       {"scenario": SCENARIO, **checkpoint(tmp_path)})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # each document exits 2 before any --out directory is made
@@ -380,6 +404,10 @@ MALFORMED = [
     ("simulate", {"scenario": {"duration_ms": 5000}, "fixed_action": 999}),
     ("train-detector", {"scenario": SCENARIO, "arch": TINY_ARCH, "epochs": 1,
                         "threshold": 5}),
+    ("generate", {"scenario": SCENARIO, "seed": 3}),
+    ("train-detector", {"scenario": SCENARIO, "arch": TINY_ARCH, "epoch": 2}),
+    ("train-policy", {"episodes": 5, "episode_len": 10}),
+    ("compare", {"baseline": "a.json", "candidate": "b.json", "out": "c"}),
 ]
 
 
@@ -410,6 +438,21 @@ def test_partial_arch_takes_defaults(tmp_path, capsys):
     out = tmp_path / "det"
     assert main(["train-detector", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,doc,blocked", [
+    ("train-policy", {"episodes": 4, "steps_per_episode": 5}, "policy.csv"),
+    ("train-policy", {"episodes": 4, "steps_per_episode": 5}, "convergence.csv"),
+    ("train-detector", {"scenario": SCENARIO, "arch": TINY_ARCH, "epochs": 1,
+                        "batch_size": 16}, "detector.npz"),
+])
+def test_exit_five_when_a_training_output_cannot_be_written(tmp_path, capsys,
+                                                            command, doc, blocked):
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 5
+    assert "filesystem error:" in capsys.readouterr().err
 
 
 def test_exit_five_on_blocked_output(tmp_path, scenario_cfg, capsys):

@@ -23,7 +23,7 @@ def small_stack(rng=None):
         Conv1dLayer(3, 4, kernel_size=3, rng=rng),
         MaxPool1dLayer(2),
         Conv1dLayer(4, 5, kernel_size=2, rng=rng),
-        LstmLayer(5, 6, return_sequences=False, rng=rng),
+        LstmLayer(5, 6, rng=rng),
         DenseLayer(6, 4, activation="relu", rng=rng),
         DenseLayer(4, 3, activation="softmax", rng=rng),
     ])
@@ -117,7 +117,7 @@ class TestGradientsAgainstFiniteDifferences:
     def test_lstm_chain(self):
         rng = np.random.default_rng(37)
         model = ModelGraph([
-            LstmLayer(3, 4, return_sequences=False, rng=rng),
+            LstmLayer(3, 4, rng=rng),
             DenseLayer(4, 2, activation="softmax", rng=rng),
         ])
         x = rng.normal(size=(2, 6, 3))
@@ -128,7 +128,7 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(41)
         model = ModelGraph([
             Conv1dLayer(2, 3, kernel_size=3, stride=2, rng=rng),
-            LstmLayer(3, 3, return_sequences=False, rng=rng),
+            LstmLayer(3, 3, rng=rng),
             DenseLayer(3, 2, activation="softmax", rng=rng),
         ])
         x = rng.normal(size=(2, 11, 2))

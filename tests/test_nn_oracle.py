@@ -68,24 +68,22 @@ class TestConvBackward:
 
 class TestLstmAgainstZeroStateReference:
     @settings(max_examples=150, deadline=None)
-    @given(b=sizes, t=sizes, c_in=sizes, h=sizes, return_sequences=st.booleans(),
-           seed=seeds)
-    def test_outputs_and_gradients_bitwise(self, b, t, c_in, h, return_sequences, seed):
+    @given(b=sizes, t=sizes, c_in=sizes, h=sizes, seed=seeds)
+    def test_outputs_and_gradients_bitwise(self, b, t, c_in, h, seed):
         rng = np.random.default_rng(seed)
         p = random_lstm_params(rng, c_in, h)
         x = rng.normal(size=(b, t, c_in))
-        out, steps = L.lstm_forward_batch(x, p, return_sequences)
-        ref_out, ref_steps = oracle.lstm_forward_batch(x, p, return_sequences)
+        out, steps = L.lstm_forward_batch(x, p)
+        ref_out, ref_steps = oracle.lstm_forward_batch(x, p)
         np.testing.assert_array_equal(out, ref_out)
         dout = rng.normal(size=out.shape)
-        dx, grads = L.lstm_backward_batch(dout, steps, p, return_sequences)
-        ref_dx, ref_grads = oracle.lstm_backward_batch(dout, ref_steps, p, return_sequences)
+        dx, grads = L.lstm_backward_batch(dout, steps, p)
+        ref_dx, ref_grads = oracle.lstm_backward_batch(dout, ref_steps, p)
         np.testing.assert_array_equal(dx, ref_dx)
         assert grads.keys() == ref_grads.keys()
         for name, g in grads.items():
             np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
-        no_dx, skip_grads = L.lstm_backward_batch(dout, steps, p, return_sequences,
-                                                  need_dx=False)
+        no_dx, skip_grads = L.lstm_backward_batch(dout, steps, p, need_dx=False)
         assert no_dx is None
         for name, g in skip_grads.items():
             np.testing.assert_array_equal(g, grads[name], err_msg=name)

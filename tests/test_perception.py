@@ -8,10 +8,13 @@ from cloudguard.errors import DimensionError, InputError
 from cloudguard.features import build_layout
 from cloudguard.perception import (
     BAND_EDGES,
+    DEFAULT_FUSION_DIM,
+    DEFAULT_PERCEPTION_SEED,
     DEFAULT_SEVERITY,
     SOURCES,
     AttentionScorer,
     AttentionWeights,
+    SourceEmbedder,
     SourceEmbedding,
     ThreatLevel,
     build_embedders,
@@ -33,6 +36,12 @@ def basis_scorer(dim, axis=0):
     v = np.zeros(dim)
     v[axis] = 1.0
     return AttentionScorer(score_vector=v)
+
+
+def seeded_scorer(dim):
+    """``build_scorer``'s draw at another fusion width."""
+    rng = np.random.default_rng(DEFAULT_PERCEPTION_SEED + 1)
+    return AttentionScorer(score_vector=rng.normal(size=dim) / np.sqrt(dim))
 
 
 def verdict_with(probs):
@@ -57,16 +66,21 @@ class TestEmbedders:
 
     def test_seeded_and_reproducible(self):
         layout = build_layout(dim=64)
-        a = build_embedders(layout, fusion_dim=8, seed=7)
-        b = build_embedders(layout, fusion_dim=8, seed=7)
-        c = build_embedders(layout, fusion_dim=8, seed=8)
+        a = build_embedders(layout)
+        b = build_embedders(layout)
+        start, end = layout.segments["traffic"]
+        same = SourceEmbedder(end - start, DEFAULT_FUSION_DIM,
+                              np.random.default_rng(DEFAULT_PERCEPTION_SEED))
+        other = SourceEmbedder(end - start, DEFAULT_FUSION_DIM,
+                               np.random.default_rng(DEFAULT_PERCEPTION_SEED + 1))
         for s in SOURCES:
             assert np.array_equal(a[s].weights, b[s].weights)
-        assert not np.array_equal(a["traffic"].weights, c["traffic"].weights)
+        assert np.array_equal(a["traffic"].weights, same.weights)
+        assert not np.array_equal(a["traffic"].weights, other.weights)
 
     def test_embed_window_is_linear_in_the_segment(self):
         layout = build_layout(dim=64)
-        embedders = build_embedders(layout, fusion_dim=8)
+        embedders = build_embedders(layout)
         rng = np.random.default_rng(0)
         fv1 = rng.normal(size=64)
         fv2 = rng.normal(size=64)
@@ -96,14 +110,14 @@ class TestFusion:
     def test_identical_sources_fuse_uniformly(self):
         rng = np.random.default_rng(3)
         v = rng.normal(size=16)
-        scorer = build_scorer(fusion_dim=16)
+        scorer = build_scorer()
         fused, weights = fuse(make_embeddings([v, v, v]), scorer)
         np.testing.assert_allclose(weights.values, [1 / 3] * 3, atol=1e-12)
         np.testing.assert_allclose(fused, v, atol=1e-12)
 
     def test_weights_sum_to_one_on_random_inputs(self):
         rng = np.random.default_rng(11)
-        scorer = build_scorer(fusion_dim=8)
+        scorer = seeded_scorer(8)
         for _ in range(250):
             vecs = [rng.normal(size=8) * rng.uniform(0.1, 50) for _ in range(3)]
             fused, weights = fuse(make_embeddings(vecs), scorer)
@@ -114,7 +128,7 @@ class TestFusion:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
         vecs = [rng.normal(size=8) for _ in range(3)]
-        scorer = build_scorer(fusion_dim=8)
+        scorer = seeded_scorer(8)
         base = make_embeddings(vecs)
         fused_a, w_a = fuse(base, scorer)
         order = [2, 0, 1]
@@ -245,11 +259,6 @@ class TestThreatLevels:
             threat_score(v, 1.5)
         with pytest.raises(InputError):
             threat_score(v, -0.1)
-
-    def test_unknown_class_in_severity_table(self):
-        v = verdict_with([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        with pytest.raises(InputError):
-            threat_score(v, 0.5, severity={"benign": 0.1})
 
     def test_context_from_fused(self):
         assert context_from_fused(np.zeros(8)) == pytest.approx(0.5)

@@ -50,7 +50,9 @@ def test_enforce_window_matches_the_reference(kind, action, intensity, load):
     assert OUTCOMES[code] == want.verdict
     assert same_bits(attack, want.attack_damage)
     assert same_bits(collateral, want.collateral_damage)
-    assert same_bits(reward_for(code, attack, collateral, CATALOG[action]),
+    cfg = EnvConfig()
+    assert same_bits(reward_for(code, attack, collateral, CATALOG[action],
+                                cfg.cost_weight, cfg.block_bonus),
                      oracle.reward_for(want, CATALOG[action]))
 
 

@@ -1,4 +1,4 @@
-"""Scenario generator: determinism, signatures, labeling, and splitting."""
+"""Scenario generator: determinism, signatures and labeling."""
 
 import hashlib
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudguard.errors import ConfigError, InputError, StratificationError
+from cloudguard.errors import ConfigError, InputError
 from cloudguard.features import build_layout, extract_features
 from cloudguard.scenario import (
     MARKER_FEATURES,
@@ -18,7 +18,6 @@ from cloudguard.scenario import (
     generate_stream,
     generate_window,
     label_for_window,
-    split_dataset,
     truth_intensity,
     verify_separability,
 )
@@ -248,49 +247,6 @@ class TestSignatures:
         )
         with pytest.raises(InputError):
             verify_separability(generate_stream(cfg), build_layout())
-
-
-class TestSplit:
-    def test_even_split_counts_per_class(self):
-        stream = generate_stream(default_scenario(seed=17, rounds=2))
-        train, test = split_dataset(stream, 0.5, seed=3)
-        for label in LABELS:
-            n_train = sum(1 for w in train.windows if w.label == label)
-            n_test = sum(1 for w in test.windows if w.label == label)
-            total = n_train + n_test
-            assert total > 0
-            assert abs(n_train - round(0.5 * total)) <= 1
-
-    def test_union_is_input_no_duplicates(self):
-        stream = generate_stream(default_scenario(seed=19, rounds=2))
-        train, test = split_dataset(stream, 0.7, seed=5)
-        key = lambda w: (w.start, w.end)
-        got = sorted([key(w) for w in train.windows] + [key(w) for w in test.windows])
-        want = sorted(key(w) for w in stream.windows)
-        assert got == want
-        assert len(set(key(w) for w in train.windows)
-                   & set(key(w) for w in test.windows)) == 0
-
-    def test_same_seed_identical_split(self):
-        stream = generate_stream(default_scenario(seed=23, rounds=2))
-        a_train, a_test = split_dataset(stream, 0.8, seed=9)
-        b_train, b_test = split_dataset(stream, 0.8, seed=9)
-        assert [w.start for w in a_train.windows] == [w.start for w in b_train.windows]
-        assert [w.start for w in a_test.windows] == [w.start for w in b_test.windows]
-
-    def test_small_class_raises_stratification_error(self):
-        cfg = small_config(
-            seed=25, duration_ms=10_000,
-            attacks=(AttackSpec(kind="ddos", intensity=1.0, start=0, end=1000),),
-        )
-        stream = generate_stream(cfg)  # exactly one ddos window
-        with pytest.raises(StratificationError, match="ddos"):
-            split_dataset(stream, 0.5, seed=1)
-
-    def test_bad_fraction_rejected(self):
-        stream = generate_stream(small_config(seed=27, duration_ms=4000))
-        with pytest.raises(InputError):
-            split_dataset(stream, 1.0)
 
 
 class TestDefaultScenario:

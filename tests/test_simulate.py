@@ -338,8 +338,10 @@ def test_warning_latency_reads_windows_by_id(small_run, tmp_path):
     gapped = build_report(config, read_events(p)).warning_latency
     assert gapped["bursts_total"] == report.warning_latency["bursts_total"]
     lags = []
-    for start, last, _ in simulate._attack_burst_windows(
-            config.resolved_scenario()):
+    scenario = config.resolved_scenario()
+    for spec in scenario.attacks:
+        start = spec.start // scenario.window_ms
+        last = (spec.end - 1) // scenario.window_ms
         hits = [i - start for i in range(start, last + 1) if i != first
                 and events[i].confident and events[i].predicted != "benign"]
         lags += hits[:1]
