@@ -20,7 +20,7 @@ from cloudguard.environment import DefenseEnv, EnvConfig, defense_train_config
 from cloudguard.nn import Conv1dLayer, DenseLayer, LstmLayer
 from cloudguard.policy import (Action, ConvergenceCurve, DoubleQTables,
                                PolicyTrainConfig, save_qtables, train_policy)
-from cloudguard.scenario import AttackSpec, ScenarioConfig
+from cloudguard.scenario import AttackSpec, ScenarioConfig, generate_stream
 from cloudguard.simulate import PipelineEvent, SimConfig, run_simulation
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
@@ -75,10 +75,18 @@ def test_traced_simulation_passes_through_every_response_probe(tmp_path):
         _, events = run_simulation(SimConfig(scenario=scenario, policy=str(policy)))
     finally:
         tracer.uninstall()
-    spans = tracer.spans()
+    spans, counters = tracer.spans(), tracer.counters()
     assert len(events) == 12
     assert {name: spans.count(name) >= 1 for name in SIM_SPANS} == \
         dict.fromkeys(SIM_SPANS, True)
+    # the generation probes: one span per stream and per window, the
+    # validator's spans, and the window and event counters read at each window
+    assert spans.count("scenario.generate") == 1
+    assert spans.count("scenario.window") == scenario.n_windows == 12
+    assert spans.count("telemetry.validate") >= 12
+    assert counters["scenario.windows"] == 12
+    assert counters["scenario.events"] == \
+        sum(w.event_count for w in generate_stream(scenario).windows)
 
 
 def test_harness_references_exist():

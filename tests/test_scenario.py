@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudguard.cli import main
 from cloudguard.errors import ConfigError, InputError
 from cloudguard.features import build_layout, extract_features
 from cloudguard.scenario import (
@@ -22,6 +23,18 @@ from cloudguard.scenario import (
     verify_separability,
 )
 from cloudguard.telemetry import ATTACK_KINDS, LABELS
+
+
+# half-second windows under overlapping specs of all five kinds
+OVERLAPPING = ScenarioConfig(duration_ms=12_000, window_ms=500, benign_rate=40.0, seed=21,
+                             attacks=(
+    AttackSpec(kind="ddos", intensity=0.7, start=1250, end=4750),
+    AttackSpec(kind="sql_injection", intensity=0.9, start=2100, end=6300),
+    AttackSpec(kind="ddos", intensity=0.5, start=3000, end=3600),
+    AttackSpec(kind="port_scan", intensity=1.0, start=3333, end=3900),
+    AttackSpec(kind="brute_force", intensity=0.6, start=4200, end=9100),
+    AttackSpec(kind="data_exfiltration", intensity=0.8, start=5050, end=11_700),
+))
 
 
 def small_config(seed=0, attacks=(), duration_ms=20_000, benign_rate=60.0):
@@ -126,6 +139,30 @@ class TestDeterminism:
         stream = generate_stream(default_scenario(seed=5, rounds=2))
         assert stream_digest(stream) == \
             "7d2a43d1bb4d2c73c6fadc1928ef9e5ec53bf5bfe71599f5bb3cff66ebfd78da"
+
+    def test_sparse_stream_bytes_are_pinned(self):
+        # few events per window, so many blocks draw n = 0
+        stream = generate_stream(default_scenario(seed=3, rounds=2, benign_rate=6.0))
+        assert stream_digest(stream) == \
+            "e98f1042416a398536752ed3d3c1e353ea2d25ef5afaf300a6f2e268c7f03854"
+
+    def test_overlapping_specs_stream_bytes_are_pinned(self):
+        # half-second windows; specs of all five kinds overlap each other and
+        # start and end mid-window
+        stream = generate_stream(OVERLAPPING)
+        assert stream_digest(stream) == \
+            "ebd20a144410292e6bc983f2a7d2088887ec119c611617ea25c6bcb816b6e451"
+
+    def test_generate_command_bytes_are_pinned(self, tmp_path):
+        assert main(["generate", "--seed", "8", "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("telemetry.jsonl", "labels.csv")}
+        assert digests == {
+            "telemetry.jsonl":
+                "23f3c41f8dd41fa676c2b9dd107171888967c9923cb5a8a22755dcf527f31b3a",
+            "labels.csv":
+                "bb7057b62c951120e4a271b778685d5104cd971c968db7155398f26b7de98d65",
+        }
 
     def test_windows_tile_duration(self):
         cfg = small_config(seed=4)
