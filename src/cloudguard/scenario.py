@@ -1,15 +1,23 @@
 """Seeded synthetic telemetry with labeled attack injection.
 
 The generator is a pure function of its config. Every window draws from its
-own Philox counter-based substream keyed ``(seed, window_index)``, so windows
-can be produced in any order or in parallel and the stream is still
-byte-identical. A window is drawn as numpy columns, block by block (benign
-flows, logs and behaviors, then the blocks of every attack overlapping it),
-with one generator call for a block's uniform draws instead of one per
-event. The blocks of a source merge by a stable timestamp sort, so ties keep
-draw order. String fields are drawn as integer keys; a window's vocabulary
-holds only its own distinct keys' strings, and a stream formats each
-distinct key once. Windows find the attack specs overlapping them through
+own Philox counter-based substream keyed ``(seed, window_index)``, so a
+window is the same whether it is generated alone or as part of a run, and
+the stream is byte-identical. A run is generated in two phases:
+
+1. Draws, window by window: each window draws its blocks (benign flows,
+   logs and behaviors, then the blocks of every attack overlapping it, in
+   configured order), each block an event count, one generator call for
+   all its uniform draws, then its lognormal draws.
+2. One pass over the whole run: each kind of block turns all its draws
+   into columns at once, sorts each block's timestamps, and each source
+   merges its blocks by one stable sort on (timestamp, block draw order),
+   so ties keep draw order. String fields are drawn as integer keys; the
+   run formats each distinct key once and ranks the keys by their strings
+   once, and each window's vocabulary holds only its own keys' strings.
+
+A generated stream's windows are views: each window's columns are slices of
+the run's columns. Windows find the attack specs overlapping them through
 one sorted index per scenario (``BurstIndex``). Five attack kinds
 perturb a benign baseline, each with a distinct signature tied to a
 documented marker feature:
@@ -29,6 +37,7 @@ canonical label order.
 """
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,11 +171,18 @@ class LabeledStream:
         return len(self.windows)
 
 
-def _window_rng(seed: int, window_index: int) -> np.random.Generator:
-    """Independent substream per window: 128-bit Philox key (seed, index)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(window_index)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _window_rngs(seed: int, indices: range):
+    """Each window's independent substream in turn: 128-bit Philox key
+    (seed, index). One bit generator is re-keyed per window from the state
+    of a fresh one (counter and buffer empty), so a window draws exactly
+    what a new generator with its key would."""
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    fresh = bits.state
+    rng = np.random.Generator(bits)
+    for index in indices:
+        fresh["state"]["key"] = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+        bits.state = fresh
+        yield index, rng
 
 
 def _overlap(spec: AttackSpec, start: int, end: int) -> tuple[int, int]:
@@ -187,6 +203,22 @@ def _union_length(intervals: list[tuple[int, int]]) -> int:
         else:
             cur_hi = max(cur_hi, hi)
     return covered + (cur_hi - cur_lo)
+
+
+def _majority_label(specs: list[AttackSpec], start: int, end: int) -> str:
+    """Majority-overlap label of ``[start, end)`` under the specs overlapping it."""
+    by_kind: dict[str, list[tuple[int, int]]] = {}
+    for spec in specs:
+        by_kind.setdefault(spec.kind, []).append(_overlap(spec, start, end))
+    if not by_kind:
+        return "benign"
+    per_kind = {kind: _union_length(iv) for kind, iv in by_kind.items()}
+    attacked = _union_length([iv for ivs in by_kind.values() for iv in ivs])
+    benign_cover = (end - start) - attacked
+    best_kind = min(per_kind, key=lambda k: (-per_kind[k], LABELS.index(k)))
+    if per_kind[best_kind] >= benign_cover:  # tie resolves to the attack
+        return best_kind
+    return "benign"
 
 
 class BurstIndex:
@@ -212,18 +244,7 @@ class BurstIndex:
 
     def label(self, start: int, end: int) -> str:
         """Majority-overlap label of ``[start, end)`` (see label_for_window)."""
-        by_kind: dict[str, list[tuple[int, int]]] = {}
-        for spec in self.overlapping(start, end):
-            by_kind.setdefault(spec.kind, []).append(_overlap(spec, start, end))
-        if not by_kind:
-            return "benign"
-        per_kind = {kind: _union_length(iv) for kind, iv in by_kind.items()}
-        attacked = _union_length([iv for ivs in by_kind.values() for iv in ivs])
-        benign_cover = (end - start) - attacked
-        best_kind = min(per_kind, key=lambda k: (-per_kind[k], LABELS.index(k)))
-        if per_kind[best_kind] >= benign_cover:  # tie resolves to the attack
-            return best_kind
-        return "benign"
+        return _majority_label(self.overlapping(start, end), start, end)
 
     def intensity(self, start: int, end: int, kind: str) -> float:
         """Attack pressure of ``kind`` on ``[start, end)`` (see truth_intensity)."""
@@ -250,38 +271,44 @@ def truth_intensity(attacks, start: int, end: int, kind: str) -> float:
     return BurstIndex(attacks).intensity(start, end, kind)
 
 
-# A string column is drawn as int64 keys ``family << 32 | value``; a window
-# turns only the distinct keys it holds into strings (see _assemble), each
-# formatted once per stream (_KeyNames). Families never format to the same
-# string, so keys are equal exactly when strings are.
-_FORMATS = (
-    FIXED_STRINGS.__getitem__,
-    lambda v: f"10.0.{v // 199}.{v % 199 + 1}",  # internal hosts, 8 x 199
-    lambda v: f"172.16.{v >> 8}.{v & 255}",  # ddos sources
-    "192.0.2.{}".format,  # sql injection sources
-    "198.51.100.{}".format,  # scanners
-    "203.0.113.{}".format,  # brute-force sources
-    "srv-{}".format,
-    "ext-{}.example".format,
-    "user-{}".format,
-    ("srv-db", "user-web").__getitem__,
-)
-_FIXED, _LAN, _DDOS, _SQLI, _SCAN, _BRUTE, _SRV, _EXT, _USER, _NAMED = range(len(_FORMATS))
+def _each(fmt):
+    """A family formatter applying ``fmt`` to each value."""
+    return lambda values: map(fmt, values.tolist())
+
+
 _LAN_HOSTS = 8 * 199
+# A string column is drawn as int64 keys, each a string family's first key
+# plus the value. A family has a formatter (from an array of its values to
+# their strings) and a number of values, so the keys of all families make
+# one dense range. A run formats each distinct key once (_format_keys), and
+# a window's vocabulary holds only its own distinct keys' strings. Families
+# never format to the same string, so keys are equal exactly when strings are.
+_FAMILIES = (
+    (_each(FIXED_STRINGS.__getitem__), len(FIXED_STRINGS)),
+    (lambda v: map("10.0.{}.{}".format, (v // 199).tolist(), (v % 199 + 1).tolist()),
+     _LAN_HOSTS),  # internal hosts, 8 x 199
+    (lambda v: map("172.16.{}.{}".format, (v >> 8).tolist(), (v & 255).tolist()),
+     1 << 16),  # ddos sources
+    (_each("192.0.2.{}".format), 16),  # sql injection sources
+    (_each("198.51.100.{}".format), 251),  # scanners
+    (_each("203.0.113.{}".format), 251),  # brute-force sources
+    (_each("srv-{}".format), 12),
+    (_each("ext-{}.example".format), 4),
+    (_each("user-{}".format), 40),
+    (_each(("srv-db", "user-web").__getitem__), 2),
+)
+_FIRST_KEYS = np.cumsum([0] + [size for _, size in _FAMILIES])
+_FIXED, _LAN, _DDOS, _SQLI, _SCAN, _BRUTE, _SRV, _EXT, _USER, _NAMED = _FIRST_KEYS[:-1].tolist()
 
 
-def _format_key(key: int) -> str:
-    """The string a key stands for."""
-    return _FORMATS[key >> 32](key & 0xFFFFFFFF)
-
-
-class _KeyNames(dict):
-    """Key -> string, each key formatted on first use. One lives for one
-    generate_stream call, so a stream formats each distinct key once."""
-
-    def __missing__(self, key: int) -> str:
-        self[key] = name = _format_key(key)
-        return name
+def _format_keys(keys: np.ndarray) -> list[str]:
+    """The strings an ascending array of keys stands for, formatted one
+    family at a time."""
+    bounds = np.searchsorted(keys, _FIRST_KEYS).tolist()
+    names = []
+    for (fmt, _), first, lo, hi in zip(_FAMILIES, _FIRST_KEYS.tolist(), bounds, bounds[1:]):
+        names += fmt(keys[lo:hi] - first)
+    return names
 
 
 _TCP = FIXED_CODES["tcp"]
@@ -291,28 +318,38 @@ _SUBSYSTEM_KEYS = np.array([FIXED_CODES[s] for s in LOG_SUBSYSTEMS])
 
 
 def _key(family: int, value):
-    """Key (or array of keys) of values of one string family."""
-    return (family << 32) | value
+    """Key (or array of keys) of values of the string family whose first
+    key is ``family``."""
+    return family + value
 
 
 class _Draws:
-    """Uniform draws for one block of n events, from one generator call.
+    """One recipe's draws over every block of a run, turned into columns.
 
-    Each column takes the next of ``rows`` uniform rows, so a block costs
-    one call for all its columns instead of one per column (or per event).
+    ``rows`` holds the recipe's uniform rows, each with the blocks' draws
+    side by side, and ``logs`` its lognormal columns likewise; each column
+    takes the next one, in the order the recipe names them. The per-event
+    arrays hold each event's block parameters: the block's number within
+    the recipe, its span ``[lo, hi)``, and its spec's start and intensity.
     """
 
-    def __init__(self, rng: np.random.Generator, rows: int, n: int):
-        self._rows = iter(rng.random((rows, n)))
+    def __init__(self, rows: np.ndarray, logs: list, block: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, start: np.ndarray, intensity: np.ndarray):
+        self._rows = iter(rows)
+        self._logs = iter(logs)
+        self.block, self.lo, self.hi = block, lo, hi
+        self.start, self.intensity = start, intensity
 
-    def ints(self, lo: int, hi: int) -> np.ndarray:
+    def ints(self, lo, hi) -> np.ndarray:
         """Uniform integers in [lo, hi)."""
         return lo + (next(self._rows) * (hi - lo)).astype(np.int64)
 
-    def times(self, lo: int, hi: int) -> np.ndarray:
-        """Sorted timestamps in [lo, hi). Payload columns are drawn
-        independently of time, so sorting the times alone orders the block."""
-        return np.sort(self.ints(lo, hi))
+    def times(self) -> np.ndarray:
+        """Timestamps in each event's span, sorted within each block.
+        Payload columns are drawn independently of time, so sorting the
+        times alone orders a block."""
+        t = self.ints(self.lo, self.hi)
+        return t[np.lexsort((t, self.block))]
 
     def below(self, p: float) -> np.ndarray:
         """True with probability p."""
@@ -322,226 +359,340 @@ class _Draws:
         """Weighted choice of values by inverse CDF."""
         return values[np.searchsorted(cdf, next(self._rows), side="right")]
 
+    def lognormal(self) -> np.ndarray:
+        return next(self._logs)
 
-def _full(n: int, value) -> np.ndarray:
-    return np.full(n, value, dtype=bool if isinstance(value, bool) else np.int64)
+    def full(self, value) -> np.ndarray:
+        return np.full(len(self.block), value,
+                       dtype=bool if isinstance(value, bool) else np.int64)
 
 
-def _benign_events(rng: np.random.Generator, start: int, window_ms: int,
-                   rate: float) -> list:
-    seconds = window_ms / 1000.0
-    end = start + window_ms
-    n = rng.poisson(rate * _FLOW_SHARE * seconds)
-    draw = _Draws(rng, 9, n)
-    byte_count = rng.lognormal(6.5, 1.0, n).astype(np.int64) + 40
-    flows = FlowColumns(
-        timestamp=draw.times(start, end),
-        src=_key(_LAN, draw.ints(0, _LAN_HOSTS)),
-        dst=_key(_SRV, draw.ints(0, 12)),
-        port=draw.pick(_COMMON_PORTS, _PORT_CDF),
-        protocol=np.where(draw.below(0.85), _TCP, _UDP),
+@dataclass(frozen=True, eq=False)
+class _Recipe:
+    """One kind of block: the source it feeds, how many uniform rows it
+    draws, the (mean, sigma) of each lognormal column it draws after them,
+    and its columns from those draws."""
+
+    source: type
+    rows: int
+    lognormals: tuple[tuple[float, float], ...]
+    columns: Callable[[_Draws], dict]
+    at_least_one: bool = False  # a block spanning half a second draws an event
+
+
+def _benign_flows(d: _Draws) -> dict:
+    byte_count = d.lognormal().astype(np.int64) + 40
+    return dict(
+        timestamp=d.times(),
+        src=_key(_LAN, d.ints(0, _LAN_HOSTS)),
+        dst=_key(_SRV, d.ints(0, 12)),
+        port=d.pick(_COMMON_PORTS, _PORT_CDF),
+        protocol=np.where(d.below(0.85), _TCP, _UDP),
         bytes=byte_count,
-        packets=1 + byte_count // 700 + draw.ints(0, 3),
-        duration_ms=rng.lognormal(3.5, 1.0, n).astype(np.int64) + 1,
-        syn_flag=draw.below(0.08),
-        payload_class=np.where(draw.below(0.02), draw.ints(1, 4), 0),
+        packets=1 + byte_count // 700 + d.ints(0, 3),
+        duration_ms=d.lognormal().astype(np.int64) + 1,
+        syn_flag=d.below(0.08),
+        payload_class=np.where(d.below(0.02), d.ints(1, 4), 0),
     )
-    n = rng.poisson(rate * _LOG_SHARE * seconds)
-    draw = _Draws(rng, 4, n)
-    logs = LogColumns(
-        timestamp=draw.times(start, end),
-        severity=draw.pick(_SEVERITIES, _SEVERITY_CDF),
-        event_code=draw.ints(100, 150),
-        subsystem=_SUBSYSTEM_KEYS[draw.ints(0, 5)],
+
+
+def _benign_logs(d: _Draws) -> dict:
+    return dict(
+        timestamp=d.times(),
+        severity=d.pick(_SEVERITIES, _SEVERITY_CDF),
+        event_code=d.ints(100, 150),
+        subsystem=_SUBSYSTEM_KEYS[d.ints(0, 5)],
     )
-    n = rng.poisson(rate * _BEHAVIOR_SHARE * seconds)
-    draw = _Draws(rng, 4, n)
-    behaviors = BehaviorColumns(
-        timestamp=draw.times(start, end),
-        user_id=_key(_USER, draw.ints(0, 40)),
-        action=draw.pick(_ACTION_KEYS, _ACTION_CDF),
-        success=~draw.below(0.05),
+
+
+def _benign_behaviors(d: _Draws) -> dict:
+    return dict(
+        timestamp=d.times(),
+        user_id=_key(_USER, d.ints(0, 40)),
+        action=d.pick(_ACTION_KEYS, _ACTION_CDF),
+        success=~d.below(0.05),
     )
-    return [flows, logs, behaviors]
 
 
-def _attack_events(rng: np.random.Generator, spec: AttackSpec, lo: int, hi: int,
-                   config: ScenarioConfig) -> list:
-    """Overlay for one attack spec clipped to [lo, hi) inside one window."""
-    seconds = (hi - lo) / 1000.0
-
-    def count(rate: float) -> int:
-        return rng.poisson(rate * spec.intensity * seconds)
-
-    if spec.kind == "ddos":
-        n = count(config.benign_rate * _FLOW_SHARE * config.ddos_surge)
-        draw = _Draws(rng, 6, n)
-        return [FlowColumns(
-            timestamp=draw.times(lo, hi),
-            src=_key(_DDOS, draw.ints(0, 1 << 16)),
-            dst=_full(n, _key(_SRV, 0)),
-            port=np.where(draw.below(0.5), 80, 443),
-            protocol=_full(n, _TCP),
-            bytes=rng.lognormal(4.2, 0.4, n).astype(np.int64) + 40,
-            packets=draw.ints(1, 3),
-            duration_ms=draw.ints(1, 6),
-            syn_flag=draw.below(0.9),
-            payload_class=_full(n, 0),
-        )]
-    if spec.kind == "sql_injection":
-        n = count(_SQLI_RATE)
-        draw = _Draws(rng, 4, n)
-        flows = FlowColumns(
-            timestamp=draw.times(lo, hi),
-            src=_key(_SQLI, draw.ints(0, 16)),
-            dst=_full(n, _key(_NAMED, 0)),  # srv-db
-            port=_full(n, 3306),
-            protocol=_full(n, _TCP),
-            bytes=rng.lognormal(6.0, 0.5, n).astype(np.int64) + 40,
-            packets=draw.ints(2, 6),
-            duration_ms=rng.lognormal(3.0, 0.6, n).astype(np.int64) + 1,
-            syn_flag=_full(n, False),
-            payload_class=draw.ints(1, 4),
-        )
-        n = count(_SQLI_RATE * 0.4)
-        draw = _Draws(rng, 2, n)
-        behaviors = BehaviorColumns(
-            timestamp=draw.times(lo, hi),
-            user_id=_full(n, _key(_NAMED, 1)),  # user-web
-            action=_full(n, FIXED_CODES["query"]),
-            success=draw.below(0.5),
-        )
-        n = count(_SQLI_RATE * 0.2)
-        draw = _Draws(rng, 3, n)
-        logs = LogColumns(
-            timestamp=draw.times(lo, hi),
-            severity=draw.ints(4, 7),
-            event_code=draw.ints(500, 520),
-            subsystem=_full(n, FIXED_CODES["db"]),
-        )
-        return [flows, behaviors, logs]
-    if spec.kind == "port_scan":
-        n = count(_SCAN_RATE)
-        draw = _Draws(rng, 5, n)
-        return [FlowColumns(
-            timestamp=draw.times(lo, hi),
-            src=_full(n, _key(_SCAN, spec.start % 251)),
-            dst=_key(_SRV, draw.ints(0, 12)),
-            port=draw.ints(1, 65536),
-            protocol=_full(n, _TCP),
-            bytes=draw.ints(40, 60),
-            packets=_full(n, 1),
-            duration_ms=draw.ints(1, 4),
-            syn_flag=_full(n, True),
-            payload_class=_full(n, 0),
-        )]
-    if spec.kind == "brute_force":
-        n = count(_BRUTE_RATE)
-        draw = _Draws(rng, 2, n)
-        behaviors = BehaviorColumns(
-            timestamp=draw.times(lo, hi),
-            user_id=_full(n, _key(_USER, spec.start % 40)),
-            action=_full(n, FIXED_CODES["login"]),
-            success=draw.below(0.05),
-        )
-        n = count(_BRUTE_RATE * 0.6)
-        draw = _Draws(rng, 2, n)
-        logs = LogColumns(
-            timestamp=draw.times(lo, hi),
-            severity=draw.ints(4, 6),
-            event_code=_full(n, 401),
-            subsystem=_full(n, FIXED_CODES["auth"]),
-        )
-        n = count(_BRUTE_RATE * 0.3)
-        draw = _Draws(rng, 5, n)
-        flows = FlowColumns(
-            timestamp=draw.times(lo, hi),
-            src=_full(n, _key(_BRUTE, spec.start % 251)),
-            dst=_full(n, _key(_SRV, 1)),
-            port=_full(n, 22),
-            protocol=_full(n, _TCP),
-            bytes=draw.ints(200, 600),
-            packets=draw.ints(3, 8),
-            duration_ms=draw.ints(50, 350),
-            syn_flag=draw.below(0.5),
-            payload_class=_full(n, 0),
-        )
-        return [behaviors, logs, flows]
-    if spec.kind == "data_exfiltration":
-        n = count(_EXFIL_RATE)
-        if seconds >= 0.5:
-            n = max(n, 1)  # a covering exfil burst always moves data
-        draw = _Draws(rng, 3, n)
-        flows = FlowColumns(
-            timestamp=draw.times(lo, hi),
-            src=_full(n, _key(_LAN, spec.start % 8 * 199 + spec.start % 199)),
-            dst=_full(n, _key(_EXT, spec.start % 4)),
-            port=_full(n, 443),
-            protocol=_full(n, _TCP),
-            bytes=(rng.lognormal(13.5, 0.4, n) * spec.intensity).astype(np.int64) + 1000,
-            packets=draw.ints(200, 1000),
-            duration_ms=draw.ints(400, 900),
-            syn_flag=_full(n, False),
-            payload_class=_full(n, 0),
-        )
-        n = count(2.0)
-        draw = _Draws(rng, 2, n)
-        behaviors = BehaviorColumns(
-            timestamp=draw.times(lo, hi),
-            user_id=_full(n, _key(_USER, spec.start % 40)),
-            action=np.where(draw.below(0.6), FIXED_CODES["download"],
-                            FIXED_CODES["upload"]),
-            success=_full(n, True),
-        )
-        return [flows, behaviors]
-    return []
+def _ddos_flows(d: _Draws) -> dict:
+    return dict(
+        timestamp=d.times(),
+        src=_key(_DDOS, d.ints(0, 1 << 16)),
+        dst=d.full(_key(_SRV, 0)),
+        port=np.where(d.below(0.5), 80, 443),
+        protocol=d.full(_TCP),
+        bytes=d.lognormal().astype(np.int64) + 40,
+        packets=d.ints(1, 3),
+        duration_ms=d.ints(1, 6),
+        syn_flag=d.below(0.9),
+        payload_class=d.full(0),
+    )
 
 
-def _assemble(start: int, end: int, parts: list, label: str,
-              names: _KeyNames) -> TelemetryWindow:
-    """Merge drawn parts into one window: each source's parts (each sorted
-    already) by a stable timestamp sort, so ties keep draw order; then
-    string keys turned into codes."""
-    merged = []
-    for cls in SOURCE_COLUMNS:
-        group = [p for p in parts if type(p) is cls]
-        if len(group) == 1:
-            merged.append({name: getattr(group[0], name) for name in cls.names})
-            continue
-        order = np.argsort(np.concatenate([p.timestamp for p in group]), kind="stable")
-        merged.append({name: np.concatenate([getattr(p, name) for p in group])[order]
-                       for name in cls.names})
-    strings = encode_strings(merged, names.__getitem__)
-    return TelemetryWindow(
-        start, end, label=label,
-        sources=tuple(cls(**cols) for cls, cols in zip(SOURCE_COLUMNS, merged)),
-        strings=strings)
+def _sqli_flows(d: _Draws) -> dict:
+    return dict(
+        timestamp=d.times(),
+        src=_key(_SQLI, d.ints(0, 16)),
+        dst=d.full(_key(_NAMED, 0)),  # srv-db
+        port=d.full(3306),
+        protocol=d.full(_TCP),
+        bytes=d.lognormal().astype(np.int64) + 40,
+        packets=d.ints(2, 6),
+        duration_ms=d.lognormal().astype(np.int64) + 1,
+        syn_flag=d.full(False),
+        payload_class=d.ints(1, 4),
+    )
 
 
-def generate_window(config: ScenarioConfig, index: int, bursts: BurstIndex | None = None,
-                    names: _KeyNames | None = None) -> TelemetryWindow:
-    """Generate one labeled window from its own substream.
+def _sqli_behaviors(d: _Draws) -> dict:
+    return dict(
+        timestamp=d.times(),
+        user_id=d.full(_key(_NAMED, 1)),  # user-web
+        action=d.full(FIXED_CODES["query"]),
+        success=d.below(0.5),
+    )
 
-    ``bursts`` (the index of ``config.attacks``) and ``names`` (a key-name
-    memo) let a stream share both across its windows; the window is the
-    same without them.
+
+def _sqli_logs(d: _Draws) -> dict:
+    return dict(
+        timestamp=d.times(),
+        severity=d.ints(4, 7),
+        event_code=d.ints(500, 520),
+        subsystem=d.full(FIXED_CODES["db"]),
+    )
+
+
+def _scan_flows(d: _Draws) -> dict:
+    return dict(
+        timestamp=d.times(),
+        src=_key(_SCAN, d.start % 251),
+        dst=_key(_SRV, d.ints(0, 12)),
+        port=d.ints(1, 65536),
+        protocol=d.full(_TCP),
+        bytes=d.ints(40, 60),
+        packets=d.full(1),
+        duration_ms=d.ints(1, 4),
+        syn_flag=d.full(True),
+        payload_class=d.full(0),
+    )
+
+
+def _brute_behaviors(d: _Draws) -> dict:
+    return dict(
+        timestamp=d.times(),
+        user_id=_key(_USER, d.start % 40),
+        action=d.full(FIXED_CODES["login"]),
+        success=d.below(0.05),
+    )
+
+
+def _brute_logs(d: _Draws) -> dict:
+    return dict(
+        timestamp=d.times(),
+        severity=d.ints(4, 6),
+        event_code=d.full(401),
+        subsystem=d.full(FIXED_CODES["auth"]),
+    )
+
+
+def _brute_flows(d: _Draws) -> dict:
+    return dict(
+        timestamp=d.times(),
+        src=_key(_BRUTE, d.start % 251),
+        dst=d.full(_key(_SRV, 1)),
+        port=d.full(22),
+        protocol=d.full(_TCP),
+        bytes=d.ints(200, 600),
+        packets=d.ints(3, 8),
+        duration_ms=d.ints(50, 350),
+        syn_flag=d.below(0.5),
+        payload_class=d.full(0),
+    )
+
+
+def _exfil_flows(d: _Draws) -> dict:
+    return dict(
+        timestamp=d.times(),
+        src=_key(_LAN, d.start % 8 * 199 + d.start % 199),
+        dst=_key(_EXT, d.start % 4),
+        port=d.full(443),
+        protocol=d.full(_TCP),
+        bytes=(d.lognormal() * d.intensity).astype(np.int64) + 1000,
+        packets=d.ints(200, 1000),
+        duration_ms=d.ints(400, 900),
+        syn_flag=d.full(False),
+        payload_class=d.full(0),
+    )
+
+
+def _exfil_behaviors(d: _Draws) -> dict:
+    return dict(
+        timestamp=d.times(),
+        user_id=_key(_USER, d.start % 40),
+        action=np.where(d.below(0.6), FIXED_CODES["download"], FIXED_CODES["upload"]),
+        success=d.full(True),
+    )
+
+
+_BENIGN = (
+    _Recipe(FlowColumns, 9, ((6.5, 1.0), (3.5, 1.0)), _benign_flows),
+    _Recipe(LogColumns, 4, (), _benign_logs),
+    _Recipe(BehaviorColumns, 4, (), _benign_behaviors),
+)
+_DDOS_FLOWS = _Recipe(FlowColumns, 6, ((4.2, 0.4),), _ddos_flows)
+_SQLI_BLOCKS = (
+    _Recipe(FlowColumns, 4, ((6.0, 0.5), (3.0, 0.6)), _sqli_flows),
+    _Recipe(BehaviorColumns, 2, (), _sqli_behaviors),
+    _Recipe(LogColumns, 3, (), _sqli_logs),
+)
+_SCAN_FLOWS = _Recipe(FlowColumns, 5, (), _scan_flows)
+_BRUTE_BLOCKS = (
+    _Recipe(BehaviorColumns, 2, (), _brute_behaviors),
+    _Recipe(LogColumns, 2, (), _brute_logs),
+    _Recipe(FlowColumns, 5, (), _brute_flows),
+)
+_EXFIL_BLOCKS = (
+    _Recipe(FlowColumns, 3, ((13.5, 0.4),), _exfil_flows, at_least_one=True),
+    _Recipe(BehaviorColumns, 2, (), _exfil_behaviors),
+)
+
+
+def _block_rates(config: ScenarioConfig) -> dict[str, tuple]:
+    """Each kind's blocks in draw order, as (events per second at intensity
+    1, recipe); benign blocks draw at intensity 1."""
+    rate = config.benign_rate
+    return {
+        "benign": tuple(zip((rate * _FLOW_SHARE, rate * _LOG_SHARE,
+                             rate * _BEHAVIOR_SHARE), _BENIGN)),
+        "ddos": ((rate * _FLOW_SHARE * config.ddos_surge, _DDOS_FLOWS),),
+        "sql_injection": tuple(zip((_SQLI_RATE, _SQLI_RATE * 0.4, _SQLI_RATE * 0.2),
+                                   _SQLI_BLOCKS)),
+        "port_scan": ((_SCAN_RATE, _SCAN_FLOWS),),
+        "brute_force": tuple(zip((_BRUTE_RATE, _BRUTE_RATE * 0.6, _BRUTE_RATE * 0.3),
+                                 _BRUTE_BLOCKS)),
+        "data_exfiltration": tuple(zip((_EXFIL_RATE, 2.0), _EXFIL_BLOCKS)),
+    }
+
+
+def _draw_blocks(config: ScenarioConfig, indices: range) -> tuple[dict, list[str]]:
+    """Phase one: every window's draws, from the window's own substream.
+
+    A window draws its benign blocks, then the blocks of each spec
+    overlapping it in configured order; a block draws its event count, then
+    its uniform rows, then its lognormal columns. Returns each recipe's
+    blocks as (draw number, count, span, spec start and intensity, draws),
+    and each window's label.
     """
-    bursts = bursts if bursts is not None else BurstIndex(config.attacks)
-    start = index * config.window_ms
-    end = start + config.window_ms
-    rng = _window_rng(config.seed, index)
-    parts = _benign_events(rng, start, config.window_ms, config.benign_rate)
-    for spec in bursts.overlapping(start, end):
-        parts.extend(_attack_events(rng, spec, *_overlap(spec, start, end), config))
-    return _assemble(start, end, parts, bursts.label(start, end),
-                     names if names is not None else _KeyNames())
+    bursts = BurstIndex(config.attacks)
+    rates = _block_rates(config)
+    drawn: dict[_Recipe, list] = {}
+    labels = []
+    seq = 0
+    for index, rng in _window_rngs(config.seed, indices):
+        start = index * config.window_ms
+        end = start + config.window_ms
+        specs = bursts.overlapping(start, end)
+        labels.append(_majority_label(specs, start, end))
+        spans = [("benign", 1.0, 0, start, end)] + [
+            (spec.kind, spec.intensity, spec.start, *_overlap(spec, start, end))
+            for spec in specs]
+        for kind, intensity, spec_start, lo, hi in spans:
+            seconds = (hi - lo) / 1000.0
+            for rate, recipe in rates[kind]:
+                n = rng.poisson(rate * intensity * seconds)
+                if recipe.at_least_one and seconds >= 0.5:
+                    n = max(n, 1)  # a covering exfil burst always moves data
+                drawn.setdefault(recipe, []).append((
+                    seq, n, lo, hi, spec_start, intensity,
+                    rng.random((recipe.rows, n)),
+                    [rng.lognormal(mean, sigma, n) for mean, sigma in recipe.lognormals]))
+                seq += 1
+    return drawn, labels
+
+
+def _recipe_columns(recipe: _Recipe, blocks: list) -> tuple[dict, np.ndarray]:
+    """One recipe's columns over all its blocks, and each event's block draw
+    number."""
+    seq, n, lo, hi, start, intensity, rows, logs = zip(*blocks)
+    counts = np.array(n, dtype=np.int64)
+
+    def per_event(values, dtype=np.int64) -> np.ndarray:
+        return np.repeat(np.array(values, dtype=dtype), counts)
+
+    draws = _Draws(np.concatenate(rows, axis=1), [np.concatenate(c) for c in zip(*logs)],
+                   per_event(range(len(counts))), per_event(lo), per_event(hi),
+                   per_event(start), per_event(intensity, np.float64))
+    return recipe.columns(draws), per_event(seq)
+
+
+def _source_columns(cls: type, drawn: dict) -> tuple[dict, np.ndarray]:
+    """One source's columns over the run, recipe after recipe, and each
+    event's block draw number. Takes the source's blocks out of ``drawn``,
+    so that each recipe's draws are dropped once its columns are made."""
+    parts = [_recipe_columns(recipe, drawn.pop(recipe))
+             for recipe in list(drawn) if recipe.source is cls]
+    return ({name: np.concatenate([cols[name] for cols, _ in parts]) for name in cls.names},
+            np.concatenate([seq for _, seq in parts]))
+
+
+class _Run:
+    """Windows ``indices`` of a scenario, generated in two phases.
+
+    Phase one draws each window from its own substream (_draw_blocks).
+    Phase two runs once over the whole run: each recipe's transforms over
+    all its blocks, each block's time sort, then per source one stable
+    sort by (timestamp, block draw number), which is the per-window merge
+    where ties keep draw order, since windows do not overlap in time.
+    String keys become codes in one pass (``encode_strings``). A window is
+    then a slice of every run-level column.
+    """
+
+    def __init__(self, config: ScenarioConfig, indices: range):
+        self.window_ms, self.first = config.window_ms, indices.start
+        drawn, self.labels = _draw_blocks(config, indices)
+        sources, window_of = [], []
+        for cls in SOURCE_COLUMNS:
+            cols, seq = _source_columns(cls, drawn)
+            order = np.lexsort((seq, cols["timestamp"]))
+            for name in cols:  # one column at a time, to hold one extra copy at most
+                cols[name] = cols[name][order]
+            sources.append(cols)
+            window_of.append(cols["timestamp"] // config.window_ms - indices.start)
+        self.strings = encode_strings(sources, window_of, len(indices), _format_keys)
+        starts = np.arange(indices.start, indices.stop + 1) * config.window_ms
+        # per source, each window's columns as slices of the run's
+        self.slices = []
+        for cols in sources:
+            bounds = np.searchsorted(cols["timestamp"], starts).tolist()
+            self.slices.append(list(zip(*[[col[a:b] for a, b in zip(bounds, bounds[1:])]
+                                          for col in cols.values()])))
+
+    def window(self, index: int) -> TelemetryWindow:
+        """Window ``index``, its columns slices of the run's."""
+        w = index - self.first
+        start = index * self.window_ms
+        return TelemetryWindow(
+            start, start + self.window_ms, label=self.labels[w],
+            sources=tuple(cls(*cut[w]) for cls, cut in zip(SOURCE_COLUMNS, self.slices)),
+            strings=self.strings[w])
+
+
+def generate_window(config: ScenarioConfig, index: int, run: _Run | None = None
+                    ) -> TelemetryWindow:
+    """Window ``index`` of the stream: cut out of ``run``, a generated run
+    holding it, or else generated as a run of its own. It is the same
+    either way, since each window draws from its own substream."""
+    if run is None:
+        run = _Run(config, range(index, index + 1))
+    return run.window(index)
 
 
 def generate_stream(config: ScenarioConfig) -> LabeledStream:
-    """Generate the full labeled stream. Pure function of the config."""
-    bursts, names = BurstIndex(config.attacks), _KeyNames()
-    windows = [generate_window(config, i, bursts, names) for i in range(config.n_windows)]
-    return LabeledStream(windows=windows, config=config)
+    """Generate the full labeled stream. Pure function of the config: one
+    run of every window, whose windows are views into its columns."""
+    run = _Run(config, range(config.n_windows))
+    return LabeledStream(windows=[generate_window(config, i, run)
+                                  for i in range(config.n_windows)], config=config)
 
 
 def verify_separability(stream: LabeledStream, layout: FeatureLayout) -> dict[str, float]:

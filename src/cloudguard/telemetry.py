@@ -173,31 +173,48 @@ for _cls in SOURCE_COLUMNS:
     _cls.names = tuple(f.name for f in fields(_cls))
 
 
-def encode_strings(sources: list[dict], name_of) -> tuple[str, ...]:
-    """Turn the string columns of per-source column dicts from keys into codes.
+def encode_strings(sources: list[dict], window_of: list[np.ndarray], n_windows: int,
+                   names_of) -> list[tuple[str, ...]]:
+    """Turn the string columns of per-source column dicts from keys into
+    codes, each row's code in its own window's vocabulary.
 
     A key stands for a string: keys are equal exactly when their strings
     are, a fixed string's key is its code, and every other key is larger.
-    ``name_of`` gives the string of a non-fixed key. Rewrites the string
-    columns in place and returns the window's vocabulary: the fixed strings,
-    then the others sorted.
+    Keys are small non-negative integers, looked up in tables indexed by
+    key. ``window_of`` gives each source's window per row, in
+    ``range(n_windows)``; ``names_of`` gives the strings of an ascending
+    array of distinct keys. Each distinct key is formatted and ranked by its
+    string once, so each window's codes come from an integer sort over
+    (window, rank). Rewrites the string columns in place and returns every
+    window's vocabulary: the fixed strings, then the window's other strings
+    sorted.
     """
-    slots = [(cols, name) for cols in sources for name in cols if name in STRING_FIELDS]
-    n_fixed = len(FIXED_STRINGS)
-    keys = np.concatenate([np.arange(n_fixed)] + [cols[name] for cols, name in slots])
-    ordered = np.sort(keys)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    extras = list(map(name_of, distinct[n_fixed:].tolist()))
-    order = sorted(range(len(extras)), key=extras.__getitem__)
-    code = np.arange(len(distinct))
-    code[n_fixed + np.array(order, dtype=np.int64)] = code[n_fixed:]
-    codes = code[np.searchsorted(distinct, keys[n_fixed:])]
+    slots = [(cols, name, wins) for cols, wins in zip(sources, window_of)
+             for name in cols if name in STRING_FIELDS]
+    # a fixed key is its own code; only the other keys are ranked
+    extras = [cols[name] >= len(FIXED_STRINGS) for cols, name, _ in slots]
+    keys = np.concatenate([cols[name][m] for (cols, name, _), m in zip(slots, extras)])
+    wins = np.concatenate([wins[m] for (_, _, wins), m in zip(slots, extras)])
+    present = np.zeros(keys.max(initial=0) + 1, dtype=bool)
+    present[keys] = True
+    distinct = np.flatnonzero(present)
+    names = names_of(distinct)
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.zeros(len(present), dtype=np.int64)  # by key, its string's rank
+    rank[distinct[by_name]] = np.arange(len(names))
+    pairs, codes = np.unique(wins * len(names) + rank[keys], return_inverse=True)
+    firsts = np.searchsorted(pairs, np.arange(n_windows + 1) * len(names))
+    codes += len(FIXED_STRINGS) - firsts[wins]
+    vocab = np.array(names, dtype=object)[by_name][pairs % max(len(names), 1)].tolist()
+    firsts = firsts.tolist()
     at = 0
-    for cols, name in slots:
-        n = len(cols[name])
-        cols[name] = codes[at:at + n]
+    for (cols, name, _), m in zip(slots, extras):
+        col = cols[name].copy()
+        n = np.count_nonzero(m)
+        col[m] = codes[at:at + n]
+        cols[name] = col
         at += n
-    return FIXED_STRINGS + tuple(extras[j] for j in order)
+    return [FIXED_STRINGS + tuple(vocab[a:b]) for a, b in zip(firsts, firsts[1:])]
 
 
 def _column(values: list, what: str, dtype=np.int64) -> np.ndarray:
@@ -228,7 +245,10 @@ def _columns_from_events(events: list[TelemetryEvent]):
                 values = [key_of.setdefault(v, len(key_of)) for v in values]
             cols[name] = _column(values, what, bool if name in _BOOL_FIELDS else np.int64)
         sources.append(cols)
-    strings = encode_strings(sources, list(key_of).__getitem__)
+    spelled = list(key_of)
+    strings, = encode_strings(sources, [np.zeros(len(cols["timestamp"]), np.int64)
+                                        for cols in sources], 1,
+                              lambda keys: [spelled[k] for k in keys.tolist()])
     return [cls(**cols) for cls, cols in zip(SOURCE_COLUMNS, sources)], strings
 
 
@@ -263,8 +283,8 @@ class TelemetryWindow:
     """Events inside ``[start, end)`` as per-source columns.
 
     Built by hand (or by the JSON-lines reader) from a timestamp-sorted list
-    of events, or by the generator from ready columns whose string fields
-    are codes into ``strings``.
+    of events, or by the generator from ready columns, slices of its run's
+    columns, whose string fields are codes into ``strings``.
     """
 
     def __init__(self, start: int, end: int, events=(), label: str | None = None, *,
@@ -291,7 +311,7 @@ class TelemetryWindow:
             raise InputError("window strings must start with the fixed strings")
         for cols in self.sources:
             ts = cols.timestamp
-            if any(len(getattr(cols, name)) != len(ts) for name in cols.names):
+            if len({len(getattr(cols, name)) for name in cols.names}) > 1:
                 raise InputError(f"{cols.kind} columns differ in length")
             if len(ts) == 0:
                 continue
