@@ -276,6 +276,15 @@ def _each(fmt):
     return lambda values: map(fmt, values.tolist())
 
 
+_OCTETS = np.array([str(i) for i in range(256)])
+
+
+def _addresses(prefix: str, third: np.ndarray, fourth: np.ndarray) -> list[str]:
+    """``prefix`` + ``third.fourth`` for arrays of octets, in numpy string ops."""
+    return np.char.add(np.char.add(prefix, _OCTETS[third]),
+                       np.char.add(".", _OCTETS[fourth])).tolist()
+
+
 _LAN_HOSTS = 8 * 199
 # A string column is drawn as int64 keys, each a string family's first key
 # plus the value. A family has a formatter (from an array of its values to
@@ -285,10 +294,8 @@ _LAN_HOSTS = 8 * 199
 # never format to the same string, so keys are equal exactly when strings are.
 _FAMILIES = (
     (_each(FIXED_STRINGS.__getitem__), len(FIXED_STRINGS)),
-    (lambda v: map("10.0.{}.{}".format, (v // 199).tolist(), (v % 199 + 1).tolist()),
-     _LAN_HOSTS),  # internal hosts, 8 x 199
-    (lambda v: map("172.16.{}.{}".format, (v >> 8).tolist(), (v & 255).tolist()),
-     1 << 16),  # ddos sources
+    (lambda v: _addresses("10.0.", v // 199, v % 199 + 1), _LAN_HOSTS),  # internal hosts
+    (lambda v: _addresses("172.16.", v >> 8, v & 255), 1 << 16),  # ddos sources
     (_each("192.0.2.{}".format), 16),  # sql injection sources
     (_each("198.51.100.{}".format), 251),  # scanners
     (_each("203.0.113.{}".format), 251),  # brute-force sources
@@ -580,8 +587,8 @@ def _draw_blocks(config: ScenarioConfig, indices: range) -> tuple[dict, list[str
     A window draws its benign blocks, then the blocks of each spec
     overlapping it in configured order; a block draws its event count, then
     its uniform rows, then its lognormal columns. Returns each recipe's
-    blocks as (draw number, count, span, spec start and intensity, draws),
-    and each window's label.
+    blocks as (draw number, count, span, spec start and intensity, uniform
+    rows, lognormal columns...), and each window's label.
     """
     bursts = BurstIndex(config.attacks)
     rates = _block_rates(config)
@@ -603,9 +610,8 @@ def _draw_blocks(config: ScenarioConfig, indices: range) -> tuple[dict, list[str
                 if recipe.at_least_one and seconds >= 0.5:
                     n = max(n, 1)  # a covering exfil burst always moves data
                 drawn.setdefault(recipe, []).append((
-                    seq, n, lo, hi, spec_start, intensity,
-                    rng.random((recipe.rows, n)),
-                    [rng.lognormal(mean, sigma, n) for mean, sigma in recipe.lognormals]))
+                    seq, n, lo, hi, spec_start, intensity, rng.random((recipe.rows, n)),
+                    *[rng.lognormal(mean, sigma, n) for mean, sigma in recipe.lognormals]))
                 seq += 1
     return drawn, labels
 
@@ -613,13 +619,13 @@ def _draw_blocks(config: ScenarioConfig, indices: range) -> tuple[dict, list[str
 def _recipe_columns(recipe: _Recipe, blocks: list) -> tuple[dict, np.ndarray]:
     """One recipe's columns over all its blocks, and each event's block draw
     number."""
-    seq, n, lo, hi, start, intensity, rows, logs = zip(*blocks)
+    seq, n, lo, hi, start, intensity, rows, *logs = zip(*blocks)
     counts = np.array(n, dtype=np.int64)
 
     def per_event(values, dtype=np.int64) -> np.ndarray:
         return np.repeat(np.array(values, dtype=dtype), counts)
 
-    draws = _Draws(np.concatenate(rows, axis=1), [np.concatenate(c) for c in zip(*logs)],
+    draws = _Draws(np.concatenate(rows, axis=1), [np.concatenate(c) for c in logs],
                    per_event(range(len(counts))), per_event(lo), per_event(hi),
                    per_event(start), per_event(intensity, np.float64))
     return recipe.columns(draws), per_event(seq)

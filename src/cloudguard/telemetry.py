@@ -205,7 +205,7 @@ def encode_strings(sources: list[dict], window_of: list[np.ndarray], n_windows: 
     pairs, codes = np.unique(wins * len(names) + rank[keys], return_inverse=True)
     firsts = np.searchsorted(pairs, np.arange(n_windows + 1) * len(names))
     codes += len(FIXED_STRINGS) - firsts[wins]
-    vocab = np.array(names, dtype=object)[by_name][pairs % max(len(names), 1)].tolist()
+    vocab = tuple(np.array(names, dtype=object)[by_name][pairs % max(len(names), 1)])
     firsts = firsts.tolist()
     at = 0
     for (cols, name, _), m in zip(slots, extras):
@@ -214,7 +214,7 @@ def encode_strings(sources: list[dict], window_of: list[np.ndarray], n_windows: 
         col[m] = codes[at:at + n]
         cols[name] = col
         at += n
-    return [FIXED_STRINGS + tuple(vocab[a:b]) for a, b in zip(firsts, firsts[1:])]
+    return [FIXED_STRINGS + vocab[a:b] for a, b in zip(firsts, firsts[1:])]
 
 
 def _column(values: list, what: str, dtype=np.int64) -> np.ndarray:
