@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from cloudguard.scenario import (
     AttackSpec,
     ScenarioConfig,
-    default_scenario,
     generate_stream,
     generate_window,
 )
@@ -88,10 +87,3 @@ def test_cut_config_generates_the_streams_first_windows(cfg, k):
     for got, want in zip(generate_stream(cut(cfg, k)).windows, stream.windows[:k],
                          strict=True):
         assert_same_window(got, want)
-
-
-def test_default_scenario_matches_oracle():
-    cfg = default_scenario(seed=4, rounds=1)
-    stream = generate_stream(cfg)
-    for i in range(0, cfg.n_windows, 3):
-        assert_same_window(stream.windows[i], oracle_window(cfg, i))
