@@ -9,12 +9,17 @@ from the defense tiers themselves under load. The block bonus defaults high
 enough that blocking an attack nets a positive reward; with zero-initialized
 tables that keeps never-tried actions from outranking known-good ones.
 
-Damage comes from ``enforcement.enforce_window``, called on one step's
-scalars: the attack damage at the action's coverage of the window's kind
-plus collateral damage from the action's tier friction under the load.
-
-Episodes draw from dedicated counter-based substreams (seed, episode index),
-so an episode's windows do not depend on how earlier episodes were played.
+An episode is drawn whole at reset, as one ``[8, episode_len]`` block of
+uniforms from its counter-based substream (seed, episode index): one row per
+quantity, column t for step t. So step t's window depends only on (seed,
+episode, t), never on how the episode or earlier ones were played. From that
+block ``reset`` computes the episode's windows as arrays, their state keys
+without the recent-action bucket, and the ``[episode_len, n_actions]``
+reward of every action on every window, scored by one broadcast
+``enforcement.enforce_window`` call: the attack damage at the action's
+coverage of the window's kind plus collateral damage from the action's tier
+friction under the load. ``step`` reads one reward and adds the recent-action
+bucket of the action taken to the next window's key.
 """
 
 from dataclasses import dataclass
@@ -46,15 +51,35 @@ _LOAD_RANGES = {
     "data_exfiltration": (0.30, 0.80),
 }
 
+# per label id: the load band's low end and width, and the severity the
+# synthesized read scales its threat by
+_LOAD_LOW = np.array([_LOAD_RANGES[k][0] for k in LABELS])
+_LOAD_SPAN = np.array([_LOAD_RANGES[k][1] - _LOAD_RANGES[k][0] for k in LABELS])
+_SEVERITY = np.array([DEFAULT_SEVERITY[k] for k in LABELS])
 
-def reward_for(code, attack_damage, collateral_damage, action: Action,
-               cost_weight: float, block_bonus: float) -> float:
-    """r = -(attack + collateral damage) - lambda * cost + bonus if blocked."""
-    reward = -(attack_damage + collateral_damage)
-    reward -= cost_weight * action.cost
-    if code == BLOCKED:
-        reward += block_bonus
-    return float(reward)
+# per catalog action id: its cost, and the state-key offset of its
+# recent-action bucket (the key of a window with every other bucket 0)
+_ACTION_IDS = np.arange(len(ACTION_CATALOG))
+_ACTION_COST = np.array([a.cost for a in ACTION_CATALOG])
+_RECENT_OFFSET = encode_state(compose_indicators(
+    np.zeros(len(ACTION_CATALOG)), np.zeros(len(ACTION_CATALOG)),
+    np.zeros((len(ACTION_CATALOG), len(LABELS))),
+    np.array([a.tier_norm() for a in ACTION_CATALOG]))).tolist()
+
+
+def reward_for(code, attack_damage, collateral_damage, action,
+               cost_weight: float, block_bonus: float):
+    """r = -(attack + collateral damage) - lambda * cost + bonus if blocked.
+
+    ``action`` is one Action, scored on scalars into a float, or an array
+    of catalog action ids broadcasting against array outcomes into an
+    array. The bonus is added by selection, so an unblocked reward keeps
+    its sign bit (an idle quiet window scores -0.0).
+    """
+    cost = action.cost if isinstance(action, Action) else _ACTION_COST[action]
+    reward = -(attack_damage + collateral_damage) - cost_weight * cost
+    reward = np.where(code == BLOCKED, reward + block_bonus, reward)
+    return float(reward) if reward.ndim == 0 else reward
 
 
 @dataclass(frozen=True)
@@ -82,13 +107,45 @@ class EnvConfig:
 
 
 @dataclass(frozen=True)
-class _StepContext:
-    kind: int  # label id
-    intensity: float
-    load: float
-    probs: np.ndarray
-    threat: float
-    state_key: int
+class Episode:
+    """One episode's windows, row t for step t."""
+
+    kind: np.ndarray  # [L] label ids
+    intensity: np.ndarray  # [L], 0 on benign windows
+    load: np.ndarray  # [L]
+    probs: np.ndarray  # [L, len(LABELS)] the synthesized read
+    threat: np.ndarray  # [L]
+    state_key: np.ndarray  # [L] keys with the recent-action bucket 0
+    rewards: np.ndarray  # [L, n_actions] reward of each action on each window
+
+
+def draw_episode(cfg: EnvConfig, episode: int) -> Episode:
+    """Draw episode ``episode`` of ``cfg.seed`` and score every action on it.
+
+    The block's rows are the benign coin, attack kind, intensity, load,
+    misperception coin, misread kind, max probability and context factor.
+    """
+    n = cfg.episode_len
+    rng = Generator(Philox(key=np.array([cfg.seed, episode], dtype=np.uint64)))
+    coin, pick, level, busy, slip, misread, confidence, context = rng.random((8, n))
+    attack = coin >= cfg.benign_share
+    kind = np.where(attack, 1 + (pick * len(ATTACK_KINDS)).astype(np.intp), 0)
+    lo, hi = cfg.intensity_range
+    intensity = np.where(attack, lo + (hi - lo) * level, 0.0)
+    load = _LOAD_LOW[kind] + _LOAD_SPAN[kind] * busy
+    other = (misread * (len(LABELS) - 1)).astype(np.intp)  # any label but kind
+    perceived = np.where(slip < cfg.misperception, other + (other >= kind), kind)
+    max_p = 0.75 + (0.995 - 0.75) * confidence
+    probs = np.repeat(((1.0 - max_p) / (len(LABELS) - 1))[:, None], len(LABELS), axis=1)
+    probs[np.arange(n), perceived] = max_p
+    threat = max_p * _SEVERITY[perceived] * (0.5 + (0.95 - 0.5) * context)
+    code, attack_damage, collateral = enforce_window(
+        _ACTION_IDS, kind[:, None], intensity[:, None], load[:, None])
+    return Episode(
+        kind=kind, intensity=intensity, load=load, probs=probs, threat=threat,
+        state_key=encode_state(compose_indicators(threat, load, probs, np.zeros(n))),
+        rewards=reward_for(code, attack_damage, collateral, _ACTION_IDS,
+                           cfg.cost_weight, cfg.block_bonus))
 
 
 class DefenseEnv:
@@ -99,8 +156,8 @@ class DefenseEnv:
         self.catalog = ACTION_CATALOG
         self._episode = -1
         self._steps = 0
-        self._context: _StepContext | None = None
-        self._rng: Generator | None = None
+        self._drawn: Episode | None = None
+        self._state = 0
 
     @property
     def n_actions(self) -> int:
@@ -108,51 +165,24 @@ class DefenseEnv:
 
     def reset(self) -> int:
         self._episode += 1
-        self._rng = Generator(Philox(key=np.array(
-            [self.cfg.seed, self._episode], dtype=np.uint64)))
+        self._drawn = draw_episode(self.cfg, self._episode)
         self._steps = 0
-        self._context = self._sample_context(last_action_norm=0.0)
-        return self._context.state_key
+        self._state = int(self._drawn.state_key[0])
+        return self._state
 
     def step(self, action_id: int) -> tuple[int, float, bool]:
-        if self._context is None or self._rng is None:
+        if self._drawn is None:
             raise EnvironmentFault("step called before reset")
         if self._steps >= self.cfg.episode_len:
             raise EnvironmentFault("episode is terminal; call reset")
-        action = get_action(self.catalog, action_id)
-        ctx = self._context
-        code, attack, collateral = enforce_window(action_id, ctx.kind,
-                                                  ctx.intensity, ctx.load)
-        reward = reward_for(code, attack, collateral, action,
-                            self.cfg.cost_weight, self.cfg.block_bonus)
-        self._steps += 1
+        get_action(self.catalog, action_id)  # CatalogError outside the catalog
+        t = self._steps
+        reward = float(self._drawn.rewards[t, action_id])
+        self._steps = t + 1
         terminal = self._steps >= self.cfg.episode_len
         if not terminal:
-            self._context = self._sample_context(action.tier_norm())
-        return self._context.state_key, reward, terminal
-
-    def _sample_context(self, last_action_norm: float) -> _StepContext:
-        rng = self._rng
-        if rng.random() < self.cfg.benign_share:
-            kind = 0
-            intensity = 0.0
-        else:
-            kind = 1 + int(rng.integers(len(ATTACK_KINDS)))  # attack label id
-            intensity = float(rng.uniform(*self.cfg.intensity_range))
-        load = float(rng.uniform(*_LOAD_RANGES[LABELS[kind]]))
-        perceived = kind
-        if rng.random() < self.cfg.misperception:
-            others = [i for i in range(len(LABELS)) if i != perceived]
-            perceived = others[int(rng.integers(len(others)))]
-        max_p = float(rng.uniform(0.75, 0.995))
-        probs = np.full(len(LABELS), (1.0 - max_p) / (len(LABELS) - 1))
-        probs[perceived] = max_p
-        context_factor = float(rng.uniform(0.5, 0.95))
-        threat = max_p * DEFAULT_SEVERITY[LABELS[perceived]] * context_factor
-        buckets = compose_indicators(threat, load, probs, last_action_norm)
-        return _StepContext(kind=kind, intensity=intensity, load=load,
-                            probs=probs, threat=threat,
-                            state_key=encode_state(buckets))
+            self._state = int(self._drawn.state_key[t + 1]) + _RECENT_OFFSET[action_id]
+        return self._state, reward, terminal
 
 
 def defense_train_config(seed: int = 0) -> PolicyTrainConfig:

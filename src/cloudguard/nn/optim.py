@@ -3,6 +3,13 @@
 Both optimizers mutate the model's parameter arrays in place and raise
 TrainingDivergedError the moment a gradient or updated value is non-finite,
 so a blown-up run fails loudly instead of writing NaN checkpoints.
+
+Adam skips a tensor whose gradient has been all zero since the first step,
+such as the LSTM's recurrent matrices when it sees one time step: with
+m = v = g = 0 its update is exactly 0, so skipping it changes no bit. A
+NaN or inf gradient is never all zero, so it is still checked. The other
+tensors update in place through two scratch buffers, in the operation
+order of the textbook expressions, so the values match them bit for bit.
 """
 
 import numpy as np
@@ -45,21 +52,41 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
+        # moments exist from a tensor's first non-zero gradient on
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
+        self._scratch = np.empty((2, 0))
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
+        size = max((p.size for p in params.values()), default=0)
+        if self._scratch.shape[1] < size:
+            self._scratch = np.empty((2, size))
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
         for name, p in params.items():
             g = grads[name]
+            if name not in self._m and not g.any():
+                continue
             _check_finite(name, g, "gradient")
             m = self._m.setdefault(name, np.zeros_like(p))
             v = self._v.setdefault(name, np.zeros_like(p))
+            a, b = (buf[:p.size].reshape(p.shape) for buf in self._scratch)
+            # m = beta1 m + (1 - beta1) g
+            np.multiply(g, 1.0 - self.beta1, out=a)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += a
+            # v = beta2 v + (1 - beta2) g g
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += a
+            # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
             _check_finite(name, p, "parameter")

@@ -52,14 +52,17 @@ STATE_RADICES = (len(BAND_EDGES) + 1, len(LOAD_EDGES) + 1, len(LABELS),
 N_STATES = math.prod(STATE_RADICES)
 
 
-def compose_indicators(threat: float, load: float, kind_probs,
-                       recent_action: float) -> tuple[int, int, int, int]:
+def compose_indicators(threat, load, kind_probs, recent_action) -> tuple:
     """The (threat, load, attack kind, recent action) buckets of one window.
 
     Values on an edge take the upper bucket and out-of-range values clamp;
-    the kind bucket is the first index of the largest probability.
+    the kind bucket is the first index of the largest probability. Given
+    ``[N]`` signals and ``[N, 6]`` probabilities it buckets N windows and
+    returns four ``[N]`` int arrays, each element the one-window result.
     """
     probs = np.asarray(kind_probs, dtype=np.float64)
+    if probs.ndim != 1:
+        return _compose_many(threat, load, probs, recent_action)
     if probs.shape != (len(LABELS),):
         raise DimensionError(f"kind_probs takes {len(LABELS)} slots, "
                              f"got shape {probs.shape}")
@@ -73,15 +76,38 @@ def compose_indicators(threat: float, load: float, kind_probs,
             bisect_right(RECENT_EDGES, recent_action))
 
 
+def _compose_many(threat, load, probs: np.ndarray, recent_action):
+    signals = [np.asarray(v, dtype=np.float64) for v in (threat, load, recent_action)]
+    n = probs.shape[:1]
+    if probs.shape != n + (len(LABELS),) or any(v.shape != n for v in signals):
+        raise DimensionError(f"N windows take [N] signals and [N, {len(LABELS)}] "
+                             f"kind_probs, got signal shapes "
+                             f"{[v.shape for v in signals]} and {probs.shape}")
+    if not (all(np.isfinite(v).all() for v in signals) and np.isfinite(probs).all()):
+        raise InputError("state signals must be finite")
+    threat, load, recent_action = signals
+    return (np.searchsorted(BAND_EDGES, threat, side="right"),
+            np.searchsorted(LOAD_EDGES, load, side="right"),
+            probs.argmax(axis=1),
+            np.searchsorted(RECENT_EDGES, recent_action, side="right"))
+
+
 def encode_state(buckets) -> int:
-    """Pack per-axis buckets into one key, first axis least significant."""
+    """Pack per-axis buckets into one key, first axis least significant.
+
+    Int buckets give an int key; int-array buckets give an array of keys.
+    """
     if len(buckets) != len(STATE_RADICES):
         raise DimensionError(f"state takes {len(STATE_RADICES)} buckets, "
                              f"got {len(buckets)}")
     key = 0
     mult = 1
     for bucket, radix in zip(buckets, STATE_RADICES):
-        if not 0 <= bucket < radix:
+        if isinstance(bucket, np.ndarray):
+            outside = (bucket < 0) | (bucket >= radix)
+            if outside.any():
+                raise InputError(f"bucket {bucket[outside][0]} outside [0, {radix})")
+        elif not 0 <= bucket < radix:
             raise InputError(f"bucket {bucket} outside [0, {radix})")
         key += bucket * mult
         mult *= radix
@@ -204,12 +230,12 @@ def select_action(tables: DoubleQTables, state: int, epsilon: float,
         raise ConfigError("cannot select from an empty action catalog")
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
+    _check_state(state)
     if epsilon > 0.0:
         if rng is None:
             raise ConfigError("exploration (epsilon > 0) requires a generator")
         if rng.random() < epsilon:
             return int(rng.integers(tables.n_actions))
-    _check_state(state)
     return int(np.argmax(tables.combined(state)))
 
 

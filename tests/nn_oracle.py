@@ -2,16 +2,19 @@
 
 ``cloudguard.nn`` takes each tap's filter gradient as one matrix product,
 skips the LSTM's recurrent products on the first step (where h_0 = 0) and
-pools values only, recomputing the argmax in backward. This module keeps
-what they replaced: the ``einsum`` filter gradient, the LSTM that multiplies
-its zero initial state, and a max-pool layer that builds absolute argmax
-indices in forward. Tests require the filter gradient to match within a
+pools values only, recomputing the argmax in backward; its Adam skips
+tensors whose gradient has been zero since the start and updates the rest
+in place. This module keeps what they replaced: the ``einsum`` filter
+gradient, the LSTM that multiplies its zero initial state, a max-pool layer
+that builds absolute argmax indices in forward, and Adam over every tensor
+through temporaries. Tests require the filter gradient to match within a
 relative tolerance, since its sum runs in another order, and everything
 else bit for bit.
 """
 
 import numpy as np
 
+from cloudguard.errors import TrainingDivergedError
 from cloudguard.nn import layers as L
 
 
@@ -112,3 +115,31 @@ class IndexMaxPool1dLayer:
         within = idx - (np.arange(t_out) * self.pool_size)[None, :, None]
         np.put_along_axis(dxr, within[:, :, None, :], dout[:, :, None, :], axis=2)
         return dxr.reshape(b, t, c), {}
+
+
+class ReferenceAdam:
+    """Adam as the textbook expressions: every tensor's moments and values
+    updated on every step through temporaries, zero gradients included."""
+
+    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self._m, self._v = {}, {}
+
+    def step(self, params, grads):
+        self.t += 1
+        for name, p in params.items():
+            g = grads[name]
+            if not np.all(np.isfinite(g)):
+                raise TrainingDivergedError(f"non-finite gradient in parameter {name!r}")
+            m = self._m.setdefault(name, np.zeros_like(p))
+            v = self._v.setdefault(name, np.zeros_like(p))
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**self.t)
+            v_hat = v / (1.0 - self.beta2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not np.all(np.isfinite(p)):
+                raise TrainingDivergedError(f"non-finite parameter in parameter {name!r}")

@@ -5,7 +5,8 @@ and keep the double Q-tables as dense arrays. This module keeps the scalar
 form they replaced, one window and one table row at a time: an effectiveness
 table keyed by (kind, firewall, rate-limit, isolation) with per-entry
 validation, result objects for attacks and windows, a collateral model, and
-Q-tables whose rows appear on first write. Tests require the array form to
+Q-tables whose rows appear on first write, plus a defense environment that
+builds each step's window from scalars. Tests require the array form to
 match it bit for bit.
 """
 
@@ -13,12 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cloudguard.environment import DefenseEnv
+from numpy.random import Generator, Philox
+
+from cloudguard.environment import EnvConfig
 from cloudguard.errors import ConfigError, EnvironmentFault, InputError
+from cloudguard.perception import DEFAULT_SEVERITY
 from cloudguard.policy import (FIREWALL_TIERS, ISOLATION_TIERS, RATE_LIMIT_TIERS,
                                Action, ConvergenceCurve, PolicyTrainConfig,
-                               Transition, epsilon_at, get_action)
-from cloudguard.telemetry import LABELS
+                               Transition, build_action_catalog, compose_indicators,
+                               encode_state, epsilon_at, get_action)
+from cloudguard.telemetry import ATTACK_KINDS, LABELS
 
 BASE_DAMAGE = {
     "benign": 0.0,
@@ -27,6 +32,16 @@ BASE_DAMAGE = {
     "port_scan": 3.0,
     "brute_force": 5.0,
     "data_exfiltration": 12.0,
+}
+
+# typical service-load band per window kind
+LOAD_RANGES = {
+    "benign": (0.30, 0.70),
+    "ddos": (0.80, 1.00),
+    "sql_injection": (0.55, 1.00),
+    "port_scan": (0.45, 1.00),
+    "brute_force": (0.55, 1.00),
+    "data_exfiltration": (0.30, 0.80),
 }
 
 TIER_WEIGHTS = {
@@ -164,18 +179,75 @@ def fixed_action_damage(truths, action: Action) -> float:
     return total
 
 
-class OracleDefenseEnv(DefenseEnv):
-    """DefenseEnv with each step scored through the objects above; windows
-    are drawn by the same code, in the same order."""
+@dataclass(frozen=True)
+class StepContext:
+    kind: int  # label id
+    intensity: float
+    load: float
+    probs: np.ndarray
+    threat: float
+
+
+def step_context(cfg, block: np.ndarray, t: int) -> StepContext:
+    """Window t of an episode, read one scalar at a time from column t of
+    the episode's ``[8, episode_len]`` uniform block."""
+    coin, pick, level, busy, slip, misread, confidence, context = \
+        (float(u) for u in block[:, t])
+    if coin < cfg.benign_share:
+        kind = 0
+        intensity = 0.0
+    else:
+        kind = 1 + int(pick * len(ATTACK_KINDS))
+        lo, hi = cfg.intensity_range
+        intensity = lo + (hi - lo) * level
+    lo, hi = LOAD_RANGES[LABELS[kind]]
+    load = lo + (hi - lo) * busy
+    perceived = kind
+    if slip < cfg.misperception:
+        others = [i for i in range(len(LABELS)) if i != perceived]
+        perceived = others[int(misread * len(others))]
+    max_p = 0.75 + (0.995 - 0.75) * confidence
+    probs = np.full(len(LABELS), (1.0 - max_p) / (len(LABELS) - 1))
+    probs[perceived] = max_p
+    context_factor = 0.5 + (0.95 - 0.5) * context
+    threat = max_p * DEFAULT_SEVERITY[LABELS[perceived]] * context_factor
+    return StepContext(kind=kind, intensity=intensity, load=load, probs=probs,
+                       threat=threat)
+
+
+class OracleDefenseEnv:
+    """The defense environment one step at a time: each step's window comes
+    from its column of the episode's uniform block, its state key from the
+    scalar state-key functions, and its reward from the objects above."""
 
     def __init__(self, cfg=None):
-        super().__init__(cfg)
+        self.cfg = cfg or EnvConfig()
+        self.catalog = build_action_catalog()
+        self.n_actions = len(self.catalog)
         self.oracle_matrix = default_matrix()
         self.oracle_collateral = CollateralModel()
+        self._episode = -1
+        self._block = None
+
+    def reset(self) -> int:
+        self._episode += 1
+        rng = Generator(Philox(key=np.array([self.cfg.seed, self._episode],
+                                            dtype=np.uint64)))
+        self._block = rng.random((8, self.cfg.episode_len))
+        self._steps = 0
+        self._context = step_context(self.cfg, self._block, 0)
+        self._state = self._key(0.0)
+        return self._state
+
+    def _key(self, recent: float) -> int:
+        ctx = self._context
+        return encode_state(compose_indicators(ctx.threat, ctx.load, ctx.probs, recent))
 
     def step(self, action_id: int) -> tuple[int, float, bool]:
-        if self._context is None or self._rng is None:
+        if self._block is None:
             raise EnvironmentFault("step called before reset")
+        if self._steps >= self.cfg.episode_len:
+            raise EnvironmentFault("episode is terminal; call reset")
         action = get_action(self.catalog, action_id)
         ctx = self._context
         outcome = enforce_window(action, LABELS[ctx.kind], ctx.intensity,
@@ -186,8 +258,9 @@ class OracleDefenseEnv(DefenseEnv):
         self._steps += 1
         terminal = self._steps >= self.cfg.episode_len
         if not terminal:
-            self._context = self._sample_context(action.tier_norm())
-        return self._context.state_key, reward, terminal
+            self._context = step_context(self.cfg, self._block, self._steps)
+            self._state = self._key(action.tier_norm())
+        return self._state, reward, terminal
 
 
 class DoubleQTables:

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +116,44 @@ def test_train_policy_writes_checkpoint(tmp_path, capsys):
     curve = (out / "convergence.csv").read_text().splitlines()
     assert curve[0] == "episode,mean_reward,moving_avg"
     assert len(curve) == 41
+
+
+def file_digests(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_train_policy_command_bytes_are_pinned(tmp_path):
+    # the default preset on environment seed 8; a change that moves the
+    # environment or agent stream is a deliberate bump
+    assert main(["train-policy", "--seed", "8", "--out", str(tmp_path)]) == 0
+    assert file_digests(tmp_path, ("policy.csv", "convergence.csv")) == {
+        "policy.csv":
+            "c87ae2ffeef2c57df2ce0dce64cfc2c94e2bd9fdaad302b869006d6912491d6c",
+        "convergence.csv":
+            "586580869bc5e634de5f0af74982bf9c39468fa356131061b3c8394f123d5aeb",
+    }
+
+
+def test_train_detector_command_bytes_are_pinned(tmp_path):
+    # the default arch, whose LSTM sees one step, so Adam skips the six
+    # tensors whose gradient is always zero; the checkpoint's members are
+    # hashed, since the npz's zip headers carry write times
+    cfg = write_config(tmp_path, "det.json",
+                       {"scenario": SCENARIO, "epochs": 2, "batch_size": 8})
+    out = tmp_path / "det"
+    assert main(["train-detector", "--config", cfg, "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    with zipfile.ZipFile(out / "detector.npz") as npz:
+        for name in sorted(npz.namelist()):
+            h.update(name.encode())
+            h.update(npz.read(name))
+    assert h.hexdigest() == \
+        "a39e848da0acdb7aa8c94b38b90f902c3f9672c061ea9ec9cdd941a169763bbd"
+    assert file_digests(out, ("history.csv",)) == {
+        "history.csv":
+            "a2e7105a53b61e1025a5714aec4e9d6cb96f47ee28fc6268d2762593ef076a7b",
+    }
 
 
 def test_train_detector_tiny(tmp_path, capsys):

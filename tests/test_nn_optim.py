@@ -1,10 +1,14 @@
-"""Optimizer update rules checked against hand-computed steps."""
+"""Optimizer update rules checked against hand-computed steps and the
+reference Adam."""
 
 import numpy as np
 import pytest
 
+from cloudguard.detector import ArchConfig, build_model
 from cloudguard.errors import TrainingDivergedError
 from cloudguard.nn import Adam, Sgd
+
+from .nn_oracle import ReferenceAdam
 
 
 class TestSgd:
@@ -84,3 +88,53 @@ class TestAdam:
         p = {"layer.bias": np.array([1.0])}
         with pytest.raises(TrainingDivergedError, match="layer.bias"):
             Adam().step(p, {"layer.bias": np.array([np.nan])})
+
+
+# the default arch's LSTM sees one step: its recurrent matrices meet h_0 = 0
+# and its forget gate c_0 = 0, so these gradients are always exactly zero
+ALWAYS_ZERO = {"6.w_f", "6.b_f", "6.u_i", "6.u_f", "6.u_o", "6.u_g"}
+
+
+class TestAdamAgainstReference:
+    def test_default_arch_stays_bit_equal_over_six_steps(self):
+        arch = ArchConfig()
+        models = [build_model(arch, seed=0), build_model(arch, seed=0)]
+        optimizers = [Adam(lr=1e-3), ReferenceAdam(lr=1e-3)]
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            x = rng.standard_normal((8, arch.seq_len, arch.feature_dim))
+            y = rng.integers(arch.num_classes, size=8)
+            for model, opt in zip(models, optimizers):
+                _, grads = model.loss_and_gradients(x, y)
+                opt.step(model.parameters(), grads)
+            got, want = (m.parameters() for m in models)
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+        assert set(want) - set(optimizers[0]._m) == ALWAYS_ZERO
+
+    @pytest.mark.parametrize("quiet_steps", (1, 3))
+    def test_a_tensor_that_wakes_up_matches_the_reference(self, quiet_steps):
+        rng = np.random.default_rng(quiet_steps)
+        start = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(2)}
+        params = [{k: v.copy() for k, v in start.items()} for _ in range(2)]
+        optimizers = [Adam(lr=0.05), ReferenceAdam(lr=0.05)]
+        for step in range(quiet_steps + 4):
+            # quiet at first, then once more after it woke: the moments
+            # must still decay on that step
+            quiet = step < quiet_steps or step == quiet_steps + 2
+            g_w = np.zeros((3, 4)) if quiet else rng.standard_normal((3, 4))
+            grads = {"w": g_w, "b": rng.standard_normal(2)}
+            for p, opt in zip(params, optimizers):
+                opt.step(p, grads)
+            for name in start:
+                assert params[0][name].tobytes() == params[1][name].tobytes()
+        assert not np.array_equal(params[0]["w"], start["w"])
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_gradient_on_a_never_updated_tensor_raises(self, bad):
+        opt = Adam(lr=0.1)
+        params = {"quiet": np.ones(3), "busy": np.ones(2)}
+        opt.step(params, {"quiet": np.zeros(3), "busy": np.ones(2)})
+        with pytest.raises(TrainingDivergedError, match="quiet"):
+            opt.step(params, {"quiet": np.array([0.0, bad, 0.0]), "busy": np.ones(2)})

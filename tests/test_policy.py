@@ -1,7 +1,11 @@
 """State encoding, action catalog, and double Q-learning."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudguard.errors import (
     CatalogError,
@@ -13,7 +17,9 @@ from cloudguard.errors import (
 )
 from cloudguard.perception import BAND_EDGES, level_for_score
 from cloudguard.policy import (
+    LOAD_EDGES,
     N_STATES,
+    RECENT_EDGES,
     STATE_RADICES,
     Action,
     ConvergenceCurve,
@@ -194,6 +200,60 @@ class TestEncodeState:
             decode_state(-1)
 
 
+_EDGES = BAND_EDGES + LOAD_EDGES + RECENT_EDGES
+# edges, the value just below each, values that clamp, and values between
+_signal = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(_EDGES),
+                    st.sampled_from([float(np.nextafter(e, 0.0)) for e in _EDGES]),
+                    st.sampled_from((-1e9, 7.0, 1e9)))
+# few distinct values, so rows tie for the largest probability
+_prob = st.one_of(st.floats(-1.0, 2.0), st.sampled_from((0.0, 0.5, 1.0)))
+_window = st.tuples(_signal, _signal, st.lists(_prob, min_size=6, max_size=6), _signal)
+
+
+def as_arrays(windows):
+    """(threat, load, probs, recent) arrays of a list of windows."""
+    return tuple(np.array(column, dtype=np.float64) for column in zip(*windows))
+
+
+class TestArrayStateKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_window, min_size=1, max_size=20))
+    def test_each_element_is_the_one_window_result(self, windows):
+        buckets = compose_indicators(*as_arrays(windows))
+        keys = encode_state(buckets)
+        assert all(b.shape == (len(windows),) for b in buckets)
+        for j, (threat, load, probs, recent) in enumerate(windows):
+            one = compose_indicators(threat, load, np.array(probs), recent)
+            assert tuple(int(b[j]) for b in buckets) == one
+            assert int(keys[j]) == encode_state(one)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_window, min_size=1, max_size=20), st.data())
+    def test_any_non_finite_element_is_rejected(self, windows, data):
+        arrays = list(as_arrays(windows))
+        column = data.draw(st.integers(0, 3))
+        at = data.draw(st.tuples(*(st.integers(0, n - 1) for n in arrays[column].shape)))
+        arrays[column][at] = data.draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+        with pytest.raises(InputError):
+            compose_indicators(*arrays)
+
+    def test_shapes_must_agree(self):
+        probs = np.tile(kind_slots(0), (3, 1))
+        with pytest.raises(DimensionError):
+            compose_indicators(np.zeros(3), np.zeros(2), probs, np.zeros(3))
+        with pytest.raises(DimensionError):
+            compose_indicators(0.5, 0.5, probs, 0.0)
+        with pytest.raises(DimensionError):
+            compose_indicators(np.zeros(3), np.zeros(3), probs[:, :5], np.zeros(3))
+
+    def test_encode_rejects_any_bucket_outside_its_radix(self):
+        with pytest.raises(InputError):
+            encode_state((np.array([0, 4]), np.zeros(2, int), np.zeros(2, int),
+                          np.array([0, 3])))
+        with pytest.raises(InputError):
+            encode_state((np.array([-1, 0]), 0, 0, 0))
+
+
 class TestActionCatalog:
     def test_exactly_187_actions(self):
         catalog = build_action_catalog()
@@ -317,6 +377,17 @@ class TestSelectAction:
             with pytest.raises(InputError):
                 select_action(t, state, 0.0)
 
+    @pytest.mark.parametrize("epsilon", (0.0, 1.0))
+    def test_state_is_checked_before_the_exploration_coin(self, epsilon):
+        # an exploring step is checked as a greedy one is, and a rejected
+        # key draws nothing from the generator
+        t = DoubleQTables(187)
+        rng = np.random.default_rng(5)
+        for state in (-5, -1, N_STATES):
+            with pytest.raises(InputError):
+                select_action(t, state, epsilon, rng)
+        assert rng.random() == np.random.default_rng(5).random()
+
 
 class TestDoubleQUpdate:
     def test_hand_worked_first_update(self):
@@ -437,6 +508,24 @@ class TestTraining:
             learned = greedy_policy(tables, states=range(4))
             matches += int(learned == optimal)
         assert matches >= 18
+
+    def test_chain_training_bytes_are_pinned(self, tmp_path):
+        # acceptance criterion 4's first call, which pins the agent's
+        # exploration and coin draws; a change that moves them is a
+        # deliberate bump
+        cfg = PolicyTrainConfig(episodes=400, steps_per_episode=30, alpha=0.2,
+                                gamma=0.9, seed=0, moving_avg_window=20)
+        tables, curve = train_policy(ChainEnv(1000), cfg)
+        save_qtables(tmp_path / "policy.csv", tables)
+        write_convergence_csv(tmp_path / "convergence.csv", curve)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("policy.csv", "convergence.csv")}
+        assert digests == {
+            "policy.csv":
+                "db69c1ac43f42abaabc86fbb51d927dfe8509b21b4adfb9448cf2f9e74800866",
+            "convergence.csv":
+                "8ef825825c475afa5f88625fbd6b9316e769342becbe44cc48cf9701558fdc6c",
+        }
 
     def test_reward_curve_rises(self):
         tables, curve = train_policy(ChainEnv(7), self.CHAIN_CFG)

@@ -56,6 +56,29 @@ def test_enforce_window_matches_the_reference(kind, action, intensity, load):
                      oracle.reward_for(want, CATALOG[action]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(kinds, actions, unit, unit), min_size=1, max_size=30))
+def test_array_rewards_are_the_one_window_rewards(windows):
+    kind, action, intensity, load = (np.array(c) for c in zip(*windows))
+    cfg = EnvConfig()
+    code, attack, collateral = enforce_window(action, kind, intensity, load)
+    rewards = reward_for(code, attack, collateral, action, cfg.cost_weight,
+                         cfg.block_bonus)
+    assert rewards.shape == (len(windows),)
+    for j in range(len(windows)):
+        one = reward_for(code[j], attack[j], collateral[j], CATALOG[action[j]],
+                         cfg.cost_weight, cfg.block_bonus)
+        assert same_bits(rewards[j], one)
+
+
+def test_idling_on_a_quiet_window_scores_negative_zero_in_both_forms():
+    code, attack, collateral = enforce_window(np.array([0]), np.array([0]),
+                                              np.array([0.0]), np.array([0.5]))
+    many = reward_for(code, attack, collateral, np.array([0]), 0.1, 2.5)
+    one = reward_for(code[0], attack[0], collateral[0], CATALOG[0], 0.1, 2.5)
+    assert same_bits(many[0], -0.0) and same_bits(one, -0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(action=actions,
        truths=st.lists(st.tuples(st.sampled_from(LABELS), unit, unit), max_size=80))
