@@ -19,6 +19,7 @@ from cloudguard.cli import main
 from cloudguard.detector import ArchConfig, build_model
 from cloudguard.features import build_layout
 from cloudguard.nn import save_params
+from cloudguard.policy import ACTION_CATALOG, compose_indicators
 from cloudguard.scenario import ScenarioConfig, generate_stream
 from cloudguard.telemetry import LABELS, read_stream_jsonl
 
@@ -236,6 +237,35 @@ def test_simulate_deterministic_modulo_timing(tmp_path, scenario_cfg, capsys):
     for doc in docs:
         doc.pop("timing")
     assert docs[0] == docs[1]
+    capsys.readouterr()
+
+
+def test_policy_simulate_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # a Q-table in the loop, so the pin covers the state keys, the greedy
+    # walk and the recent-action feedback; relative paths keep tmp_path out
+    # of the report's config echo
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "pol.json", {"episodes": 200})
+    assert main(["train-policy", "--config", cfg, "--seed", "0",
+                 "--out", "pol"]) == 0
+    sim = write_config(tmp_path, "sim.json",
+                       {"scenario": SCENARIO, "policy": "pol/policy.csv"})
+    assert main(["simulate", "--config", sim, "--out", "sim"]) == 0
+    records = [json.loads(line)
+               for line in (tmp_path / "sim/events.jsonl").read_text().splitlines()]
+    actions = [r["action_id"] for r in records]
+    assert len(set(actions)) >= 2
+    # some window's key carries a non-zero recent-action bucket
+    assert any(compose_indicators(0.0, 0.0, np.eye(len(LABELS))[0],
+                                  ACTION_CATALOG[a].tier_norm())[3] > 0
+               for a in actions[:-1])
+    report = json.loads((tmp_path / "sim/metrics.json").read_text())
+    h = hashlib.sha256()
+    for doc in records + [report]:
+        doc.pop("timing")
+        h.update(json.dumps(doc, sort_keys=True).encode())
+    assert h.hexdigest() == \
+        "bcfd7366b616a253930a879f1816de3aedf3e4e6f51cf8f8496453312bd431c2"
     capsys.readouterr()
 
 
