@@ -465,12 +465,13 @@ def load_detector(path: str):
     for key in ("norm.mean", "norm.std"):
         if key not in params:
             raise CheckpointError(f"{path}: missing parameter {key!r}")
+        if params[key].shape != (arch.feature_dim,):
+            raise CheckpointError(f"{path}: parameter {key!r} shape "
+                                  f"{params[key].shape} != ({arch.feature_dim},)")
+    if layout.dim != arch.feature_dim:
+        raise CheckpointError(f"{path}: layout width {layout.dim} != arch "
+                              f"feature_dim {arch.feature_dim}")
     stats = NormStats(mean=params.pop("norm.mean"), std=params.pop("norm.std"))
-    if stats.mean.shape != (arch.feature_dim,):
-        raise CheckpointError(
-            f"{path}: parameter 'norm.mean' shape {stats.mean.shape} != "
-            f"({arch.feature_dim},)"
-        )
     model = build_model(arch, seed=0)
     restore_into(model, params, path)
     return model, arch, stats, layout, classes

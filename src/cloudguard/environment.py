@@ -18,8 +18,9 @@ without the recent-action bucket, and the ``[episode_len, n_actions]``
 reward of every action on every window, scored by one broadcast
 ``enforcement.enforce_window`` call: the attack damage at the action's
 coverage of the window's kind plus collateral damage from the action's tier
-friction under the load. ``step`` reads one reward and adds the recent-action
-bucket of the action taken to the next window's key.
+friction under the load. ``step`` reads one reward and adds the action's
+``policy.RECENT_OFFSET``, the key offset of its recent-action bucket, to the
+next window's key, as the simulation's decision walk does.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .errors import ConfigError, EnvironmentFault
 from .perception import DEFAULT_SEVERITY
 from .policy import (
     ACTION_CATALOG,
-    Action,
+    RECENT_OFFSET,
     PolicyTrainConfig,
     compose_indicators,
     encode_state,
@@ -57,27 +58,21 @@ _LOAD_LOW = np.array([_LOAD_RANGES[k][0] for k in LABELS])
 _LOAD_SPAN = np.array([_LOAD_RANGES[k][1] - _LOAD_RANGES[k][0] for k in LABELS])
 _SEVERITY = np.array([DEFAULT_SEVERITY[k] for k in LABELS])
 
-# per catalog action id: its cost, and the state-key offset of its
-# recent-action bucket (the key of a window with every other bucket 0)
+# the catalog action ids and their costs
 _ACTION_IDS = np.arange(len(ACTION_CATALOG))
 _ACTION_COST = np.array([a.cost for a in ACTION_CATALOG])
-_RECENT_OFFSET = encode_state(compose_indicators(
-    np.zeros(len(ACTION_CATALOG)), np.zeros(len(ACTION_CATALOG)),
-    np.zeros((len(ACTION_CATALOG), len(LABELS))),
-    np.array([a.tier_norm() for a in ACTION_CATALOG]))).tolist()
 
 
 def reward_for(code, attack_damage, collateral_damage, action,
                cost_weight: float, block_bonus: float):
     """r = -(attack + collateral damage) - lambda * cost + bonus if blocked.
 
-    ``action`` is one Action, scored on scalars into a float, or an array
-    of catalog action ids broadcasting against array outcomes into an
-    array. The bonus is added by selection, so an unblocked reward keeps
-    its sign bit (an idle quiet window scores -0.0).
+    ``action`` is a catalog action id, scored on scalars into a float, or
+    an array of ids broadcasting against array outcomes into an array. The
+    bonus is added by selection, so an unblocked reward keeps its sign bit
+    (an idle quiet window scores -0.0).
     """
-    cost = action.cost if isinstance(action, Action) else _ACTION_COST[action]
-    reward = -(attack_damage + collateral_damage) - cost_weight * cost
+    reward = -(attack_damage + collateral_damage) - cost_weight * _ACTION_COST[action]
     reward = np.where(code == BLOCKED, reward + block_bonus, reward)
     return float(reward) if reward.ndim == 0 else reward
 
@@ -181,7 +176,7 @@ class DefenseEnv:
         self._steps = t + 1
         terminal = self._steps >= self.cfg.episode_len
         if not terminal:
-            self._state = int(self._drawn.state_key[t + 1]) + _RECENT_OFFSET[action_id]
+            self._state = int(self._drawn.state_key[t + 1]) + RECENT_OFFSET[action_id]
         return self._state, reward, terminal
 
 

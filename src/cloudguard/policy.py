@@ -12,7 +12,6 @@ action, zero until trained, so an unvisited state reads as zero.
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,49 +52,34 @@ N_STATES = math.prod(STATE_RADICES)
 
 
 def compose_indicators(threat, load, kind_probs, recent_action) -> tuple:
-    """The (threat, load, attack kind, recent action) buckets of one window.
+    """The (threat, load, attack kind, recent action) buckets of windows.
 
+    Scalar signals with ``[6]`` probabilities bucket one window; ``[N]``
+    signals with ``[N, 6]`` probabilities give four ``[N]`` int arrays.
     Values on an edge take the upper bucket and out-of-range values clamp;
-    the kind bucket is the first index of the largest probability. Given
-    ``[N]`` signals and ``[N, 6]`` probabilities it buckets N windows and
-    returns four ``[N]`` int arrays, each element the one-window result.
+    the kind bucket is the first index of the largest probability.
     """
     probs = np.asarray(kind_probs, dtype=np.float64)
-    if probs.ndim != 1:
-        return _compose_many(threat, load, probs, recent_action)
-    if probs.shape != (len(LABELS),):
-        raise DimensionError(f"kind_probs takes {len(LABELS)} slots, "
-                             f"got shape {probs.shape}")
-    threat, load, recent_action = float(threat), float(load), float(recent_action)
-    if not (math.isfinite(threat) and math.isfinite(load)
-            and math.isfinite(recent_action) and np.isfinite(probs).all()):
-        raise InputError("state signals must be finite")
-    return (bisect_right(BAND_EDGES, threat),
-            bisect_right(LOAD_EDGES, load),
-            int(probs.argmax()),
-            bisect_right(RECENT_EDGES, recent_action))
-
-
-def _compose_many(threat, load, probs: np.ndarray, recent_action):
     signals = [np.asarray(v, dtype=np.float64) for v in (threat, load, recent_action)]
-    n = probs.shape[:1]
-    if probs.shape != n + (len(LABELS),) or any(v.shape != n for v in signals):
-        raise DimensionError(f"N windows take [N] signals and [N, {len(LABELS)}] "
-                             f"kind_probs, got signal shapes "
-                             f"{[v.shape for v in signals]} and {probs.shape}")
+    if probs.shape[-1:] != (len(LABELS),) \
+            or any(v.shape != probs.shape[:-1] for v in signals):
+        raise DimensionError(f"kind_probs {probs.shape} need a last axis of "
+                             f"{len(LABELS)} and signals of shape {probs.shape[:-1]}, "
+                             f"got {[v.shape for v in signals]}")
     if not (all(np.isfinite(v).all() for v in signals) and np.isfinite(probs).all()):
         raise InputError("state signals must be finite")
     threat, load, recent_action = signals
     return (np.searchsorted(BAND_EDGES, threat, side="right"),
             np.searchsorted(LOAD_EDGES, load, side="right"),
-            probs.argmax(axis=1),
+            probs.argmax(axis=-1),
             np.searchsorted(RECENT_EDGES, recent_action, side="right"))
 
 
-def encode_state(buckets) -> int:
+def encode_state(buckets):
     """Pack per-axis buckets into one key, first axis least significant.
 
-    Int buckets give an int key; int-array buckets give an array of keys.
+    One window's buckets give an int key; ``[N]`` bucket arrays give an
+    ``[N]`` array of keys.
     """
     if len(buckets) != len(STATE_RADICES):
         raise DimensionError(f"state takes {len(STATE_RADICES)} buckets, "
@@ -103,15 +87,13 @@ def encode_state(buckets) -> int:
     key = 0
     mult = 1
     for bucket, radix in zip(buckets, STATE_RADICES):
-        if isinstance(bucket, np.ndarray):
-            outside = (bucket < 0) | (bucket >= radix)
-            if outside.any():
-                raise InputError(f"bucket {bucket[outside][0]} outside [0, {radix})")
-        elif not 0 <= bucket < radix:
-            raise InputError(f"bucket {bucket} outside [0, {radix})")
-        key += bucket * mult
+        bucket = np.asarray(bucket)
+        outside = (bucket < 0) | (bucket >= radix)
+        if outside.any():
+            raise InputError(f"bucket {bucket[outside][0]} outside [0, {radix})")
+        key = key + bucket * mult
         mult *= radix
-    return key
+    return int(key) if key.ndim == 0 else key
 
 
 def _check_state(state: int) -> None:
@@ -175,6 +157,12 @@ def build_action_catalog() -> tuple[Action, ...]:
 # response model reads its tier vectors
 ACTION_CATALOG = build_action_catalog()
 N_ACTIONS = len(ACTION_CATALOG)
+
+# per catalog action id: the state-key offset of its recent-action bucket
+# (the key of a window with every other bucket 0)
+RECENT_OFFSET = encode_state(compose_indicators(
+    np.zeros(N_ACTIONS), np.zeros(N_ACTIONS), np.zeros((N_ACTIONS, len(LABELS))),
+    np.array([a.tier_norm() for a in ACTION_CATALOG]))).tolist()
 
 
 def get_action(catalog: tuple[Action, ...], action_id: int) -> Action:

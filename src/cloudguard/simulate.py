@@ -11,10 +11,11 @@ everything else can be compared byte for byte.
 A run has three phases, all in one thread. Detect: featurize the whole run in
 one call, classify it in one batched call (``classify_series`` for a network,
 ``RuleBasedDetector.classify_batch`` for the rules and for accept-all, the
-rule detector with no rules), and perceive the whole run in one call. Walk:
-score each window's threat and choose its action, in order, since each
-decision feeds the next state's recent-action signal. Enforce: one
-``apply_action`` call over the run.
+rule detector with no rules), perceive the whole run in one call, then score
+every window's threat and, given a policy, key every window with its
+recent-action bucket 0 in one pass. Walk: choose each window's action, in
+order, since each decision adds its ``RECENT_OFFSET`` to the next window's
+key. Enforce: one ``apply_action`` call over the run.
 """
 
 import dataclasses
@@ -37,9 +38,8 @@ from .features import build_layout, extract_features, fit_normalizer, normalize
 from .perception import (ThreatLevel, build_embedders, build_scorer,
                          context_from_fused, embed_window, fuse,
                          level_for_score, summarize_threats, threat_score)
-from .policy import (ACTION_CATALOG, N_ACTIONS, compose_indicators,
-                     encode_state, load_qtables, read_convergence_csv,
-                     select_action)
+from .policy import (N_ACTIONS, RECENT_OFFSET, compose_indicators, encode_state,
+                     load_qtables, read_convergence_csv, select_action)
 from .scenario import BurstIndex, ScenarioConfig, default_scenario, generate_stream
 from .telemetry import LABELS
 
@@ -159,8 +159,10 @@ class PipelineEvent:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineEvent":
         """Parse one event-log record; InputError on a missing field, a
-        value of the wrong type, a NaN or infinite score, probability, damage
-        or latency, or a label, outcome or threat level outside its set."""
+        value of the wrong type (``confident`` must be a JSON bool, the ids
+        and the threat level JSON integers), a NaN or infinite score,
+        probability, damage or latency, or a label, outcome, threat level or
+        action id outside its set."""
         try:
             timing = d["timing"]
             lat = timing["latency"]
@@ -169,15 +171,21 @@ class PipelineEvent:
                 if d[field] not in allowed:
                     raise InputError(f"{field} {d[field]!r} is not one of "
                                      f"{allowed}")
+            if not isinstance(d["confident"], bool):
+                raise InputError(f"confident {d['confident']!r} is not a bool")
+            action_id = _integer(d, "action_id")
+            if not 0 <= action_id < N_ACTIONS:
+                raise InputError(f"action_id {action_id} outside the catalog "
+                                 f"of {N_ACTIONS} actions")
             return cls(
-                window_id=int(d["window_id"]),
+                window_id=_integer(d, "window_id"),
                 truth=d["truth"],
                 predicted=d["predicted"],
-                confident=bool(d["confident"]),
+                confident=d["confident"],
                 max_probability=_finite(d, "max_probability"),
                 threat_score=_finite(d, "threat_score"),
-                threat_level=ThreatLevel(int(d["threat_level"])).level,
-                action_id=int(d["action_id"]),
+                threat_level=ThreatLevel(_integer(d, "threat_level")).level,
+                action_id=action_id,
                 outcome=d["outcome"],
                 attack_damage=_finite(d, "attack_damage"),
                 collateral_damage=_finite(d, "collateral_damage"),
@@ -192,6 +200,14 @@ class PipelineEvent:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed pipeline event record: {exc}") from exc
+
+
+def _integer(record: dict, field: str) -> int:
+    value = record[field]
+    # bool is an int subclass, but true is not an id
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def _finite(record: dict, field: str) -> float:
@@ -322,33 +338,36 @@ def _truth_arrays(truths):
 
 def _respond(pipe: _Pipeline, truths, verdicts, detect_ms,
              normed) -> list[PipelineEvent]:
-    """Perceive the run, walk its decisions in order, enforce the run.
+    """Perceive and key the run, walk its decisions in order, enforce the run.
 
     ``truths`` holds each window's (kind, intensity, load) from
     ``window_truths``; ``normed`` is the run's ``[N, D]`` feature matrix.
+    Window i's key is its base key, from one pass over the run as in
+    ``environment.draw_episode``, plus ``RECENT_OFFSET`` of action i - 1.
     """
     n = len(truths)
+    kinds, intensity, load = _truth_arrays(truths)
     t0 = time.perf_counter()
     fused, _ = fuse(embed_window(normed, pipe.layout, pipe.embedders), pipe.scorer)
-    contexts = context_from_fused(fused)
-    perceive_ms = (time.perf_counter() - t0) * 1e3 / n
+    scores = [threat_score(v, c) for v, c in zip(verdicts, context_from_fused(fused))]
+    levels = [level_for_score(score).level for score in scores]
+    if pipe.tables is not None:
+        base = encode_state(compose_indicators(
+            np.array(scores), load, np.array([v.probabilities for v in verdicts]),
+            np.zeros(n))).tolist()
+    shared_ms = (time.perf_counter() - t0) * 1e3 / n
 
-    walk, recent = [], 0.0
-    for verdict, (_, _, load), context in zip(verdicts, truths, contexts):
+    walk, offset = [], 0
+    for i in range(n):
         started, t0 = time.time(), time.perf_counter()
-        score = threat_score(verdict, context)
         action_id = pipe.config.fixed_action
         if pipe.tables is not None:
-            state_key = encode_state(compose_indicators(
-                score, load, verdict.probabilities, recent))
-            action_id = select_action(pipe.tables, state_key, epsilon=0.0)
-            recent = ACTION_CATALOG[action_id].tier_norm()
-        level = level_for_score(score).level
-        walk.append((started, score, level, action_id,
-                     perceive_ms + (time.perf_counter() - t0) * 1e3))
+            action_id = select_action(pipe.tables, base[i] + offset, 0.0)
+            offset = RECENT_OFFSET[action_id]
+        walk.append((started, action_id, shared_ms + (time.perf_counter() - t0) * 1e3))
 
-    started, scores, levels, actions, policy_ms = zip(*walk)
-    codes, attack, collateral, enforce_ms = apply_action(actions, *_truth_arrays(truths))
+    started, actions, policy_ms = zip(*walk)
+    codes, attack, collateral, enforce_ms = apply_action(actions, kinds, intensity, load)
     finished, execution_ms = time.time(), enforce_ms / n
     codes, attack, collateral = codes.tolist(), attack.tolist(), collateral.tolist()
     return [PipelineEvent(
@@ -414,9 +433,10 @@ class SimulationReport:
     An event's latency, in ms, shares each run-wide call equally among the
     run's windows. ``detection_ms`` is a share of the featurize call plus a
     share of the classify call; ``policy_ms`` a share of the perception call
-    plus its own walk step; ``execution_ms`` a share of the ``apply_action``
-    call; ``total_ms`` their sum. Its ``started_at`` is the wall-clock time
-    its walk step began, ``finished_at`` the time enforcement returned.
+    and of the scoring and key pass, plus its own action choice;
+    ``execution_ms`` a share of the ``apply_action`` call; ``total_ms`` their
+    sum. Its ``started_at`` is the wall-clock time its walk step began,
+    ``finished_at`` the time enforcement returned.
     """
 
     config: dict

@@ -57,7 +57,7 @@ def test_traced_run_patches_resolve_and_restore():
 
 # spans the traced sims must record for BENCHMARK.json's per-layer metrics
 SIM_SPANS = ("perception.embed", "perception.fuse", "enforcement.apply",
-             "policy.select", "environment.enforce_window")
+             "policy.encode", "policy.select", "environment.enforce_window")
 
 
 def test_traced_simulation_passes_through_every_response_probe(tmp_path):

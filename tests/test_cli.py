@@ -18,7 +18,7 @@ from cloudguard import simulate
 from cloudguard.cli import main
 from cloudguard.detector import ArchConfig, build_model
 from cloudguard.features import build_layout
-from cloudguard.nn import save_params
+from cloudguard.nn import load_params, save_params
 from cloudguard.policy import ACTION_CATALOG, compose_indicators
 from cloudguard.scenario import ScenarioConfig, generate_stream
 from cloudguard.telemetry import LABELS, read_stream_jsonl
@@ -436,11 +436,24 @@ def _policy_of_five_actions(tmp_path):
     return {"policy": str(path)}
 
 
+def _detector_of_five_wide_std(tmp_path):
+    path = _detector_checkpoint(tmp_path, lambda meta: None)
+    params, meta = load_params(path)
+    params["norm.std"] = np.ones(5)
+    save_params(path, params, meta)
+    return {"detector": path}
+
+
 @pytest.mark.parametrize("command,checkpoint,message", [
     ("simulate", _policy_of_five_actions, "n_actions 5 does not match"),
     ("evaluate", lambda tmp_path: {"detector": _detector_checkpoint(
         tmp_path, lambda meta: meta.pop("arch"))}, "detector.npz"),
-], ids=["simulate-policy", "evaluate-detector"])
+    ("simulate", _detector_of_five_wide_std, "'norm.std' shape (5,)"),
+    ("simulate", lambda tmp_path: {"detector": _detector_checkpoint(
+        tmp_path, lambda meta: meta.update(layout=build_layout(300).to_dict()))},
+     "layout width 300"),
+], ids=["simulate-policy", "evaluate-detector", "simulate-std-width",
+        "simulate-layout-width"])
 def test_exit_four_before_out_is_made(tmp_path, capsys, command, checkpoint,
                                       message):
     cfg = write_config(tmp_path, "c.json",

@@ -150,24 +150,25 @@ WEIGHTS = (EnvConfig().cost_weight, EnvConfig().block_bonus)
 class TestReward:
     def test_blocked_reward_includes_bonus(self):
         a = core_action(0, 4, 0)
-        r = reward_for(BLOCKED, 0.0, 1.2, a, cost_weight=0.1, block_bonus=2.5)
+        r = reward_for(BLOCKED, 0.0, 1.2, a.action_id, cost_weight=0.1, block_bonus=2.5)
         assert r == pytest.approx(2.5 - 1.2 - 0.1 * a.cost)
 
     def test_unblocked_reward_is_pure_penalty(self):
         a = core_action(1, 0, 0)
         mitigated = OUTCOMES.index("mitigated")
-        assert reward_for(mitigated, 4.0, 0.3, a, *WEIGHTS) == pytest.approx(-4.3 - 0.1 * a.cost)
+        assert reward_for(mitigated, 4.0, 0.3, a.action_id, *WEIGHTS) == \
+            pytest.approx(-4.3 - 0.1 * a.cost)
 
     def test_idle_on_quiet_window_is_free(self):
-        assert reward_for(OUTCOMES.index("none"), 0.0, 0.0, core_action(0, 0, 0),
-                          *WEIGHTS) == 0.0
+        assert reward_for(OUTCOMES.index("none"), 0.0, 0.0,
+                          core_action(0, 0, 0).action_id, *WEIGHTS) == 0.0
 
     def test_best_block_beats_idle_on_attacks(self):
         # the bonus must make some blocking action profitable even at the
         # worst load, or greedy play would never leave the zero posture
         a = core_action(3, 4, 0)
         outcome = enforce_window(a.action_id, DDOS, 1.0, 1.0)
-        assert reward_for(*outcome, a, *WEIGHTS) > 0.0
+        assert reward_for(*outcome, a.action_id, *WEIGHTS) > 0.0
 
 
 class TestEnvProtocol:

@@ -51,7 +51,7 @@ def test_enforce_window_matches_the_reference(kind, action, intensity, load):
     assert same_bits(attack, want.attack_damage)
     assert same_bits(collateral, want.collateral_damage)
     cfg = EnvConfig()
-    assert same_bits(reward_for(code, attack, collateral, CATALOG[action],
+    assert same_bits(reward_for(code, attack, collateral, action,
                                 cfg.cost_weight, cfg.block_bonus),
                      oracle.reward_for(want, CATALOG[action]))
 
@@ -66,7 +66,7 @@ def test_array_rewards_are_the_one_window_rewards(windows):
                          cfg.block_bonus)
     assert rewards.shape == (len(windows),)
     for j in range(len(windows)):
-        one = reward_for(code[j], attack[j], collateral[j], CATALOG[action[j]],
+        one = reward_for(code[j], attack[j], collateral[j], action[j],
                          cfg.cost_weight, cfg.block_bonus)
         assert same_bits(rewards[j], one)
 
@@ -75,7 +75,7 @@ def test_idling_on_a_quiet_window_scores_negative_zero_in_both_forms():
     code, attack, collateral = enforce_window(np.array([0]), np.array([0]),
                                               np.array([0.0]), np.array([0.5]))
     many = reward_for(code, attack, collateral, np.array([0]), 0.1, 2.5)
-    one = reward_for(code[0], attack[0], collateral[0], CATALOG[0], 0.1, 2.5)
+    one = reward_for(code[0], attack[0], collateral[0], 0, 0.1, 2.5)
     assert same_bits(many[0], -0.0) and same_bits(one, -0.0)
 
 

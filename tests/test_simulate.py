@@ -307,7 +307,11 @@ def test_read_events_rejects_garbage(tmp_path):
     assert read_events(p)[0].to_dict() == good
     for field, value in (("truth", "meteor"), ("predicted", "meteor"),
                          ("outcome", "deflected"), ("threat_level", 9),
-                         ("threat_level", 0)):
+                         ("threat_level", 0), ("confident", "no"),
+                         ("confident", 1), ("action_id", 999), ("action_id", -4),
+                         ("action_id", 2.9), ("action_id", True),
+                         ("window_id", 0.7), ("window_id", False),
+                         ("threat_level", 4.0), ("threat_level", True)):
         p.write_text(json.dumps({**good, field: value}) + "\n")
         with pytest.raises(InputError):
             read_events(p)
