@@ -241,6 +241,12 @@ def predict_probs(model: ModelGraph, x: np.ndarray) -> np.ndarray:
     return np.concatenate(outs, axis=0)
 
 
+def _predict_rows(model: ModelGraph, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``predict_probs`` over ``x[rows]``, gathering one chunk at a time."""
+    return np.concatenate([predict_probs(model, x[rows[i:i + PREDICT_CHUNK]])
+                           for i in range(0, len(rows), PREDICT_CHUNK)], axis=0)
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 30
@@ -297,7 +303,8 @@ def train(model: ModelGraph, x: np.ndarray, y: np.ndarray,
     else:
         # too small to hold anything out; validate on the training data
         val_idx = train_idx = np.arange(len(x))
-    weights = _class_weights(y[train_idx], num_classes)
+    y_train, y_val = y[train_idx], y[val_idx]
+    weights = _class_weights(y_train, num_classes)
     optimizer = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else Sgd(lr=cfg.lr)
     history: list[dict] = []
     best: tuple[float, dict] | None = None  # set by the first epoch; epochs >= 1
@@ -315,12 +322,11 @@ def train(model: ModelGraph, x: np.ndarray, y: np.ndarray,
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(f"epoch {epoch}: {exc}") from exc
         # canonical-order evaluation keeps history reproducible bit for bit
-        train_probs = predict_probs(model, x[train_idx])
-        train_loss = nnl.cross_entropy_batch(train_probs, y[train_idx],
-                                             weights[y[train_idx]])
-        train_acc = float((train_probs.argmax(axis=1) == y[train_idx]).mean())
-        val_probs = predict_probs(model, x[val_idx])
-        val_acc = float((val_probs.argmax(axis=1) == y[val_idx]).mean())
+        train_probs = _predict_rows(model, x, train_idx)
+        train_loss = nnl.cross_entropy_batch(train_probs, y_train, weights[y_train])
+        train_acc = float((train_probs.argmax(axis=1) == y_train).mean())
+        val_probs = _predict_rows(model, x, val_idx)
+        val_acc = float((val_probs.argmax(axis=1) == y_val).mean())
         history.append({
             "epoch": epoch,
             "loss": train_loss,

@@ -188,6 +188,19 @@ class FeatureLayout:
             raise InputError(f"layout descriptor missing field {exc}") from exc
         if len(layout.names) != layout.dim:
             raise InputError("layout names length does not match dim")
+        for name, span in layout.segments.items():
+            if len(span) != 2 or not all(type(v) is int for v in span):
+                raise InputError(f"layout segment {name!r} {list(span)} is not "
+                                 f"a [start, end) pair of integers")
+        edge = 0  # taken by start, the segments tile [0, dim), none empty
+        for name, (start, end) in sorted(layout.segments.items(),
+                                         key=lambda item: item[1]):
+            if start != edge or end <= start:
+                raise InputError(f"layout segment {name!r} [{start}, {end}) does "
+                                 f"not run on from {edge}")
+            edge = end
+        if edge != layout.dim:
+            raise InputError(f"layout segments end at {edge}, not at dim {layout.dim}")
         return layout
 
 

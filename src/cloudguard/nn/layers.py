@@ -36,6 +36,10 @@ class ConvParams:
             raise DimensionError("kernel size and stride must be >= 1")
 
 
+LSTM_PARAM_NAMES = ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
+                    "b_i", "b_f", "b_o", "b_g")
+
+
 @dataclass
 class LstmParams:
     """Per-gate LSTM weights. Gate order throughout: input, forget, output, candidate."""
@@ -54,8 +58,7 @@ class LstmParams:
     b_g: np.ndarray
 
     def __post_init__(self):
-        for name in ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
-                     "b_i", "b_f", "b_o", "b_g"):
+        for name in LSTM_PARAM_NAMES:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         h = self.w_i.shape[1]
         if h < 1:
@@ -173,22 +176,21 @@ def maxpool1d_forward_batch(x: np.ndarray, pool_size: int):
     return out, idx
 
 
-def maxpool1d_backward_batch(dout: np.ndarray, idx: np.ndarray, t: int, pool_size: int) -> np.ndarray:
-    """Route gradients back to the recorded argmax positions only."""
-    b, t_out, c = dout.shape
-    dxr = np.zeros((b, t_out, pool_size, c))
-    within = idx - (np.arange(t_out) * pool_size)[None, :, None]
-    np.put_along_axis(dxr, within[:, :, None, :], dout[:, :, None, :], axis=2)
-    return dxr.reshape(b, t, c)
+def maxpool1d_backward_batch(dout: np.ndarray, x: np.ndarray, pool_size: int) -> np.ndarray:
+    """Route each block's gradient to the first index of its maximum in ``x``;
+    every other position gets zero."""
+    xr = maxpool1d_blocks(x, pool_size)
+    first = xr.argmax(axis=2)[:, :, None, :] == np.arange(pool_size)[:, None]
+    return np.where(first, dout[:, :, None, :], 0.0).reshape(x.shape)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: 1/(1+e^-z) for z >= 0 and
+    e^z/(1+e^z) below, both from one ``exp(-|z|)``. Bit-equal to taking
+    each branch on its own elements; a NaN input stays NaN."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def lstm_forward(x: np.ndarray, p: LstmParams) -> np.ndarray:
@@ -245,14 +247,24 @@ def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, need_dx: b
     Returns ``(dx, grads dict)``.
 
     The first step adds nothing to the ``u_*`` gradients and passes nothing
-    back to h_0, since h_0 = 0 is no parameter; both are skipped. With
-    ``need_dx=False`` the input gradient is not computed and ``dx`` is None.
+    back to h_0, since h_0 = 0 is no parameter; both are skipped, so with
+    one step the ``u_*`` gradients are zero. Each gradient starts from the
+    last step's product plus 0.0, which gives a zero the sign a sum started
+    from zeros gives it, and adds the earlier steps' products in place.
+    With ``need_dx=False`` the input gradient is not computed and ``dx`` is
+    None.
     """
     t = len(steps)
     b = steps[0][0].shape[0]
-    grads = {name: np.zeros_like(getattr(p, name))
-             for name in ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
-                          "b_i", "b_f", "b_o", "b_g")}
+    grads = {}
+
+    def add(name, value):
+        if name in grads:
+            grads[name] += value
+        else:
+            value += 0.0  # 0.0 + (-0.0) is 0.0
+            grads[name] = value
+
     dx = np.empty((b, t, p.input_size)) if need_dx else None
     dh = dout
     dc_next = np.zeros((b, p.hidden_size))
@@ -264,21 +276,17 @@ def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, need_dx: b
         dzg = dc * i * (1.0 - g**2)
         dzf = dc * c_prev * f * (1.0 - f)
         dc_next = dc * f
-        for name_w, name_u, name_b, dz in (
-            ("w_i", "u_i", "b_i", dzi),
-            ("w_f", "u_f", "b_f", dzf),
-            ("w_o", "u_o", "b_o", dzo),
-            ("w_g", "u_g", "b_g", dzg),
-        ):
-            grads[name_w] += xt.T @ dz
+        for gate, dz in (("i", dzi), ("f", dzf), ("o", dzo), ("g", dzg)):
+            add("w_" + gate, xt.T @ dz)
             if tt:
-                grads[name_u] += h_prev.T @ dz
-            grads[name_b] += dz.sum(axis=0)
+                add("u_" + gate, h_prev.T @ dz)
+            add("b_" + gate, dz.sum(axis=0))
         if need_dx:
             dx[:, tt, :] = dzi @ p.w_i.T + dzf @ p.w_f.T + dzo @ p.w_o.T + dzg @ p.w_g.T
         if tt:
             dh = dzi @ p.u_i.T + dzf @ p.u_f.T + dzo @ p.u_o.T + dzg @ p.u_g.T
-    return dx, grads
+    return dx, {name: grads[name] if name in grads else np.zeros(getattr(p, name).shape)
+                for name in LSTM_PARAM_NAMES}
 
 
 def dense_forward(x: np.ndarray, p: DenseParams) -> np.ndarray:

@@ -47,8 +47,8 @@ class MaxPool1dLayer:
     """Non-overlapping temporal max pooling.
 
     Forward computes the block maxima only and caches its input; backward
-    recomputes the first-index argmax from that input. Inference, which
-    never runs backward, builds no indices.
+    recomputes the first-index argmax from that input and routes through a
+    one-hot mask. Inference, which never runs backward, builds no indices.
     """
 
     def __init__(self, pool_size: int):
@@ -60,8 +60,7 @@ class MaxPool1dLayer:
     def backward(self, dout: np.ndarray, cache, need_dx: bool = True):
         if not need_dx:
             return None, {}
-        _, idx = L.maxpool1d_forward_batch(cache, self.pool_size)
-        return L.maxpool1d_backward_batch(dout, idx, cache.shape[1], self.pool_size), {}
+        return L.maxpool1d_backward_batch(dout, cache, self.pool_size), {}
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {}
@@ -96,10 +95,7 @@ class LstmLayer:
         return L.lstm_backward_batch(dout, cache, self.params, need_dx)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        p = self.params
-        return {name: getattr(p, name)
-                for name in ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
-                             "b_i", "b_f", "b_o", "b_g")}
+        return {name: getattr(self.params, name) for name in L.LSTM_PARAM_NAMES}
 
 
 class DenseLayer:

@@ -13,6 +13,7 @@ action, zero until trained, so an unvisited state reads as zero.
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,8 +199,7 @@ class DoubleQTables:
         return np.flatnonzero(touched).tolist()
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     state: int
     action: int
     reward: float
@@ -218,13 +218,14 @@ def select_action(tables: DoubleQTables, state: int, epsilon: float,
         raise ConfigError("cannot select from an empty action catalog")
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
-    _check_state(state)
+    if not 0 <= state < N_STATES:  # a negative key would index from the end
+        raise InputError(f"state key {state} outside [0, {N_STATES})")
     if epsilon > 0.0:
         if rng is None:
             raise ConfigError("exploration (epsilon > 0) requires a generator")
         if rng.random() < epsilon:
             return int(rng.integers(tables.n_actions))
-    return int(np.argmax(tables.combined(state)))
+    return int((tables.q_a[state] + tables.q_b[state]).argmax())
 
 
 def double_q_update(tables: DoubleQTables, t: Transition, alpha: float,
@@ -239,21 +240,22 @@ def double_q_update(tables: DoubleQTables, t: Transition, alpha: float,
         raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
     if not 0.0 <= gamma < 1.0:
         raise ConfigError(f"gamma must be in [0, 1), got {gamma}")
-    if not 0 <= t.action < tables.n_actions:
-        raise CatalogError(f"action id {t.action} outside catalog of {tables.n_actions}")
-    _check_state(t.state)
-    _check_state(t.next_state)
-    update_a = bool(rng.random() < 0.5)
-    table, other = (tables.q_a, tables.q_b) if update_a \
+    state, action, reward, next_state, terminal = t
+    if not 0 <= action < tables.n_actions:
+        raise CatalogError(f"action id {action} outside catalog of {tables.n_actions}")
+    if not (0 <= state < N_STATES and 0 <= next_state < N_STATES):
+        raise InputError(f"state keys {state} -> {next_state} outside [0, {N_STATES})")
+    table, other = (tables.q_a, tables.q_b) if rng.random() < 0.5 \
         else (tables.q_b, tables.q_a)
-    if t.terminal:
-        target = t.reward
+    if terminal:
+        target = reward
     else:
-        a_star = int(np.argmax(table[t.next_state]))
-        target = t.reward + gamma * float(other[t.next_state, a_star])
-    table[t.state, t.action] += alpha * (target - table[t.state, t.action])
-    tables.visits[t.state, t.action] += 1
-    return float(table[t.state, t.action])
+        target = reward + gamma * float(other[next_state, table[next_state].argmax()])
+    value = float(table[state, action])
+    value += alpha * (target - value)
+    table[state, action] = value
+    tables.visits[state, action] += 1
+    return value
 
 
 @dataclass(frozen=True)
@@ -325,6 +327,7 @@ def train_policy(env, cfg: PolicyTrainConfig) -> tuple[DoubleQTables, Convergenc
     """
     rng = np.random.default_rng(cfg.seed)
     tables = DoubleQTables(env.n_actions)
+    alpha, gamma = cfg.alpha, cfg.gamma
     rewards = []
     for episode in range(cfg.episodes):
         eps = epsilon_at(cfg, episode)
@@ -338,12 +341,11 @@ def train_policy(env, cfg: PolicyTrainConfig) -> tuple[DoubleQTables, Convergenc
             except EnvironmentFault as exc:
                 raise EnvironmentFault(
                     f"episode {episode} step {step}: {exc}") from exc
-            double_q_update(
-                tables,
-                Transition(state, action, float(reward), next_state, bool(terminal)),
-                cfg.alpha, cfg.gamma, rng,
-            )
-            total += float(reward)
+            reward = float(reward)
+            double_q_update(tables,
+                            Transition(state, action, reward, next_state, bool(terminal)),
+                            alpha, gamma, rng)
+            total += reward
             steps += 1
             state = next_state
             if terminal:

@@ -160,9 +160,10 @@ class PipelineEvent:
     def from_dict(cls, d: dict) -> "PipelineEvent":
         """Parse one event-log record; InputError on a missing field, a
         value of the wrong type (``confident`` must be a JSON bool, the ids
-        and the threat level JSON integers), a NaN or infinite score,
-        probability, damage or latency, or a label, outcome, threat level or
-        action id outside its set."""
+        and the threat level JSON integers, every other number a JSON
+        number), a NaN or infinite score, probability, damage, latency or
+        timestamp, or a label, outcome, threat level or action id outside its
+        set."""
         try:
             timing = d["timing"]
             lat = timing["latency"]
@@ -195,10 +196,10 @@ class PipelineEvent:
                     execution_ms=_finite(lat, "execution_ms"),
                     total_ms=_finite(lat, "total_ms"),
                 ),
-                started_at=float(timing["started_at"]),
-                finished_at=float(timing["finished_at"]),
+                started_at=_finite(timing, "started_at"),
+                finished_at=_finite(timing, "finished_at"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed pipeline event record: {exc}") from exc
 
 
@@ -211,7 +212,11 @@ def _integer(record: dict, field: str) -> int:
 
 
 def _finite(record: dict, field: str) -> float:
-    value = float(record[field])
+    value = record[field]
+    # a JSON number: no string, and no bool (an int subclass)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InputError(f"{field} must be a number, got {value!r}")
+    value = float(value)  # OverflowError on an integer past float range
     if not math.isfinite(value):
         raise InputError(f"{field} must be finite, got {value}")
     return value

@@ -1,21 +1,25 @@
 """Reference training kernels: the forms the network layers replaced.
 
 ``cloudguard.nn`` takes each tap's filter gradient as one matrix product,
-skips the LSTM's recurrent products on the first step (where h_0 = 0) and
-pools values only, recomputing the argmax in backward; its Adam skips
+takes the sigmoid from one ``exp(-|z|)`` and a ``where``, skips the LSTM's
+recurrent products on the first step (where h_0 = 0), starts each LSTM
+gradient from its last step's product, and pools values only, recomputing
+the argmax in backward and routing through a one-hot mask; its Adam skips
 tensors whose gradient has been zero since the start and updates the rest
 in place. This module keeps what they replaced: the ``einsum`` filter
-gradient, the LSTM that multiplies its zero initial state, a max-pool layer
-that builds absolute argmax indices in forward, and Adam over every tensor
-through temporaries. Tests require the filter gradient to match within a
-relative tolerance, since its sum runs in another order, and everything
-else bit for bit.
+gradient, the sigmoid that exponentiates each sign's elements under a
+boolean mask, the LSTM that multiplies its zero initial state and sums
+every gradient into zeros (through that sigmoid, so it never checks the
+new one against itself), a max-pool layer that builds absolute argmax
+indices in forward and puts gradients back along them into zeros, and
+Adam over every tensor through temporaries. Tests require the filter
+gradient to match within a relative tolerance, since its sum runs in
+another order, and everything else bit for bit.
 """
 
 import numpy as np
 
 from cloudguard.errors import TrainingDivergedError
-from cloudguard.nn import layers as L
 
 
 def conv1d_backward_batch(dout, x, p):
@@ -32,6 +36,16 @@ def conv1d_backward_batch(dout, x, p):
     return dx, dkernel, dbias
 
 
+def sigmoid(z):
+    """Logistic function, each sign's elements exponentiated under a mask."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def lstm_forward_batch(x, p):
     """LSTM forward whose first step multiplies h_0 = 0 by the ``u_*``;
     returns the last state."""
@@ -43,9 +57,9 @@ def lstm_forward_batch(x, p):
     steps = []
     for tt in range(t):
         xt = x[:, tt, :]
-        i = L._sigmoid(xt @ p.w_i + h @ p.u_i + p.b_i)
-        f = L._sigmoid(xt @ p.w_f + h @ p.u_f + p.b_f)
-        o = L._sigmoid(xt @ p.w_o + h @ p.u_o + p.b_o)
+        i = sigmoid(xt @ p.w_i + h @ p.u_i + p.b_i)
+        f = sigmoid(xt @ p.w_f + h @ p.u_f + p.b_f)
+        o = sigmoid(xt @ p.w_o + h @ p.u_o + p.b_o)
         g = np.tanh(xt @ p.w_g + h @ p.u_g + p.b_g)
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new)

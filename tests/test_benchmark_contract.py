@@ -18,7 +18,8 @@ import pytest
 from cloudguard.detector import ArchConfig, TrainConfig
 from cloudguard.environment import DefenseEnv, EnvConfig, defense_train_config
 from cloudguard.nn import Conv1dLayer, DenseLayer, LstmLayer
-from cloudguard.policy import (Action, ConvergenceCurve, DoubleQTables,
+from cloudguard.errors import InputError
+from cloudguard.policy import (N_STATES, Action, ConvergenceCurve, DoubleQTables,
                                PolicyTrainConfig, save_qtables, train_policy)
 from cloudguard.scenario import AttackSpec, ScenarioConfig, generate_stream
 from cloudguard.simulate import PipelineEvent, SimConfig, run_simulation
@@ -87,6 +88,59 @@ def test_traced_simulation_passes_through_every_response_probe(tmp_path):
     assert counters["scenario.windows"] == 12
     assert counters["scenario.events"] == \
         sum(w.event_count for w in generate_stream(scenario).windows)
+
+
+class _CountingEnv(DefenseEnv):
+    """The defense environment, counting the steps it is asked to take."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.steps_taken = 0
+
+    def step(self, action_id):
+        self.steps_taken += 1
+        return super().step(action_id)
+
+
+def test_traced_policy_training_probes_every_step():
+    # 20 steps asked, 12 taken: each episode ends at its terminal step
+    env = _CountingEnv(EnvConfig(episode_len=12))
+    cfg = dataclasses.replace(defense_train_config(), episodes=5, steps_per_episode=20)
+    probes, tracing = _load("probes"), _load("tracing")
+    tracer = tracing.Tracer()
+    try:
+        probes.install(tracer)
+        train_policy(env, cfg)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+    assert env.steps_taken == 5 * 12
+    assert spans.count("policy.select") == spans.count("policy.update") == 5 * 12
+
+
+class _FixedStateEnv:
+    """Three actions; reset and every step return fixed state keys."""
+
+    n_actions = 3
+
+    def __init__(self, first: int, then: int):
+        self.first, self.then = first, then
+
+    def reset(self) -> int:
+        return self.first
+
+    def step(self, action_id: int):
+        return self.then, 0.0, False
+
+
+@pytest.mark.parametrize("first,then", [(-1, 0), (N_STATES, 0), (0, -1), (0, N_STATES)],
+                         ids=["reset-negative", "reset-past-end", "step-negative",
+                              "step-past-end"])
+def test_policy_training_rejects_state_keys_off_the_table(first, then):
+    # -1 would silently train the table's last row
+    with pytest.raises(InputError, match="state key"):
+        train_policy(_FixedStateEnv(first, then),
+                     PolicyTrainConfig(episodes=1, steps_per_episode=3))
 
 
 def test_harness_references_exist():

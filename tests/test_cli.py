@@ -436,6 +436,12 @@ def _policy_of_five_actions(tmp_path):
     return {"policy": str(path)}
 
 
+def _detector_of_overlapping_layout(tmp_path):
+    def overlap(meta):
+        meta["layout"]["segments"]["traffic"] = [0, 300]  # into time_series
+    return {"detector": _detector_checkpoint(tmp_path, overlap)}
+
+
 def _detector_of_five_wide_std(tmp_path):
     path = _detector_checkpoint(tmp_path, lambda meta: None)
     params, meta = load_params(path)
@@ -452,8 +458,9 @@ def _detector_of_five_wide_std(tmp_path):
     ("simulate", lambda tmp_path: {"detector": _detector_checkpoint(
         tmp_path, lambda meta: meta.update(layout=build_layout(300).to_dict()))},
      "layout width 300"),
+    ("simulate", _detector_of_overlapping_layout, "layout segment 'time_series'"),
 ], ids=["simulate-policy", "evaluate-detector", "simulate-std-width",
-        "simulate-layout-width"])
+        "simulate-layout-width", "simulate-layout-overlap"])
 def test_exit_four_before_out_is_made(tmp_path, capsys, command, checkpoint,
                                       message):
     cfg = write_config(tmp_path, "c.json",

@@ -1,6 +1,7 @@
 """Detector architecture, training behavior, verdicts, and metrics."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from cloudguard.errors import (
 from cloudguard.features import NormStats, build_layout
 from cloudguard.nn import grad_check
 from cloudguard.telemetry import LABELS
+
+from .test_cli import TINY_ARCH
 
 
 def tiny_arch(**kw):
@@ -205,6 +208,22 @@ class TestTraining:
         with pytest.raises(InputError):
             train(model, np.zeros((0, 16, 16)), np.zeros(0, dtype=int),
                   TrainConfig(epochs=1))
+
+    def test_epoch_evaluation_never_gathers_the_whole_split(self):
+        arch = ArchConfig.from_dict(TINY_ARCH)
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(700, arch.seq_len, arch.feature_dim))
+        y = rng.integers(arch.num_classes, size=len(x))
+        cfg = TrainConfig(epochs=2, seed=0)
+        n_train = len(x) - int(round(cfg.val_fraction * len(x)))
+        model = build_model(arch, seed=0)
+        tracemalloc.start()
+        try:
+            train(model, x, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x[:n_train].nbytes
 
 
 class TestTrainConfig:

@@ -4,13 +4,16 @@ The filter gradient sums in another order than the reference ``einsum``,
 so it must agree within a relative tolerance of 1e-12, taken against the
 sum of the absolute products each entry adds up (the scale its rounding
 error grows with). Everything else keeps its arithmetic and must match
-bit for bit: the input and bias gradients, every LSTM output and gradient,
-and the pooled values and routed gradients, ties included.
+bit for bit: the input and bias gradients, the sigmoid (signed zeros,
+subnormals, the exp overflow edges and infinities included; a NaN input
+only has to stay NaN), every LSTM output and gradient, and the pooled
+values and routed gradients, ties included.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cloudguard.nn import MaxPool1dLayer
 from cloudguard.nn import layers as L
@@ -66,6 +69,35 @@ class TestConvBackward:
         np.testing.assert_array_equal(dbias_skip, dbias)
 
 
+def assert_bits_equal(got, ref):
+    """Equal as IEEE bit patterns, so -0.0 differs from 0.0."""
+    assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+TINY = np.finfo(np.float64).smallest_subnormal
+SIGMOID_EDGES = np.array([0.0, -0.0, TINY, -TINY, 2.2e-308, -2.2e-308, 1e-300, 709.0,
+                          -709.0, 709.8, -709.8, 745.0, -745.0, 746.0, -746.0, 1e308,
+                          -1e308, np.inf, -np.inf])
+
+
+class TestSigmoidAgainstMaskedReference:
+    def test_edges_bitwise(self):
+        assert_bits_equal(L._sigmoid(SIGMOID_EDGES), oracle.sigmoid(SIGMOID_EDGES))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=6),
+                      elements=st.floats(allow_nan=False, allow_subnormal=True)))
+    def test_arrays_bitwise(self, z):
+        assert_bits_equal(L._sigmoid(z), oracle.sigmoid(z))
+
+    def test_nan_stays_nan(self):
+        z = np.concatenate([SIGMOID_EDGES, [np.nan, -np.nan]])
+        got, ref = L._sigmoid(z), oracle.sigmoid(z)
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.isnan(got[-2:]).all()
+
+
 class TestLstmAgainstZeroStateReference:
     @settings(max_examples=150, deadline=None)
     @given(b=sizes, t=sizes, c_in=sizes, h=sizes, seed=seeds)
@@ -87,6 +119,23 @@ class TestLstmAgainstZeroStateReference:
         assert no_dx is None
         for name, g in skip_grads.items():
             np.testing.assert_array_equal(g, grads[name], err_msg=name)
+
+    @settings(max_examples=20, deadline=None)
+    @given(t=sizes, seed=seeds)
+    def test_gradients_keep_the_sign_of_zero(self, t, seed):
+        # g = tanh(0) = 0 and a negative dout make each dz_i a -0.0; the
+        # reference sums into zeros, so its input-gate gradients are +0.0
+        rng = np.random.default_rng(seed)
+        p = random_lstm_params(rng, 2, 3)
+        p.w_g[...] = 0.0
+        p.b_g[...] = 0.0
+        x = rng.normal(size=(1, t, 2))
+        dout = -np.ones((1, 3))
+        _, grads = L.lstm_backward_batch(dout, L.lstm_forward_batch(x, p)[1], p)
+        _, ref_grads = oracle.lstm_backward_batch(dout, oracle.lstm_forward_batch(x, p)[1], p)
+        assert not np.signbit(grads["b_i"]).any()
+        for name, g in grads.items():
+            assert_bits_equal(g, ref_grads[name])
 
 
 class TestValuesOnlyPool:

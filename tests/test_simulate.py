@@ -311,10 +311,21 @@ def test_read_events_rejects_garbage(tmp_path):
                          ("confident", 1), ("action_id", 999), ("action_id", -4),
                          ("action_id", 2.9), ("action_id", True),
                          ("window_id", 0.7), ("window_id", False),
-                         ("threat_level", 4.0), ("threat_level", True)):
+                         ("threat_level", 4.0), ("threat_level", True),
+                         ("max_probability", "0.9"), ("attack_damage", True),
+                         ("threat_score", "1e0"), ("collateral_damage", 10**400)):
         p.write_text(json.dumps({**good, field: value}) + "\n")
         with pytest.raises(InputError):
             read_events(p)
+    for field, value in (("started_at", "nan"), ("started_at", float("nan")),
+                         ("finished_at", float("inf")), ("finished_at", False)):
+        p.write_text(json.dumps({**good, "timing": {**good["timing"],
+                                                    field: value}}) + "\n")
+        with pytest.raises(InputError):
+            read_events(p)
+    # a JSON integer is a number
+    p.write_text(json.dumps({**good, "attack_damage": 1}) + "\n")
+    assert read_events(p)[0].attack_damage == 1.0
 
 
 def test_read_events_rejects_ids_out_of_order(small_run, tmp_path):
