@@ -49,20 +49,19 @@ for name, idx in (("benign", 5), ("ddos", 25), ("exfiltration", 100)):
     print(f"  window {idx:3d} ({name:12s}): {parts}")
 
 # 3. verdict + fused context -> score -> one of five levels in three bands.
-#    The rule engine supplies quick verdicts here; the neural detector
-#    plugs into the same scoring path.
+#    The rule engine supplies quick verdicts here, one verdict of arrays for
+#    the whole stream; the neural detector's classify_series plugs into the
+#    same scoring path.
 engine = RuleBasedDetector(default_rules(), layout)
+verdict = engine.classify_batch(vectors)
+fused, _ = fuse(embed_window(normed, layout, embedders), scorer)
+scores = threat_score(verdict, context_from_fused(fused))
+levels = [level_for_score(score) for score in scores]
 print("\nwindow  truth              score  level  band")
-levels = []
-for i, win in enumerate(stream.windows):
-    verdict = engine.classify(vectors[i])
-    fused, _ = fuse(embed_window(normed[i], layout, embedders), scorer)
-    score = threat_score(verdict, context_from_fused(fused))
-    level = level_for_score(score)
-    levels.append(level)
-    if i in (5, 25, 60, 100):
-        truth = win.label or "benign"
-        print(f"{i:6d}  {truth:18s} {score:.3f}  {level.level:5d}  {level.band}")
+for i in (5, 25, 60, 100):
+    truth = stream.windows[i].label or "benign"
+    level = levels[i]
+    print(f"{i:6d}  {truth:18s} {scores[i]:.3f}  {level.level:5d}  {level.band}")
 
 # 4. the whole stream summarized as band fractions
 dist = summarize_threats(levels)

@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .detector import ThreatVerdict
+from .detector import ThreatVerdict, verdict
 from .errors import InputError
 from .features import FeatureLayout
 from .telemetry import LABELS
@@ -66,14 +66,17 @@ class RuleBasedDetector:
                 f"feature vector shape {raw_features.shape} does not match "
                 f"layout dimension {self.layout.dim}"
             )
-        return self.classify_batch(raw_features[None])[0]
+        return verdict(self.classify_batch(raw_features[None]).probabilities[0], 1.0)
 
-    def classify_batch(self, raw: np.ndarray) -> list[ThreatVerdict]:
-        """``classify`` on every row of ``[N, D]`` raw features at once.
+    def classify_batch(self, raw: np.ndarray) -> ThreatVerdict:
+        """``classify`` on every row of ``[N, D]`` raw features at once, as
+        one verdict of ``[N]`` arrays.
 
         Column r of the hit matrix says whether rule r fires; a last,
         always-true column stands for benign, so the first hit per row is
-        its argmax.
+        its argmax. Rule verdicts are one-hot and always confident: a
+        signature either fires or it does not, there is no probability mass
+        to threshold.
         """
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 2 or raw.shape[1] != self.layout.dim:
@@ -84,16 +87,7 @@ class RuleBasedDetector:
         hits = np.ones((len(raw), len(self.rules) + 1), dtype=bool)
         for r, (rule, idx) in enumerate(zip(self.rules, self._indices)):
             hits[:, r] = rule.matches(raw[:, idx])
-        return [_one_hot_verdict(int(k)) for k in self._labels[hits.argmax(axis=1)]]
-
-
-def _one_hot_verdict(predicted: int) -> ThreatVerdict:
-    """Rule verdicts are always confident: a signature either fires or it
-    does not, there is no probability mass to threshold."""
-    probs = np.zeros(len(LABELS))
-    probs[predicted] = 1.0
-    return ThreatVerdict(probabilities=probs, predicted=predicted,
-                         max_probability=1.0, confident=True)
+        return verdict(np.eye(len(LABELS))[self._labels[hits.argmax(axis=1)]], 1.0)
 
 
 def parse_rules(doc: dict) -> tuple[Rule, ...]:

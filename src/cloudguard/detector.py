@@ -19,7 +19,7 @@ from .config import read_config
 from .errors import (CheckpointError, ConfigError, DimensionError, InputError,
                      TrainingDivergedError)
 from .features import FeatureLayout, NormStats, extract_features, fit_normalizer, normalize
-from .nn import Adam, Conv1dLayer, DenseLayer, LstmLayer, MaxPool1dLayer, ModelGraph, Sgd
+from .nn import Adam, Conv1dLayer, DenseLayer, LstmLayer, MaxPool1dLayer, ModelGraph
 from .nn import layers as nnl
 from .nn.checkpoint import load_params, restore_into, save_params
 from .telemetry import LABELS
@@ -147,20 +147,23 @@ def prepare_dataset(stream, layout: FeatureLayout, seq_len: int,
 
 @dataclass(frozen=True)
 class ThreatVerdict:
-    """Classification outcome for one sequence."""
+    """Classification outcome: scalar fields over one sequence's ``[K]``
+    probabilities, or ``[N]`` arrays over a run's ``[N, K]`` rows."""
 
     probabilities: np.ndarray
-    predicted: int
-    max_probability: float
-    confident: bool
+    predicted: int | np.ndarray
+    max_probability: float | np.ndarray
+    confident: bool | np.ndarray
 
 
-def _verdict(probs: np.ndarray, threshold: float) -> ThreatVerdict:
-    predicted = int(np.argmax(probs))  # lowest index wins ties
-    max_prob = float(probs[predicted])
+def verdict(probs: np.ndarray, threshold: float) -> ThreatVerdict:
+    """The verdict on ``[K]`` class probabilities, or on ``[N, K]`` rows."""
+    predicted = probs.argmax(axis=-1)  # lowest index wins ties
+    max_prob = probs.max(axis=-1)
+    if probs.ndim == 1:
+        predicted, max_prob = int(predicted), float(max_prob)
     return ThreatVerdict(probabilities=probs, predicted=predicted,
-                         max_probability=max_prob,
-                         confident=max_prob >= threshold)
+                         max_probability=max_prob, confident=max_prob >= threshold)
 
 
 def classify(model: ModelGraph, sequence: np.ndarray,
@@ -169,7 +172,7 @@ def classify(model: ModelGraph, sequence: np.ndarray,
     sequence = np.asarray(sequence, dtype=np.float64)
     if sequence.ndim != 2:
         raise DimensionError(f"sequence must be [T, D], got shape {sequence.shape}")
-    return _verdict(model.forward(sequence[None])[0], threshold)
+    return verdict(model.forward(sequence[None])[0], threshold)
 
 
 SERIES_CHUNK = 32  # windows per batched forward in classify_series
@@ -191,11 +194,12 @@ def _shared_prefix(model: ModelGraph) -> int:
 
 
 def classify_series(model: ModelGraph, arch: ArchConfig, normed: np.ndarray,
-                    threshold: float = DEFAULT_THRESHOLD) -> list[ThreatVerdict]:
-    """Classify every window of a run's ``[N, D]`` normalized series.
+                    threshold: float = DEFAULT_THRESHOLD) -> ThreatVerdict:
+    """Classify every window of a run's ``[N, D]`` normalized series into
+    one verdict of ``[N]`` arrays.
 
-    Window i's verdict is ``classify`` on the ``seq_len`` windows ending at
-    i, with window 0 repeated in front of the series for warm-up. The
+    Row i of the verdict is ``classify`` on the ``seq_len`` windows ending
+    at i, with window 0 repeated in front of the series for warm-up. The
     leading convolutions run once per chunk of windows instead of once per
     sequence (the activation caching of Fast WaveNet), and the rest of the
     stack runs batched on per-sequence slices of their output.
@@ -210,7 +214,7 @@ def classify_series(model: ModelGraph, arch: ArchConfig, normed: np.ndarray,
                              f"{normed.shape}")
     n = len(normed)
     if n == 0:
-        return []
+        return verdict(np.zeros((0, arch.num_classes)), threshold)
     n_prefix = _shared_prefix(model)
     t = arch.seq_len
     # rows a sequence of t windows keeps after the shared valid convolutions
@@ -230,8 +234,7 @@ def classify_series(model: ModelGraph, arch: ArchConfig, normed: np.ndarray,
         for layer in model.layers[n_prefix:]:
             out, _ = layer.forward(out)
         probs.append(out)
-    probs = np.concatenate(probs)[:n]
-    return [_verdict(p, threshold) for p in probs]
+    return verdict(np.concatenate(probs)[:n], threshold)
 
 
 def predict_probs(model: ModelGraph, x: np.ndarray) -> np.ndarray:
@@ -254,7 +257,6 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     val_fraction: float = 0.15
-    optimizer: str = "adam"  # or "sgd"
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -263,8 +265,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 def _class_weights(y: np.ndarray, num_classes: int) -> np.ndarray:
@@ -305,7 +305,7 @@ def train(model: ModelGraph, x: np.ndarray, y: np.ndarray,
         val_idx = train_idx = np.arange(len(x))
     y_train, y_val = y[train_idx], y[val_idx]
     weights = _class_weights(y_train, num_classes)
-    optimizer = Adam(lr=cfg.lr) if cfg.optimizer == "adam" else Sgd(lr=cfg.lr)
+    optimizer = Adam(lr=cfg.lr)
     history: list[dict] = []
     best: tuple[float, dict] | None = None  # set by the first epoch; epochs >= 1
     params = model.parameters()
@@ -433,10 +433,8 @@ def evaluate(model: ModelGraph, x: np.ndarray, y: np.ndarray,
     """Score a model on labeled sequences with confidence gating."""
     if len(x) == 0:
         raise InputError("evaluation set is empty")
-    probs = predict_probs(model, np.asarray(x, dtype=np.float64))
-    return DetectionMetrics.from_rows(y, probs.argmax(axis=1),
-                                      probs.max(axis=1) >= threshold,
-                                      classes, benign_index)
+    v = verdict(predict_probs(model, np.asarray(x, dtype=np.float64)), threshold)
+    return DetectionMetrics.from_rows(y, v.predicted, v.confident, classes, benign_index)
 
 
 def save_detector(path: str, model: ModelGraph, arch: ArchConfig,

@@ -30,7 +30,7 @@ from numpy.random import Generator, Philox
 
 from .enforcement import BLOCKED, enforce_window
 from .errors import ConfigError, EnvironmentFault
-from .perception import DEFAULT_SEVERITY
+from .perception import SEVERITY
 from .policy import (
     ACTION_CATALOG,
     RECENT_OFFSET,
@@ -52,11 +52,9 @@ _LOAD_RANGES = {
     "data_exfiltration": (0.30, 0.80),
 }
 
-# per label id: the load band's low end and width, and the severity the
-# synthesized read scales its threat by
+# per label id: the load band's low end and width
 _LOAD_LOW = np.array([_LOAD_RANGES[k][0] for k in LABELS])
 _LOAD_SPAN = np.array([_LOAD_RANGES[k][1] - _LOAD_RANGES[k][0] for k in LABELS])
-_SEVERITY = np.array([DEFAULT_SEVERITY[k] for k in LABELS])
 
 # the catalog action ids and their costs
 _ACTION_IDS = np.arange(len(ACTION_CATALOG))
@@ -133,7 +131,7 @@ def draw_episode(cfg: EnvConfig, episode: int) -> Episode:
     max_p = 0.75 + (0.995 - 0.75) * confidence
     probs = np.repeat(((1.0 - max_p) / (len(LABELS) - 1))[:, None], len(LABELS), axis=1)
     probs[np.arange(n), perceived] = max_p
-    threat = max_p * _SEVERITY[perceived] * (0.5 + (0.95 - 0.5) * context)
+    threat = max_p * SEVERITY[perceived] * (0.5 + (0.95 - 0.5) * context)
     code, attack_damage, collateral = enforce_window(
         _ACTION_IDS, kind[:, None], intensity[:, None], load[:, None])
     return Episode(

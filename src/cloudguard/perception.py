@@ -32,7 +32,8 @@ SOURCES = ("traffic", "logs", "behavior")
 # which layout segment feeds each source embedder
 SOURCE_SEGMENTS = {"traffic": "traffic", "logs": "time_series", "behavior": "behavior"}
 
-# relative severity of each predicted class when scoring threats
+# relative severity of each predicted class when scoring threats, and the
+# same by label id
 DEFAULT_SEVERITY = {
     "benign": 0.05,
     "ddos": 1.0,
@@ -41,6 +42,7 @@ DEFAULT_SEVERITY = {
     "brute_force": 0.8,
     "data_exfiltration": 1.0,
 }
+SEVERITY = np.array([DEFAULT_SEVERITY[k] for k in LABELS])
 
 # level k covers [edge_{k-1}, edge_k); scores at an edge take the upper level
 BAND_EDGES = (0.2, 0.4, 0.6, 0.8)
@@ -197,12 +199,13 @@ def context_from_fused(fused: np.ndarray) -> float | np.ndarray:
     return 0.5 + 0.5 * np.tanh(np.abs(np.asarray(fused)).mean(axis=-1))
 
 
-def threat_score(verdict, context_factor: float) -> float:
-    """Raw threat score: max probability x class severity x context factor."""
-    if not 0.0 <= context_factor <= 1.0:
+def threat_score(verdict, context_factor):
+    """Raw threat score: max probability x class severity x context factor,
+    a float for one window's verdict, ``[N]`` scores for a run's verdict."""
+    if not np.all((0.0 <= context_factor) & (context_factor <= 1.0)):
         raise InputError(f"context factor must be in [0, 1], got {context_factor}")
-    sev = DEFAULT_SEVERITY[LABELS[verdict.predicted]]
-    return float(verdict.max_probability * sev * context_factor)
+    score = verdict.max_probability * SEVERITY[verdict.predicted] * context_factor
+    return float(score) if score.ndim == 0 else score
 
 
 def level_for_score(score: float) -> ThreatLevel:

@@ -11,8 +11,9 @@ everything else can be compared byte for byte.
 A run has three phases, all in one thread. Detect: featurize the whole run in
 one call, classify it in one batched call (``classify_series`` for a network,
 ``RuleBasedDetector.classify_batch`` for the rules and for accept-all, the
-rule detector with no rules), perceive the whole run in one call, then score
-every window's threat and, given a policy, key every window with its
+rule detector with no rules) into one verdict of ``[N]`` arrays, perceive the
+whole run in one call, then score every window's threat in one
+``threat_score`` call and, given a policy, key every window with its
 recent-action bucket 0 in one pass. Walk: choose each window's action, in
 order, since each decision adds its ``RECENT_OFFSET`` to the next window's
 key. Enforce: one ``apply_action`` call over the run.
@@ -280,9 +281,9 @@ class _Pipeline:
 def _run_detection(pipe: _Pipeline, windows, threshold: float):
     """Featurize the run in one call, then classify it in one batched call.
 
-    Returns the verdicts, each window's detection latency in ms (an equal
-    share of the featurize call plus an equal share of the classify call)
-    and the normalized feature matrix that perception reads.
+    Returns the run's verdict, each window's detection latency in ms (an
+    equal share of the featurize call plus an equal share of the classify
+    call) and the normalized feature matrix that perception reads.
     """
     t0 = time.perf_counter()
     raw = extract_features(windows, pipe.layout)
@@ -297,12 +298,12 @@ def _run_detection(pipe: _Pipeline, windows, threshold: float):
     t0 = time.perf_counter()
     if pipe.neural is not None:
         model, arch, _ = pipe.neural
-        verdicts = classify_series(model, arch, normed, threshold)
+        verdict = classify_series(model, arch, normed, threshold)
     else:
-        verdicts = pipe.rules.classify_batch(raw)
+        verdict = pipe.rules.classify_batch(raw)
     classify_ms = (time.perf_counter() - t0) * 1e3
     share_ms = (feature_ms + classify_ms) / max(len(windows), 1)
-    return verdicts, [share_ms] * len(windows), normed
+    return verdict, [share_ms] * len(windows), normed
 
 
 def _window_load(window, benign_rate: float) -> float:
@@ -341,25 +342,25 @@ def _truth_arrays(truths):
     return kind_ids, np.fromiter(intensity, np.float64, n), load
 
 
-def _respond(pipe: _Pipeline, truths, verdicts, detect_ms,
+def _respond(pipe: _Pipeline, truths, verdict, detect_ms,
              normed) -> list[PipelineEvent]:
     """Perceive and key the run, walk its decisions in order, enforce the run.
 
     ``truths`` holds each window's (kind, intensity, load) from
-    ``window_truths``; ``normed`` is the run's ``[N, D]`` feature matrix.
-    Window i's key is its base key, from one pass over the run as in
-    ``environment.draw_episode``, plus ``RECENT_OFFSET`` of action i - 1.
+    ``window_truths``; ``verdict`` is the run's verdict of ``[N]`` arrays and
+    ``normed`` its ``[N, D]`` feature matrix. Window i's key is its base
+    key, from one pass over the run as in ``environment.draw_episode``, plus
+    ``RECENT_OFFSET`` of action i - 1.
     """
     n = len(truths)
     kinds, intensity, load = _truth_arrays(truths)
     t0 = time.perf_counter()
     fused, _ = fuse(embed_window(normed, pipe.layout, pipe.embedders), pipe.scorer)
-    scores = [threat_score(v, c) for v, c in zip(verdicts, context_from_fused(fused))]
+    scores = threat_score(verdict, context_from_fused(fused)).tolist()
     levels = [level_for_score(score).level for score in scores]
     if pipe.tables is not None:
         base = encode_state(compose_indicators(
-            np.array(scores), load, np.array([v.probabilities for v in verdicts]),
-            np.zeros(n))).tolist()
+            scores, load, verdict.probabilities, np.zeros(n))).tolist()
     shared_ms = (time.perf_counter() - t0) * 1e3 / n
 
     walk, offset = [], 0
@@ -375,15 +376,17 @@ def _respond(pipe: _Pipeline, truths, verdicts, detect_ms,
     codes, attack, collateral, enforce_ms = apply_action(actions, kinds, intensity, load)
     finished, execution_ms = time.time(), enforce_ms / n
     codes, attack, collateral = codes.tolist(), attack.tolist(), collateral.tolist()
+    predicted, confident, max_p = (a.tolist() for a in (
+        verdict.predicted, verdict.confident, verdict.max_probability))
     return [PipelineEvent(
-        window_id=i, truth=kind, predicted=LABELS[verdict.predicted],
-        confident=verdict.confident, max_probability=verdict.max_probability,
+        window_id=i, truth=kind, predicted=LABELS[predicted[i]],
+        confident=confident[i], max_probability=max_p[i],
         threat_score=scores[i], threat_level=levels[i], action_id=actions[i],
         outcome=OUTCOMES[codes[i]], attack_damage=attack[i],
         collateral_damage=collateral[i],
         latency=LatencyBreakdown.from_parts(detect_ms[i], policy_ms[i], execution_ms),
         started_at=started[i], finished_at=finished)
-        for i, ((kind, _, _), verdict) in enumerate(zip(truths, verdicts))]
+        for i, (kind, _, _) in enumerate(truths)]
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +518,9 @@ def run_simulation(config: SimConfig) -> tuple[SimulationReport, list[PipelineEv
     pipe = _Pipeline(config)
     scenario = config.resolved_scenario()
     stream = generate_stream(scenario)
-    verdicts, detect_ms, normed = _run_detection(pipe, stream.windows,
-                                                 config.threshold)
-    events = _respond(pipe, window_truths(scenario, stream.windows), verdicts,
+    verdict, detect_ms, normed = _run_detection(pipe, stream.windows,
+                                                config.threshold)
+    events = _respond(pipe, window_truths(scenario, stream.windows), verdict,
                       detect_ms, normed)
     return build_report(config, events), events
 
@@ -526,10 +529,10 @@ def evaluate_detection(config: SimConfig) -> DetectionMetrics:
     """Detection metrics of the configured run, without its response walk."""
     pipe = _Pipeline(config)
     windows = generate_stream(config.resolved_scenario()).windows
-    verdicts, _, _ = _run_detection(pipe, windows, config.threshold)
+    verdict, _, _ = _run_detection(pipe, windows, config.threshold)
     return DetectionMetrics.from_rows(
         [LABEL_IDS[_window_kind(win)] for win in windows],
-        [v.predicted for v in verdicts], [v.confident for v in verdicts])
+        verdict.predicted, verdict.confident)
 
 
 # ---------------------------------------------------------------------------

@@ -118,12 +118,14 @@ def test_default_rules_score_well_on_generated_traffic(layout):
 
 def assert_batch_matches_rows(det, raw):
     batch = det.classify_batch(raw)
-    assert len(batch) == len(raw)
-    for row, got in zip(raw, batch):
+    assert batch.probabilities.shape == (len(raw), len(LABELS))
+    assert batch.predicted.shape == batch.max_probability.shape == \
+        batch.confident.shape == (len(raw),)
+    for i, row in enumerate(raw):
         want = det.classify(row)
-        assert got.predicted == want.predicted
-        assert got.confident and got.max_probability == 1.0
-        np.testing.assert_array_equal(got.probabilities, want.probabilities)
+        assert batch.predicted[i] == want.predicted
+        assert batch.confident[i] and batch.max_probability[i] == 1.0
+        np.testing.assert_array_equal(batch.probabilities[i], want.probabilities)
 
 
 def test_batch_matches_rows_on_generated_traffic(layout):
@@ -137,7 +139,7 @@ def test_batch_matches_rows_on_generated_traffic(layout):
     raw = np.array([extract_features(w, layout) for w in stream.windows])
     det = RuleBasedDetector(default_rules(), layout)
     assert_batch_matches_rows(det, raw)
-    assert {v.predicted for v in det.classify_batch(raw)} != {0}
+    assert set(det.classify_batch(raw).predicted.tolist()) != {0}
 
 
 def test_batch_rejects_wrong_shape(layout):
@@ -146,7 +148,7 @@ def test_batch_rejects_wrong_shape(layout):
         det.classify_batch(np.zeros(layout.dim))
     with pytest.raises(InputError):
         det.classify_batch(np.zeros((3, 7)))
-    assert det.classify_batch(np.zeros((0, layout.dim))) == []
+    assert det.classify_batch(np.zeros((0, layout.dim))).probabilities.shape == (0, 6)
 
 
 # every operator, and two rules on one feature, so order and ties matter

@@ -15,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cloudguard import baseline, detector
 from cloudguard.detector import ArchConfig, TrainConfig
 from cloudguard.environment import DefenseEnv, EnvConfig, defense_train_config
 from cloudguard.nn import Conv1dLayer, DenseLayer, LstmLayer
 from cloudguard.errors import InputError
+from cloudguard.features import build_layout
 from cloudguard.policy import (N_STATES, Action, ConvergenceCurve, DoubleQTables,
                                PolicyTrainConfig, save_qtables, train_policy)
 from cloudguard.scenario import AttackSpec, ScenarioConfig, generate_stream
@@ -88,6 +90,27 @@ def test_traced_simulation_passes_through_every_response_probe(tmp_path):
     assert counters["scenario.windows"] == 12
     assert counters["scenario.events"] == \
         sum(w.event_count for w in generate_stream(scenario).windows)
+
+
+def test_traced_classify_records_each_detectors_verdict_counter():
+    # the classify probes read the one-sequence verdict of each detector
+    arch = ArchConfig(feature_dim=8, conv_filters=(4, 4, 8, 8), lstm_hidden=8,
+                      fc_widths=(8,))
+    model = detector.build_model(arch)
+    layout = build_layout()
+    rules = baseline.RuleBasedDetector((baseline.Rule(
+        label="ddos", feature="traffic.flow_count", op=">=", threshold=0.0),), layout)
+    probes, tracing = _load("probes"), _load("tracing")
+    tracer = tracing.Tracer()
+    try:
+        probes.install(tracer)
+        detector.classify(model, np.zeros((arch.seq_len, arch.feature_dim)), 0.0)
+        rules.classify(np.zeros(layout.dim))
+    finally:
+        tracer.uninstall()
+    spans, counters = tracer.spans(), tracer.counters()
+    assert spans.count("detector.classify") == spans.count("baseline.classify") == 1
+    assert counters["detector.confident"] == counters["baseline.matched"] == 1
 
 
 class _CountingEnv(DefenseEnv):

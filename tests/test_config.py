@@ -89,7 +89,7 @@ def test_class_checks_and_shape_errors_are_config_errors():
               seed=5, fixed_action=7),
     ArchConfig(seq_len=8, conv_filters=(4, 4), pool_after=(2,),
                fc_widths=(8,)),
-    TrainConfig(epochs=2, lr=0.01, optimizer="sgd"),
+    TrainConfig(epochs=2, lr=0.01),
     defense_train_config(seed=4),
     EnvConfig(seed=2, intensity_range=(0.4, 0.9)),
 ], ids=lambda c: type(c).__name__)

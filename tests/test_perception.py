@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cloudguard.detector import ThreatVerdict
+from cloudguard.detector import ThreatVerdict, verdict
 from cloudguard.errors import DimensionError, InputError
 from cloudguard.features import build_layout
 from cloudguard.perception import (
@@ -242,6 +242,18 @@ class TestThreatLevels:
         assert threat_score(v, 0.5) == pytest.approx(0.9 * 1.0 * 0.5)
         v2 = verdict_with([0.9, 0.02, 0.02, 0.02, 0.02, 0.02])
         assert threat_score(v2, 1.0) == pytest.approx(0.9 * DEFAULT_SEVERITY["benign"])
+
+    def test_threat_score_of_a_run_is_each_windows_score(self):
+        rows = np.random.default_rng(3).dirichlet(np.ones(len(DEFAULT_SEVERITY)),
+                                                  size=20)
+        context = np.linspace(0.0, 1.0, 20)
+        scores = threat_score(verdict(rows, 0.5), context)
+        assert scores.shape == (20,)
+        assert scores.tolist() == [threat_score(verdict(r, 0.5), c)
+                                   for r, c in zip(rows, context)]
+        for bad in (1.5, np.nan):
+            with pytest.raises(InputError):
+                threat_score(verdict(rows, 0.5), np.append(context[1:], bad))
 
     def test_assessment_monotone_in_probability(self):
         context = 0.8

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from cloudguard import simulate
-from cloudguard.detector import (SERIES_CHUNK, ArchConfig, build_model,
+from cloudguard.baseline import RuleBasedDetector
+from cloudguard.detector import (SERIES_CHUNK, ArchConfig, ThreatVerdict, build_model,
                                  save_detector)
 from cloudguard.enforcement import LatencyBreakdown
 from cloudguard.errors import (CheckpointError, ComparisonError, ConfigError,
@@ -677,3 +678,25 @@ def test_neural_run_starts_no_thread(neural_cfg, monkeypatch):
     assert "concurrent.futures" not in source
     assert "ThreadPoolExecutor" not in source
 
+
+@pytest.mark.parametrize("neural", [False, True], ids=["rules", "neural"])
+def test_run_builds_one_verdict_per_classify_call(neural, neural_cfg, monkeypatch):
+    built, calls = [], []
+    original = ThreatVerdict.__init__
+
+    def counting_init(verdict, *args, **kwargs):
+        built.append(verdict)
+        original(verdict, *args, **kwargs)
+
+    def counted(real):
+        return lambda *args, **kwargs: (calls.append(real), real(*args, **kwargs))[1]
+
+    monkeypatch.setattr(ThreatVerdict, "__init__", counting_init)
+    monkeypatch.setattr(RuleBasedDetector, "classify_batch",
+                        counted(RuleBasedDetector.classify_batch))
+    monkeypatch.setattr(simulate, "classify_series", counted(simulate.classify_series))
+    cfg = neural_cfg if neural else SimConfig(scenario=small_scenario(seed=4),
+                                              detector="baseline")
+    _, events = run_simulation(cfg)
+    assert len(events) == 90
+    assert len(calls) == len(built) == 1
