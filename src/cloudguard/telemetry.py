@@ -14,13 +14,14 @@ two codes are equal exactly when their strings are. The vocabulary is
 an action, subsystem or protocol of the fixed catalogs has the same code in
 every window, and a window has one column representation.
 
-``TelemetryEvent`` objects exist only at the edges: JSON lines, and windows
-built by hand from a list of events. ``window.events`` is a lazy view that
-counts without building objects and builds them only when read; events
-with equal timestamps come out flow, then log, then behavior.
+``TelemetryEvent`` objects exist only for windows built by hand from a list
+of events and when ``window.events`` is read: a lazy view that counts
+without building objects; events with equal timestamps come out flow, then
+log, then behavior. JSON lines are written from and read into columns.
 """
 
 import csv
+import functools
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -217,38 +218,59 @@ def encode_strings(sources: list[dict], window_of: list[np.ndarray], n_windows: 
     return [FIXED_STRINGS + vocab[a:b] for a, b in zip(firsts, firsts[1:])]
 
 
-def _column(values: list, what: str, dtype=np.int64) -> np.ndarray:
-    """One column from event field values, which must be integers (or, for
-    a bool column, booleans): no silent truncation of floats or strings."""
-    arr = np.array(values)
-    if len(arr) and arr.dtype.kind != np.dtype(dtype).kind:
-        raise InputError(f"{what} must hold {np.dtype(dtype).name} values")
+def _column(values: list, dtype=np.int64) -> np.ndarray | None:
+    """One column from field values, or None unless all are integers (for a
+    bool column, booleans): no silent truncation of floats or strings."""
+    try:
+        arr = np.array(values)
+    except ValueError:  # ragged nested lists
+        return None
+    if len(arr) and (arr.ndim != 1 or arr.dtype.kind != np.dtype(dtype).kind):
+        return None
     return arr.astype(dtype)
 
 
-def _columns_from_events(events: list[TelemetryEvent]):
-    """Split hand-built or parsed events into per-source columns."""
-    if (np.diff(_column([ev.timestamp for ev in events], "timestamp")) < 0).any():
-        raise InputError("events must be sorted by timestamp")
+def _build_columns(rows: list[tuple[list, list, list]], n_windows: int = 1,
+                   where=lambda kind, row: "") -> tuple[list[dict], list[tuple]]:
+    """Check each source's timestamps and payload field dicts (``rows``,
+    with each row's window) and make them column dicts, string fields as
+    codes into the window's vocabulary; returns the dicts and vocabularies.
+    ``where(kind, row)`` prefixes an error with the row's location."""
     key_of = dict(FIXED_CODES)  # string -> key, in order of first sight
     sources = []
-    for cls in SOURCE_COLUMNS:
-        rows = [(ev.timestamp, getattr(ev, cls.kind)) for ev in events
-                if ev.kind == cls.kind]
-        cols = {"timestamp": _column([ts for ts, _ in rows], "timestamp")}
-        for name in cls.names[1:]:
-            values = [getattr(p, name) for _, p in rows]
-            what = f"{cls.kind} field {name}"
+    for cls, (stamps, payloads, _) in zip(SOURCE_COLUMNS, rows):
+        cols = {}
+        for name in cls.names:
+            values = stamps if name == "timestamp" else [p[name] for p in payloads]
+            what = name if name == "timestamp" else f"{cls.kind} field {name}"
             if name in STRING_FIELDS:
-                if not all(isinstance(v, str) for v in values):
-                    raise InputError(f"{what} must hold strings")
+                bad = next((i for i, v in enumerate(values) if not isinstance(v, str)), None)
+                if bad is not None:
+                    raise InputError(f"{where(cls.kind, bad)}{what} must hold strings")
                 values = [key_of.setdefault(v, len(key_of)) for v in values]
-            cols[name] = _column(values, what, bool if name in _BOOL_FIELDS else np.int64)
+            dtype = bool if name in _BOOL_FIELDS else np.int64
+            cols[name] = _column(values, dtype)
+            if cols[name] is None:
+                bad = next((i for i, v in enumerate(values) if _column([v], dtype) is None), 0)
+                raise InputError(f"{where(cls.kind, bad)}{what} must hold "
+                                 f"{np.dtype(dtype).name} values")
         sources.append(cols)
     spelled = list(key_of)
-    strings, = encode_strings(sources, [np.zeros(len(cols["timestamp"]), np.int64)
-                                        for cols in sources], 1,
-                              lambda keys: [spelled[k] for k in keys.tolist()])
+    window_of = [np.array(wins, dtype=np.int64) for _, _, wins in rows]
+    return sources, encode_strings(sources, window_of, n_windows,
+                                   lambda keys: [spelled[k] for k in keys.tolist()])
+
+
+def _columns_from_events(events: list[TelemetryEvent]):
+    """Split hand-built events into per-source columns."""
+    rows = []
+    for cls in SOURCE_COLUMNS:
+        evs = [ev for ev in events if ev.kind == cls.kind]
+        rows.append(([ev.timestamp for ev in evs], [vars(getattr(ev, cls.kind)) for ev in evs],
+                     [0] * len(evs)))
+    sources, (strings,) = _build_columns(rows)
+    if any(b.timestamp < a.timestamp for a, b in zip(events, events[1:])):
+        raise InputError("events must be sorted by timestamp")
     return [cls(**cols) for cls, cols in zip(SOURCE_COLUMNS, sources)], strings
 
 
@@ -282,9 +304,9 @@ class EventView(Sequence):
 class TelemetryWindow:
     """Events inside ``[start, end)`` as per-source columns.
 
-    Built by hand (or by the JSON-lines reader) from a timestamp-sorted list
-    of events, or by the generator from ready columns, slices of its run's
-    columns, whose string fields are codes into ``strings``.
+    Built by hand from a timestamp-sorted list of events, or by the
+    generator and the JSON-lines reader from ready columns, slices of their
+    run's columns, whose string fields are codes into ``strings``.
     """
 
     def __init__(self, start: int, end: int, events=(), label: str | None = None, *,
@@ -370,40 +392,38 @@ class TelemetryWindow:
                 f"label={self.label!r}, events={self.event_count})")
 
 
-def event_to_dict(ev: TelemetryEvent) -> dict:
-    d = {"kind": ev.kind, "timestamp": ev.timestamp}
-    if ev.flow is not None:
-        d["flow"] = vars(ev.flow).copy()
-    if ev.log is not None:
-        d["log"] = vars(ev.log).copy()
-    if ev.behavior is not None:
-        d["behavior"] = vars(ev.behavior).copy()
-    return d
+_FIELD_ORDER = {cls.kind: sorted(cls.names[1:]) for cls in SOURCE_COLUMNS}
 
 
-def event_from_dict(d: dict) -> TelemetryEvent:
-    try:
-        kind = d["kind"]
-        timestamp = d["timestamp"]
-    except KeyError as exc:
-        raise InputError(f"event record missing field {exc}") from exc
-    try:
-        flow = FlowData(**d["flow"]) if "flow" in d else None
-        log = LogData(**d["log"]) if "log" in d else None
-        behavior = BehaviorData(**d["behavior"]) if "behavior" in d else None
-    except TypeError as exc:
-        raise InputError(f"malformed event payload: {exc}") from exc
-    return TelemetryEvent(kind=kind, timestamp=timestamp, flow=flow, log=log,
-                          behavior=behavior)
+def _template(kind: str) -> str:
+    """A ``kind`` event's line of ``json.dumps(record, sort_keys=True)``: a
+    ``%s`` for each payload field in sorted order, then the timestamp."""
+    parts = {kind: "{%s}" % ", ".join(f'"{name}": %s' for name in _FIELD_ORDER[kind]),
+             "kind": f'"{kind}"', "timestamp": "%s"}
+    return "{%s}\n" % ", ".join(f'"{key}": {parts[key]}' for key in sorted(parts))
+
+
+_TEMPLATES = {kind: _template(kind) for kind in _FIELD_ORDER}
 
 
 def write_events_jsonl(path: str, windows: list[TelemetryWindow]) -> None:
-    """Write every event of every window as one JSON object per line."""
+    """Write every event of every window as one line of ``json.dumps(record,
+    sort_keys=True)``, formatted from the window's columns, each distinct
+    string JSON-encoded once. One stable sort by timestamp merges the
+    sources, so ties come out flow, log, behavior."""
+    encode = functools.cache(json.dumps)
     with open(path, "w", encoding="utf-8") as fh:
         for w in windows:
-            for ev in w.to_events():
-                fh.write(json.dumps(event_to_dict(ev), sort_keys=True))
-                fh.write("\n")
+            spelled = np.array([encode(s) for s in w.strings], dtype=object)
+            lines = []
+            for cols in w.sources:
+                args = [spelled[col] if name in STRING_FIELDS
+                        else np.where(col, "true", "false") if name in _BOOL_FIELDS else col
+                        for name in _FIELD_ORDER[cols.kind] + ["timestamp"]
+                        for col in [getattr(cols, name)]]
+                lines += map(_TEMPLATES[cols.kind].__mod__, zip(*[a.tolist() for a in args]))
+            order = np.argsort(np.concatenate([c.timestamp for c in w.sources]), kind="stable")
+            fh.writelines([lines[i] for i in order.tolist()])
 
 
 def write_label_sidecar(path: str, windows: list[TelemetryWindow]) -> None:
@@ -415,38 +435,85 @@ def write_label_sidecar(path: str, windows: list[TelemetryWindow]) -> None:
             writer.writerow([w.start, w.end, w.label if w.label is not None else ""])
 
 
+def _read_spans(path: str) -> list[tuple[int, int, str | None]]:
+    """The label sidecar's spans: two integers and a label each, non-empty,
+    in time order and disjoint."""
+    spans = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["start", "end", "label"]:
+            raise InputError(f"{path}: expected header start,end,label")
+        for row in filter(None, reader):  # a blank line holds no span
+            where = f"{path}:{reader.line_num}"
+            try:
+                start, end, label = row
+                start, end = int(start), int(end)
+            except ValueError:
+                raise InputError(f"{where}: expected integer start and end, then a label"
+                                 ) from None
+            if start >= end:
+                raise InputError(f"{where}: window start {start} must precede end {end}")
+            if spans and start < spans[-1][1]:
+                raise InputError(f"{where}: span [{start}, {end}) overlaps or precedes "
+                                 "the one before it")
+            spans.append((start, end, label or None))
+    return spans
+
+
+_RECORD_KEYS = {cls.kind: {"kind", "timestamp", cls.kind} for cls in SOURCE_COLUMNS}
+_PAYLOAD_KEYS = {cls.kind: set(cls.names[1:]) for cls in SOURCE_COLUMNS}
+
+
+def _record_fault(record, last: int) -> str | None:
+    """What is wrong with a parsed line as the event after timestamp ``last``."""
+    if type(record) is not dict:
+        return "expected a JSON object"
+    kind = record.get("kind")
+    if not isinstance(kind, str) or kind not in _RECORD_KEYS:
+        return f"unknown event kind {kind!r}"
+    if record.keys() != _RECORD_KEYS[kind]:
+        return f"a {kind} record holds exactly kind, timestamp and {kind}"
+    ts = record["timestamp"]
+    if type(ts) is not int or ts < 0:
+        return "timestamp must be a non-negative integer"
+    if ts < last:
+        return "events must be sorted by timestamp"
+    if type(record[kind]) is not dict or record[kind].keys() != _PAYLOAD_KEYS[kind]:
+        return f"{kind} must hold exactly the fields {', '.join(_FIELD_ORDER[kind])}"
+    return None
+
+
 def read_stream_jsonl(events_path: str, labels_path: str) -> list[TelemetryWindow]:
-    """Rebuild labeled windows from an events file and its label sidecar."""
-    events: list[TelemetryEvent] = []
+    """Rebuild labeled windows from an events file and its label sidecar:
+    each source's lines become the run's columns, cut into windows."""
+    spans = _read_spans(labels_path)
+    rows = {kind: [] for kind in _FIELD_ORDER}
+    last = span = 0
     with open(events_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                events.append(event_from_dict(json.loads(line)))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{events_path}:{lineno}: invalid JSON ({exc})") from exc
-    spans: list[tuple[int, int, str | None]] = []
-    with open(labels_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["start", "end", "label"]:
-            raise InputError(f"{labels_path}: expected header start,end,label")
-        for row in reader:
-            label = row["label"] or None
-            spans.append((int(row["start"]), int(row["end"]), label))
-    windows = []
-    idx = 0
-    for start, end, label in spans:
-        evs = []
-        while idx < len(events) and events[idx].timestamp < end:
-            if events[idx].timestamp < start:
-                raise InputError(
-                    f"event at {events[idx].timestamp} not covered by any window span"
-                )
-            evs.append(events[idx])
-            idx += 1
-        windows.append(TelemetryWindow(start=start, end=end, events=evs, label=label))
-    if idx != len(events):
-        raise InputError(f"{events_path}: {len(events) - idx} events past the last window")
-    return windows
+            fault = _record_fault(record, last)
+            if fault is None:
+                last = record["timestamp"]
+                while span < len(spans) and last >= spans[span][1]:
+                    span += 1
+                if span == len(spans) or last < spans[span][0]:
+                    fault = f"event at {last} not covered by any window span"
+            if fault:
+                raise InputError(f"{events_path}:{lineno}: {fault}")
+            rows[record["kind"]].append((last, record[record["kind"]], span, lineno))
+    # per source: timestamps, payloads, windows, line numbers
+    rows = {kind: list(zip(*rows[kind])) or [()] * 4 for kind in rows}
+    sources, strings = _build_columns([rows[kind][:3] for kind in rows], len(spans),
+                                      lambda kind, row: f"{events_path}:{rows[kind][3][row]}: ")
+    firsts = [np.searchsorted(rows[kind][2], np.arange(len(spans) + 1)).tolist()
+              for kind in rows]
+    return [TelemetryWindow(start, end, label=label, strings=strings[i], sources=tuple(
+                cls(**{name: col[at[i]:at[i + 1]] for name, col in cols.items()})
+                for cls, cols, at in zip(SOURCE_COLUMNS, sources, firsts)))
+            for i, (start, end, label) in enumerate(spans)]

@@ -19,8 +19,6 @@ from cloudguard.telemetry import (
     LogData,
     TelemetryEvent,
     TelemetryWindow,
-    event_from_dict,
-    event_to_dict,
     read_stream_jsonl,
     write_events_jsonl,
     write_label_sidecar,
@@ -95,12 +93,59 @@ class TestWindowValidation:
         assert w.events == []
 
 
-class TestSerialization:
-    def test_event_dict_round_trip(self):
-        for ev in (flow_event(), log_event(), behavior_event()):
-            assert event_from_dict(event_to_dict(ev)) == ev
+# one valid line of each source, for building malformed files around
+FLOW_LINE = {"kind": "flow", "timestamp": 10, "flow": {
+    "src": "10.0.0.1", "dst": "srv-1", "port": 443, "protocol": "tcp", "bytes": 100,
+    "packets": 2, "duration_ms": 5, "syn_flag": False, "payload_class": 0}}
+LOG_LINE = {"kind": "log", "timestamp": 20,
+            "log": {"severity": 3, "event_code": 120, "subsystem": "api"}}
 
+
+def _with(record: dict, **changes) -> str:
+    """``record`` as a JSON line, with top-level keys changed (a None value
+    drops the key) or, through ``payload``, its payload's fields changed."""
+    record = {**record, **changes}
+    payload = record.pop("payload", None)
+    if payload is not None:
+        record[record["kind"]] = {**record[record["kind"]], **payload}
+    return json.dumps({k: v for k, v in record.items() if v is not None})
+
+
+_MALFORMED = {
+    "array line": (["[1, 2]"], "expected a JSON object"),
+    "string line": (['"flow"'], "expected a JSON object"),
+    "string timestamp": ([_with(FLOW_LINE, timestamp="5")], "timestamp"),
+    "null timestamp": ([json.dumps({**FLOW_LINE, "timestamp": None})], "timestamp"),
+    "bool timestamp": ([_with(FLOW_LINE, timestamp=True)], "timestamp"),
+    "negative timestamp": ([_with(FLOW_LINE, timestamp=-1)], "timestamp"),
+    "unsorted": ([_with(LOG_LINE, timestamp=5)], "sorted"),
+    "extra key": ([_with(FLOW_LINE, extra=1)], "exactly kind, timestamp and flow"),
+    "missing kind": ([_with(FLOW_LINE, kind=None)], "unknown event kind"),
+    "second payload": ([_with(FLOW_LINE, log=LOG_LINE["log"])], "exactly"),
+    "extra field": ([_with(LOG_LINE, payload={"extra": 1})], "exactly the fields"),
+    "missing field": ([json.dumps({**LOG_LINE, "log": {"severity": 3, "event_code": 1}})],
+                      "exactly the fields"),
+    "float field": ([_with(LOG_LINE, payload={"severity": 2.5})], "severity must hold"),
+    "string field": ([_with(FLOW_LINE, payload={"port": "443"})], "port must hold"),
+    "list field": ([_with(FLOW_LINE, payload={"bytes": [1, 2]})], "bytes must hold"),
+    "huge field": ([_with(FLOW_LINE, payload={"bytes": 2**70})], "bytes must hold"),
+    "int bool": ([_with(FLOW_LINE, payload={"syn_flag": 1})], "syn_flag must hold"),
+    "number string": ([_with(FLOW_LINE, payload={"src": 7})], "src must hold strings"),
+    "uncovered": ([_with(LOG_LINE, timestamp=150)], "not covered"),
+}
+_MALFORMED_SPANS = {
+    "non-integer start": ("x,100,benign\n", "integer"),
+    "short row": ("0\n", "integer"),
+    "long row": ("0,100,benign,x\n", "integer"),
+    "empty span": ("100,100,benign\n", "precede"),
+    "overlap": ("0,100,benign\n50,150,ddos\n", "overlaps"),
+    "out of order": ("200,300,\n0,100,benign\n", "precedes"),
+}
+
+
+class TestSerialization:
     def test_stream_file_round_trip(self, tmp_path):
+        odd = 'ü"\\'  # a non-ASCII character, a quote and a backslash
         windows = [
             TelemetryWindow(start=0, end=100,
                             events=[flow_event(ts=10), log_event(ts=20)],
@@ -108,16 +153,40 @@ class TestSerialization:
             TelemetryWindow(start=100, end=200,
                             events=[behavior_event(ts=150)], label="ddos"),
             TelemetryWindow(start=200, end=300, events=[], label=None),
+            TelemetryWindow(start=300, end=400, label="benign", events=[
+                flow_event(ts=300, src=odd), behavior_event(ts=300, user=odd + "x")]),
         ]
         ev_path = str(tmp_path / "events.jsonl")
         lb_path = str(tmp_path / "labels.csv")
         write_events_jsonl(ev_path, windows)
         write_label_sidecar(lb_path, windows)
+        with open(ev_path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 5
+        assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in lines)
         got = read_stream_jsonl(ev_path, lb_path)
-        assert len(got) == 3
+        assert got == windows
         for a, b in zip(got, windows):
             assert (a.start, a.end, a.label) == (b.start, b.end, b.label)
             assert a.events == b.events
+
+    @pytest.mark.parametrize("case", list(_MALFORMED) + list(_MALFORMED_SPANS))
+    def test_reader_rejects_malformed_lines_with_their_location(self, tmp_path, case):
+        ev = tmp_path / "events.jsonl"
+        lb = tmp_path / "labels.csv"
+        lines, spans = [json.dumps(FLOW_LINE)], "0,100,benign\n"
+        if case in _MALFORMED:
+            lines += _MALFORMED[case][0]
+            where, match = f"{ev}:2: ", _MALFORMED[case][1]
+        else:
+            spans, match = _MALFORMED_SPANS[case]
+            where = f"{lb}:{spans.count(chr(10)) + 1}: "
+        ev.write_text("\n".join(lines) + "\n")
+        lb.write_text("start,end,label\n" + spans)
+        with pytest.raises(InputError) as err:
+            read_stream_jsonl(str(ev), str(lb))
+        assert str(err.value).startswith(where)
+        assert match in str(err.value)
 
     def test_read_rejects_garbage_line(self, tmp_path):
         ev = tmp_path / "events.jsonl"
@@ -179,6 +248,19 @@ class TestColumnarWindows:
         assert len(list(w.events)) == w.event_count
         assert len(built) == w.event_count
 
+    def test_json_lines_need_no_event_objects(self, tmp_path, monkeypatch):
+        windows = generate_stream(default_scenario(seed=2, rounds=1)).windows
+        built = []
+        original = TelemetryEvent.__post_init__
+        monkeypatch.setattr(TelemetryEvent, "__post_init__",
+                            lambda ev: (built.append(ev), original(ev)))
+        ev_path = str(tmp_path / "events.jsonl")
+        lb_path = str(tmp_path / "labels.csv")
+        write_events_jsonl(ev_path, windows)
+        write_label_sidecar(lb_path, windows)
+        assert read_stream_jsonl(ev_path, lb_path) == windows
+        assert built == []
+
     def test_string_codes_follow_string_equality(self):
         w = TelemetryWindow(start=0, end=100, events=[
             flow_event(ts=1, src="b", dst="a"), flow_event(ts=2, src="a", dst="b"),
@@ -208,8 +290,10 @@ class TestColumnarWindows:
 
     def test_reader_rejects_non_integer_fields(self, tmp_path):
         ev = tmp_path / "events.jsonl"
-        ev.write_text(json.dumps(event_to_dict(flow_event(ts=10))).replace(
-            '"bytes": 100', '"bytes": 100.5') + "\n")
+        ev.write_text(json.dumps({"kind": "flow", "timestamp": 10, "flow": {
+            "src": "10.0.0.1", "dst": "srv-1", "port": 443, "protocol": "tcp",
+            "bytes": 100.5, "packets": 2, "duration_ms": 5, "syn_flag": False,
+            "payload_class": 0}}) + "\n")
         lb = tmp_path / "labels.csv"
         lb.write_text("start,end,label\n0,100,benign\n")
         with pytest.raises(InputError, match="bytes must hold"):
