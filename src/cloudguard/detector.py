@@ -91,7 +91,20 @@ class ArchConfig:
 
 def build_model(arch: ArchConfig, seed: int = 0) -> ModelGraph:
     """Assemble the seeded layer stack described by ``arch``."""
-    rng = np.random.default_rng(seed)
+    return _assemble(arch, np.random.default_rng(seed))
+
+
+class _Unfilled:
+    """A stand-in generator for a graph whose every weight a checkpoint will
+    overwrite: each Glorot draw is an uninitialized array of its shape."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
+def _assemble(arch: ArchConfig, rng) -> ModelGraph:
+    """The layer stack of ``arch``, its weights drawn from ``rng``."""
     layer_list = []
     channels = arch.feature_dim
     for i, filters in enumerate(arch.conv_filters, start=1):
@@ -476,6 +489,8 @@ def load_detector(path: str):
         raise CheckpointError(f"{path}: layout width {layout.dim} != arch "
                               f"feature_dim {arch.feature_dim}")
     stats = NormStats(mean=params.pop("norm.mean"), std=params.pop("norm.std"))
-    model = build_model(arch, seed=0)
+    # restore_into checks that the checkpoint holds every weight, so the
+    # graph is built without drawing any
+    model = _assemble(arch, _Unfilled())
     restore_into(model, params, path)
     return model, arch, stats, layout, classes

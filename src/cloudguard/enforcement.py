@@ -125,6 +125,9 @@ _FW, _RL, _ISO = np.array([(a.firewall_tier, a.rate_limit_tier, a.isolation_tier
 ACTION_FRICTION = (np.array(FIREWALL_FRICTION)[_FW] + np.array(RATE_LIMIT_FRICTION)[_RL]
                    + np.array(ISOLATION_FRICTION)[_ISO])
 ACTION_COVERAGE = default_matrix()[:, _FW, _RL, _ISO]
+# the same coverage flat, action-major: entry action * len(LABELS) + kind, so
+# one take gathers a run and an id past the catalog still raises IndexError
+_COVERAGE_FLAT = ACTION_COVERAGE.T.ravel()
 
 
 def enforce_window(action_ids, kind_ids, intensity, load):
@@ -135,8 +138,8 @@ def enforce_window(action_ids, kind_ids, intensity, load):
     run. Loads must lie in [0, 1] (fixed_action_damage checks the ones it
     is given).
     """
-    code, damage = resolve_attack(kind_ids, intensity,
-                                  ACTION_COVERAGE[kind_ids, action_ids])
+    coverage = _COVERAGE_FLAT.take(np.multiply(action_ids, len(LABELS)) + kind_ids)
+    code, damage = resolve_attack(kind_ids, intensity, coverage)
     return code, damage, load * ACTION_FRICTION[action_ids] * DISRUPTION_DAMAGE
 
 

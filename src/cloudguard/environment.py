@@ -21,6 +21,12 @@ coverage of the window's kind plus collateral damage from the action's tier
 friction under the load. ``step`` reads one reward and adds the action's
 ``policy.RECENT_OFFSET``, the key offset of its recent-action bucket, to the
 next window's key, as the simulation's decision walk does.
+
+Training (``policy.train_policy``) keeps the agent's side just as separate:
+at each episode's start it draws that episode's exploration coins, random
+action ids and table coins, ``steps_per_episode`` of each, from its own
+generator. So with the environment's substreams, episode k of a training
+run depends only on the two seeds, k and the tables learned so far.
 """
 
 from dataclasses import dataclass
@@ -67,11 +73,12 @@ def reward_for(code, attack_damage, collateral_damage, action,
 
     ``action`` is a catalog action id, scored on scalars into a float, or
     an array of ids broadcasting against array outcomes into an array. The
-    bonus is added by selection, so an unblocked reward keeps its sign bit
-    (an idle quiet window scores -0.0).
+    bonus is added in place where blocked, so an unblocked reward keeps its
+    sign bit (an idle quiet window scores -0.0).
     """
-    reward = -(attack_damage + collateral_damage) - cost_weight * _ACTION_COST[action]
-    reward = np.where(code == BLOCKED, reward + block_bonus, reward)
+    reward = np.asarray(-(attack_damage + collateral_damage)
+                        - cost_weight * _ACTION_COST[action])
+    np.add(reward, block_bonus, out=reward, where=code == BLOCKED)
     return float(reward) if reward.ndim == 0 else reward
 
 
@@ -150,6 +157,7 @@ class DefenseEnv:
         self._episode = -1
         self._steps = 0
         self._drawn: Episode | None = None
+        self._keys: list[int] = []
         self._state = 0
 
     @property
@@ -159,8 +167,9 @@ class DefenseEnv:
     def reset(self) -> int:
         self._episode += 1
         self._drawn = draw_episode(self.cfg, self._episode)
+        self._keys = self._drawn.state_key.tolist()
         self._steps = 0
-        self._state = int(self._drawn.state_key[0])
+        self._state = self._keys[0]
         return self._state
 
     def step(self, action_id: int) -> tuple[int, float, bool]:
@@ -170,11 +179,11 @@ class DefenseEnv:
             raise EnvironmentFault("episode is terminal; call reset")
         get_action(self.catalog, action_id)  # CatalogError outside the catalog
         t = self._steps
-        reward = float(self._drawn.rewards[t, action_id])
+        reward = self._drawn.rewards.item(t, action_id)
         self._steps = t + 1
         terminal = self._steps >= self.cfg.episode_len
         if not terminal:
-            self._state = int(self._drawn.state_key[t + 1]) + RECENT_OFFSET[action_id]
+            self._state = self._keys[t + 1] + RECENT_OFFSET[action_id]
         return self._state, reward, terminal
 
 

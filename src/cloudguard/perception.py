@@ -174,23 +174,28 @@ def fuse(embeddings: list[SourceEmbedding],
     return fused, AttentionWeights(sources=tuple(present), values=weights)
 
 
+# band index of each threat level, at index level - 1
+_LEVEL_BAND = np.array([0, 1, 1, 2, 2])
+
+
 @dataclass(frozen=True)
 class ThreatLevel:
-    """Integer severity 1-5 with its derived band."""
+    """Integer severity 1-5 with its derived band. A run's levels are one
+    ThreatLevel whose ``level`` is an ``[N]`` int array."""
 
-    level: int
+    level: int | np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.level <= 5:
-            raise InputError(f"threat level must be 1..5, got {self.level}")
+        level = self.level
+        if not (((1 <= level) & (level <= 5)).all() if isinstance(level, np.ndarray)
+                else 1 <= level <= 5):
+            raise InputError(f"threat level must be 1..5, got {level}")
 
     @property
-    def band(self) -> str:
-        if self.level == 1:
-            return "low"
-        if self.level <= 3:
-            return "medium"
-        return "high"
+    def band(self):
+        """"low", "medium" or "high"; an ``[N]`` array of them for a run."""
+        band = _LEVEL_BAND[self.level - 1]
+        return BANDS[band] if band.ndim == 0 else np.array(BANDS)[band]
 
 
 def context_from_fused(fused: np.ndarray) -> float | np.ndarray:
@@ -208,10 +213,11 @@ def threat_score(verdict, context_factor):
     return float(score) if score.ndim == 0 else score
 
 
-def level_for_score(score: float) -> ThreatLevel:
-    """Map a score to a level via the half-open band edges."""
-    level = 1 + int(np.searchsorted(BAND_EDGES, score, side="right"))
-    return ThreatLevel(level=level)
+def level_for_score(score) -> ThreatLevel:
+    """Map a score to a level via the half-open band edges: an int level for
+    one score, ``[N]`` levels from one search for a run's ``[N]`` scores."""
+    level = 1 + np.searchsorted(BAND_EDGES, score, side="right")
+    return ThreatLevel(level=int(level) if level.ndim == 0 else level)
 
 
 @dataclass(frozen=True)
@@ -228,14 +234,14 @@ class ThreatDistribution:
             raise InputError(f"band fractions sum to {total}, expected 1")
 
 
-def summarize_threats(levels: list[ThreatLevel]) -> ThreatDistribution:
-    """Band fractions over a non-empty list of assessments."""
-    if not levels:
+def summarize_threats(levels) -> ThreatDistribution:
+    """Band fractions over a non-empty list of assessments, or over one
+    ThreatLevel of a run's levels."""
+    level = np.ravel(levels.level if isinstance(levels, ThreatLevel)
+                     else [tl.level for tl in levels])
+    if not level.size:
         raise InputError("cannot summarize an empty list of threat levels")
-    counts = {band: 0 for band in BANDS}
-    for tl in levels:
-        counts[tl.band] += 1
-    total = len(levels)
+    counts = np.bincount(_LEVEL_BAND[level - 1], minlength=len(BANDS)).tolist()
     return ThreatDistribution(
-        fractions={band: counts[band] / total for band in BANDS}
+        fractions={band: count / level.size for band, count in zip(BANDS, counts)}
     )

@@ -8,6 +8,12 @@ and isolation tiers; burst and sustained presets reuse the aggressive tier
 combinations at scaled cost. Two Q tables are trained with the double
 estimator update. The tables are dense arrays over every state key and
 action, zero until trained, so an unvisited state reads as zero.
+
+Training draws each episode's randomness from the agent's generator in one
+block at the episode's start: ``steps_per_episode`` exploration coins, then
+as many random action ids, then as many table coins. The count never
+depends on when the episode ends, so episode k's draws depend only on the
+seed and k, never on how earlier episodes were played.
 """
 
 import csv
@@ -208,11 +214,14 @@ class Transition(NamedTuple):
 
 
 def select_action(tables: DoubleQTables, state: int, epsilon: float,
-                  rng: np.random.Generator | None = None) -> int:
+                  rng: np.random.Generator | tuple[float, int] | None = None) -> int:
     """Epsilon-greedy over Q_A + Q_B; greedy ties go to the lowest action id.
 
-    With epsilon == 0 no randomness is consumed, so a greedy caller needs no
-    generator and replays are exactly reproducible.
+    ``rng`` is a Generator, which gives the exploration coin and then, on an
+    exploring step, a random action id; or one step's pre-drawn ``(coin,
+    action id)`` pair, as train_policy passes it. With epsilon == 0 nothing
+    is read, so a greedy caller needs no generator and replays are exactly
+    reproducible.
     """
     if tables.n_actions < 1:
         raise ConfigError("cannot select from an empty action catalog")
@@ -223,18 +232,27 @@ def select_action(tables: DoubleQTables, state: int, epsilon: float,
     if epsilon > 0.0:
         if rng is None:
             raise ConfigError("exploration (epsilon > 0) requires a generator")
-        if rng.random() < epsilon:
+        if isinstance(rng, tuple):
+            coin, pick = rng
+            if coin < epsilon:
+                if not 0 <= pick < tables.n_actions:
+                    raise CatalogError(f"action id {pick} outside catalog of "
+                                       f"{tables.n_actions}")
+                return pick
+        elif rng.random() < epsilon:
             return int(rng.integers(tables.n_actions))
     return int((tables.q_a[state] + tables.q_b[state]).argmax())
 
 
 def double_q_update(tables: DoubleQTables, t: Transition, alpha: float,
-                    gamma: float, rng: np.random.Generator) -> float:
+                    gamma: float, rng: np.random.Generator | float) -> float:
     """One double-estimator update; returns the new value of the entry.
 
-    A fair coin picks the table to update. The updated table chooses the
-    argmax action at the next state; the *other* table supplies its value.
-    Terminal transitions drop the bootstrap term entirely.
+    A fair coin picks the table to update: a coin below 0.5 updates Q_A.
+    ``rng`` is a Generator that draws the coin, or the step's pre-drawn
+    coin, a float in [0, 1), as train_policy passes it. The updated table
+    chooses the argmax action at the next state; the *other* table supplies
+    its value. Terminal transitions drop the bootstrap term entirely.
     """
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
@@ -245,8 +263,8 @@ def double_q_update(tables: DoubleQTables, t: Transition, alpha: float,
         raise CatalogError(f"action id {action} outside catalog of {tables.n_actions}")
     if not (0 <= state < N_STATES and 0 <= next_state < N_STATES):
         raise InputError(f"state keys {state} -> {next_state} outside [0, {N_STATES})")
-    table, other = (tables.q_a, tables.q_b) if rng.random() < 0.5 \
-        else (tables.q_b, tables.q_a)
+    coin = rng if isinstance(rng, float) else rng.random()
+    table, other = (tables.q_a, tables.q_b) if coin < 0.5 else (tables.q_b, tables.q_a)
     if terminal:
         target = reward
     else:
@@ -324,18 +342,32 @@ def train_policy(env, cfg: PolicyTrainConfig) -> tuple[DoubleQTables, Convergenc
     The environment contract: ``n_actions`` attribute, ``reset() -> state``,
     ``step(action) -> (next_state, reward, terminal)``. Faults raised by the
     environment are re-raised with episode and step context attached.
+
+    The agent's generator is ``default_rng(cfg.seed)``. At each episode's
+    start, before ``reset``, it draws three arrays of ``steps_per_episode``:
+    the exploration coins (``random``), the random action ids (``integers``
+    below ``n_actions``) and the table coins (``random``). Step t explores
+    when its exploration coin is below the episode's epsilon, and then takes
+    its random action id; its update takes Q_A when its table coin is below
+    0.5. An episode that ends early leaves the rest of its draws unused, so
+    episode k's draws depend only on the seed and k.
     """
     rng = np.random.default_rng(cfg.seed)
     tables = DoubleQTables(env.n_actions)
-    alpha, gamma = cfg.alpha, cfg.gamma
+    if tables.n_actions < 1:
+        raise ConfigError("cannot train over an empty action catalog")
+    alpha, gamma, n = cfg.alpha, cfg.gamma, cfg.steps_per_episode
     rewards = []
     for episode in range(cfg.episodes):
         eps = epsilon_at(cfg, episode)
+        explore = rng.random(n).tolist()
+        picks = rng.integers(tables.n_actions, size=n).tolist()
+        flips = rng.random(n).tolist()
         state = env.reset()
         total = 0.0
         steps = 0
-        for step in range(cfg.steps_per_episode):
-            action = select_action(tables, state, eps, rng)
+        for step in range(n):
+            action = select_action(tables, state, eps, (explore[step], picks[step]))
             try:
                 next_state, reward, terminal = env.step(action)
             except EnvironmentFault as exc:
@@ -344,7 +376,7 @@ def train_policy(env, cfg: PolicyTrainConfig) -> tuple[DoubleQTables, Convergenc
             reward = float(reward)
             double_q_update(tables,
                             Transition(state, action, reward, next_state, bool(terminal)),
-                            alpha, gamma, rng)
+                            alpha, gamma, flips[step])
             total += reward
             steps += 1
             state = next_state

@@ -356,11 +356,12 @@ def _respond(pipe: _Pipeline, truths, verdict, detect_ms,
     kinds, intensity, load = _truth_arrays(truths)
     t0 = time.perf_counter()
     fused, _ = fuse(embed_window(normed, pipe.layout, pipe.embedders), pipe.scorer)
-    scores = threat_score(verdict, context_from_fused(fused)).tolist()
-    levels = [level_for_score(score).level for score in scores]
+    scores = threat_score(verdict, context_from_fused(fused))
+    levels = level_for_score(scores).level.tolist()
     if pipe.tables is not None:
         base = encode_state(compose_indicators(
             scores, load, verdict.probabilities, np.zeros(n))).tolist()
+    scores = scores.tolist()
     shared_ms = (time.perf_counter() - t0) * 1e3 / n
 
     walk, offset = [], 0
@@ -475,7 +476,8 @@ def build_report(config: SimConfig, events) -> SimulationReport:
     """Score an event log against its scenario's ground truth."""
     scenario = config.resolved_scenario()
     detection = metrics_from_events(events)
-    dist = summarize_threats([level_for_score(ev.threat_score) for ev in events])
+    dist = summarize_threats(level_for_score(
+        np.fromiter((ev.threat_score for ev in events), np.float64, len(events))))
     distribution = dict(dist.fractions)
     interceptions = {name: 0 for name in OUTCOMES}
     for ev in events:

@@ -22,6 +22,7 @@ log, then behavior. JSON lines are written from and read into columns.
 
 import csv
 import functools
+import itertools
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -406,11 +407,22 @@ def _template(kind: str) -> str:
 _TEMPLATES = {kind: _template(kind) for kind in _FIELD_ORDER}
 
 
+def _check_spans(windows: list[TelemetryWindow]) -> None:
+    """InputError unless the windows are in time order and disjoint, as
+    read_stream_jsonl requires of the spans it reads back."""
+    for before, w in itertools.pairwise(windows):
+        if w.start < before.end:
+            raise InputError(f"window [{w.start}, {w.end}) overlaps or precedes "
+                             f"the one before it, [{before.start}, {before.end})")
+
+
 def write_events_jsonl(path: str, windows: list[TelemetryWindow]) -> None:
     """Write every event of every window as one line of ``json.dumps(record,
     sort_keys=True)``, formatted from the window's columns, each distinct
     string JSON-encoded once. One stable sort by timestamp merges the
-    sources, so ties come out flow, log, behavior."""
+    sources, so ties come out flow, log, behavior. InputError, before the
+    file is opened, unless the windows are in time order and disjoint."""
+    _check_spans(windows)
     encode = functools.cache(json.dumps)
     with open(path, "w", encoding="utf-8") as fh:
         for w in windows:
@@ -427,7 +439,10 @@ def write_events_jsonl(path: str, windows: list[TelemetryWindow]) -> None:
 
 
 def write_label_sidecar(path: str, windows: list[TelemetryWindow]) -> None:
-    """CSV sidecar mapping each window's time span to its ground-truth label."""
+    """CSV sidecar mapping each window's time span to its ground-truth label.
+    InputError, before the file is opened, unless the windows are in time
+    order and disjoint."""
+    _check_spans(windows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["start", "end", "label"])

@@ -297,15 +297,15 @@ class DoubleQTables:
 
 
 def select_action(tables: DoubleQTables, state: int, epsilon: float,
-                  rng: np.random.Generator) -> int:
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(tables.n_actions))
+                  coin: float, pick: int) -> int:
+    if epsilon > 0.0 and coin < epsilon:
+        return pick
     return int(np.argmax(tables.combined(state)))
 
 
 def double_q_update(tables: DoubleQTables, t: Transition, alpha: float,
-                    gamma: float, rng: np.random.Generator) -> float:
-    if rng.random() < 0.5:
+                    gamma: float, coin: float) -> float:
+    if coin < 0.5:
         chosen_next, other_next = tables.row_a(t.next_state), tables.row_b(t.next_state)
         row = tables.writable(tables.q_a, t.state)
     else:
@@ -322,21 +322,30 @@ def double_q_update(tables: DoubleQTables, t: Transition, alpha: float,
 
 
 def train_policy(env, cfg: PolicyTrainConfig) -> tuple[DoubleQTables, ConvergenceCurve]:
-    """The episodic double Q-learning loop over dictionary-backed tables."""
+    """The episodic double Q-learning loop over dictionary-backed tables.
+
+    Each episode first draws its exploration coins, random action ids and
+    table coins from the agent's generator, ``steps_per_episode`` of each,
+    however early the episode then ends; step t reads entry t of each.
+    """
     rng = np.random.default_rng(cfg.seed)
     tables = DoubleQTables(env.n_actions)
     rewards = []
     for episode in range(cfg.episodes):
         eps = epsilon_at(cfg, episode)
+        explore_coins = rng.random(cfg.steps_per_episode)
+        random_ids = rng.integers(env.n_actions, size=cfg.steps_per_episode)
+        table_coins = rng.random(cfg.steps_per_episode)
         state = env.reset()
         total = 0.0
         steps = 0
-        for _ in range(cfg.steps_per_episode):
-            action = select_action(tables, state, eps, rng)
+        for t in range(cfg.steps_per_episode):
+            action = select_action(tables, state, eps, float(explore_coins[t]),
+                                   int(random_ids[t]))
             next_state, reward, terminal = env.step(action)
             double_q_update(tables, Transition(state, action, float(reward),
                                                next_state, bool(terminal)),
-                            cfg.alpha, cfg.gamma, rng)
+                            cfg.alpha, cfg.gamma, float(table_coins[t]))
             total += float(reward)
             steps += 1
             state = next_state

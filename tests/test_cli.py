@@ -130,9 +130,9 @@ def test_train_policy_command_bytes_are_pinned(tmp_path):
     assert main(["train-policy", "--seed", "8", "--out", str(tmp_path)]) == 0
     assert file_digests(tmp_path, ("policy.csv", "convergence.csv")) == {
         "policy.csv":
-            "c87ae2ffeef2c57df2ce0dce64cfc2c94e2bd9fdaad302b869006d6912491d6c",
+            "0df79dc59dc958567961669d6b24be65a56a6a2d98a6f0da7a021283be4ac60a",
         "convergence.csv":
-            "586580869bc5e634de5f0af74982bf9c39468fa356131061b3c8394f123d5aeb",
+            "86c7abe4822377cce35e405c7c0b0f3d20582e5eec981a408eaf139b75370dbe",
     }
 
 
@@ -265,7 +265,7 @@ def test_policy_simulate_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         doc.pop("timing")
         h.update(json.dumps(doc, sort_keys=True).encode())
     assert h.hexdigest() == \
-        "bcfd7366b616a253930a879f1816de3aedf3e4e6f51cf8f8496453312bd431c2"
+        "45a6141bf0e492a8bfd4e634a412f86b860ca96c86c30029404c1487cddb1a9a"
     capsys.readouterr()
 
 

@@ -226,6 +226,22 @@ class TestThreatLevels:
         levels = [level_for_score(s).level for s in scores]
         assert all(b >= a for a, b in zip(levels, levels[1:]))
 
+    def test_run_levels_are_the_per_window_levels(self):
+        # edges, their neighbours and scores outside [0, 1] included
+        edges = np.array(BAND_EDGES)
+        scores = np.concatenate([
+            np.random.default_rng(3).uniform(-0.5, 1.5, size=500),
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        run = level_for_score(scores)
+        assert run.level.tolist() == [level_for_score(float(s)).level for s in scores]
+        assert run.band.tolist() == [ThreatLevel(int(v)).band for v in run.level]
+        assert summarize_threats(run) == \
+            summarize_threats([ThreatLevel(int(v)) for v in run.level])
+
+    def test_run_levels_are_checked(self):
+        with pytest.raises(InputError):
+            ThreatLevel(np.array([1, 5, 6]))
+
     def test_band_grouping(self):
         assert ThreatLevel(1).band == "low"
         assert ThreatLevel(2).band == "medium"

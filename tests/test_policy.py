@@ -354,6 +354,15 @@ class TestSelectAction:
         draws = [select_action(t, 0, 1.0, rng) for _ in range(3)]
         assert draws == [110, 10, 62]
 
+    def test_pre_drawn_pair_explores_below_epsilon(self):
+        t = DoubleQTables(4)
+        t.q_a[0] = np.array([0.0, 0.0, 3.0, 0.0])
+        assert select_action(t, 0, 0.5, (0.49, 1)) == 1
+        assert select_action(t, 0, 0.5, (0.5, 1)) == 2  # greedy
+        assert select_action(t, 0, 0.0, (0.0, 1)) == 2  # epsilon 0 reads nothing
+        with pytest.raises(CatalogError):
+            select_action(t, 0, 0.5, (0.1, 4))
+
     def test_full_exploration_covers_the_catalog(self):
         t = DoubleQTables(187)
         rng = np.random.default_rng(0)
@@ -401,6 +410,16 @@ class TestDoubleQUpdate:
             assert new == pytest.approx(0.5)
             assert t.combined(5)[1] == pytest.approx(0.5)
             assert t.states() == [5]
+
+    def test_pre_drawn_coin_updates_the_table_a_drawn_one_does(self):
+        tr = Transition(state=5, action=1, reward=1.0, next_state=6, terminal=False)
+        for coin in (0.0, 0.49, 0.5, 0.9):
+            given, drawn = DoubleQTables(3), DoubleQTables(3)
+            double_q_update(given, tr, 0.5, 0.9, coin)
+            double_q_update(drawn, tr, 0.5, 0.9, CoinRng([coin]))
+            for name in ("q_a", "q_b", "visits"):
+                np.testing.assert_array_equal(getattr(given, name), getattr(drawn, name))
+            assert (given.q_a[5, 1] != 0.0) == (coin < 0.5)
 
     def test_bootstrap_crosses_tables(self):
         t = DoubleQTables(2)
@@ -522,10 +541,40 @@ class TestTraining:
                    for name in ("policy.csv", "convergence.csv")}
         assert digests == {
             "policy.csv":
-                "db69c1ac43f42abaabc86fbb51d927dfe8509b21b4adfb9448cf2f9e74800866",
+                "c49e1d879ef4d42d8e2b1c216742ad4db72e01d7a9e6b0ec2674e2a1e5c57681",
             "convergence.csv":
-                "8ef825825c475afa5f88625fbd6b9316e769342becbe44cc48cf9701558fdc6c",
+                "3727e795afc88afb2813f97d7651ddc348f3f972d990c78dbb4a9b6c3598dc03",
         }
+
+    def test_agent_draws_are_independent_of_earlier_play(self):
+        # episode 1's exploring actions cannot depend on where episode 0 ended
+        class RecordingEnv:
+            """One state; episode 0 ends after ``first_len`` steps, later
+            episodes run to the step limit. Records each episode's actions."""
+
+            n_actions = 50
+
+            def __init__(self, first_len: int):
+                self.first_len = first_len
+                self.actions = []
+
+            def reset(self):
+                self.actions.append([])
+                return 0
+
+            def step(self, action):
+                self.actions[-1].append(action)
+                return 0, 0.0, len(self.actions) == 1 \
+                    and len(self.actions[0]) == self.first_len
+
+        cfg = PolicyTrainConfig(episodes=2, steps_per_episode=12, epsilon_start=1.0,
+                                epsilon_end=1.0)
+        short, full = RecordingEnv(first_len=3), RecordingEnv(first_len=12)
+        train_policy(short, cfg)
+        train_policy(full, cfg)
+        assert [len(a) for a in short.actions] == [3, 12]
+        assert short.actions[0] == full.actions[0][:3]
+        assert short.actions[1] == full.actions[1]
 
     def test_reward_curve_rises(self):
         tables, curve = train_policy(ChainEnv(7), self.CHAIN_CFG)

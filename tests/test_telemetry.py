@@ -196,6 +196,17 @@ class TestSerialization:
         with pytest.raises(InputError, match="invalid JSON"):
             read_stream_jsonl(str(ev), str(lb))
 
+    @pytest.mark.parametrize("writer", [write_events_jsonl, write_label_sidecar])
+    @pytest.mark.parametrize("spans", [((100, 200), (0, 100)), ((0, 100), (50, 150))],
+                             ids=["out-of-order", "overlapping"])
+    def test_writers_reject_spans_the_reader_refuses(self, tmp_path, writer, spans):
+        windows = [TelemetryWindow(start=a, end=b, events=[flow_event(ts=a)])
+                   for a, b in spans]
+        path = tmp_path / "out"
+        with pytest.raises(InputError, match="overlaps or precedes"):
+            writer(str(path), windows)
+        assert not path.exists()  # refused before the file is opened
+
     def test_read_rejects_uncovered_event(self, tmp_path):
         windows = [TelemetryWindow(start=0, end=100, events=[flow_event(ts=10)])]
         ev = str(tmp_path / "e.jsonl")
