@@ -52,9 +52,10 @@ print(f"\nfeature vector width {layout.dim}, segments:")
 for segment, (start, end) in layout.segments.items():
     print(f"  {segment:12s} [{start:3d}, {end:3d})  {end - start} features")
 
-# 4. featurize the whole stream in one call ([windows, features]) and
-#    compare each attack kind's marker feature on the two windows
-vectors = extract_features(stream.windows, layout)
+# 4. featurize the stream's run, the columns its windows are cut from, in
+#    one call ([windows, features]) and compare each attack kind's marker
+#    feature on the two windows
+vectors = extract_features(stream.run, layout)
 fv_benign, fv_ddos = vectors[5], vectors[30]
 print("\nmarker features, benign vs ddos window:")
 for kind, feature in MARKER_FEATURES.items():

@@ -35,7 +35,7 @@ config = ScenarioConfig(
 )
 stream = generate_stream(config)
 layout = build_layout()
-vectors = extract_features(stream.windows, layout)  # one call per run
+vectors = extract_features(stream.run, layout)  # one call per run
 normed = normalize(vectors, fit_normalizer(vectors))
 
 # 2. seeded embedders map each layout segment into one fusion space;

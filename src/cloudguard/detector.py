@@ -149,7 +149,7 @@ def prepare_dataset(stream, layout: FeatureLayout, seq_len: int,
     training stream's stats when preparing evaluation data). Returns
     ``(sequences, int labels, stats)``.
     """
-    raw = extract_features(stream.windows, layout)
+    raw = extract_features(stream.run, layout)
     if stats is None:
         stats = fit_normalizer(raw)
     normed = normalize(raw, stats)

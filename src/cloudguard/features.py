@@ -18,16 +18,18 @@ bit whichever windows it is extracted with, and all time handling is
 window-relative, so shifting a window and its events by a constant changes
 nothing.
 
-Featurization is one call per run. ``extract_features`` concatenates the
-run's columns per source, with each row's window index, and computes every
-window's statistics in one pass per segment: counts and histograms from one
-``bincount`` over (window, bin) ids, sums and squared deviations from
-weighted ``bincount``s (each window's in row order), maxima and minima from
-``reduceat``, and distinct counts and entropies from one sort of (window,
-value) keys. Long runs go through in fixed blocks of windows, which bounds
-the concatenated buffers; a single window is the run of one. A layout
-resolves its names to positions in those statistics once, when it is built,
-so a block costs one gather instead of a name lookup per feature.
+Featurization is one call per run. ``extract_features`` reads a
+``TelemetryRun``'s columns, each row's window index taken from the run's
+row offsets, and computes every window's statistics in one pass per
+segment: counts and histograms from one ``bincount`` over (window, bin) ids,
+sums and squared deviations from weighted ``bincount``s (each window's in
+row order), maxima and minima from ``reduceat``, and distinct counts and
+entropies from one sort of (window, value) keys. Long runs go through in
+fixed blocks of windows, each block slices of the run's columns. A sequence
+of windows is concatenated into a run first, and a single window is the run
+of one. A layout resolves its names to positions in those statistics once,
+when it is built, so a block costs one gather instead of a name lookup per
+feature.
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionError, InputError
 from .telemetry import (BEHAVIOR_ACTIONS, FIXED_CODES, FIXED_STRINGS, LOG_SUBSYSTEMS,
-                        BehaviorColumns, FlowColumns, LogColumns, TelemetryWindow)
+                        TelemetryRun, TelemetryWindow)
 
 DEFAULT_DIM = 428
 
@@ -253,30 +255,6 @@ _TS_ROWS = np.array([TS_SERIES.index(s) for s in ("flows", "logs", "actions")])
 _TS_BYTES = TS_SERIES.index("bytes")
 
 
-def _concat(parts: list, cls) -> tuple:
-    """One source's columns of many windows concatenated, each row's window
-    index (sorted), and each window's row count."""
-    count = np.array([len(p) for p in parts], dtype=np.int64)
-    cols = cls(**{name: np.concatenate([getattr(p, name) for p in parts])
-                  for name in cls.names})
-    return cols, np.repeat(np.arange(len(parts)), count), count
-
-
-class _Run:
-    """A run of windows as one set of concatenated columns per source."""
-
-    def __init__(self, windows: list[TelemetryWindow]):
-        self.n = len(windows)
-        self.start = np.array([w.start for w in windows], dtype=np.int64)
-        self.duration = np.array([w.duration_ms for w in windows], dtype=np.int64)
-        self.seconds = self.duration / 1000.0
-        self.flows, self.flow_win, self.flow_n = _concat(
-            [w.flows for w in windows], FlowColumns)
-        self.logs, self.log_win, self.log_n = _concat([w.logs for w in windows], LogColumns)
-        self.behaviors, self.behavior_win, self.behavior_n = _concat(
-            [w.behaviors for w in windows], BehaviorColumns)
-
-
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den, and 0 where den is 0."""
     return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0)
@@ -349,27 +327,27 @@ class _Groups:
         return _per_window(np.maximum, self.size, self.win, len(self.count))
 
 
-def _traffic_stats(run: _Run) -> np.ndarray:
+def _traffic_stats(run: TelemetryRun, rows: list, seconds: np.ndarray) -> np.ndarray:
     """[n, traffic catalog]: the traffic values, in catalog order."""
-    flows, win, n = run.flows, run.flow_win, run.flow_n
+    flows, (win, n), m = run.sources[0], rows[0], len(run)
     sizes = np.stack([flows.bytes, flows.packets, flows.duration_ms])
-    sums = [_sums(col, win, run.n) for col in sizes]
+    sums = [_sums(col, win, m) for col in sizes]
     means = [_ratio(s, n) for s in sums]
-    stds = [_std(col, win, n, m) for col, m in zip(sizes, means)]
-    maxes = [_per_window(np.maximum, col, win, run.n) for col in sizes]
+    stds = [_std(col, win, n, mean) for col, mean in zip(sizes, means)]
+    maxes = [_per_window(np.maximum, col, win, m) for col in sizes]
     byte_sum, packet_sum, _ = sums
     b_max = maxes[0]
     syn, tcp, markers, low_ports = (
-        _sums(flag, win, run.n) for flag in (flows.syn_flag, flows.protocol == _TCP,
-                                             flows.payload_class > 0, flows.port < 1024))
-    ports = _Groups(flows.port, win, run.n)
-    srcs = _Groups(flows.src, win, run.n)
-    dsts = _Groups(flows.dst, win, run.n)
+        _sums(flag, win, m) for flag in (flows.syn_flag, flows.protocol == _TCP,
+                                         flows.payload_class > 0, flows.port < 1024))
+    ports = _Groups(flows.port, win, m)
+    srcs = _Groups(flows.src, win, m)
+    dsts = _Groups(flows.dst, win, m)
     scalars = np.column_stack([
-        n, n / run.seconds,
-        byte_sum, byte_sum / run.seconds, means[0], stds[0], b_max,
-        _per_window(np.minimum, flows.bytes, win, run.n),
-        packet_sum, packet_sum / run.seconds, means[1], stds[1], maxes[1],
+        n, n / seconds,
+        byte_sum, byte_sum / seconds, means[0], stds[0], b_max,
+        _per_window(np.minimum, flows.bytes, win, m),
+        packet_sum, packet_sum / seconds, means[1], stds[1], maxes[1],
         means[2], stds[2], maxes[2],
         _ratio(byte_sum, packet_sum), _ratio(b_max, byte_sum),
         syn, _ratio(syn, n), tcp, _ratio(tcp, n), n - tcp, _ratio(n - tcp, n),
@@ -386,81 +364,91 @@ def _traffic_stats(run: _Run) -> np.ndarray:
         np.clip(flows.payload_class, 0, 3) + _PAYLOAD_OFFSET,
     ])
     histograms = np.bincount(np.tile(win, 5) * _N_HISTOGRAM + buckets,
-                             minlength=run.n * _N_HISTOGRAM)
-    return np.concatenate([scalars, histograms.reshape(run.n, _N_HISTOGRAM)], axis=1)
+                             minlength=m * _N_HISTOGRAM)
+    return np.concatenate([scalars, histograms.reshape(m, _N_HISTOGRAM)], axis=1)
 
 
-def _timeseries_stats(run: _Run, n_bins: int) -> np.ndarray:
+def _timeseries_stats(run: TelemetryRun, rows: list, start: np.ndarray, duration: np.ndarray,
+                      n_bins: int) -> np.ndarray:
     """[n, time-series catalog]: sub-bin counts, their first differences and
     peak ratios, in catalog order."""
-    wins = (run.flow_win, run.log_win, run.behavior_win)
+    wins, m = [win for win, _ in rows], len(run)
     # window-relative offset keeps features invariant under time shifts
-    sub_bins = [np.minimum((cols.timestamp - run.start[win]) * n_bins // run.duration[win],
-                           n_bins - 1)
-                for cols, win in zip((run.flows, run.logs, run.behaviors), wins)]
+    sub_bins = [np.minimum((cols.timestamp - start[win]) * n_bins // duration[win], n_bins - 1)
+                for cols, win in zip(run.sources, wins)]
     keys = np.concatenate([(win * len(TS_SERIES) + series) * n_bins + sub_bin
                            for win, series, sub_bin in zip(wins, _TS_ROWS, sub_bins)])
-    bins = np.bincount(keys, minlength=run.n * len(TS_SERIES) * n_bins)
-    bins = bins.reshape(run.n, len(TS_SERIES), n_bins).astype(np.float64)
-    bins[:, _TS_BYTES] = np.bincount(run.flow_win * n_bins + sub_bins[0],
-                                     weights=run.flows.bytes,
-                                     minlength=run.n * n_bins).reshape(run.n, n_bins)
+    bins = np.bincount(keys, minlength=m * len(TS_SERIES) * n_bins)
+    bins = bins.reshape(m, len(TS_SERIES), n_bins).astype(np.float64)
+    bins[:, _TS_BYTES] = np.bincount(wins[0] * n_bins + sub_bins[0], weights=run.sources[0].bytes,
+                                     minlength=m * n_bins).reshape(m, n_bins)
     # every bin holds an integer, so the mean is exact in any summation order
     peak = _ratio(bins.max(axis=2), bins.mean(axis=2))
-    return np.concatenate([bins.reshape(run.n, -1),
-                           np.diff(bins, axis=2).reshape(run.n, -1), peak], axis=1)
+    return np.concatenate([bins.reshape(m, -1), np.diff(bins, axis=2).reshape(m, -1), peak],
+                          axis=1)
 
 
-def _behavior_stats(run: _Run) -> np.ndarray:
+def _behavior_stats(run: TelemetryRun, rows: list, seconds: np.ndarray) -> np.ndarray:
     """[n, behavior catalog]: the behavior values, in catalog order."""
-    acts, win, n = run.behaviors, run.behavior_win, run.behavior_n
+    _, logs, acts = run.sources
+    (_, (log_win, n_logs), (win, n)), m = rows, len(run)
     failed = ~acts.success
-    count = _code_counts(acts.action, win, run.n, _N_FIXED)[:, _ACTION_CODES]
-    fail = _code_counts(acts.action[failed], win[failed], run.n, _N_FIXED)[:, _ACTION_CODES]
-    failures = _sums(failed, win, run.n)
-    users = _Groups(acts.user_id, win, run.n)
+    count = _code_counts(acts.action, win, m, _N_FIXED)[:, _ACTION_CODES]
+    fail = _code_counts(acts.action[failed], win[failed], m, _N_FIXED)[:, _ACTION_CODES]
+    failures = _sums(failed, win, m)
+    users = _Groups(acts.user_id, win, m)
     login_fail = failed & (acts.action == _LOGIN)
-    failed_logins = _Groups(acts.user_id[login_fail], win[login_fail], run.n)
-    logs, log_win, n_logs = run.logs, run.log_win, run.log_n
+    failed_logins = _Groups(acts.user_id[login_fail], win[login_fail], m)
     severity = logs.severity
-    severity_mean = _ratio(_sums(severity, log_win, run.n), n_logs)
-    high = _sums(severity >= 5, log_win, run.n)
+    severity_mean = _ratio(_sums(severity, log_win, m), n_logs)
+    high = _sums(severity >= 5, log_win, m)
     in_range = (severity >= 0) & (severity < 8)
-    subsystems = _Groups(logs.subsystem, log_win, run.n)
-    codes = _Groups(logs.event_code, log_win, run.n)
+    subsystems = _Groups(logs.subsystem, log_win, m)
+    codes = _Groups(logs.event_code, log_win, m)
     return np.concatenate([
         count, fail, _ratio(count - fail, count),
         np.column_stack([
-            n, n / run.seconds, failures, _ratio(failures, n), users.count,
+            n, n / seconds, failures, _ratio(failures, n), users.count,
             users.entropy(), _ratio(n, users.count), users.max_size(),
             failed_logins.max_size(),
-            n_logs, n_logs / run.seconds, severity_mean,
+            n_logs, n_logs / seconds, severity_mean,
             _std(severity, log_win, n_logs, severity_mean),
-            _per_window(np.maximum, severity, log_win, run.n), high, _ratio(high, n_logs),
+            _per_window(np.maximum, severity, log_win, m), high, _ratio(high, n_logs),
         ]),
-        _code_counts(severity[in_range], log_win[in_range], run.n, 8),
-        _code_counts(logs.subsystem, log_win, run.n, _N_FIXED)[:, _SUBSYSTEM_CODES],
+        _code_counts(severity[in_range], log_win[in_range], m, 8),
+        _code_counts(logs.subsystem, log_win, m, _N_FIXED)[:, _SUBSYSTEM_CODES],
         np.column_stack([subsystems.entropy(), codes.count, codes.entropy()]),
     ], axis=1)
 
 
-# windows featurized together: bounds the concatenated buffers (about 350
-# bytes per event) on long runs without giving back the per-call savings
+# windows featurized together: bounds the per-block intermediates (about
+# 350 bytes per event) on long runs without giving back the per-call savings
 _BLOCK = 64
 
 
-def extract_features(windows, layout: FeatureLayout) -> np.ndarray:
-    """The named feature vectors of a run: ``[N, D]`` for a sequence of
-    windows, ``[D]`` for one window. Pure and deterministic: a window's
-    vector does not depend on the other windows it is extracted with."""
-    one = isinstance(windows, TelemetryWindow)
-    windows = [windows] if one else list(windows)
-    out = np.zeros((len(windows), layout.dim))
-    for lo in range(0, len(windows), _BLOCK):
-        run = _Run(windows[lo:lo + _BLOCK])
-        stats = np.concatenate([_traffic_stats(run), _timeseries_stats(run, layout.n_bins),
-                                _behavior_stats(run)], axis=1)
-        out[lo:lo + run.n, layout._dest] = stats[:, layout._src]
+def extract_features(data, layout: FeatureLayout) -> np.ndarray:
+    """The named feature vectors of a run: ``[N, D]`` for a TelemetryRun or
+    a sequence of windows, ``[D]`` for one window. Pure and deterministic: a
+    window's vector does not depend on the other windows it is extracted
+    with. InputError on a window longer than ``int64 max // n_bins`` ms."""
+    one = isinstance(data, TelemetryWindow)
+    run = data if isinstance(data, TelemetryRun) else TelemetryRun.of([data] if one else data)
+    longest = np.iinfo(np.int64).max // layout.n_bins  # so (ts - start) * n_bins fits
+    for start, end in zip(run.starts, run.ends):
+        if end - start > longest:
+            raise InputError(f"window [{start}, {end}) is too long for {layout.n_bins} time bins")
+    out = np.zeros((len(run), layout.dim))
+    for lo in range(0, len(run), _BLOCK):
+        block = run.part(lo, lo + _BLOCK)
+        start = np.array(block.starts, dtype=np.int64)
+        duration = np.array(block.ends, dtype=np.int64) - start
+        # per source: each row's window (sorted) and each window's row count
+        rows = [(np.repeat(np.arange(len(block)), count), count)
+                for count in map(np.diff, block.offsets)]
+        stats = np.concatenate([_traffic_stats(block, rows, duration / 1000.0),
+                                _timeseries_stats(block, rows, start, duration, layout.n_bins),
+                                _behavior_stats(block, rows, duration / 1000.0)], axis=1)
+        out[lo:lo + len(block), layout._dest] = stats[:, layout._src]
     return out[0] if one else out
 
 

@@ -16,11 +16,12 @@ the stream is byte-identical. A run is generated in two phases:
    run formats each distinct key once and ranks the keys by their strings
    once, and each window's vocabulary holds only its own keys' strings.
 
-A generated stream's windows are views: each window's columns are slices of
-the run's columns. Windows find the attack specs overlapping them through
-one sorted index per scenario (``BurstIndex``). Five attack kinds
-perturb a benign baseline, each with a distinct signature tied to a
-documented marker feature:
+A generated stream keeps its run (``TelemetryRun``: each source's columns
+over the whole run and each window's row offsets), and its windows are cut
+from it, their columns slices of the run's. Windows find the attack specs
+overlapping them through one sorted index per scenario (``BurstIndex``).
+Five attack kinds perturb a benign baseline, each with a distinct signature
+tied to a documented marker feature:
 
 - ddos               flow-rate surge of tiny SYN flows (marker: flow count)
 - sql_injection      suspicious payload classes on db traffic (marker:
@@ -56,8 +57,8 @@ from .telemetry import (
     BehaviorColumns,
     FlowColumns,
     LogColumns,
+    TelemetryRun,
     TelemetryWindow,
-    encode_strings,
 )
 
 # documented marker feature per attack kind; separability of these against
@@ -162,10 +163,11 @@ class ScenarioConfig:
 
 @dataclass
 class LabeledStream:
-    """Windows tiling the configured duration, each with a ground-truth label."""
+    """Windows tiling the configured duration, each labeled, and their run."""
 
     windows: list[TelemetryWindow]
     config: ScenarioConfig
+    run: TelemetryRun
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -631,74 +633,55 @@ def _recipe_columns(recipe: _Recipe, blocks: list) -> tuple[dict, np.ndarray]:
     return recipe.columns(draws), per_event(seq)
 
 
-def _source_columns(cls: type, drawn: dict) -> tuple[dict, np.ndarray]:
-    """One source's columns over the run, recipe after recipe, and each
-    event's block draw number. Takes the source's blocks out of ``drawn``,
-    so that each recipe's draws are dropped once its columns are made."""
+def _source_columns(cls: type, drawn: dict) -> dict:
+    """One source's columns over the run, recipe after recipe, merged by one
+    stable sort on (timestamp, block draw number). Takes the source's blocks
+    out of ``drawn``, so that each recipe's draws are dropped once its
+    columns are made."""
     parts = [_recipe_columns(recipe, drawn.pop(recipe))
              for recipe in list(drawn) if recipe.source is cls]
-    return ({name: np.concatenate([cols[name] for cols, _ in parts]) for name in cls.names},
-            np.concatenate([seq for _, seq in parts]))
+    order = np.lexsort((np.concatenate([seq for _, seq in parts]),
+                        np.concatenate([cols["timestamp"] for cols, _ in parts])))
+    # one column at a time, to hold one extra copy at most
+    return {name: np.concatenate([cols[name] for cols, _ in parts])[order]
+            for name in cls.names}
 
 
-class _Run:
-    """Windows ``indices`` of a scenario, generated in two phases.
+def _generate(config: ScenarioConfig, indices: range) -> TelemetryRun:
+    """Windows ``indices`` of a scenario as one run, generated in two phases.
 
     Phase one draws each window from its own substream (_draw_blocks).
     Phase two runs once over the whole run: each recipe's transforms over
     all its blocks, each block's time sort, then per source one stable
     sort by (timestamp, block draw number), which is the per-window merge
     where ties keep draw order, since windows do not overlap in time.
-    String keys become codes in one pass (``encode_strings``). A window is
-    then a slice of every run-level column.
     """
-
-    def __init__(self, config: ScenarioConfig, indices: range):
-        self.window_ms, self.first = config.window_ms, indices.start
-        drawn, self.labels = _draw_blocks(config, indices)
-        sources, window_of = [], []
-        for cls in SOURCE_COLUMNS:
-            cols, seq = _source_columns(cls, drawn)
-            order = np.lexsort((seq, cols["timestamp"]))
-            for name in cols:  # one column at a time, to hold one extra copy at most
-                cols[name] = cols[name][order]
-            sources.append(cols)
-            window_of.append(cols["timestamp"] // config.window_ms - indices.start)
-        self.strings = encode_strings(sources, window_of, len(indices), _format_keys)
-        starts = np.arange(indices.start, indices.stop + 1) * config.window_ms
-        # per source, each window's columns as slices of the run's
-        self.slices = []
-        for cols in sources:
-            bounds = np.searchsorted(cols["timestamp"], starts).tolist()
-            self.slices.append(list(zip(*[[col[a:b] for a, b in zip(bounds, bounds[1:])]
-                                          for col in cols.values()])))
-
-    def window(self, index: int) -> TelemetryWindow:
-        """Window ``index``, its columns slices of the run's."""
-        w = index - self.first
-        start = index * self.window_ms
-        return TelemetryWindow(
-            start, start + self.window_ms, label=self.labels[w],
-            sources=tuple(cls(*cut[w]) for cls, cut in zip(SOURCE_COLUMNS, self.slices)),
-            strings=self.strings[w])
+    drawn, labels = _draw_blocks(config, indices)
+    sources = [_source_columns(cls, drawn) for cls in SOURCE_COLUMNS]
+    window_of = [cols["timestamp"] // config.window_ms - indices.start for cols in sources]
+    spans = [(i * config.window_ms, (i + 1) * config.window_ms, label)
+             for i, label in zip(indices, labels)]
+    return TelemetryRun.from_keys(spans, sources, window_of, _format_keys)
 
 
-def generate_window(config: ScenarioConfig, index: int, run: _Run | None = None
+def generate_window(config: ScenarioConfig, index: int, run: TelemetryRun | None = None
                     ) -> TelemetryWindow:
-    """Window ``index`` of the stream: cut out of ``run``, a generated run
-    holding it, or else generated as a run of its own. It is the same
-    either way, since each window draws from its own substream."""
+    """Window ``index`` of the stream: cut out of ``run``, the stream's run,
+    or else generated as a run of its own. It is the same either way, since
+    each window draws from its own substream."""
+    if not 0 <= index < config.n_windows:
+        raise InputError(f"window index {index} outside [0, {config.n_windows})")
     if run is None:
-        run = _Run(config, range(index, index + 1))
+        return _generate(config, range(index, index + 1)).window(0)
     return run.window(index)
 
 
 def generate_stream(config: ScenarioConfig) -> LabeledStream:
     """Generate the full labeled stream. Pure function of the config: one
     run of every window, whose windows are views into its columns."""
-    run = _Run(config, range(config.n_windows))
+    run = _generate(config, range(config.n_windows))
     return LabeledStream(windows=[generate_window(config, i, run)
-                                  for i in range(config.n_windows)], config=config)
+                                  for i in range(config.n_windows)], config=config, run=run)
 
 
 def verify_separability(stream: LabeledStream, layout: FeatureLayout) -> dict[str, float]:
@@ -708,7 +691,7 @@ def verify_separability(stream: LabeledStream, layout: FeatureLayout) -> dict[st
     benign = np.array([label == "benign" for label in labels], dtype=bool)
     if not benign.any():
         raise InputError("stream has no benign windows to compare against")
-    vectors = extract_features(stream.windows, layout)
+    vectors = extract_features(stream.run, layout)
     scores = {}
     for kind in dict.fromkeys(label for label in labels if label in MARKER_FEATURES):
         marker = vectors[:, layout.index_of(MARKER_FEATURES[kind])]

@@ -278,7 +278,7 @@ class _Pipeline:
                 f"match the catalog size {N_ACTIONS}")
 
 
-def _run_detection(pipe: _Pipeline, windows, threshold: float):
+def _run_detection(pipe: _Pipeline, run, threshold: float):
     """Featurize the run in one call, then classify it in one batched call.
 
     Returns the run's verdict, each window's detection latency in ms (an
@@ -286,7 +286,7 @@ def _run_detection(pipe: _Pipeline, windows, threshold: float):
     call) and the normalized feature matrix that perception reads.
     """
     t0 = time.perf_counter()
-    raw = extract_features(windows, pipe.layout)
+    raw = extract_features(run, pipe.layout)
     feature_ms = (time.perf_counter() - t0) * 1e3
     if pipe.neural is not None:
         stats = pipe.neural[2]
@@ -302,8 +302,8 @@ def _run_detection(pipe: _Pipeline, windows, threshold: float):
     else:
         verdict = pipe.rules.classify_batch(raw)
     classify_ms = (time.perf_counter() - t0) * 1e3
-    share_ms = (feature_ms + classify_ms) / max(len(windows), 1)
-    return verdict, [share_ms] * len(windows), normed
+    share_ms = (feature_ms + classify_ms) / max(len(run), 1)
+    return verdict, [share_ms] * len(run), normed
 
 
 def _window_load(window, benign_rate: float) -> float:
@@ -520,8 +520,7 @@ def run_simulation(config: SimConfig) -> tuple[SimulationReport, list[PipelineEv
     pipe = _Pipeline(config)
     scenario = config.resolved_scenario()
     stream = generate_stream(scenario)
-    verdict, detect_ms, normed = _run_detection(pipe, stream.windows,
-                                                config.threshold)
+    verdict, detect_ms, normed = _run_detection(pipe, stream.run, config.threshold)
     events = _respond(pipe, window_truths(scenario, stream.windows), verdict,
                       detect_ms, normed)
     return build_report(config, events), events
@@ -530,10 +529,10 @@ def run_simulation(config: SimConfig) -> tuple[SimulationReport, list[PipelineEv
 def evaluate_detection(config: SimConfig) -> DetectionMetrics:
     """Detection metrics of the configured run, without its response walk."""
     pipe = _Pipeline(config)
-    windows = generate_stream(config.resolved_scenario()).windows
-    verdict, _, _ = _run_detection(pipe, windows, config.threshold)
+    stream = generate_stream(config.resolved_scenario())
+    verdict, _, _ = _run_detection(pipe, stream.run, config.threshold)
     return DetectionMetrics.from_rows(
-        [LABEL_IDS[_window_kind(win)] for win in windows],
+        [LABEL_IDS[_window_kind(win)] for win in stream.windows],
         verdict.predicted, verdict.confident)
 
 

@@ -14,6 +14,10 @@ two codes are equal exactly when their strings are. The vocabulary is
 an action, subsystem or protocol of the fixed catalogs has the same code in
 every window, and a window has one column representation.
 
+A run (``TelemetryRun``) holds many windows' columns end to end. The
+generator, the JSON-lines reader and a window built by hand all build their
+columns as a run, through one constructor, and cut windows out of it.
+
 ``TelemetryEvent`` objects exist only for windows built by hand from a list
 of events and when ``window.events`` is read: a lazy view that counts
 without building objects; events with equal timestamps come out flow, then
@@ -231,11 +235,10 @@ def _column(values: list, dtype=np.int64) -> np.ndarray | None:
     return arr.astype(dtype)
 
 
-def _build_columns(rows: list[tuple[list, list, list]], n_windows: int = 1,
-                   where=lambda kind, row: "") -> tuple[list[dict], list[tuple]]:
+def _build_columns(rows: list[tuple[list, list, list]], where=lambda kind, row: ""):
     """Check each source's timestamps and payload field dicts (``rows``,
-    with each row's window) and make them column dicts, string fields as
-    codes into the window's vocabulary; returns the dicts and vocabularies.
+    with each row's window) and make them ``TelemetryRun.from_keys``'s column
+    dicts, string fields as keys, rows' windows and keys' strings.
     ``where(kind, row)`` prefixes an error with the row's location."""
     key_of = dict(FIXED_CODES)  # string -> key, in order of first sight
     sources = []
@@ -258,21 +261,7 @@ def _build_columns(rows: list[tuple[list, list, list]], n_windows: int = 1,
         sources.append(cols)
     spelled = list(key_of)
     window_of = [np.array(wins, dtype=np.int64) for _, _, wins in rows]
-    return sources, encode_strings(sources, window_of, n_windows,
-                                   lambda keys: [spelled[k] for k in keys.tolist()])
-
-
-def _columns_from_events(events: list[TelemetryEvent]):
-    """Split hand-built events into per-source columns."""
-    rows = []
-    for cls in SOURCE_COLUMNS:
-        evs = [ev for ev in events if ev.kind == cls.kind]
-        rows.append(([ev.timestamp for ev in evs], [vars(getattr(ev, cls.kind)) for ev in evs],
-                     [0] * len(evs)))
-    sources, (strings,) = _build_columns(rows)
-    if any(b.timestamp < a.timestamp for a, b in zip(events, events[1:])):
-        raise InputError("events must be sorted by timestamp")
-    return [cls(**cols) for cls, cols in zip(SOURCE_COLUMNS, sources)], strings
+    return sources, window_of, lambda keys: [spelled[k] for k in keys.tolist()]
 
 
 class EventView(Sequence):
@@ -312,8 +301,15 @@ class TelemetryWindow:
 
     def __init__(self, start: int, end: int, events=(), label: str | None = None, *,
                  sources: tuple | None = None, strings: tuple[str, ...] = FIXED_STRINGS):
-        if sources is None:
-            sources, strings = _columns_from_events(list(events))
+        if sources is None:  # hand-built events, sorted by timestamp: a run of one
+            events = list(events)
+            by_kind = [[ev for ev in events if ev.kind == cls.kind] for cls in SOURCE_COLUMNS]
+            run = TelemetryRun.from_keys([(start, end, label)], *_build_columns(
+                [([ev.timestamp for ev in evs], [vars(getattr(ev, ev.kind)) for ev in evs],
+                  [0] * len(evs)) for evs in by_kind]))
+            if any(b.timestamp < a.timestamp for a, b in itertools.pairwise(events)):
+                raise InputError("events must be sorted by timestamp")
+            sources, strings = run.sources, run.strings[0]
         elif events:
             raise InputError("pass events or columns, not both")
         self.start = start
@@ -393,6 +389,71 @@ class TelemetryWindow:
                 f"label={self.label!r}, events={self.event_count})")
 
 
+@dataclass(eq=False)
+class TelemetryRun:
+    """Many windows' columns end to end: per source, the whole run's rows in
+    window order and the ``[N + 1]`` row offsets of its windows; per window,
+    its span, label and vocabulary, which its rows' string codes index.
+    ``from_keys`` builds a run, ``of`` concatenates ready windows into one,
+    and ``window(i)`` cuts window ``i`` out."""
+
+    sources: tuple  # FlowColumns, LogColumns, BehaviorColumns
+    offsets: tuple  # per source: window i is rows offsets[k][i] to offsets[k][i + 1]
+    starts: list[int]
+    ends: list[int]
+    labels: list[str | None]
+    strings: list[tuple[str, ...]]
+
+    def __post_init__(self):
+        # per source: its class, its columns and its window offsets as ints
+        self._cuts = [(type(cols), [getattr(cols, name) for name in cols.names], at.tolist())
+                      for cols, at in zip(self.sources, self.offsets)]
+
+    @classmethod
+    def from_keys(cls, spans: list[tuple], sources: list[dict], window_of: list[np.ndarray],
+                  names_of) -> "TelemetryRun":
+        """The run of windows ``spans`` (start, end, label) from per-source
+        column dicts and each row's window, rows in window order; string
+        columns hold keys, encoded by ``encode_strings``."""
+        strings = encode_strings(sources, window_of, len(spans), names_of)
+        return cls(tuple(kind(**cols) for kind, cols in zip(SOURCE_COLUMNS, sources)),
+                   tuple(np.searchsorted(wins, np.arange(len(spans) + 1)) for wins in window_of),
+                   *([list(col) for col in zip(*spans)] or [[], [], []]), strings)
+
+    @classmethod
+    def of(cls, windows) -> "TelemetryRun":
+        """Ready windows' columns concatenated, each row keeping its code in
+        its own window's vocabulary."""
+        windows = list(windows)
+        if not windows:
+            return cls.from_keys([], *_build_columns([([], [], [])] * 3))
+        parts = [[w.sources[k] for w in windows] for k in range(len(SOURCE_COLUMNS))]
+        return cls(tuple(kind(*[np.concatenate([getattr(p, name) for p in ps])
+                                for name in kind.names])
+                         for kind, ps in zip(SOURCE_COLUMNS, parts)),
+                   tuple(np.cumsum([0] + [len(p) for p in ps]) for ps in parts),
+                   [w.start for w in windows], [w.end for w in windows],
+                   [w.label for w in windows], [w.strings for w in windows])
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def window(self, i: int) -> TelemetryWindow:
+        """Window ``i``, validated, its columns slices of the run's."""
+        return TelemetryWindow(
+            self.starts[i], self.ends[i], label=self.labels[i], strings=self.strings[i],
+            sources=tuple(kind(*[col[at[i]:at[i + 1]] for col in cols])
+                          for kind, cols, at in self._cuts))
+
+    def part(self, lo: int, hi: int) -> "TelemetryRun":
+        """Windows ``lo`` to ``hi`` as a run, its columns slices of this one's."""
+        hi = min(hi, len(self))
+        return TelemetryRun(
+            tuple(kind(*[col[at[lo]:at[hi]] for col in cols]) for kind, cols, at in self._cuts),
+            tuple(at[lo:hi + 1] - at[lo] for at in self.offsets), self.starts[lo:hi],
+            self.ends[lo:hi], self.labels[lo:hi], self.strings[lo:hi])
+
+
 _FIELD_ORDER = {cls.kind: sorted(cls.names[1:]) for cls in SOURCE_COLUMNS}
 
 
@@ -468,6 +529,8 @@ def _read_spans(path: str) -> list[tuple[int, int, str | None]]:
                                  ) from None
             if start >= end:
                 raise InputError(f"{where}: window start {start} must precede end {end}")
+            if label and label not in LABELS:
+                raise InputError(f"{where}: unknown label {label!r}")
             if spans and start < spans[-1][1]:
                 raise InputError(f"{where}: span [{start}, {end}) overlaps or precedes "
                                  "the one before it")
@@ -524,11 +587,7 @@ def read_stream_jsonl(events_path: str, labels_path: str) -> list[TelemetryWindo
             rows[record["kind"]].append((last, record[record["kind"]], span, lineno))
     # per source: timestamps, payloads, windows, line numbers
     rows = {kind: list(zip(*rows[kind])) or [()] * 4 for kind in rows}
-    sources, strings = _build_columns([rows[kind][:3] for kind in rows], len(spans),
-                                      lambda kind, row: f"{events_path}:{rows[kind][3][row]}: ")
-    firsts = [np.searchsorted(rows[kind][2], np.arange(len(spans) + 1)).tolist()
-              for kind in rows]
-    return [TelemetryWindow(start, end, label=label, strings=strings[i], sources=tuple(
-                cls(**{name: col[at[i]:at[i + 1]] for name, col in cols.items()})
-                for cls, cols, at in zip(SOURCE_COLUMNS, sources, firsts)))
-            for i, (start, end, label) in enumerate(spans)]
+    run = TelemetryRun.from_keys(spans, *_build_columns(
+        [rows[kind][:3] for kind in rows],
+        lambda kind, row: f"{events_path}:{rows[kind][3][row]}: "))
+    return [run.window(i) for i in range(len(run))]

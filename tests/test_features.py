@@ -171,6 +171,14 @@ class TestExtraction:
             assert np.isfinite(fv).all()
             assert fv.shape == (layout.dim,)
 
+    def test_window_too_long_for_its_time_bins_rejected(self, layout):
+        # (timestamp - start) * n_bins would overflow int64
+        window = TelemetryWindow(0, 10**18, events=[flow_event(ts=9 * 10**17)])
+        with pytest.raises(InputError, match="too long"):
+            extract_features(window, layout)
+        with pytest.raises(InputError, match="too long"):
+            extract_features([window_of([]), window], layout)
+
     def test_timeseries_bins_count_events(self, layout):
         # 16 bins over 1000 ms: events at 0 ms and 999 ms land in bins 0 and 15
         events = [flow_event(ts=0), flow_event(ts=999)]

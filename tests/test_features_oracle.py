@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from cloudguard.features import build_layout, extract_features
 from cloudguard.scenario import (AttackSpec, ScenarioConfig, default_scenario,
                                  generate_stream)
-from cloudguard.telemetry import LABELS, LogData, TelemetryEvent, TelemetryWindow
+from cloudguard.telemetry import (LABELS, LogData, TelemetryEvent, TelemetryWindow,
+                                  read_stream_jsonl, write_events_jsonl, write_label_sidecar)
 
 from .feature_oracle import reference_features
 from .strategies import random_windows
@@ -156,6 +157,18 @@ class TestRuns:
         n = len(windows)
         assert_run_matches(windows, slices=[(0, 1), (0, n // 2), (n // 3, n), (7, 8),
                                             (10, 40), (n - 1, n), (5, 5)])
+
+
+    def test_generated_run_matches_its_windows_and_their_read_back(self, tmp_path):
+        stream = generate_stream(default_scenario(seed=5, rounds=2))
+        events, labels = str(tmp_path / "events.jsonl"), str(tmp_path / "labels.csv")
+        write_events_jsonl(events, stream.windows)
+        write_label_sidecar(labels, stream.windows)
+        read_back = read_stream_jsonl(events, labels)
+        for layout in LAYOUTS:
+            from_run = extract_features(stream.run, layout)
+            assert_bitwise(from_run, extract_features(stream.windows, layout))
+            assert_bitwise(from_run, extract_features(read_back, layout))
 
 
 @settings(max_examples=60, deadline=None,

@@ -133,6 +133,13 @@ class TestDeterminism:
         alone = generate_window(cfg, 5)
         assert alone.events == stream.windows[5].events
 
+    @pytest.mark.parametrize("index", [65, -1])
+    def test_window_index_outside_the_run_rejected(self, index):
+        cfg = default_scenario(seed=1, rounds=1)
+        assert cfg.n_windows == 65
+        with pytest.raises(InputError, match=f"window index {index} outside"):
+            generate_window(cfg, index)
+
     def test_seeded_stream_bytes_are_pinned(self):
         # a change that moves seeded streams is a deliberate version bump:
         # update this digest with it and record the bump in CHANGES.md

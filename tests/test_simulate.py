@@ -14,7 +14,7 @@ import pytest
 from cloudguard import simulate
 from cloudguard.baseline import RuleBasedDetector
 from cloudguard.detector import (SERIES_CHUNK, ArchConfig, ThreatVerdict, build_model,
-                                 save_detector)
+                                 prepare_dataset, save_detector)
 from cloudguard.enforcement import LatencyBreakdown
 from cloudguard.errors import (CheckpointError, ComparisonError, ConfigError,
                                FilesystemError, InputError)
@@ -29,7 +29,7 @@ from cloudguard.simulate import (PipelineEvent, SimConfig, build_report,
                                  emit_report, fixed_action_damage,
                                  metrics_from_events, read_events,
                                  run_simulation, window_truths, write_events)
-from cloudguard.telemetry import LABELS, TelemetryEvent
+from cloudguard.telemetry import LABELS, TelemetryEvent, TelemetryRun
 
 
 def small_scenario(seed=3):
@@ -61,6 +61,22 @@ def small_run():
     cfg = SimConfig(scenario=small_scenario(), detector="baseline", seed=42)
     report, events = run_simulation(cfg)
     return cfg, report, events
+
+
+def test_generated_streams_reach_the_featurizer_as_their_run(monkeypatch):
+    """No path concatenates a generated stream's windows back into columns:
+    the simulation and the training data featurize the stream's run."""
+    def refuse(windows):
+        raise AssertionError("a generated stream's windows were concatenated")
+
+    monkeypatch.setattr(TelemetryRun, "of", refuse)
+    cfg = SimConfig(scenario=small_scenario(), detector="baseline", seed=42)
+    run_simulation(cfg)
+    simulate.evaluate_detection(cfg)
+    arch = ArchConfig()
+    x, _, _ = prepare_dataset(generate_stream(small_scenario()),
+                              build_layout(dim=arch.feature_dim), arch.seq_len)
+    assert len(x) > 0
 
 
 # ---------------------------------------------------------------------------

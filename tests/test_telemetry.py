@@ -140,6 +140,7 @@ _MALFORMED_SPANS = {
     "empty span": ("100,100,benign\n", "precede"),
     "overlap": ("0,100,benign\n50,150,ddos\n", "overlaps"),
     "out of order": ("200,300,\n0,100,benign\n", "precedes"),
+    "unknown label": ("0,100,ddoss\n", "unknown label 'ddoss'"),
 }
 
 
