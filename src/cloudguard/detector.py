@@ -188,55 +188,46 @@ def classify(model: ModelGraph, sequence: np.ndarray,
     return verdict(model.forward(sequence[None])[0], threshold)
 
 
-SERIES_CHUNK = 32  # windows per batched forward in classify_series
-PREDICT_CHUNK = 256  # sequences per forward in predict_probs
+SERIES_CHUNK = 32  # windows per batched forward over a series
+PREDICT_CHUNK = 256  # sequences per forward in predict_probs's per-sequence path
 
 
-def _shared_prefix(model: ModelGraph) -> int:
+def _shared_prefix(model: ModelGraph) -> int | None:
     """Number of leading convolutions, whose output does not depend on where
-    a sequence starts; they must be stride 1."""
+    a sequence starts; None if one is strided, since then it does."""
     n = 0
     for layer in model.layers:
         if not isinstance(layer, Conv1dLayer):
             break
         if layer.params.stride != 1:
-            raise ConfigError(f"layer {n}: a shared convolution needs stride 1, "
-                              f"got {layer.params.stride}")
+            return None
         n += 1
     return n
 
 
-def classify_series(model: ModelGraph, arch: ArchConfig, normed: np.ndarray,
-                    threshold: float = DEFAULT_THRESHOLD) -> ThreatVerdict:
-    """Classify every window of a run's ``[N, D]`` normalized series into
-    one verdict of ``[N]`` arrays.
+def _series_probs(model: ModelGraph, series: np.ndarray, seq_len: int,
+                  n_prefix: int) -> np.ndarray:
+    """Class probabilities ``[N, K]`` of the ``seq_len`` windows ending at
+    each row of an ``[N, D]`` series, row 0 repeated in front for warm-up.
 
-    Row i of the verdict is ``classify`` on the ``seq_len`` windows ending
-    at i, with window 0 repeated in front of the series for warm-up. The
-    leading convolutions run once per chunk of windows instead of once per
-    sequence (the activation caching of Fast WaveNet), and the rest of the
-    stack runs batched on per-sequence slices of their output.
-
-    Chunks always hold SERIES_CHUNK windows, the last one zero-padded, so
-    every matrix product has the same shape whatever N is: a window's
-    probabilities depend only on it and the windows before it, bit for bit.
+    The ``n_prefix`` leading convolutions run once per chunk of windows, not
+    once per sequence (the activation caching of Fast WaveNet); the rest of
+    the stack runs batched on per-sequence slices of their output. Chunks
+    always hold SERIES_CHUNK windows, the last one zero-padded, so every
+    matrix product has one shape whatever N is: a row's probabilities depend
+    only on it and the rows before it, bit for bit.
     """
-    normed = np.asarray(normed, dtype=np.float64)
-    if normed.ndim != 2 or normed.shape[1] != arch.feature_dim:
-        raise DimensionError(f"series must be [N, {arch.feature_dim}], got shape "
-                             f"{normed.shape}")
-    n = len(normed)
-    if n == 0:
-        return verdict(np.zeros((0, arch.num_classes)), threshold)
-    n_prefix = _shared_prefix(model)
-    t = arch.seq_len
+    n, d = series.shape
+    t = seq_len
     # rows a sequence of t windows keeps after the shared valid convolutions
     t_shared = t - sum(layer.params.kernel.shape[0] - 1
                        for layer in model.layers[:n_prefix])
+    if t_shared < 1:
+        raise DimensionError(f"sequences of {t} windows are too short for the convolutions")
     n_chunks = -(-n // SERIES_CHUNK)
-    padded = np.zeros((n_chunks * SERIES_CHUNK + t - 1, arch.feature_dim))
-    padded[:t - 1] = normed[0]
-    padded[t - 1:t - 1 + n] = normed
+    padded = np.zeros((n_chunks * SERIES_CHUNK + t - 1, d))
+    padded[:t - 1] = series[0]
+    padded[t - 1:t - 1 + n] = series
     probs = []
     for lo in range(0, n, SERIES_CHUNK):
         out = padded[None, lo:lo + SERIES_CHUNK + t - 1]
@@ -247,20 +238,54 @@ def classify_series(model: ModelGraph, arch: ArchConfig, normed: np.ndarray,
         for layer in model.layers[n_prefix:]:
             out, _ = layer.forward(out)
         probs.append(out)
-    return verdict(np.concatenate(probs)[:n], threshold)
+    return np.concatenate(probs)[:n]
+
+
+def classify_series(model: ModelGraph, arch: ArchConfig, normed: np.ndarray,
+                    threshold: float = DEFAULT_THRESHOLD) -> ThreatVerdict:
+    """Classify every window of a run's ``[N, D]`` normalized series into
+    one verdict of ``[N]`` arrays.
+
+    Row i of the verdict is ``classify`` on the ``seq_len`` windows ending
+    at i, window 0 repeated in front for warm-up, within 1e-12; no row
+    depends on later windows, bit for bit (see ``_series_probs``). Rows
+    ``seq_len - 1`` on are, bit for bit, ``predict_probs`` on the
+    ``build_sequences`` view of the series. ConfigError if a leading
+    convolution is strided.
+    """
+    normed = np.asarray(normed, dtype=np.float64)
+    if normed.ndim != 2 or normed.shape[1] != arch.feature_dim:
+        raise DimensionError(f"series must be [N, {arch.feature_dim}], got shape "
+                             f"{normed.shape}")
+    if len(normed) == 0:
+        return verdict(np.zeros((0, arch.num_classes)), threshold)
+    n_prefix = _shared_prefix(model)
+    if n_prefix is None:
+        raise ConfigError("shared leading convolutions need stride 1")
+    return verdict(_series_probs(model, normed, arch.seq_len, n_prefix), threshold)
 
 
 def predict_probs(model: ModelGraph, x: np.ndarray) -> np.ndarray:
-    """Forward pass over ``[M, T, D]`` in bounded-memory chunks."""
+    """Class probabilities ``[M, K]`` of ``[M, T, D]`` sequences.
+
+    Sequences that form one series, as the ``build_sequences`` view does,
+    share ``classify_series``'s pass: ``x.strides[0] == x.strides[1]`` means
+    ``x[m, t]`` is row ``m + t`` of an ``[M + T - 1, D]`` series, and row m
+    is row ``m + T - 1`` of ``classify_series`` on it, bit for bit. Any
+    other x (a copy of such a view too), or a model with a strided leading
+    convolution, runs per sequence in chunks of PREDICT_CHUNK; the two paths
+    agree within 1e-12.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n_prefix = _shared_prefix(model)
+    if x.ndim == 3 and len(x) and x.strides[0] == x.strides[1] and n_prefix is not None:
+        m, t, d = x.shape
+        series = np.lib.stride_tricks.as_strided(x, (m + t - 1, d), x.strides[1:],
+                                                 writeable=False)
+        return _series_probs(model, series, t, n_prefix)[t - 1:]
     outs = [model.forward(x[i:i + PREDICT_CHUNK])
             for i in range(0, len(x), PREDICT_CHUNK)]
     return np.concatenate(outs, axis=0)
-
-
-def _predict_rows(model: ModelGraph, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``predict_probs`` over ``x[rows]``, gathering one chunk at a time."""
-    return np.concatenate([predict_probs(model, x[rows[i:i + PREDICT_CHUNK]])
-                           for i in range(0, len(rows), PREDICT_CHUNK)], axis=0)
 
 
 @dataclass
@@ -297,7 +322,9 @@ def train(model: ModelGraph, x: np.ndarray, y: np.ndarray,
     initialization (the caller seeds build_model) all derive from cfg.seed.
     Returns the model restored to its best validation-accuracy epoch and the
     per-epoch history (training loss/accuracy in canonical data order plus
-    validation accuracy).
+    validation accuracy). Each epoch is scored by one ``predict_probs`` over
+    all of x, so a ``build_sequences`` view takes the shared-convolution
+    pass; its history's losses are within 1e-12 of those on ``x.copy()``.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -335,10 +362,10 @@ def train(model: ModelGraph, x: np.ndarray, y: np.ndarray,
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(f"epoch {epoch}: {exc}") from exc
         # canonical-order evaluation keeps history reproducible bit for bit
-        train_probs = _predict_rows(model, x, train_idx)
+        probs = predict_probs(model, x)
+        train_probs, val_probs = probs[train_idx], probs[val_idx]
         train_loss = nnl.cross_entropy_batch(train_probs, y_train, weights[y_train])
         train_acc = float((train_probs.argmax(axis=1) == y_train).mean())
-        val_probs = _predict_rows(model, x, val_idx)
         val_acc = float((val_probs.argmax(axis=1) == y_val).mean())
         history.append({
             "epoch": epoch,

@@ -130,24 +130,26 @@ def conv1d_backward_batch(dout: np.ndarray, x: np.ndarray, p: ConvParams,
                           need_dx: bool = True):
     """Gradients of the batched convolution. Returns ``(dx, dkernel, dbias)``.
 
-    Each tap's filter gradient is one matrix product over every (sequence,
-    position) row: ``[B*T', C_in]^T @ [B*T', C_out]``, the backward-filter
-    GEMM of cuDNN (Chetlur et al. 2014). With ``need_dx=False`` the input
-    gradient is not computed and ``dx`` is None; a graph's first layer has
-    no use for it.
+    One matrix product over every (sequence, input position) row gives all
+    taps' filter gradients, the backward-filter GEMM of cuDNN (Chetlur et
+    al. 2014): ``[B*T, C_in]^T @ [B*T, K*C_out]``, where tap kk's columns
+    hold ``dout`` on the input rows that tap read and zeros elsewhere. With
+    ``need_dx=False`` the input gradient is not computed and ``dx`` is None;
+    a graph's first layer has no use for it.
     """
     k, c_in, c_out = p.kernel.shape
+    b, t, _ = x.shape
     t_out = dout.shape[1]
-    dflat = dout.reshape(-1, c_out)
     dx = np.zeros_like(x) if need_dx else None
-    dkernel = np.empty_like(p.kernel)
+    shifted = np.zeros((b, t, k, c_out))
     dbias = dout.sum(axis=(0, 1))
     for kk in range(k):
         sl = slice(kk, kk + (t_out - 1) * p.stride + 1, p.stride)
-        dkernel[kk] = x[:, sl, :].reshape(-1, c_in).T @ dflat
+        shifted[:, sl, kk] = dout
         if need_dx:
             dx[:, sl, :] += dout @ p.kernel[kk].T
-    return dx, dkernel, dbias
+    dkernel = x.reshape(-1, c_in).T @ shifted.reshape(-1, k * c_out)
+    return dx, dkernel.reshape(c_in, k, c_out).transpose(1, 0, 2), dbias
 
 
 def maxpool1d_forward(x: np.ndarray, pool_size: int):

@@ -66,11 +66,14 @@ class Adam:
         c2 = 1.0 - self.beta2**self.t
         for name, p in params.items():
             g = grads[name]
-            if name not in self._m and not g.any():
+            m = self._m.get(name)
+            if m is None and not g.any():
                 continue
             _check_finite(name, g, "gradient")
-            m = self._m.setdefault(name, np.zeros_like(p))
-            v = self._v.setdefault(name, np.zeros_like(p))
+            if m is None:
+                m = self._m[name] = np.zeros_like(p)
+                self._v[name] = np.zeros_like(p)
+            v = self._v[name]
             a, b = (buf[:p.size].reshape(p.shape) for buf in self._scratch)
             # m = beta1 m + (1 - beta1) g
             np.multiply(g, 1.0 - self.beta1, out=a)

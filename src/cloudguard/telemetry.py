@@ -223,6 +223,9 @@ def encode_strings(sources: list[dict], window_of: list[np.ndarray], n_windows: 
     return [FIXED_STRINGS + vocab[a:b] for a, b in zip(firsts, firsts[1:])]
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _column(values: list, dtype=np.int64) -> np.ndarray | None:
     """One column from field values, or None unless all are integers (for a
     bool column, booleans): no silent truncation of floats or strings."""
@@ -414,11 +417,16 @@ class TelemetryRun:
                   names_of) -> "TelemetryRun":
         """The run of windows ``spans`` (start, end, label) from per-source
         column dicts and each row's window, rows in window order; string
-        columns hold keys, encoded by ``encode_strings``."""
+        columns hold keys, encoded by ``encode_strings``. InputError if a
+        span's start or end lies outside int64, as event timestamps must."""
+        starts, ends, labels = [list(col) for col in zip(*spans)] or [[], [], []]
+        bounds = starts + ends
+        if bounds and not _INT64.min <= min(bounds) <= max(bounds) <= _INT64.max:
+            raise InputError(f"window spans reach [{min(bounds)}, {max(bounds)}], outside int64")
         strings = encode_strings(sources, window_of, len(spans), names_of)
         return cls(tuple(kind(**cols) for kind, cols in zip(SOURCE_COLUMNS, sources)),
                    tuple(np.searchsorted(wins, np.arange(len(spans) + 1)) for wins in window_of),
-                   *([list(col) for col in zip(*spans)] or [[], [], []]), strings)
+                   starts, ends, labels, strings)
 
     @classmethod
     def of(cls, windows) -> "TelemetryRun":

@@ -113,6 +113,32 @@ def test_traced_classify_records_each_detectors_verdict_counter():
     assert counters["detector.confident"] == counters["baseline.matched"] == 1
 
 
+def test_traced_detector_training_evaluates_once_per_epoch():
+    # detector.eval wraps predict_probs, which train calls once per epoch;
+    # its shared-convolution pass still runs conv1 under that span
+    arch = ArchConfig(feature_dim=8, conv_filters=(4, 4, 8, 8), lstm_hidden=8,
+                      fc_widths=(8,))
+    rng = np.random.default_rng(0)
+    series = rng.normal(size=(60 + arch.seq_len - 1, arch.feature_dim))
+    x, y = detector.build_sequences(series, rng.integers(arch.num_classes, size=len(series)),
+                                    arch.seq_len)
+    probes, tracing = _load("probes"), _load("tracing")
+    tracer = tracing.Tracer()
+    try:
+        probes.install(tracer)
+        model = detector.build_model(arch)  # built traced, so its layers are named
+        detector.train(model, x, y, TrainConfig(epochs=3, batch_size=16))
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+    assert spans.count("detector.train") == 1
+    assert spans.count("detector.eval") == 3
+    assert spans.busy("nn.conv1.forward") > 0 and spans.busy("nn.conv1.backward") > 0
+    assert tracer.counters()["nn.conv1.forward_flop"] > 0
+    evals = spans.id[spans.mask("detector.eval")]
+    assert np.isin(spans.parent[spans.mask("nn.conv1.forward")], evals).any()
+
+
 class _CountingEnv(DefenseEnv):
     """The defense environment, counting the steps it is asked to take."""
 

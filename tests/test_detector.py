@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudguard.detector import (
+    PREDICT_CHUNK,
     SERIES_CHUNK,
     ArchConfig,
     DetectionMetrics,
@@ -20,6 +21,7 @@ from cloudguard.detector import (
     confusion_metrics,
     evaluate,
     load_detector,
+    predict_probs,
     save_detector,
     train,
 )
@@ -31,7 +33,7 @@ from cloudguard.errors import (
     TrainingDivergedError,
 )
 from cloudguard.features import NormStats, build_layout
-from cloudguard.nn import grad_check
+from cloudguard.nn import Conv1dLayer, DenseLayer, LstmLayer, ModelGraph, grad_check
 from cloudguard.telemetry import LABELS
 
 from .test_cli import TINY_ARCH
@@ -462,6 +464,89 @@ class TestClassifySeries:
             classify_series(model, arch, np.zeros((5, arch.feature_dim + 1)))
         with pytest.raises(DimensionError):
             classify_series(model, arch, np.zeros(arch.feature_dim))
+
+
+def series_dataset(arch, m: int, seed: int):
+    """``build_sequences`` over a random series: M overlapping sequences
+    (a sliding view) and random labels."""
+    rng = np.random.default_rng(seed)
+    series = rng.normal(size=(m + arch.seq_len - 1, arch.feature_dim))
+    labels = rng.integers(arch.num_classes, size=len(series))
+    return build_sequences(series, labels, arch.seq_len)
+
+
+class TestPredictProbs:
+    @pytest.mark.parametrize("name", sorted(SERIES_ARCHS))
+    def test_series_view_matches_graph_forward_per_sequence(self, name):
+        arch = SERIES_ARCHS[name]
+        model = build_model(arch, seed=41)
+        for m in (1, SERIES_CHUNK - 1, 2 * SERIES_CHUNK + 3):
+            x, _ = series_dataset(arch, m, seed=m)
+            assert x.strides[0] == x.strides[1]
+            got = predict_probs(model, x)
+            want = model.forward(np.ascontiguousarray(x))
+            assert got.shape == want.shape == (m, arch.num_classes)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(SERIES_ARCHS))
+    def test_series_view_rows_are_classify_series_rows_bitwise(self, name):
+        arch = SERIES_ARCHS[name]
+        model = build_model(arch, seed=42)
+        x, _ = series_dataset(arch, 2 * SERIES_CHUNK + 3, seed=42)
+        series = np.concatenate([x[:, 0], x[-1, 1:]])  # row m + t is x[m, t]
+        want = classify_series(model, arch, series).probabilities[arch.seq_len - 1:]
+        assert predict_probs(model, x).tobytes() == want.tobytes()
+
+    def test_train_on_a_view_and_on_its_copy_agree(self):
+        arch = tiny_arch()
+        x, y = series_dataset(arch, 90, seed=43)
+        runs = []
+        for data in (x, x.copy()):
+            model = build_model(arch, seed=43)
+            _, history = train(model, data, y, TrainConfig(epochs=3, lr=3e-3, seed=4))
+            runs.append((history, model.parameters()))
+        (view_hist, view_params), (copy_hist, copy_params) = runs
+        for a, b in zip(view_hist, copy_hist):
+            assert a["train_accuracy"] == b["train_accuracy"]
+            assert a["val_accuracy"] == b["val_accuracy"]
+            assert abs(a["loss"] - b["loss"]) <= 1e-12
+        for key, arr in view_params.items():  # training itself reads the same batches
+            np.testing.assert_array_equal(arr, copy_params[key])
+
+    def test_evaluating_overlapping_sequences_never_gathers_a_chunk(self):
+        arch = tiny_arch(feature_dim=64)
+        x, y = series_dataset(arch, 400, seed=44)
+        gather = PREDICT_CHUNK * arch.seq_len * arch.feature_dim * x.itemsize
+        model = build_model(arch, seed=44)
+        tracemalloc.start()
+        try:
+            train(model, x, y, TrainConfig(epochs=1, seed=0))
+            evaluate(model, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gather / 2
+
+    def test_strided_leading_conv_runs_per_sequence(self):
+        arch = tiny_arch()
+        model = ModelGraph([Conv1dLayer(arch.feature_dim, 4, 3, stride=2),
+                            LstmLayer(4, 8), DenseLayer(8, 3, activation="softmax")])
+        x, y = series_dataset(arch, 40, seed=45)
+        np.testing.assert_allclose(predict_probs(model, x),
+                                   model.forward(np.ascontiguousarray(x)),
+                                   rtol=0, atol=1e-12)
+        _, history = train(model, x, y, TrainConfig(epochs=2, seed=0))
+        assert len(history) == 2
+        with pytest.raises(ConfigError, match="stride"):
+            classify_series(model, arch, x[:, 0])
+
+    def test_sequences_shorter_than_the_convolutions_rejected(self):
+        arch = tiny_arch()
+        model = build_model(arch, seed=46)
+        x, _ = build_sequences(np.zeros((10, arch.feature_dim)), np.zeros(10), seq_len=2)
+        for data in (x, x.copy()):  # the series path and the per-sequence path
+            with pytest.raises(DimensionError):
+                predict_probs(model, data)
 
 
 class TestDetectorBundle:

@@ -1,6 +1,8 @@
 """Optimizer update rules checked against hand-computed steps and the
 reference Adam."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,16 @@ class TestAdamAgainstReference:
         opt.step(params, {"quiet": np.zeros(3), "busy": np.ones(2)})
         with pytest.raises(TrainingDivergedError, match="quiet"):
             opt.step(params, {"quiet": np.array([0.0, bad, 0.0]), "busy": np.ones(2)})
+
+    def test_a_step_after_the_first_allocates_no_moments(self):
+        params = {"w": np.ones(100_000)}
+        grads = {"w": np.full(100_000, 0.5)}
+        opt = Adam(lr=0.1)
+        opt.step(params, grads)  # makes the moments and the scratch buffers
+        tracemalloc.start()
+        try:
+            opt.step(params, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params["w"].nbytes

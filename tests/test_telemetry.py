@@ -92,6 +92,17 @@ class TestWindowValidation:
         assert w.duration_ms == 1000
         assert w.events == []
 
+    @pytest.mark.parametrize("start, end", [(2**63, 2**63 + 1), (-2**63 - 1, 0),
+                                            (0, 2**63)])
+    def test_span_outside_int64_rejected(self, start, end):
+        # numpy would raise a bare OverflowError on the span when featurizing
+        with pytest.raises(InputError, match="int64"):
+            TelemetryWindow(start=start, end=end)
+
+    def test_span_at_the_int64_edges_featurizes(self):
+        w = TelemetryWindow(start=2**63 - 17, end=2**63 - 1)
+        assert extract_features([w], build_layout()).shape == (1, build_layout().dim)
+
 
 # one valid line of each source, for building malformed files around
 FLOW_LINE = {"kind": "flow", "timestamp": 10, "flow": {
@@ -299,6 +310,14 @@ class TestColumnarWindows:
         for bad in (dict(bytes=1.5), dict(port="443"), dict(syn_flag=1)):
             with pytest.raises(InputError, match="must hold"):
                 TelemetryWindow(start=0, end=100, events=[flow_event(ts=10, **bad)])
+
+    def test_reader_rejects_span_outside_int64(self, tmp_path):
+        ev = tmp_path / "events.jsonl"
+        ev.write_text("")
+        lb = tmp_path / "labels.csv"
+        lb.write_text(f"start,end,label\n0,100,benign\n100,{2**63},benign\n")
+        with pytest.raises(InputError, match="int64"):
+            read_stream_jsonl(str(ev), str(lb))
 
     def test_reader_rejects_non_integer_fields(self, tmp_path):
         ev = tmp_path / "events.jsonl"
