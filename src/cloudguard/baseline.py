@@ -6,7 +6,6 @@ Rules live in a packaged JSON document rather than code so the baseline is
 auditable and swappable.
 """
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -16,6 +15,7 @@ import numpy as np
 from .detector import ThreatVerdict, verdict
 from .errors import InputError
 from .features import FeatureLayout
+from .files import read_json
 from .telemetry import LABELS
 
 _OPS = {
@@ -104,14 +104,7 @@ def parse_rules(doc: dict) -> tuple[Rule, ...]:
 
 
 def load_rules(path) -> tuple[Rule, ...]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read rule file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"rule file is not valid JSON: {exc}") from exc
-    return parse_rules(doc)
+    return parse_rules(read_json(path, InputError, "rule file"))
 
 
 @lru_cache(maxsize=1)

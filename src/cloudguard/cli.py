@@ -4,7 +4,8 @@ Each subcommand reads one JSON configuration document (--config) plus a few
 override flags, writes its outputs under --out, and prints a one-line
 summary. Exit codes map the package's error taxonomy: 2 configuration or
 usage, 3 bad input data, 4 checkpoint problems, 5 filesystem problems,
-1 anything else.
+1 anything else. An input file that cannot be read or is not UTF-8 text
+exits with its reader's code (2 --config, 3 report, 4 policy or convergence).
 
 Config schemas (all fields optional unless noted):
 
@@ -41,7 +42,7 @@ the given seed.
 
 import argparse
 import dataclasses
-import json
+import functools
 import os
 import sys
 
@@ -51,12 +52,13 @@ from .environment import DefenseEnv, EnvConfig, defense_train_config
 from .errors import (CatalogError, CheckpointError, CloudguardError,
                      ConfigError, DimensionError, FilesystemError, InputError)
 from .features import build_layout
+from .files import make_dir, read_json, write_text
 from .policy import PolicyTrainConfig, save_qtables, train_policy, \
     write_convergence_csv
 from .scenario import ScenarioConfig, default_scenario, generate_stream
 from .simulate import (SimConfig, canonical_json, comparison_to_dict,
                        compare_reports, emit_report, evaluate_detection,
-                       per_class_csv, run_simulation, write_text)
+                       per_class_csv, run_simulation)
 from .telemetry import write_events_jsonl, write_label_sidecar
 
 # train-policy document keys overlaid on the defense_train_config preset
@@ -78,13 +80,7 @@ def _load_config(args) -> dict:
     """The command's --config document; ConfigError on a key it does not take."""
     if args.config is None:
         return {}
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    doc = read_json(args.config, ConfigError, "config file")
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a single JSON object")
     keys = _DOC_KEYS.get(args.command)
@@ -114,18 +110,10 @@ def _sim_config(args) -> SimConfig:
     return SimConfig.from_dict(doc)
 
 
-def _ensure_out(out: str) -> str:
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise FilesystemError(f"cannot create output dir {out}: {exc}") from exc
-    return out
-
-
 def _cmd_generate(args) -> int:
     doc = _load_config(args)
     scenario = _resolve_scenario(doc, args.seed)
-    out = _ensure_out(args.out)
+    out = make_dir(args.out)
     stream = generate_stream(scenario)
     try:
         write_events_jsonl(os.path.join(out, "telemetry.jsonl"), stream.windows)
@@ -153,7 +141,7 @@ def _cmd_train_detector(args) -> int:
                            "eval_seed")
     threshold = det.check_threshold(read_value(
         float, doc.get("threshold", det.DEFAULT_THRESHOLD), "threshold"))
-    out = _ensure_out(args.out)
+    out = make_dir(args.out)
     layout = build_layout(dim=arch.feature_dim)
     stream = generate_stream(scenario)
     x, y, stats = det.prepare_dataset(stream, layout, arch.seq_len)
@@ -182,7 +170,7 @@ def _cmd_train_policy(args) -> int:
     env = DefenseEnv(read_config(EnvConfig, doc.get("env", {}), seed=seed))
     preset = dataclasses.asdict(defense_train_config(seed=seed))
     cfg = read_config(PolicyTrainConfig, preset | _pick(doc, _POLICY_KEYS))
-    out = _ensure_out(args.out)
+    out = make_dir(args.out)
     tables, curve = train_policy(env, cfg)
     qt = os.path.join(out, "policy.csv")
     save_qtables(qt, tables)
@@ -209,7 +197,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = _sim_config(args)
     metrics = evaluate_detection(config)
-    out = _ensure_out(args.out)
+    out = make_dir(args.out)
     write_text(os.path.join(out, "evaluation.json"),
                canonical_json(metrics.to_dict()))
     if args.format == "csv":
@@ -221,16 +209,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _read_report(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read report: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"report is not valid JSON: {exc}") from exc
-
-
 def _cmd_compare(args) -> int:
     doc = _load_config(args)
     baseline = args.baseline or read_value(str | None, doc.get("baseline"),
@@ -240,10 +218,11 @@ def _cmd_compare(args) -> int:
     if not baseline or not candidate:
         raise ConfigError("compare needs a baseline and a candidate report "
                           "(two positionals or config keys)")
-    rows = compare_reports(_read_report(baseline), _read_report(candidate))
+    rows = compare_reports(read_json(baseline, InputError, "report"),
+                           read_json(candidate, InputError, "report"))
     text = canonical_json(comparison_to_dict(rows))
     if args.out:
-        out = _ensure_out(args.out)
+        out = make_dir(args.out)
         write_text(os.path.join(out, "comparison.json"), text)
         print(f"compared {len(rows)} indicators -> {out}")
     else:
@@ -251,6 +230,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was; one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cloudguard",

@@ -19,7 +19,8 @@ from .config import read_config
 from .errors import (CheckpointError, ConfigError, DimensionError, InputError,
                      TrainingDivergedError)
 from .features import FeatureLayout, NormStats, extract_features, fit_normalizer, normalize
-from .nn import Adam, Conv1dLayer, DenseLayer, LstmLayer, MaxPool1dLayer, ModelGraph
+from .nn import (Adam, Conv1dLayer, DenseLayer, LstmLayer, MaxPool1dLayer, ModelGraph,
+                 one_blas_thread)
 from .nn import layers as nnl
 from .nn.checkpoint import load_params, restore_into, save_params
 from .telemetry import LABELS
@@ -229,15 +230,16 @@ def _series_probs(model: ModelGraph, series: np.ndarray, seq_len: int,
     padded[:t - 1] = series[0]
     padded[t - 1:t - 1 + n] = series
     probs = []
-    for lo in range(0, n, SERIES_CHUNK):
-        out = padded[None, lo:lo + SERIES_CHUNK + t - 1]
-        for layer in model.layers[:n_prefix]:
-            out, _ = layer.forward(out)
-        seqs = np.lib.stride_tricks.sliding_window_view(out[0], t_shared, axis=0)
-        out = seqs.transpose(0, 2, 1)  # [chunk, t_shared, channels]
-        for layer in model.layers[n_prefix:]:
-            out, _ = layer.forward(out)
-        probs.append(out)
+    with one_blas_thread():
+        for lo in range(0, n, SERIES_CHUNK):
+            out = padded[None, lo:lo + SERIES_CHUNK + t - 1]
+            for layer in model.layers[:n_prefix]:
+                out, _ = layer.forward(out)
+            seqs = np.lib.stride_tricks.sliding_window_view(out[0], t_shared, axis=0)
+            out = seqs.transpose(0, 2, 1)  # [chunk, t_shared, channels]
+            for layer in model.layers[n_prefix:]:
+                out, _ = layer.forward(out)
+            probs.append(out)
     return np.concatenate(probs)[:n]
 
 

@@ -18,7 +18,8 @@ from .layers import (
     maxpool1d_forward,
     softmax,
 )
-from .model import Conv1dLayer, DenseLayer, LstmLayer, MaxPool1dLayer, ModelGraph
+from .model import (Conv1dLayer, DenseLayer, LstmLayer, MaxPool1dLayer, ModelGraph,
+                    one_blas_thread)
 from .optim import Adam, Sgd
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "load_params",
     "lstm_forward",
     "maxpool1d_forward",
+    "one_blas_thread",
     "restore_into",
     "save_params",
     "softmax",

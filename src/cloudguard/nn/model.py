@@ -4,12 +4,52 @@ The graph is a plain list of layers; ``loss_and_gradients`` runs one forward
 pass, caches what each layer needs, and walks the list backwards. Parameters
 are addressed by ``"<layer index>.<field>"`` so optimizers and checkpoints
 can treat the whole model as a flat named dict.
+
+Every pass runs with numpy's OpenBLAS on one thread (``one_blas_thread``):
+a matrix product's last bits can depend on how many threads share it, and a
+seeded run's bytes must not depend on ``OPENBLAS_NUM_THREADS``.
 """
 
-import numpy as np
+import contextlib
+import ctypes
+import functools
 
-from ..errors import DimensionError
+import numpy as np
+from numpy.linalg import _umath_linalg
+
+from ..errors import CloudguardError, DimensionError
 from . import layers as L
+
+
+@functools.cache
+def _openblas_threads():
+    """The getter and setter of numpy's bundled OpenBLAS thread count,
+    found through numpy's linear-algebra extension, which links the library."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except AttributeError as exc:
+        raise CloudguardError(f"numpy's BLAS exports no scipy-openblas thread "
+                              f"control, so the network cannot fix its thread "
+                              f"count: {exc}") from exc
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the
+    caller's thread count. CloudguardError if numpy's BLAS is not the
+    bundled scipy-openblas."""
+    get, set_ = _openblas_threads()
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -158,8 +198,9 @@ class ModelGraph:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities for a batch ``[B, T, C]`` (or ``[B, D]`` for MLPs)."""
         out = np.asarray(x, dtype=np.float64)
-        for layer in self.layers:
-            out, _ = layer.forward(out)
+        with one_blas_thread():
+            for layer in self.layers:
+                out, _ = layer.forward(out)
         return out
 
     def loss_and_gradients(self, x: np.ndarray, labels: np.ndarray,
@@ -177,15 +218,16 @@ class ModelGraph:
         labels = np.asarray(labels)
         out = np.asarray(x, dtype=np.float64)
         caches = []
-        for layer in self.layers:
-            out, cache = layer.forward(out)
-            caches.append(cache)
-        probs = out
-        loss = L.cross_entropy_batch(probs, labels, sample_weights)
-        grad = L.softmax_xent_grad(probs, labels, sample_weights)
         grads: dict[str, np.ndarray] = {}
-        for i in range(len(self.layers) - 1, -1, -1):
-            grad, layer_grads = self.layers[i].backward(grad, caches[i], need_dx=i > 0)
-            for name, g in layer_grads.items():
-                grads[f"{i}.{name}"] = g
+        with one_blas_thread():
+            for layer in self.layers:
+                out, cache = layer.forward(out)
+                caches.append(cache)
+            probs = out
+            loss = L.cross_entropy_batch(probs, labels, sample_weights)
+            grad = L.softmax_xent_grad(probs, labels, sample_weights)
+            for i in range(len(self.layers) - 1, -1, -1):
+                grad, layer_grads = self.layers[i].backward(grad, caches[i], need_dx=i > 0)
+                for name, g in layer_grads.items():
+                    grads[f"{i}.{name}"] = g
         return loss, grads

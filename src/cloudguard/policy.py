@@ -29,9 +29,9 @@ from .errors import (
     ConfigError,
     DimensionError,
     EnvironmentFault,
-    FilesystemError,
     InputError,
 )
+from .files import read_text, write_text
 from .perception import BAND_EDGES
 from .telemetry import LABELS
 
@@ -411,11 +411,7 @@ def save_qtables(path, tables: DoubleQTables) -> None:
                                tables.q_b[touched].tolist(),
                                tables.visits[touched].tolist()):
         lines.append(f"{s},{a},{qa!r},{qb!r},{v}")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise FilesystemError(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 _QT_ROW = np.dtype([("state", np.int64), ("action", np.int64), ("q_a", np.float64),
@@ -425,11 +421,7 @@ _QT_ROW = np.dtype([("state", np.int64), ("action", np.int64), ("q_a", np.float6
 def load_qtables(path) -> DoubleQTables:
     """Read a ``save_qtables`` file; CheckpointError on any malformed part,
     a non-finite Q value or a repeated (state, action) row."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise CheckpointError(f"cannot read q-table checkpoint: {exc}") from exc
+    lines = read_text(path, CheckpointError, "q-table checkpoint").split("\n")
     if len(lines) < 3 or lines[0] != _QT_MAGIC or lines[2] != _QT_HEADER:
         raise CheckpointError(f"{path} is not a q-table checkpoint")
     try:
@@ -468,23 +460,23 @@ def load_qtables(path) -> DoubleQTables:
 
 
 def write_convergence_csv(path, curve: ConvergenceCurve) -> None:
-    """FilesystemError when ``path`` cannot be written."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["episode", "mean_reward", "moving_avg"])
-            for episode, reward, moving in curve.to_rows():
-                writer.writerow([episode, repr(reward), repr(moving)])
-    except OSError as exc:
-        raise FilesystemError(f"cannot write {path}: {exc}") from exc
+    """One CSV row per episode, CRLF-terminated, floats written with repr;
+    FilesystemError when ``path`` cannot be written."""
+    rows = ["episode,mean_reward,moving_avg"]
+    rows += [f"{episode},{reward!r},{moving!r}" for episode, reward, moving in curve.to_rows()]
+    write_text(path, "\r\n".join(rows) + "\r\n")
 
 
 def read_convergence_csv(path) -> ConvergenceCurve:
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise CheckpointError(f"cannot read convergence curve: {exc}") from exc
+    """CheckpointError when ``path`` cannot be read or is not a curve."""
+    return parse_convergence_csv(read_text(path, CheckpointError, "convergence curve"),
+                                 path)
+
+
+def parse_convergence_csv(text: str, path) -> ConvergenceCurve:
+    """The curve in ``text``, read from ``path``; CheckpointError on a
+    missing header or a malformed row."""
+    rows = list(csv.reader(text.splitlines()))
     if not rows or rows[0] != ["episode", "mean_reward", "moving_avg"]:
         raise CheckpointError(f"{path} is not a convergence curve file")
     rewards, moving = [], []

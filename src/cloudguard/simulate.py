@@ -33,14 +33,14 @@ from .config import read_config
 from .detector import (DEFAULT_THRESHOLD, DetectionMetrics, check_threshold,
                        classify_series, load_detector)
 from .enforcement import OUTCOMES, LatencyBreakdown, apply_action, enforce_window
-from .errors import (CheckpointError, ComparisonError, ConfigError,
-                     FilesystemError, InputError)
+from .errors import CheckpointError, ComparisonError, ConfigError, InputError
 from .features import build_layout, extract_features, fit_normalizer, normalize
+from .files import make_dir, read_text, write_text
 from .perception import (ThreatLevel, build_embedders, build_scorer,
                          context_from_fused, embed_window, fuse,
                          level_for_score, summarize_threats, threat_score)
 from .policy import (N_ACTIONS, RECENT_OFFSET, compose_indicators, encode_state,
-                     load_qtables, read_convergence_csv, select_action)
+                     load_qtables, parse_convergence_csv, select_action)
 from .scenario import BurstIndex, ScenarioConfig, default_scenario, generate_stream
 from .telemetry import LABELS
 
@@ -562,15 +562,6 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def write_text(path: str, text: str) -> None:
-    """Write a whole text file; FilesystemError when it cannot be written."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise FilesystemError(f"cannot write {path}: {exc}") from exc
-
-
 def write_events(path: str, events) -> None:
     """One JSON object per line, in window order."""
     lines = [json.dumps(ev.to_dict(), sort_keys=True) for ev in events]
@@ -580,11 +571,8 @@ def write_events(path: str, events) -> None:
 def read_events(path: str) -> list[PipelineEvent]:
     """Parse an event log; InputError unless its window ids are
     non-negative and strictly rising."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw_lines = [line for line in fh.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise InputError(f"cannot read event log: {exc}") from exc
+    raw_lines = [line for line in read_text(path, InputError, "event log").splitlines()
+                 if line.strip()]
     events = []
     for line in raw_lines:
         try:
@@ -617,22 +605,17 @@ def emit_report(report: SimulationReport, events, out_dir: str,
 
     "json" emits metrics.json; "csv" emits the per-class, latency-share,
     threat-distribution, and convergence tables. The event log is written
-    either way: it is the record everything else recomputes from. A malformed
-    convergence curve raises CheckpointError before anything is written.
+    either way: it is the record everything else recomputes from. An
+    unreadable or malformed convergence curve raises CheckpointError before
+    anything is written; a valid one is copied with LF line ends.
     """
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown report format {fmt!r}")
     curve = "episode,mean_reward,moving_avg\n"
     if fmt == "csv" and report.convergence and os.path.exists(report.convergence):
-        read_convergence_csv(report.convergence)
-        with open(report.convergence, encoding="utf-8") as fh:
-            curve = fh.read()
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise FilesystemError(f"cannot create output dir {out_dir}: {exc}") from exc
-    if not os.access(out_dir, os.W_OK):
-        raise FilesystemError(f"output dir is not writable: {out_dir}")
+        curve = read_text(report.convergence, CheckpointError, "convergence curve")
+        parse_convergence_csv(curve, report.convergence)
+    make_dir(out_dir)
 
     written = []
 

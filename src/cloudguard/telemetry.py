@@ -22,6 +22,8 @@ columns as a run, through one constructor, and cut windows out of it.
 of events and when ``window.events`` is read: a lazy view that counts
 without building objects; events with equal timestamps come out flow, then
 log, then behavior. JSON lines are written from and read into columns.
+The reader raises InputError naming the file for one it cannot read or that
+is not UTF-8 text, and naming ``path:line`` for a malformed line.
 """
 
 import csv
@@ -34,6 +36,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InputError
+from .files import read_text
 
 LABELS = (
     "benign",
@@ -523,26 +526,25 @@ def _read_spans(path: str) -> list[tuple[int, int, str | None]]:
     """The label sidecar's spans: two integers and a label each, non-empty,
     in time order and disjoint."""
     spans = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["start", "end", "label"]:
-            raise InputError(f"{path}: expected header start,end,label")
-        for row in filter(None, reader):  # a blank line holds no span
-            where = f"{path}:{reader.line_num}"
-            try:
-                start, end, label = row
-                start, end = int(start), int(end)
-            except ValueError:
-                raise InputError(f"{where}: expected integer start and end, then a label"
-                                 ) from None
-            if start >= end:
-                raise InputError(f"{where}: window start {start} must precede end {end}")
-            if label and label not in LABELS:
-                raise InputError(f"{where}: unknown label {label!r}")
-            if spans and start < spans[-1][1]:
-                raise InputError(f"{where}: span [{start}, {end}) overlaps or precedes "
-                                 "the one before it")
-            spans.append((start, end, label or None))
+    reader = csv.reader(read_text(path, InputError, "label sidecar").split("\n"))
+    if next(reader, None) != ["start", "end", "label"]:
+        raise InputError(f"{path}: expected header start,end,label")
+    for row in filter(None, reader):  # a blank line holds no span
+        where = f"{path}:{reader.line_num}"
+        try:
+            start, end, label = row
+            start, end = int(start), int(end)
+        except ValueError:
+            raise InputError(f"{where}: expected integer start and end, then a label"
+                             ) from None
+        if start >= end:
+            raise InputError(f"{where}: window start {start} must precede end {end}")
+        if label and label not in LABELS:
+            raise InputError(f"{where}: unknown label {label!r}")
+        if spans and start < spans[-1][1]:
+            raise InputError(f"{where}: span [{start}, {end}) overlaps or precedes "
+                             "the one before it")
+        spans.append((start, end, label or None))
     return spans
 
 
@@ -575,24 +577,24 @@ def read_stream_jsonl(events_path: str, labels_path: str) -> list[TelemetryWindo
     spans = _read_spans(labels_path)
     rows = {kind: [] for kind in _FIELD_ORDER}
     last = span = 0
-    with open(events_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{events_path}:{lineno}: invalid JSON ({exc})") from exc
-            fault = _record_fault(record, last)
-            if fault is None:
-                last = record["timestamp"]
-                while span < len(spans) and last >= spans[span][1]:
-                    span += 1
-                if span == len(spans) or last < spans[span][0]:
-                    fault = f"event at {last} not covered by any window span"
-            if fault:
-                raise InputError(f"{events_path}:{lineno}: {fault}")
-            rows[record["kind"]].append((last, record[record["kind"]], span, lineno))
+    lines = read_text(events_path, InputError, "telemetry events").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{events_path}:{lineno}: invalid JSON ({exc})") from exc
+        fault = _record_fault(record, last)
+        if fault is None:
+            last = record["timestamp"]
+            while span < len(spans) and last >= spans[span][1]:
+                span += 1
+            if span == len(spans) or last < spans[span][0]:
+                fault = f"event at {last} not covered by any window span"
+        if fault:
+            raise InputError(f"{events_path}:{lineno}: {fault}")
+        rows[record["kind"]].append((last, record[record["kind"]], span, lineno))
     # per source: timestamps, payloads, windows, line numbers
     rows = {kind: list(zip(*rows[kind])) or [()] * 4 for kind in rows}
     run = TelemetryRun.from_keys(spans, *_build_columns(

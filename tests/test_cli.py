@@ -124,6 +124,16 @@ def file_digests(out, names):
             for name in names}
 
 
+def _checkpoint_digest(path):
+    """The npz members' digest; the zip headers carry write times."""
+    h = hashlib.sha256()
+    with zipfile.ZipFile(path) as npz:
+        for name in sorted(npz.namelist()):
+            h.update(name.encode())
+            h.update(npz.read(name))
+    return h.hexdigest()
+
+
 def test_train_policy_command_bytes_are_pinned(tmp_path):
     # the default preset on environment seed 8; a change that moves the
     # environment or agent stream is a deliberate bump
@@ -138,22 +148,16 @@ def test_train_policy_command_bytes_are_pinned(tmp_path):
 
 def test_train_detector_command_bytes_are_pinned(tmp_path):
     # the default arch, whose LSTM sees one step, so Adam skips the six
-    # tensors whose gradient is always zero; the checkpoint's members are
-    # hashed, since the npz's zip headers carry write times
+    # tensors whose gradient is always zero
     cfg = write_config(tmp_path, "det.json",
                        {"scenario": SCENARIO, "epochs": 2, "batch_size": 8})
     out = tmp_path / "det"
     assert main(["train-detector", "--config", cfg, "--out", str(out)]) == 0
-    h = hashlib.sha256()
-    with zipfile.ZipFile(out / "detector.npz") as npz:
-        for name in sorted(npz.namelist()):
-            h.update(name.encode())
-            h.update(npz.read(name))
-    assert h.hexdigest() == \
+    assert _checkpoint_digest(out / "detector.npz") == \
         "a39e848da0acdb7aa8c94b38b90f902c3f9672c061ea9ec9cdd941a169763bbd"
     assert file_digests(out, ("history.csv",)) == {
         "history.csv":
-            "a2e7105a53b61e1025a5714aec4e9d6cb96f47ee28fc6268d2762593ef076a7b",
+            "af672b078ad40f6e0990583a565377aa448011a8f8c4032e626d4221e0e9bcda",
     }
 
 
@@ -564,3 +568,45 @@ def test_module_entry_point(tmp_path, scenario_cfg):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert (out / "telemetry.jsonl").exists()
+
+
+def _run_cli(cwd, blas_threads, *argv):
+    """``python -m cloudguard.cli argv`` in a child that starts OpenBLAS with
+    ``blas_threads`` threads."""
+    src = str(Path(cloudguard.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cloudguard.cli", *argv], cwd=cwd,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path,
+             "OPENBLAS_NUM_THREADS": str(blas_threads)})
+    assert proc.returncode == 0, proc.stderr
+
+
+def _untimed_events(path):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        record.pop("timing")
+    return records
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the benchmark runs with one OpenBLAS thread and the suite with the
+    # host's default, so both must see the same bits; each simulate scores
+    # the same checkpoint
+    write_config(tmp_path, "det.json",
+                 {"scenario": SCENARIO, "epochs": 2, "batch_size": 8})
+    write_config(tmp_path, "sim.json",
+                 {"scenario": SCENARIO, "detector": "det1/detector.npz"})
+    for threads in (1, 2):
+        _run_cli(tmp_path, threads, "train-detector", "--config", "det.json",
+                 "--out", f"det{threads}")
+    for threads in (1, 2):
+        _run_cli(tmp_path, threads, "simulate", "--config", "sim.json",
+                 "--out", f"sim{threads}")
+    det1, det2 = tmp_path / "det1", tmp_path / "det2"
+    assert _checkpoint_digest(det1 / "detector.npz") == \
+        _checkpoint_digest(det2 / "detector.npz")
+    assert (det1 / "history.csv").read_bytes() == (det2 / "history.csv").read_bytes()
+    assert _untimed_events(tmp_path / "sim1" / "events.jsonl") == \
+        _untimed_events(tmp_path / "sim2" / "events.jsonl")

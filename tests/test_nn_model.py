@@ -12,8 +12,10 @@ from cloudguard.nn import (
     MaxPool1dLayer,
     ModelGraph,
     grad_check,
+    one_blas_thread,
 )
 from cloudguard.nn import layers as L
+from cloudguard.nn import model as nn_model
 
 
 def small_stack(rng=None):
@@ -90,6 +92,18 @@ class TestGraphBasics:
         model = ModelGraph([DenseLayer(3, 2, activation="relu")])
         with pytest.raises(DimensionError):
             model.loss_and_gradients(np.zeros((1, 3)), np.array([0]))
+
+
+def test_one_blas_thread_pins_one_then_restores_the_callers_count():
+    get, set_ = nn_model._openblas_threads()
+    before = get()
+    set_(2)
+    try:
+        with one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        set_(before)
 
 
 class TestGradientsAgainstFiniteDifferences:

@@ -509,13 +509,15 @@ def test_emit_rejects_unknown_format(small_run, tmp_path):
 def test_emit_copies_convergence_curve(small_run, tmp_path):
     cfg, _, _ = small_run
     curve = tmp_path / "convergence.csv"
-    curve.write_text("episode,mean_reward,moving_avg\n0,1.0,1.0\n")
+    # write_convergence_csv's CRLF rows are copied with LF line ends
+    curve.write_bytes(b"episode,mean_reward,moving_avg\r\n0,1.0,1.0\r\n")
     cfg2 = SimConfig(scenario=small_scenario(), detector="baseline", seed=42,
                      convergence=str(curve))
     report, events = run_simulation(cfg2)
     out = tmp_path / "out"
     emit_report(report, events, str(out), "csv")
-    assert (out / "convergence.csv").read_text() == curve.read_text()
+    assert (out / "convergence.csv").read_bytes() == \
+        b"episode,mean_reward,moving_avg\n0,1.0,1.0\n"
 
 
 # ---------------------------------------------------------------------------
