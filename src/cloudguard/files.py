@@ -25,7 +25,7 @@ def read_json(path, error: type[Exception], what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise error(f"{what} is not valid JSON: {exc}") from exc
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def write_text(path, text: str) -> None:

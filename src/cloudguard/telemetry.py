@@ -595,6 +595,7 @@ def read_stream_jsonl(events_path: str, labels_path: str) -> list[TelemetryWindo
         if fault:
             raise InputError(f"{events_path}:{lineno}: {fault}")
         rows[record["kind"]].append((last, record[record["kind"]], span, lineno))
+    del lines  # building the columns is the reader's peak; hold no text there
     # per source: timestamps, payloads, windows, line numbers
     rows = {kind: list(zip(*rows[kind])) or [()] * 4 for kind in rows}
     run = TelemetryRun.from_keys(spans, *_build_columns(

@@ -81,3 +81,10 @@ def test_cli_exits_with_the_readers_code(tmp_path, capsys, case, code, kind):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and path in err
     assert not (tmp_path / "o").exists()
+
+
+def test_a_report_that_is_not_json_is_named(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("{nope")
+    assert main(["compare", str(path), str(path)]) == 3
+    assert f"report {path} is not valid JSON" in capsys.readouterr().err
