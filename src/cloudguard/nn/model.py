@@ -24,15 +24,19 @@ from . import layers as L
 @functools.cache
 def _openblas_threads():
     """The getter and setter of numpy's bundled OpenBLAS thread count,
-    found through numpy's linear-algebra extension, which links the library."""
-    lib = ctypes.CDLL(_umath_linalg.__file__)
+    found through numpy's linear-algebra extension, which links the library.
+    CloudguardError when they cannot be found: the network's bytes would
+    then depend on the thread count."""
     try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
         get = lib.scipy_openblas_get_num_threads64_
         set_ = lib.scipy_openblas_set_num_threads64_
-    except AttributeError as exc:
-        raise CloudguardError(f"numpy's BLAS exports no scipy-openblas thread "
-                              f"control, so the network cannot fix its thread "
-                              f"count: {exc}") from exc
+    except (OSError, AttributeError) as exc:
+        raise CloudguardError(
+            f"the network pins numpy's BLAS to one thread through "
+            f"scipy_openblas_set_num_threads64_, which numpy 2 exports only "
+            f"with its bundled OpenBLAS on Linux; this numpy does not: "
+            f"{exc}") from exc
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     return get, set_

@@ -161,6 +161,18 @@ def test_train_detector_command_bytes_are_pinned(tmp_path):
     }
 
 
+def test_train_detector_exits_1_without_the_blas_thread_control(
+        tmp_path, capsys, no_blas_thread_control):
+    # a numpy whose BLAS is not the bundled scipy-openblas: one line, exit 1
+    cfg = write_config(tmp_path, "det.json",
+                       {"scenario": SCENARIO, "arch": TINY_ARCH, "epochs": 1})
+    assert main(["train-detector", "--config", cfg,
+                 "--out", str(tmp_path / "det")]) == 1
+    err = capsys.readouterr().err
+    assert "scipy_openblas_set_num_threads64_" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_train_detector_tiny(tmp_path, capsys):
     cfg = write_config(tmp_path, "det.json", {
         "scenario": SCENARIO,

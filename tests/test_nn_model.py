@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cloudguard.detector import ArchConfig, build_model
-from cloudguard.errors import DimensionError
+from cloudguard.errors import CloudguardError, DimensionError
 from cloudguard.nn import (
     Conv1dLayer,
     DenseLayer,
@@ -104,6 +104,18 @@ def test_one_blas_thread_pins_one_then_restores_the_callers_count():
         assert get() == 2
     finally:
         set_(before)
+
+
+def test_one_blas_thread_fails_loudly_without_the_thread_control(
+        no_blas_thread_control):
+    # a numpy built on another BLAS (or found through a Windows .pyd)
+    # exports no scipy-openblas symbol: stop before the first pass
+    with pytest.raises(CloudguardError,
+                       match="scipy_openblas_set_num_threads64_.*Linux"):
+        with one_blas_thread():
+            pass
+    with pytest.raises(CloudguardError, match="undefined symbol"):
+        small_stack().forward(np.zeros((1, 12, 3)))
 
 
 class TestGradientsAgainstFiniteDifferences:
