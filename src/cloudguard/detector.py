@@ -97,11 +97,13 @@ def build_model(arch: ArchConfig, seed: int = 0) -> ModelGraph:
 
 class _Unfilled:
     """A stand-in generator for a graph whose every weight a checkpoint will
-    overwrite: each Glorot draw is an uninitialized array of its shape."""
+    overwrite: each Glorot draw is a zero-stride view of its shape, which
+    the layer's parameters copy into an array of their own without reading
+    any fresh memory."""
 
     @staticmethod
     def uniform(low, high, size):
-        return np.empty(size)
+        return np.broadcast_to(0.0, size)
 
 
 def _assemble(arch: ArchConfig, rng) -> ModelGraph:

@@ -3,7 +3,9 @@
 Every function works on float64 arrays. Single-sample signatures take
 ``[T, C]`` inputs; the ``*_batch`` variants used by training take
 ``[B, T, C]`` and are what the backward passes pair with. The LSTM returns
-only its last hidden state, the one thing the dense head reads.
+only its last hidden state, the one thing the dense head reads. The
+parameter dataclasses copy the arrays they are given, so each layer owns
+writable arrays of its own.
 """
 
 from dataclasses import dataclass
@@ -24,8 +26,8 @@ class ConvParams:
     stride: int = 1
 
     def __post_init__(self):
-        self.kernel = np.asarray(self.kernel, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.kernel = np.array(self.kernel, dtype=np.float64)
+        self.bias = np.array(self.bias, dtype=np.float64)
         if self.kernel.ndim != 3:
             raise DimensionError(f"kernel must be [K, C_in, C_out], got shape {self.kernel.shape}")
         if self.bias.shape != (self.kernel.shape[2],):
@@ -36,50 +38,37 @@ class ConvParams:
             raise DimensionError("kernel size and stride must be >= 1")
 
 
-LSTM_PARAM_NAMES = ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
-                    "b_i", "b_f", "b_o", "b_g")
+LSTM_PARAM_NAMES = ("w", "u", "b")
 
 
 @dataclass
 class LstmParams:
-    """Per-gate LSTM weights. Gate order throughout: input, forget, output, candidate."""
+    """LSTM weights with the four gates stacked along the last axis, in the
+    order input, forget, output, candidate: input weights ``w`` ``[C_in, 4H]``,
+    recurrent weights ``u`` ``[H, 4H]`` and bias ``b`` ``[4H]``. Gate k owns
+    columns ``[k H, (k + 1) H)``, so one product serves all four gates."""
 
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    u_i: np.ndarray
-    u_f: np.ndarray
-    u_o: np.ndarray
-    u_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
         for name in LSTM_PARAM_NAMES:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        h = self.w_i.shape[1]
-        if h < 1:
-            raise DimensionError("hidden size must be >= 1")
-        for name in ("w_f", "w_o", "w_g"):
-            if getattr(self, name).shape != self.w_i.shape:
-                raise DimensionError(f"{name} shape differs from w_i")
-        for name in ("u_i", "u_f", "u_o", "u_g"):
-            if getattr(self, name).shape != (h, h):
-                raise DimensionError(f"{name} must be [H, H] with H={h}")
-        for name in ("b_i", "b_f", "b_o", "b_g"):
-            if getattr(self, name).shape != (h,):
-                raise DimensionError(f"{name} must be [H] with H={h}")
+            setattr(self, name, np.array(getattr(self, name), dtype=np.float64))
+        h = self.w.shape[1] // 4 if self.w.ndim == 2 else 0
+        if (h < 1 or self.w.shape[1] != 4 * h
+                or self.u.shape != (h, 4 * h) or self.b.shape != (4 * h,)):
+            raise DimensionError(f"lstm weights must be w [C_in, 4H], u [H, 4H] and b [4H] "
+                                 f"with H >= 1, got {self.w.shape}, {self.u.shape}, "
+                                 f"{self.b.shape}")
 
     @property
     def hidden_size(self) -> int:
-        return self.w_i.shape[1]
+        return self.w.shape[1] // 4
 
     @property
     def input_size(self) -> int:
-        return self.w_i.shape[0]
+        return self.w.shape[0]
 
 
 @dataclass
@@ -91,8 +80,8 @@ class DenseParams:
     activation: str = "none"  # one of: relu, softmax, none
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weights = np.array(self.weights, dtype=np.float64)
+        self.bias = np.array(self.bias, dtype=np.float64)
         if self.weights.ndim != 2:
             raise DimensionError(f"weights must be [In, Out], got shape {self.weights.shape}")
         if self.bias.shape != (self.weights.shape[1],):
@@ -213,8 +202,9 @@ def lstm_forward_batch(x: np.ndarray, p: LstmParams):
 
     Recurrence: i, f, o are sigmoid gates, g = tanh candidate,
     c_t = f * c_{t-1} + i * g, h_t = o * tanh(c_t), h_0 = c_0 = 0.
-    Because h_0 = 0, the first step has no ``h @ u_*`` products; leaving
-    them out is exact.
+    Each step's four pre-activations come from one ``x_t @ w`` plus, after
+    the first step, one ``h @ u``: because h_0 = 0, leaving the first
+    recurrent product out is exact.
     """
     x = np.asarray(x, dtype=np.float64)
     b, t, c_in = x.shape
@@ -226,16 +216,14 @@ def lstm_forward_batch(x: np.ndarray, p: LstmParams):
     steps = []
     for tt in range(t):
         xt = x[:, tt, :]
-        zi, zf, zo, zg = xt @ p.w_i, xt @ p.w_f, xt @ p.w_o, xt @ p.w_g
+        z = xt @ p.w
         if tt:  # h_0 = 0: no recurrent term on the first step
-            zi += h @ p.u_i
-            zf += h @ p.u_f
-            zo += h @ p.u_o
-            zg += h @ p.u_g
-        i = _sigmoid(zi + p.b_i)
-        f = _sigmoid(zf + p.b_f)
-        o = _sigmoid(zo + p.b_o)
-        g = np.tanh(zg + p.b_g)
+            z += h @ p.u
+        z += p.b
+        # activations per [B, H] gate block: one sigmoid over [B, 3H] made
+        # temporaries 3x larger and the step up to 1.4x slower at B = 32
+        zi, zf, zo, zg = (z[:, k * h_dim:(k + 1) * h_dim] for k in range(4))
+        i, f, o, g = _sigmoid(zi), _sigmoid(zf), _sigmoid(zo), np.tanh(zg)
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new)
         h_new = o * tanh_c
@@ -248,13 +236,14 @@ def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, need_dx: b
     """Backpropagation through time from ``dout``, the gradient of ``h_T``.
     Returns ``(dx, grads dict)``.
 
-    The first step adds nothing to the ``u_*`` gradients and passes nothing
-    back to h_0, since h_0 = 0 is no parameter; both are skipped, so with
-    one step the ``u_*`` gradients are zero. Each gradient starts from the
-    last step's product plus 0.0, which gives a zero the sign a sum started
-    from zeros gives it, and adds the earlier steps' products in place.
-    With ``need_dx=False`` the input gradient is not computed and ``dx`` is
-    None.
+    Each step's four gate gradients are stacked into one ``[B, 4H]`` ``dz``, so
+    the ``w``, ``u``, input and state gradients are one product each. The
+    first step adds nothing to the ``u`` gradient and passes nothing back
+    to h_0, since h_0 = 0 is no parameter; both are skipped, so with one
+    step the ``u`` gradient is zero. Each gradient starts from the last
+    step's product plus 0.0, which gives a zero the sign a sum started from
+    zeros gives it, and adds the earlier steps' products in place. With
+    ``need_dx=False`` the input gradient is not computed and ``dx`` is None.
     """
     t = len(steps)
     b = steps[0][0].shape[0]
@@ -278,15 +267,15 @@ def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, need_dx: b
         dzg = dc * i * (1.0 - g**2)
         dzf = dc * c_prev * f * (1.0 - f)
         dc_next = dc * f
-        for gate, dz in (("i", dzi), ("f", dzf), ("o", dzo), ("g", dzg)):
-            add("w_" + gate, xt.T @ dz)
-            if tt:
-                add("u_" + gate, h_prev.T @ dz)
-            add("b_" + gate, dz.sum(axis=0))
-        if need_dx:
-            dx[:, tt, :] = dzi @ p.w_i.T + dzf @ p.w_f.T + dzo @ p.w_o.T + dzg @ p.w_g.T
+        dz = np.concatenate((dzi, dzf, dzo, dzg), axis=1)
+        add("w", xt.T @ dz)
         if tt:
-            dh = dzi @ p.u_i.T + dzf @ p.u_f.T + dzo @ p.u_o.T + dzg @ p.u_g.T
+            add("u", h_prev.T @ dz)
+        add("b", dz.sum(axis=0))
+        if need_dx:
+            dx[:, tt, :] = dz @ p.w.T
+        if tt:
+            dh = dz @ p.u.T
     return dx, {name: grads[name] if name in grads else np.zeros(getattr(p, name).shape)
                 for name in LSTM_PARAM_NAMES}
 

@@ -111,26 +111,24 @@ class MaxPool1dLayer:
 
 
 class LstmLayer:
-    """LSTM over ``[B, T, C]`` returning its last hidden state ``[B, H]``."""
+    """LSTM over ``[B, T, C]`` returning its last hidden state ``[B, H]``.
+    Each gate's block of the stacked ``w`` and ``u`` starts as its own
+    Glorot draw, in gate order, and the forget gate's bias at 1."""
 
     def __init__(self, input_size: int, hidden_size: int,
                  rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
 
-        def w():
-            return _glorot(rng, input_size, hidden_size, (input_size, hidden_size))
+        def stacked(fan_in):
+            # the four blocks as one draw: for a zero-stride stand-in draw
+            # (a checkpoint load's) the reshape below copies nothing
+            blocks = _glorot(rng, fan_in, hidden_size, (4, fan_in, hidden_size))
+            return blocks.transpose(1, 0, 2).reshape(fan_in, 4 * hidden_size)
 
-        def u():
-            return _glorot(rng, hidden_size, hidden_size, (hidden_size, hidden_size))
-
-        self.params = L.LstmParams(
-            w_i=w(), w_f=w(), w_o=w(), w_g=w(),
-            u_i=u(), u_f=u(), u_o=u(), u_g=u(),
-            b_i=np.zeros(hidden_size),
-            b_f=np.ones(hidden_size),  # open forget gates at init
-            b_o=np.zeros(hidden_size),
-            b_g=np.zeros(hidden_size),
-        )
+        b = np.zeros(4 * hidden_size)
+        b[hidden_size:2 * hidden_size] = 1.0  # open forget gates at init
+        # w's blocks are drawn before u's
+        self.params = L.LstmParams(w=stacked(input_size), u=stacked(hidden_size), b=b)
 
     def forward(self, x: np.ndarray):
         return L.lstm_forward_batch(x, self.params)

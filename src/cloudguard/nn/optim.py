@@ -5,11 +5,12 @@ TrainingDivergedError the moment a gradient or updated value is non-finite,
 so a blown-up run fails loudly instead of writing NaN checkpoints.
 
 Adam skips a tensor whose gradient has been all zero since the first step,
-such as the LSTM's recurrent matrices when it sees one time step: with
+such as the LSTM's recurrent weights ``u`` when it sees one time step: with
 m = v = g = 0 its update is exactly 0, so skipping it changes no bit. A
 NaN or inf gradient is never all zero, so it is still checked. The other
-tensors update in place through two scratch buffers, in the operation
-order of the textbook expressions, so the values match them bit for bit.
+tensors update in place through two scratch rows, sized for the largest
+tensor updated so far, in the operation order of the textbook
+expressions, so the values match them bit for bit.
 """
 
 import numpy as np
@@ -59,9 +60,6 @@ class Adam:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        size = max((p.size for p in params.values()), default=0)
-        if self._scratch.shape[1] < size:
-            self._scratch = np.empty((2, size))
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for name, p in params.items():
@@ -74,6 +72,8 @@ class Adam:
                 m = self._m[name] = np.zeros_like(p)
                 self._v[name] = np.zeros_like(p)
             v = self._v[name]
+            if self._scratch.shape[1] < p.size:
+                self._scratch = np.empty((2, p.size))
             a, b = (buf[:p.size].reshape(p.shape) for buf in self._scratch)
             # m = beta1 m + (1 - beta1) g
             np.multiply(g, 1.0 - self.beta1, out=a)

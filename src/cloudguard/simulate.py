@@ -607,12 +607,13 @@ def emit_report(report: SimulationReport, events, out_dir: str,
     threat-distribution, and convergence tables. The event log is written
     either way: it is the record everything else recomputes from. An
     unreadable or malformed convergence curve raises CheckpointError before
-    anything is written; a valid one is copied with LF line ends.
+    anything is written, a missing one included; a valid one is copied with
+    LF line ends.
     """
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown report format {fmt!r}")
     curve = "episode,mean_reward,moving_avg\n"
-    if fmt == "csv" and report.convergence and os.path.exists(report.convergence):
+    if fmt == "csv" and report.convergence:
         curve = read_text(report.convergence, CheckpointError, "convergence curve")
         parse_convergence_csv(curve, report.convergence)
     make_dir(out_dir)

@@ -47,8 +47,9 @@ def sigmoid(z):
 
 
 def lstm_forward_batch(x, p):
-    """LSTM forward whose first step multiplies h_0 = 0 by the ``u_*``;
-    returns the last state."""
+    """LSTM forward whose first step multiplies h_0 = 0 by ``u``, with each
+    gate read from its block of the stacked pre-activations; returns the
+    last state."""
     b, t, _ = x.shape
     h_dim = p.hidden_size
     h = np.zeros((b, h_dim))
@@ -57,10 +58,11 @@ def lstm_forward_batch(x, p):
     steps = []
     for tt in range(t):
         xt = x[:, tt, :]
-        i = sigmoid(xt @ p.w_i + h @ p.u_i + p.b_i)
-        f = sigmoid(xt @ p.w_f + h @ p.u_f + p.b_f)
-        o = sigmoid(xt @ p.w_o + h @ p.u_o + p.b_o)
-        g = np.tanh(xt @ p.w_g + h @ p.u_g + p.b_g)
+        z = xt @ p.w + h @ p.u + p.b
+        i = sigmoid(z[:, :h_dim])
+        f = sigmoid(z[:, h_dim:2 * h_dim])
+        o = sigmoid(z[:, 2 * h_dim:3 * h_dim])
+        g = np.tanh(z[:, 3 * h_dim:])
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new)
         h_new = o * tanh_c
@@ -78,9 +80,7 @@ def lstm_backward_batch(dout, steps, p):
     h_dim = p.hidden_size
     dhs = np.zeros((b, t, h_dim))
     dhs[:, -1, :] = dout
-    grads = {name: np.zeros_like(getattr(p, name))
-             for name in ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
-                          "b_i", "b_f", "b_o", "b_g")}
+    grads = {name: np.zeros_like(getattr(p, name)) for name in ("w", "u", "b")}
     dx = np.empty((b, t, p.input_size))
     dh_next = np.zeros((b, h_dim))
     dc_next = np.zeros((b, h_dim))
@@ -93,17 +93,12 @@ def lstm_backward_batch(dout, steps, p):
         dzg = dc * i * (1.0 - g**2)
         dzf = dc * c_prev * f * (1.0 - f)
         dc_next = dc * f
-        for name_w, name_u, name_b, dz in (
-            ("w_i", "u_i", "b_i", dzi),
-            ("w_f", "u_f", "b_f", dzf),
-            ("w_o", "u_o", "b_o", dzo),
-            ("w_g", "u_g", "b_g", dzg),
-        ):
-            grads[name_w] += xt.T @ dz
-            grads[name_u] += h_prev.T @ dz
-            grads[name_b] += dz.sum(axis=0)
-        dx[:, tt, :] = dzi @ p.w_i.T + dzf @ p.w_f.T + dzo @ p.w_o.T + dzg @ p.w_g.T
-        dh_next = dzi @ p.u_i.T + dzf @ p.u_f.T + dzo @ p.u_o.T + dzg @ p.u_g.T
+        dz = np.concatenate([dzi, dzf, dzo, dzg], axis=1)
+        grads["w"] += xt.T @ dz
+        grads["u"] += h_prev.T @ dz
+        grads["b"] += dz.sum(axis=0)
+        dx[:, tt, :] = dz @ p.w.T
+        dh_next = dz @ p.u.T
     return dx, grads
 
 

@@ -16,8 +16,9 @@ import pytest
 import cloudguard
 from cloudguard import simulate
 from cloudguard.cli import main
-from cloudguard.detector import ArchConfig, build_model
-from cloudguard.features import build_layout
+from cloudguard.detector import ArchConfig, build_model, load_detector, save_detector
+from cloudguard.errors import CheckpointError
+from cloudguard.features import NormStats, build_layout
 from cloudguard.nn import load_params, save_params
 from cloudguard.policy import ACTION_CATALOG, compose_indicators
 from cloudguard.scenario import ScenarioConfig, generate_stream
@@ -147,17 +148,17 @@ def test_train_policy_command_bytes_are_pinned(tmp_path):
 
 
 def test_train_detector_command_bytes_are_pinned(tmp_path):
-    # the default arch, whose LSTM sees one step, so Adam skips the six
-    # tensors whose gradient is always zero
+    # the default arch, whose LSTM sees one step, so Adam skips its
+    # recurrent weights 6.u, whose gradient is always zero
     cfg = write_config(tmp_path, "det.json",
                        {"scenario": SCENARIO, "epochs": 2, "batch_size": 8})
     out = tmp_path / "det"
     assert main(["train-detector", "--config", cfg, "--out", str(out)]) == 0
     assert _checkpoint_digest(out / "detector.npz") == \
-        "a39e848da0acdb7aa8c94b38b90f902c3f9672c061ea9ec9cdd941a169763bbd"
+        "f983a2a43b01ad7da7b718257a531785155ac89cfdc291ef1ff19c94521cd57b"
     assert file_digests(out, ("history.csv",)) == {
         "history.csv":
-            "af672b078ad40f6e0990583a565377aa448011a8f8c4032e626d4221e0e9bcda",
+            "4ab61169e2da83e471c6e66c55a224989e7027567b02d8dcf9a4ea66f038fbd4",
     }
 
 
@@ -442,6 +443,30 @@ def test_exit_four_on_malformed_detector_metadata(tmp_path, capsys, meta_edit):
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
     assert ckpt in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_four_on_a_per_gate_lstm_checkpoint(tmp_path, capsys):
+    # the LSTM layout before its gates were stacked: twelve arrays, 6.w_i
+    # to 6.b_g, in place of 6.w, 6.u and 6.b
+    arch = ArchConfig()
+    path = str(tmp_path / "detector.npz")
+    ones = np.ones(arch.feature_dim)
+    save_detector(path, build_model(arch), arch, NormStats(mean=ones, std=ones),
+                  build_layout(arch.feature_dim))
+    params, meta = load_params(path)
+    for kind in "wub":
+        for gate, block in zip("ifog", np.split(params.pop(f"6.{kind}"), 4, axis=-1)):
+            params[f"6.{kind}_{gate}"] = block
+    save_params(path, params, meta)
+    with pytest.raises(CheckpointError, match=r"missing parameter '6\.w'"):
+        load_detector(path)
+    cfg = write_config(tmp_path, "c.json", {"scenario": SCENARIO, "detector": path})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "'6.w'" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Detector architecture, training behavior, verdicts, and metrics."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,33 @@ class TestArchConfig:
         want = (conv(428, 64) + conv(64, 64) + conv(64, 128) + conv(128, 128)
                 + lstm(128, 256) + dense(256, 128) + dense(128, 64) + dense(64, 6))
         assert model.num_params() == want
+
+    def test_default_lstm_stacks_the_per_gate_draws(self):
+        # one [C, H] Glorot block per gate, drawn after the conv kernels in
+        # the order w_i, w_f, w_o, w_g, u_i, u_f, u_o, u_g and laid side by
+        # side; the forget gate's bias starts at 1. The digest is of those
+        # per-gate arrays as the twelve-array layout drew them, concatenated
+        arch = ArchConfig()
+        params = build_model(arch, seed=0).parameters()
+        c, h = arch.conv_filters[-1], arch.lstm_hidden
+        rng = np.random.default_rng(0)
+        for i in (0, 1, 3, 4):
+            rng.uniform(size=params[f"{i}.kernel"].shape)
+
+        def blocks(fan_in):
+            limit = np.sqrt(6.0 / (fan_in + h))
+            return np.concatenate([rng.uniform(-limit, limit, size=(fan_in, h))
+                                   for _ in range(4)], axis=1)
+
+        bias = np.zeros(4 * h)
+        bias[h:2 * h] = 1.0
+        want = {"6.w": blocks(c), "6.u": blocks(h), "6.b": bias}
+        digest = hashlib.sha256()
+        for name, arr in want.items():
+            assert params[name].tobytes() == arr.tobytes(), name
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == \
+            "cd0f9fddc11ce228623f8e82c1250b48b1c987ddc50f888cc8b25289963a3722"
 
     def test_same_seed_identical_init(self):
         a = build_model(tiny_arch(), seed=5)

@@ -210,24 +210,20 @@ def hand_lstm_step(x, h, c, p):
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    i = sig(x @ p.w_i + h @ p.u_i + p.b_i)
-    f = sig(x @ p.w_f + h @ p.u_f + p.b_f)
-    o = sig(x @ p.w_o + h @ p.u_o + p.b_o)
-    g = np.tanh(x @ p.w_g + h @ p.u_g + p.b_g)
+    def gate(k):
+        cols = slice(k * p.hidden_size, (k + 1) * p.hidden_size)
+        return x @ p.w[:, cols] + h @ p.u[:, cols] + p.b[cols]
+
+    i, f, o = sig(gate(0)), sig(gate(1)), sig(gate(2))
+    g = np.tanh(gate(3))
     c_new = f * c + i * g
     h_new = o * np.tanh(c_new)
     return h_new, c_new
 
 
 def random_lstm_params(rng, c_in, h):
-    return L.LstmParams(
-        w_i=rng.normal(size=(c_in, h)), w_f=rng.normal(size=(c_in, h)),
-        w_o=rng.normal(size=(c_in, h)), w_g=rng.normal(size=(c_in, h)),
-        u_i=rng.normal(size=(h, h)), u_f=rng.normal(size=(h, h)),
-        u_o=rng.normal(size=(h, h)), u_g=rng.normal(size=(h, h)),
-        b_i=rng.normal(size=h), b_f=rng.normal(size=h),
-        b_o=rng.normal(size=h), b_g=rng.normal(size=h),
-    )
+    return L.LstmParams(w=rng.normal(size=(c_in, 4 * h)), u=rng.normal(size=(h, 4 * h)),
+                        b=rng.normal(size=4 * h))
 
 
 class TestLstm:
@@ -246,21 +242,44 @@ class TestLstm:
 
     def test_saturated_gates_reach_asymptotes(self):
         # huge forget+input biases with zero weights: c_t = c_{t-1} + tanh(b_g)
-        h_dim = 1
-        z = np.zeros((1, h_dim))
-        p = L.LstmParams(
-            w_i=z, w_f=z, w_o=z, w_g=z,
-            u_i=np.zeros((1, 1)), u_f=np.zeros((1, 1)),
-            u_o=np.zeros((1, 1)), u_g=np.zeros((1, 1)),
-            b_i=np.array([100.0]), b_f=np.array([100.0]),
-            b_o=np.array([100.0]), b_g=np.array([100.0]),
-        )
+        p = L.LstmParams(w=np.zeros((1, 4)), u=np.zeros((1, 4)), b=np.full(4, 100.0))
         out = [L.lstm_forward(np.zeros((t, 1)), p)[0] for t in (1, 2, 3)]
         # c accumulates tanh(100) ~= 1 per step; h = tanh(c)
         np.testing.assert_allclose(out, np.tanh([1.0, 2.0, 3.0]), atol=1e-9)
+
+    @pytest.mark.parametrize("w,u,b", [
+        ((4, 6), (1, 6), (6,)),  # 6 columns are no four gates
+        ((4, 8), (2, 4), (8,)),
+        ((4, 8), (2, 8), (4,)),
+        ((4, 0), (0, 0), (0,)),
+        ((8,), (2, 8), (8,)),
+    ], ids=["w-not-four-gates", "u-shape", "b-shape", "no-hidden", "w-vector"])
+    def test_rejects_shapes_that_are_not_four_stacked_gates(self, w, u, b):
+        with pytest.raises(DimensionError, match="w \\[C_in, 4H\\]"):
+            L.LstmParams(w=np.zeros(w), u=np.zeros(u), b=np.zeros(b))
 
     def test_rejects_channel_mismatch(self):
         rng = np.random.default_rng(23)
         p = random_lstm_params(rng, 4, 2)
         with pytest.raises(DimensionError):
             L.lstm_forward(rng.normal(size=(5, 3)), p)
+
+
+@pytest.mark.parametrize("make", [
+    lambda zero: L.ConvParams(kernel=zero((3, 2, 4)), bias=zero((4,))),
+    lambda zero: L.DenseParams(weights=zero((2, 4)), bias=zero((4,))),
+    lambda zero: L.LstmParams(w=zero((2, 4)), u=zero((1, 4)), b=zero((4,))),
+], ids=["conv", "dense", "lstm"])
+def test_params_own_writable_copies_of_their_arrays(make):
+    # a checkpoint load builds its graph from zero-stride views, then
+    # writes the saved weights into the parameters' arrays
+    given = []
+
+    def zero(shape):
+        given.append(np.broadcast_to(0.0, shape))
+        return given[-1]
+
+    p = make(zero)
+    for arr, src in zip(vars(p).values(), given):
+        assert arr.flags.writeable and arr.flags.c_contiguous
+        assert not np.shares_memory(arr, src)

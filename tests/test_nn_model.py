@@ -43,7 +43,7 @@ class TestGraphBasics:
         model = small_stack()
         params = model.parameters()
         assert "0.kernel" in params and "0.bias" in params
-        assert "3.w_i" in params and "3.b_f" in params
+        assert "3.w" in params and "3.u" in params and "3.b" in params
         assert "5.weights" in params
         want = (3 * 3 * 4 + 4) + (2 * 4 * 5 + 5) \
             + 4 * (5 * 6) + 4 * (6 * 6) + 4 * 6 \
@@ -71,8 +71,10 @@ class TestGraphBasics:
 
     def test_forget_gate_bias_starts_open(self):
         layer = LstmLayer(4, 8, rng=np.random.default_rng(6))
-        np.testing.assert_array_equal(layer.params.b_f, np.ones(8))
-        np.testing.assert_array_equal(layer.params.b_i, np.zeros(8))
+        b = layer.params.b
+        np.testing.assert_array_equal(b[8:16], np.ones(8))
+        np.testing.assert_array_equal(b[:8], np.zeros(8))
+        np.testing.assert_array_equal(b[16:], np.zeros(16))
 
     def test_set_parameters_round_trip(self):
         model = small_stack()

@@ -520,6 +520,21 @@ def test_emit_copies_convergence_curve(small_run, tmp_path):
         b"episode,mean_reward,moving_avg\n0,1.0,1.0\n"
 
 
+def test_emit_raises_on_a_convergence_curve_deleted_after_the_run(tmp_path):
+    # SimConfig checked that the curve exists; once it is gone, emitting
+    # raises before anything is written instead of a header-only copy
+    curve = tmp_path / "convergence.csv"
+    curve.write_text("episode,mean_reward,moving_avg\n0,1.0,1.0\n")
+    cfg = SimConfig(scenario=small_scenario(), detector="baseline", seed=42,
+                    convergence=str(curve))
+    report, events = run_simulation(cfg)
+    curve.unlink()
+    out = tmp_path / "out"
+    with pytest.raises(CheckpointError, match="convergence curve"):
+        emit_report(report, events, str(out), "csv")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
