@@ -165,6 +165,14 @@ def test_traced_policy_training_probes_every_step():
     spans = tracer.spans()
     assert env.steps_taken == 5 * 12
     assert spans.count("policy.select") == spans.count("policy.update") == 5 * 12
+    # each episode is drawn and scored through the probed calls: one reset,
+    # one enforce_window with its resolve_attack, and the state key's
+    # compose_indicators and encode_state
+    per_episode = {name: spans.count(name) / 5 for name in (
+        "environment.reset", "environment.enforce_window", "enforcement.resolve",
+        "policy.encode")}
+    assert per_episode == {"environment.reset": 1, "environment.enforce_window": 1,
+                           "enforcement.resolve": 1, "policy.encode": 2}
 
 
 class _FixedStateEnv:

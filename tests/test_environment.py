@@ -1,5 +1,6 @@
 """Defense training environment: sampling, rewards, damage accounting."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -235,6 +236,38 @@ def test_episode_bytes_are_pinned():
     h.update(np.array(rewards).tobytes())
     assert h.hexdigest() == \
         "da43f5036ee75e659c716eb0eba61efd739bb7a145d355099130d9e377a3f53b"
+
+
+def _hash_arrays(h, arrays) -> None:
+    """Fold arrays into ``h`` by shape and value: integers as int64, floats
+    as their float64 bytes, so a -0.0 differs from a 0.0."""
+    for a in arrays:
+        a = np.asarray(a)
+        assert a.dtype.kind in "iuf", a.dtype
+        assert a.dtype.kind != "f" or a.dtype == np.float64, a.dtype
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a, dtype=np.float64 if a.dtype.kind == "f"
+                                      else np.int64).tobytes())
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63])
+def test_whole_episode_bytes_are_pinned(seed):
+    # every Episode field, the full [80, 187] rewards included, and the
+    # (code, attack, collateral) grid they are scored from; a change that
+    # moves any of them is a deliberate environment-stream bump
+    pinned = {
+        0: "3185042cda5a56771b81a4d552769646c975d6cdc8bdff060042da77855d1d40",
+        5: "a77c691794e7c0a64b956896823d6ff61f13b1005e3f768f46b71683876d9402",
+        2**63: "063cb58f93e2cf353fde6363a8da62f7c56ca5f8770718995aa55b86a0232b7b",
+    }
+    cfg = EnvConfig(seed=seed)
+    h = hashlib.sha256()
+    for e in (0, 1, 1499):
+        ep = draw_episode(cfg, e)
+        _hash_arrays(h, (getattr(ep, f.name) for f in dataclasses.fields(ep)))
+        _hash_arrays(h, enforce_window(np.arange(len(CATALOG)), ep.kind[:, None],
+                                       ep.intensity[:, None], ep.load[:, None]))
+    assert h.hexdigest() == pinned[seed]
 
 
 class TestEnvDistribution:
