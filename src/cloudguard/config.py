@@ -85,3 +85,10 @@ def _number(tp, value):
     except (TypeError, ValueError):
         return None
     return number if tp is int or math.isfinite(number) else None
+
+
+def check_seed(seed: int, owner: str) -> None:
+    """ConfigError unless ``seed`` lies in [0, 2**64): every seed keys a
+    numpy generator, and the Philox substreams take it as one uint64 word."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{owner} seed must be in [0, 2**64), got {seed}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_config
+from .config import check_seed, read_config
 from .errors import (CheckpointError, ConfigError, DimensionError, InputError,
                      TrainingDivergedError)
 from .features import FeatureLayout, NormStats, extract_features, fit_normalizer, normalize
@@ -301,6 +301,7 @@ class TrainConfig:
     val_fraction: float = 0.15
 
     def __post_init__(self):
+        check_seed(self.seed, "detector training")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr >= 0.0):

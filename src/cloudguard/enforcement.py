@@ -8,8 +8,11 @@ Attack outcomes come from an effectiveness matrix, one array indexed by
 (label id, firewall, rate-limit, isolation tier) holding a coverage fraction
 e in [0, 1]: e >= 1 blocks the attack outright, e == 0 lets it through at
 full damage, and anything between mitigates damage to (1 - e) x intensity x
-base damage for the kind. ``resolve_attack`` is one branch-free expression,
-so a single window and a whole run of windows take the same path.
+base damage for the kind. ``resolve_attack`` is branch-free, so a single
+window, a whole run of windows and an episode's windows x actions grid take
+the same path. It fills its damage and int8 outcome codes in place over
+the inputs' broadcast shape and tests for a live attack on the unbroadcast
+kind and intensity, so the grid costs one pass per operation.
 The default matrix is built from per-kind tier leverage: rate limiting
 against volumetric floods, the firewall against scans, injections, and
 credential stuffing, and isolation against data exfiltration.
@@ -89,12 +92,25 @@ def resolve_attack(kind, intensity, coverage):
     postures met; scalars and broadcastable arrays alike. Damage is
     (1 - e) x intensity x base damage: full coverage (e >= 1) blocks at
     zero damage, zero coverage passes the attack at full damage, anything
-    between mitigates. The code indexes OUTCOMES; a benign kind or zero
-    intensity is "none".
+    between mitigates. The code indexes OUTCOMES, as int8; a benign kind or
+    zero intensity is "none".
+
+    Both results are filled in place over the inputs' broadcast shape, and
+    the live-attack test runs on the unbroadcast kind and intensity, so a
+    grid of windows x actions costs one pass per operation.
     """
-    damage = (1.0 - coverage) * intensity * BASE_DAMAGE[kind]
-    code = (intensity > 0) * (kind != 0) * (1 + (coverage > 0) + (coverage >= 1))
-    return code, damage
+    shape = np.broadcast(kind, intensity, coverage).shape
+    damage = np.subtract(1.0, coverage, out=np.empty(shape))
+    damage *= intensity
+    damage *= BASE_DAMAGE[kind]
+    # 1 + (e > 0) + (e >= 1) where an attack is live, else 0; each test's
+    # bools are read as int8 0/1, so no pass casts
+    code = np.empty(shape, np.int8)
+    np.greater(coverage, 0, out=code.view(np.bool_))
+    code += np.greater_equal(coverage, 1).view(np.int8)
+    code += 1
+    code *= np.logical_and(np.greater(intensity, 0), np.not_equal(kind, 0)).view(np.int8)
+    return code[()], damage[()]
 
 
 @lru_cache(maxsize=1)
@@ -140,7 +156,9 @@ def enforce_window(action_ids, kind_ids, intensity, load):
     """
     coverage = _COVERAGE_FLAT.take(np.multiply(action_ids, len(LABELS)) + kind_ids)
     code, damage = resolve_attack(kind_ids, intensity, coverage)
-    return code, damage, load * ACTION_FRICTION[action_ids] * DISRUPTION_DAMAGE
+    collateral = np.multiply(load, ACTION_FRICTION[action_ids])
+    collateral *= DISRUPTION_DAMAGE
+    return code, damage, collateral
 
 
 def apply_action(action_ids, kind_ids, intensity, load):

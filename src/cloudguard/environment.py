@@ -12,15 +12,23 @@ tables that keeps never-tried actions from outranking known-good ones.
 An episode is drawn whole at reset, as one ``[8, episode_len]`` block of
 uniforms from its counter-based substream (seed, episode index): one row per
 quantity, column t for step t. So step t's window depends only on (seed,
-episode, t), never on how the episode or earlier ones were played. From that
-block ``reset`` computes the episode's windows as arrays, their state keys
-without the recent-action bucket, and the ``[episode_len, n_actions]``
-reward of every action on every window, scored by one broadcast
-``enforcement.enforce_window`` call: the attack damage at the action's
-coverage of the window's kind plus collateral damage from the action's tier
-friction under the load. ``step`` reads one reward and adds the action's
-``policy.RECENT_OFFSET``, the key offset of its recent-action bucket, to the
-next window's key, as the simulation's decision walk does.
+episode, t), never on how the episode or earlier ones were played. The
+environment keeps one ``scenario.Substreams`` for its seed and re-keys it
+per episode, so no episode builds a generator; ``draw_episode(cfg,
+episode)`` draws the same episode from a fresh one. From that block
+``reset`` computes the episode's windows as arrays, their state keys
+without the recent-action bucket (one ``compose_indicators`` and one
+``encode_state`` call over the episode), and the ``[episode_len,
+n_actions]`` reward of every action on every window, scored by one
+broadcast ``enforcement.enforce_window`` call: the attack damage at the
+action's coverage of the window's kind plus collateral damage from the
+action's tier friction under the load. The window columns stay
+``[episode_len, 1]`` against the ``[n_actions]`` catalog, and the grid's
+damage, int8 outcome codes, collateral and rewards are each filled in
+place, one pass per operation. ``step`` reads
+one reward and adds the action's ``policy.RECENT_OFFSET``, the key offset
+of its recent-action bucket, to the next window's key, as the simulation's
+decision walk does.
 
 Training (``policy.train_policy``) keeps the agent's side just as separate:
 at each episode's start it draws that episode's exploration coins, random
@@ -32,8 +40,9 @@ run depends only on the two seeds, k and the tables learned so far.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
+from .config import check_seed
 from .enforcement import BLOCKED, enforce_window
 from .errors import ConfigError, EnvironmentFault
 from .perception import SEVERITY
@@ -45,6 +54,7 @@ from .policy import (
     encode_state,
     get_action,
 )
+from .scenario import Substreams
 from .telemetry import ATTACK_KINDS, LABELS
 
 # typical service-load band per window kind, mirroring what the harness
@@ -61,6 +71,7 @@ _LOAD_RANGES = {
 # per label id: the load band's low end and width
 _LOAD_LOW = np.array([_LOAD_RANGES[k][0] for k in LABELS])
 _LOAD_SPAN = np.array([_LOAD_RANGES[k][1] - _LOAD_RANGES[k][0] for k in LABELS])
+_LABEL_IDS = np.arange(len(LABELS))
 
 # the catalog action ids and their costs
 _ACTION_IDS = np.arange(len(ACTION_CATALOG))
@@ -73,11 +84,14 @@ def reward_for(code, attack_damage, collateral_damage, action,
 
     ``action`` is a catalog action id, scored on scalars into a float, or
     an array of ids broadcasting against array outcomes into an array. The
-    bonus is added in place where blocked, so an unblocked reward keeps its
-    sign bit (an idle quiet window scores -0.0).
+    reward is formed in place as (-lambda * cost) - damage, which is
+    -(damage) - lambda * cost bit for bit, signs of zero included. The
+    bonus is added where blocked, so an unblocked reward keeps its sign bit
+    (an idle quiet window scores -0.0).
     """
-    reward = np.asarray(-(attack_damage + collateral_damage)
-                        - cost_weight * _ACTION_COST[action])
+    shape = np.broadcast(code, attack_damage, collateral_damage, action).shape
+    reward = np.add(attack_damage, collateral_damage, out=np.empty(shape))
+    np.subtract(-cost_weight * _ACTION_COST[action], reward, out=reward)
     np.add(reward, block_bonus, out=reward, where=code == BLOCKED)
     return float(reward) if reward.ndim == 0 else reward
 
@@ -93,6 +107,7 @@ class EnvConfig:
     misperception: float = 0.06  # chance the synthesized read mislabels the kind
 
     def __post_init__(self):
+        check_seed(self.seed, "environment")
         if self.episode_len < 1:
             raise ConfigError("episode_len must be >= 1")
         if not 0.0 <= self.benign_share <= 1.0:
@@ -120,13 +135,16 @@ class Episode:
 
 
 def draw_episode(cfg: EnvConfig, episode: int) -> Episode:
-    """Draw episode ``episode`` of ``cfg.seed`` and score every action on it.
+    """Draw episode ``episode`` of ``cfg.seed`` and score every action on it."""
+    return _episode(cfg, Substreams(cfg.seed)(episode))
 
-    The block's rows are the benign coin, attack kind, intensity, load,
+
+def _episode(cfg: EnvConfig, rng: Generator) -> Episode:
+    """The episode whose substream is ``rng``: one ``[8, episode_len]``
+    block whose rows are the benign coin, attack kind, intensity, load,
     misperception coin, misread kind, max probability and context factor.
     """
     n = cfg.episode_len
-    rng = Generator(Philox(key=np.array([cfg.seed, episode], dtype=np.uint64)))
     coin, pick, level, busy, slip, misread, confidence, context = rng.random((8, n))
     attack = coin >= cfg.benign_share
     kind = np.where(attack, 1 + (pick * len(ATTACK_KINDS)).astype(np.intp), 0)
@@ -136,8 +154,9 @@ def draw_episode(cfg: EnvConfig, episode: int) -> Episode:
     other = (misread * (len(LABELS) - 1)).astype(np.intp)  # any label but kind
     perceived = np.where(slip < cfg.misperception, other + (other >= kind), kind)
     max_p = 0.75 + (0.995 - 0.75) * confidence
-    probs = np.repeat(((1.0 - max_p) / (len(LABELS) - 1))[:, None], len(LABELS), axis=1)
-    probs[np.arange(n), perceived] = max_p
+    # max_p on the perceived label, the rest shared equally by the others
+    probs = np.where(perceived[:, None] == _LABEL_IDS, max_p[:, None],
+                     ((1.0 - max_p) / (len(LABELS) - 1))[:, None])
     threat = max_p * SEVERITY[perceived] * (0.5 + (0.95 - 0.5) * context)
     code, attack_damage, collateral = enforce_window(
         _ACTION_IDS, kind[:, None], intensity[:, None], load[:, None])
@@ -154,6 +173,7 @@ class DefenseEnv:
     def __init__(self, cfg: EnvConfig | None = None):
         self.cfg = cfg or EnvConfig()
         self.catalog = ACTION_CATALOG
+        self._streams = Substreams(self.cfg.seed)
         self._episode = -1
         self._steps = 0
         self._drawn: Episode | None = None
@@ -166,7 +186,7 @@ class DefenseEnv:
 
     def reset(self) -> int:
         self._episode += 1
-        self._drawn = draw_episode(self.cfg, self._episode)
+        self._drawn = _episode(self.cfg, self._streams(self._episode))
         self._keys = self._drawn.state_key.tolist()
         self._steps = 0
         self._state = self._keys[0]

@@ -25,7 +25,10 @@ segment: counts and histograms from one ``bincount`` over (window, bin) ids,
 sums and squared deviations from weighted ``bincount``s (each window's in
 row order), maxima and minima from ``reduceat``, and distinct counts and
 entropies from one sort of (window, value) keys. Long runs go through in
-fixed blocks of windows, each block slices of the run's columns. A sequence
+blocks of consecutive windows holding a fixed budget of events, each block
+slices of the run's columns, so a sparse run takes fewer blocks than a
+dense one of the same length and no block's intermediates outgrow the
+budget (unless one window alone does). A sequence
 of windows is concatenated into a run first, and a single window is the run
 of one. A layout resolves its names to positions in those statistics once,
 when it is built, so a block costs one gather instead of a name lookup per
@@ -421,9 +424,22 @@ def _behavior_stats(run: TelemetryRun, rows: list, seconds: np.ndarray) -> np.nd
     ], axis=1)
 
 
-# windows featurized together: bounds the per-block intermediates (about
-# 350 bytes per event) on long runs without giving back the per-call savings
-_BLOCK = 64
+# events featurized together: bounds the per-block intermediates (about
+# 350 bytes per event) on long runs without giving back the per-call
+# savings; about 64 windows at 60 events/s, a whole 130-window run at 6
+_BLOCK_EVENTS = 7000
+
+
+def _blocks(run: TelemetryRun):
+    """Consecutive ``(lo, hi)`` window ranges of the run, each holding at
+    most ``_BLOCK_EVENTS`` events over all sources, or one window."""
+    before = sum(np.asarray(at, dtype=np.int64) for at in run.offsets)  # [N + 1]
+    lo = 0
+    while lo < len(run):
+        fits = int(np.searchsorted(before, before[lo] + _BLOCK_EVENTS, side="right")) - 1
+        hi = max(fits, lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 def extract_features(data, layout: FeatureLayout) -> np.ndarray:
@@ -438,8 +454,8 @@ def extract_features(data, layout: FeatureLayout) -> np.ndarray:
         if end - start > longest:
             raise InputError(f"window [{start}, {end}) is too long for {layout.n_bins} time bins")
     out = np.zeros((len(run), layout.dim))
-    for lo in range(0, len(run), _BLOCK):
-        block = run.part(lo, lo + _BLOCK)
+    for lo, hi in _blocks(run):
+        block = run.part(lo, hi)
         start = np.array(block.starts, dtype=np.int64)
         duration = np.array(block.ends, dtype=np.int64) - start
         # per source: each row's window (sorted) and each window's row count

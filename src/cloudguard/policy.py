@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import check_seed
 from .errors import (
     CatalogError,
     CheckpointError,
@@ -56,6 +57,9 @@ RECENT_EDGES = (1 / 3, 2 / 3)
 STATE_RADICES = (len(BAND_EDGES) + 1, len(LOAD_EDGES) + 1, len(LABELS),
                  len(RECENT_EDGES) + 1)
 N_STATES = math.prod(STATE_RADICES)
+# the edges as arrays, so bucketing converts no tuple per call
+_BAND_EDGES, _LOAD_EDGES, _RECENT_EDGES = (
+    np.array(edges) for edges in (BAND_EDGES, LOAD_EDGES, RECENT_EDGES))
 
 
 def compose_indicators(threat, load, kind_probs, recent_action) -> tuple:
@@ -73,17 +77,18 @@ def compose_indicators(threat, load, kind_probs, recent_action) -> tuple:
         raise DimensionError(f"kind_probs {probs.shape} need a last axis of "
                              f"{len(LABELS)} and signals of shape {probs.shape[:-1]}, "
                              f"got {[v.shape for v in signals]}")
-    if not (all(np.isfinite(v).all() for v in signals) and np.isfinite(probs).all()):
+    if not (np.isfinite(signals).all() and np.isfinite(probs).all()):
         raise InputError("state signals must be finite")
     threat, load, recent_action = signals
-    return (np.searchsorted(BAND_EDGES, threat, side="right"),
-            np.searchsorted(LOAD_EDGES, load, side="right"),
+    return (np.searchsorted(_BAND_EDGES, threat, side="right"),
+            np.searchsorted(_LOAD_EDGES, load, side="right"),
             probs.argmax(axis=-1),
-            np.searchsorted(RECENT_EDGES, recent_action, side="right"))
+            np.searchsorted(_RECENT_EDGES, recent_action, side="right"))
 
 
 def encode_state(buckets):
-    """Pack per-axis buckets into one key, first axis least significant.
+    """Pack per-axis integer buckets into one key, first axis least
+    significant.
 
     One window's buckets give an int key; ``[N]`` bucket arrays give an
     ``[N]`` array of keys.
@@ -91,15 +96,15 @@ def encode_state(buckets):
     if len(buckets) != len(STATE_RADICES):
         raise DimensionError(f"state takes {len(STATE_RADICES)} buckets, "
                              f"got {len(buckets)}")
-    key = 0
-    mult = 1
-    for bucket, radix in zip(buckets, STATE_RADICES):
-        bucket = np.asarray(bucket)
-        outside = (bucket < 0) | (bucket >= radix)
-        if outside.any():
-            raise InputError(f"bucket {bucket[outside][0]} outside [0, {radix})")
-        key = key + bucket * mult
-        mult *= radix
+    try:
+        key = np.ravel_multi_index(buckets[::-1], STATE_RADICES[::-1])
+    except ValueError:
+        for bucket, radix in zip(buckets, STATE_RADICES):
+            bucket = np.asarray(bucket)
+            outside = (bucket < 0) | (bucket >= radix)
+            if outside.any():
+                raise InputError(f"bucket {bucket[outside][0]} outside [0, {radix})") from None
+        raise
     return int(key) if key.ndim == 0 else key
 
 
@@ -244,9 +249,11 @@ def select_action(tables: DoubleQTables, state: int, epsilon: float,
     return int((tables.q_a[state] + tables.q_b[state]).argmax())
 
 
-def double_q_update(tables: DoubleQTables, t: Transition, alpha: float,
+def double_q_update(tables: DoubleQTables, t: Transition | tuple, alpha: float,
                     gamma: float, rng: np.random.Generator | float) -> float:
     """One double-estimator update; returns the new value of the entry.
+
+    ``t`` is a Transition or a plain tuple of its five fields in order.
 
     A fair coin picks the table to update: a coin below 0.5 updates Q_A.
     ``rng`` is a Generator that draws the coin, or the step's pre-drawn
@@ -289,6 +296,7 @@ class PolicyTrainConfig:
     moving_avg_window: int = 20
 
     def __post_init__(self):
+        check_seed(self.seed, "policy training")
         if self.episodes < 0:
             raise ConfigError(f"episodes must be >= 0, got {self.episodes}")
         if self.steps_per_episode < 1:
@@ -374,8 +382,8 @@ def train_policy(env, cfg: PolicyTrainConfig) -> tuple[DoubleQTables, Convergenc
                 raise EnvironmentFault(
                     f"episode {episode} step {step}: {exc}") from exc
             reward = float(reward)
-            double_q_update(tables,
-                            Transition(state, action, reward, next_state, bool(terminal)),
+            # a plain tuple in Transition's field order, cheaper to build
+            double_q_update(tables, (state, action, reward, next_state, bool(terminal)),
                             alpha, gamma, flips[step])
             total += reward
             steps += 1

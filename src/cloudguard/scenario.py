@@ -173,18 +173,27 @@ class LabeledStream:
         return len(self.windows)
 
 
-def _window_rngs(seed: int, indices: range):
-    """Each window's independent substream in turn: 128-bit Philox key
-    (seed, index). One bit generator is re-keyed per window from the state
-    of a fresh one (counter and buffer empty), so a window draws exactly
-    what a new generator with its key would."""
-    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    fresh = bits.state
-    rng = np.random.Generator(bits)
-    for index in indices:
-        fresh["state"]["key"] = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-        bits.state = fresh
-        yield index, rng
+class Substreams:
+    """Independent Philox substreams of one seed: stream ``index`` is keyed
+    by the 128-bit pair (seed mod 2**64, index).
+
+    ``streams(index)`` re-keys one bit generator from the state of a fresh
+    one (counter and buffer empty) and returns its one Generator, so the
+    stream draws exactly what a new ``Generator(Philox(key=...))`` would,
+    without building one. Each call invalidates the stream handed out
+    before it.
+    """
+
+    def __init__(self, seed: int):
+        self._seed = seed & 0xFFFFFFFFFFFFFFFF
+        self._bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._fresh = self._bits.state
+        self._rng = np.random.Generator(self._bits)
+
+    def __call__(self, index: int) -> np.random.Generator:
+        self._fresh["state"]["key"] = np.array([self._seed, index], dtype=np.uint64)
+        self._bits.state = self._fresh
+        return self._rng
 
 
 def _overlap(spec: AttackSpec, start: int, end: int) -> tuple[int, int]:
@@ -597,7 +606,9 @@ def _draw_blocks(config: ScenarioConfig, indices: range) -> tuple[dict, list[str
     drawn: dict[_Recipe, list] = {}
     labels = []
     seq = 0
-    for index, rng in _window_rngs(config.seed, indices):
+    streams = Substreams(config.seed)
+    for index in indices:
+        rng = streams(index)
         start = index * config.window_ms
         end = start + config.window_ms
         specs = bursts.overlapping(start, end)

@@ -200,6 +200,18 @@ def test_train_detector_rejects_zero_epochs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train-policy", "train-detector"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_training_commands_reject_a_seed_the_generators_cannot_take(
+        tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    assert main([command, "--seed", str(seed), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "[0, 2**64)" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_detector_writes_history(tmp_path):
     cfg = write_config(tmp_path, "det.json", {
         "scenario": SCENARIO, "arch": TINY_ARCH, "epochs": 3, "batch_size": 16,

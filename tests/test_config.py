@@ -8,6 +8,7 @@ from cloudguard.config import read_config
 from cloudguard.detector import ArchConfig, TrainConfig
 from cloudguard.environment import EnvConfig, defense_train_config
 from cloudguard.errors import ConfigError
+from cloudguard.policy import PolicyTrainConfig
 from cloudguard.scenario import AttackSpec, ScenarioConfig, default_scenario
 from cloudguard.simulate import SimConfig
 
@@ -80,6 +81,17 @@ def test_class_checks_and_shape_errors_are_config_errors():
         read_config(AttackSpec, dict(DDOS, kind="benign"))
     with pytest.raises(ConfigError):
         read_config(SimConfig, [])
+
+
+@pytest.mark.parametrize("cls", [EnvConfig, PolicyTrainConfig, TrainConfig])
+def test_seeds_outside_one_uint64_word_are_config_errors(cls):
+    # the generators take a seed in [0, 2**64); outside it they would fail
+    # deep inside numpy with a bare ValueError or OverflowError
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+            cls(seed=seed)
+    for seed in (0, 2**64 - 1):
+        assert cls(seed=seed).seed == seed
 
 
 @pytest.mark.parametrize("config", [

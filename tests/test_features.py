@@ -1,8 +1,11 @@
 """Feature extraction: catalog layout, named statistics, and normalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cloudguard import features
 from cloudguard.errors import DimensionError, InputError
 from cloudguard.features import (
     DEFAULT_DIM,
@@ -13,6 +16,7 @@ from cloudguard.features import (
     fit_normalizer,
     normalize,
 )
+from cloudguard.scenario import default_scenario, generate_stream
 from cloudguard.telemetry import (
     BehaviorData,
     FlowData,
@@ -272,3 +276,41 @@ class TestNormalizer:
         stats = fit_normalizer([np.zeros(4)])
         with pytest.raises(DimensionError):
             normalize(np.zeros(5), stats)
+
+
+class TestBlocks:
+    """A run is featurized in blocks of at most ``_BLOCK_EVENTS`` events;
+    the blocks never show in the output."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        return generate_stream(default_scenario(seed=2, rounds=2)).run
+
+    def test_blocks_tile_the_run_within_the_event_budget(self, run):
+        blocks = list(features._blocks(run))
+        assert len(blocks) > 1
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == len(run)
+        before = sum(np.asarray(at) for at in run.offsets)
+        for lo, hi in blocks:
+            assert before[hi] - before[lo] <= features._BLOCK_EVENTS or hi == lo + 1
+        # a sparse run of the same windows is one block
+        sparse = generate_stream(dataclasses.replace(
+            default_scenario(seed=2, rounds=2), benign_rate=6.0)).run
+        assert list(features._blocks(sparse)) == [(0, len(sparse))]
+
+    def test_a_run_featurized_whole_equals_it_featurized_in_parts(self, run, layout):
+        whole = extract_features(run, layout)
+        edge = list(features._blocks(run))[0][1]
+        for cut in (edge - 1, edge, edge + 1, len(run) // 3):
+            parts = np.concatenate([extract_features(run.part(0, cut), layout),
+                                    extract_features(run.part(cut, len(run)), layout)])
+            np.testing.assert_array_equal(parts.view(np.uint64), whole.view(np.uint64))
+        for i in (edge - 1, edge):  # each window alone, on both sides of the edge
+            np.testing.assert_array_equal(
+                extract_features(run.window(i), layout).view(np.uint64),
+                whole[i].view(np.uint64))
+
+    def test_one_window_over_the_budget_is_its_own_block(self, monkeypatch, run):
+        monkeypatch.setattr(features, "_BLOCK_EVENTS", 1)
+        assert list(features._blocks(run)) == [(i, i + 1) for i in range(len(run))]

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudguard.enforcement import OUTCOMES, default_matrix, validate_matrix
+from cloudguard.enforcement import (BASE_DAMAGE, OUTCOMES, default_matrix,
+                                    resolve_attack, validate_matrix)
 from cloudguard.environment import (DefenseEnv, EnvConfig, defense_train_config,
                                     enforce_window, reward_for)
 from cloudguard.errors import InputError
@@ -23,6 +24,7 @@ from cloudguard.telemetry import LABELS
 from . import response_oracle as oracle
 
 CATALOG = build_action_catalog()
+ACTION_COST = np.array([a.cost for a in CATALOG])
 ORACLE_MATRIX = oracle.default_matrix()
 ORACLE_COLLATERAL = oracle.CollateralModel()
 
@@ -77,6 +79,54 @@ def test_idling_on_a_quiet_window_scores_negative_zero_in_both_forms():
     many = reward_for(code, attack, collateral, np.array([0]), 0.1, 2.5)
     one = reward_for(code[0], attack[0], collateral[0], 0, 0.1, 2.5)
     assert same_bits(many[0], -0.0) and same_bits(one, -0.0)
+
+
+def same_array_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# any float, signed zeros and values outside [0, 1] included
+anyfloat = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, -0.0, 1.0)))
+# the shapes a scalar, a run and an episode grid broadcast from
+shapes = st.sampled_from(((), (5,), (4, 1), (1, 5), (4, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind_shape=shapes, intensity_shape=shapes, coverage_shape=shapes)
+def test_in_place_resolve_is_the_one_expression(data, kind_shape, intensity_shape,
+                                                coverage_shape):
+    # resolve_attack fills its outputs in place; the one broadcast
+    # expression it replaced is the reference, bit for bit
+    def draw(shape, elements):
+        return np.array(data.draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                           max_size=int(np.prod(shape))))).reshape(shape)
+    kind = draw(kind_shape, kinds)
+    intensity = draw(intensity_shape, anyfloat)
+    coverage = draw(coverage_shape, anyfloat)
+    code, damage = resolve_attack(kind, intensity, coverage)
+    want_damage = (1.0 - coverage) * intensity * BASE_DAMAGE[kind]
+    want_code = (intensity > 0) * (kind != 0) * (1 + (coverage > 0) + (coverage >= 1))
+    assert np.asarray(code).dtype == np.int8
+    assert np.shape(code) == np.shape(want_code)
+    assert np.array_equal(code, want_code)
+    assert same_array_bits(damage, want_damage)
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows=st.lists(st.tuples(st.integers(0, len(OUTCOMES) - 1), anyfloat, anyfloat,
+                                  actions), min_size=1, max_size=20),
+       cost_weight=st.floats(0.0, 2.0), block_bonus=st.floats(0.0, 5.0))
+def test_in_place_reward_is_the_one_expression(windows, cost_weight, block_bonus):
+    # (-lambda * cost) - damage in place equals -(damage) - lambda * cost,
+    # signs of zero included, on any inputs
+    code, attack, collateral, action = (np.array(c) for c in zip(*windows))
+    want = np.asarray(-(attack + collateral) - cost_weight * ACTION_COST[action])
+    np.add(want, block_bonus, out=want, where=code == OUTCOMES.index("blocked"))
+    got = reward_for(code, attack, collateral, action, cost_weight, block_bonus)
+    assert same_array_bits(got, want)
+    one = reward_for(code[0], attack[0], collateral[0], action[0], cost_weight, block_bonus)
+    assert same_bits(one, want[0])
 
 
 @settings(max_examples=60, deadline=None)
