@@ -22,7 +22,7 @@ from .features import FeatureLayout, NormStats, extract_features, fit_normalizer
 from .nn import (Adam, Conv1dLayer, DenseLayer, LstmLayer, MaxPool1dLayer, ModelGraph,
                  one_blas_thread)
 from .nn import layers as nnl
-from .nn.checkpoint import load_params, restore_into, save_params
+from .nn.checkpoint import check_all_taken, map_params, save_params, take
 from .telemetry import LABELS
 
 DEFAULT_THRESHOLD = 0.75
@@ -92,36 +92,31 @@ class ArchConfig:
 
 def build_model(arch: ArchConfig, seed: int = 0) -> ModelGraph:
     """Assemble the seeded layer stack described by ``arch``."""
-    return _assemble(arch, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    return _assemble(arch, lambda i, cls, *sizes, **options: cls(*sizes, **options, rng=rng))
 
 
-class _Unfilled:
-    """A stand-in generator for a graph whose every weight a checkpoint will
-    overwrite: each Glorot draw is a zero-stride view of its shape, which
-    the layer's parameters copy into an array of their own without reading
-    any fresh memory."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.broadcast_to(0.0, size)
-
-
-def _assemble(arch: ArchConfig, rng) -> ModelGraph:
-    """The layer stack of ``arch``, its weights drawn from ``rng``."""
+def _assemble(arch: ArchConfig, weighted) -> ModelGraph:
+    """The layer stack of ``arch``. Each layer with weights is
+    ``weighted(i, cls, *sizes, **options)``: ``i`` is its index in the
+    stack, and ``cls(*sizes, **options)`` would draw it."""
     layer_list = []
+
+    def add(cls, *sizes, **options):
+        layer_list.append(weighted(len(layer_list), cls, *sizes, **options))
+
     channels = arch.feature_dim
     for i, filters in enumerate(arch.conv_filters, start=1):
-        layer_list.append(Conv1dLayer(channels, filters, arch.kernel_size, rng=rng))
+        add(Conv1dLayer, channels, filters, arch.kernel_size)
         channels = filters
         if i in arch.pool_after:
             layer_list.append(MaxPool1dLayer(arch.pool_size))
-    layer_list.append(LstmLayer(channels, arch.lstm_hidden, rng=rng))
+    add(LstmLayer, channels, arch.lstm_hidden)
     width = arch.lstm_hidden
     for fc in arch.fc_widths:
-        layer_list.append(DenseLayer(width, fc, activation="relu", rng=rng))
+        add(DenseLayer, width, fc, activation="relu")
         width = fc
-    layer_list.append(DenseLayer(width, arch.num_classes, activation="softmax",
-                                 rng=rng))
+    add(DenseLayer, width, arch.num_classes, activation="softmax")
     return ModelGraph(layer_list)
 
 
@@ -156,7 +151,7 @@ def prepare_dataset(stream, layout: FeatureLayout, seq_len: int,
     if stats is None:
         stats = fit_normalizer(raw)
     normed = normalize(raw, stats)
-    label_ids = np.array([LABELS.index(w.label or "benign") for w in stream.windows])
+    label_ids = np.array([LABELS.index(label or "benign") for label in stream.run.labels])
     x, y = build_sequences(normed, label_ids, seq_len)
     return x, y, stats
 
@@ -499,8 +494,9 @@ def save_detector(path: str, model: ModelGraph, arch: ArchConfig,
 
 
 def load_detector(path: str):
-    """Rebuild ``(model, arch, stats, layout, classes)`` from a bundle."""
-    params, meta = load_params(path)
+    """Rebuild ``(model, arch, stats, layout, classes)`` from a bundle,
+    writing each of its arrays once."""
+    params, meta = map_params(path)
     if not isinstance(meta, dict) or meta.get("kind") != "detector":
         raise CheckpointError(f"{path}: not a detector checkpoint")
     try:
@@ -520,9 +516,10 @@ def load_detector(path: str):
     if layout.dim != arch.feature_dim:
         raise CheckpointError(f"{path}: layout width {layout.dim} != arch "
                               f"feature_dim {arch.feature_dim}")
-    stats = NormStats(mean=params.pop("norm.mean"), std=params.pop("norm.std"))
-    # restore_into checks that the checkpoint holds every weight, so the
-    # graph is built without drawing any
-    model = _assemble(arch, _Unfilled())
-    restore_into(model, params, path)
+    stats = NormStats(mean=params.pop("norm.mean").copy(), std=params.pop("norm.std").copy())
+    # the graph is built around the mapped arrays: each layer's parameters
+    # take their one aligned copy of them, and nothing is drawn
+    model = _assemble(arch, lambda i, cls, *sizes, **options: cls.around(
+        take(params, f"{i}.", cls.shapes(*sizes), path), **options))
+    check_all_taken(params, path)
     return model, arch, stats, layout, classes

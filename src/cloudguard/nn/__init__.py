@@ -3,7 +3,7 @@ softmax cross-entropy, SGD/Adam, finite-difference gradient checking, and
 npz checkpoints. Everything computes in float64 on numpy arrays.
 """
 
-from .checkpoint import load_params, restore_into, save_params
+from .checkpoint import load_params, map_params, restore_into, save_params
 from .gradcheck import grad_check
 from .layers import (
     PROB_FLOOR,
@@ -41,6 +41,7 @@ __all__ = [
     "grad_check",
     "load_params",
     "lstm_forward",
+    "map_params",
     "maxpool1d_forward",
     "one_blas_thread",
     "restore_into",

@@ -3,9 +3,12 @@
 Every function works on float64 arrays. Single-sample signatures take
 ``[T, C]`` inputs; the ``*_batch`` variants used by training take
 ``[B, T, C]`` and are what the backward passes pair with. The LSTM returns
-only its last hidden state, the one thing the dense head reads. The
-parameter dataclasses copy the arrays they are given, so each layer owns
-writable arrays of its own.
+only its last hidden state, the one thing the dense head reads.
+
+The parameter dataclasses copy each array they are given once, through
+``aligned_copy``, so each layer owns writable, C-contiguous arrays of its
+own that start on an ``ALIGNMENT``-byte boundary, whether the arrays were
+drawn or read from a checkpoint. Nothing else allocates a parameter.
 """
 
 from dataclasses import dataclass
@@ -15,6 +18,20 @@ import numpy as np
 from ..errors import DimensionError
 
 PROB_FLOOR = 1e-12  # loss clamp; keeps confident-wrong predictions finite
+ALIGNMENT = 64  # bytes: a cache line, and the widest vector register
+
+
+def aligned_copy(arr) -> np.ndarray:
+    """A float64, C-contiguous, writable copy of ``arr`` in memory of its
+    own that starts on an ALIGNMENT-byte boundary. numpy's allocator only
+    promises 16 bytes, and a forward pass over weights aligned to 64 ran
+    faster, bit for bit the same."""
+    src = np.asarray(arr, dtype=np.float64)
+    buf = np.empty(src.nbytes + ALIGNMENT, dtype=np.uint8)
+    lo = -buf.ctypes.data % ALIGNMENT
+    out = buf[lo:lo + src.nbytes].view(np.float64).reshape(src.shape)
+    out[...] = src
+    return out
 
 
 @dataclass
@@ -26,8 +43,8 @@ class ConvParams:
     stride: int = 1
 
     def __post_init__(self):
-        self.kernel = np.array(self.kernel, dtype=np.float64)
-        self.bias = np.array(self.bias, dtype=np.float64)
+        self.kernel = aligned_copy(self.kernel)
+        self.bias = aligned_copy(self.bias)
         if self.kernel.ndim != 3:
             raise DimensionError(f"kernel must be [K, C_in, C_out], got shape {self.kernel.shape}")
         if self.bias.shape != (self.kernel.shape[2],):
@@ -54,7 +71,7 @@ class LstmParams:
 
     def __post_init__(self):
         for name in LSTM_PARAM_NAMES:
-            setattr(self, name, np.array(getattr(self, name), dtype=np.float64))
+            setattr(self, name, aligned_copy(getattr(self, name)))
         h = self.w.shape[1] // 4 if self.w.ndim == 2 else 0
         if (h < 1 or self.w.shape[1] != 4 * h
                 or self.u.shape != (h, 4 * h) or self.b.shape != (4 * h,)):
@@ -80,8 +97,8 @@ class DenseParams:
     activation: str = "none"  # one of: relu, softmax, none
 
     def __post_init__(self):
-        self.weights = np.array(self.weights, dtype=np.float64)
-        self.bias = np.array(self.bias, dtype=np.float64)
+        self.weights = aligned_copy(self.weights)
+        self.bias = aligned_copy(self.bias)
         if self.weights.ndim != 2:
             raise DimensionError(f"weights must be [In, Out], got shape {self.weights.shape}")
         if self.bias.shape != (self.weights.shape[1],):

@@ -61,8 +61,31 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Conv1dLayer:
+class _Weighted:
+    """A layer that computes from ``self.params``, an instance of its
+    ``PARAMS`` dataclass; ``shapes(*sizes)`` gives the shape of each of its
+    arrays, by field, for the sizes its constructor takes."""
+
+    PARAMS: type
+
+    @classmethod
+    def around(cls, arrays: dict[str, np.ndarray], **options):
+        """The layer over given arrays, one per field of ``shapes``, and
+        ``options`` (a stride, an activation): its parameters copy each
+        array once, and nothing is drawn."""
+        layer = cls.__new__(cls)
+        layer.params = cls.PARAMS(**arrays, **options)
+        return layer
+
+
+class Conv1dLayer(_Weighted):
     """Valid 1-D convolution, linear (no activation)."""
+
+    PARAMS = L.ConvParams
+
+    @staticmethod
+    def shapes(in_channels: int, out_channels: int, kernel_size: int) -> dict[str, tuple]:
+        return {"kernel": (kernel_size, in_channels, out_channels), "bias": (out_channels,)}
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, rng: np.random.Generator | None = None):
@@ -110,18 +133,23 @@ class MaxPool1dLayer:
         return {}
 
 
-class LstmLayer:
+class LstmLayer(_Weighted):
     """LSTM over ``[B, T, C]`` returning its last hidden state ``[B, H]``.
     Each gate's block of the stacked ``w`` and ``u`` starts as its own
     Glorot draw, in gate order, and the forget gate's bias at 1."""
+
+    PARAMS = L.LstmParams
+
+    @staticmethod
+    def shapes(input_size: int, hidden_size: int) -> dict[str, tuple]:
+        return {"w": (input_size, 4 * hidden_size), "u": (hidden_size, 4 * hidden_size),
+                "b": (4 * hidden_size,)}
 
     def __init__(self, input_size: int, hidden_size: int,
                  rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
 
         def stacked(fan_in):
-            # the four blocks as one draw: for a zero-stride stand-in draw
-            # (a checkpoint load's) the reshape below copies nothing
             blocks = _glorot(rng, fan_in, hidden_size, (4, fan_in, hidden_size))
             return blocks.transpose(1, 0, 2).reshape(fan_in, 4 * hidden_size)
 
@@ -140,8 +168,14 @@ class LstmLayer:
         return {name: getattr(self.params, name) for name in L.LSTM_PARAM_NAMES}
 
 
-class DenseLayer:
+class DenseLayer(_Weighted):
     """Fully connected layer with optional relu or softmax activation."""
+
+    PARAMS = L.DenseParams
+
+    @staticmethod
+    def shapes(in_features: int, out_features: int) -> dict[str, tuple]:
+        return {"weights": (in_features, out_features), "bias": (out_features,)}
 
     def __init__(self, in_features: int, out_features: int, activation: str = "none",
                  rng: np.random.Generator | None = None):

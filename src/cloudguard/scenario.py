@@ -232,26 +232,45 @@ def _majority_label(specs: list[AttackSpec], start: int, end: int) -> str:
     return "benign"
 
 
+def peak_intensity(specs: list[AttackSpec], start: int, end: int, kind: str) -> float:
+    """Attack pressure of ``kind`` on ``[start, end)`` under the specs
+    overlapping it: the largest intensity x covered share."""
+    best = 0.0
+    for spec in specs:
+        if spec.kind == kind:
+            lo, hi = _overlap(spec, start, end)
+            best = max(best, spec.intensity * (hi - lo) / (end - start))
+    return best
+
+
 class BurstIndex:
-    """A scenario's attack specs sorted by start, so that a window finds the
-    specs overlapping it by binary search instead of a scan of every spec."""
+    """A scenario's attack specs sorted by start, so that spans find the
+    specs overlapping them by binary search instead of a scan of every spec:
+    a run's windows all at once, in two ``searchsorted`` calls."""
 
     def __init__(self, attacks):
         self.attacks = tuple(attacks)
         starts = np.array([spec.start for spec in self.attacks], dtype=np.int64)
         ends = np.array([spec.end for spec in self.attacks], dtype=np.int64)
-        self._order = np.argsort(starts, kind="stable")
-        self._starts = starts[self._order]
+        order = np.argsort(starts, kind="stable")
+        self._starts = starts[order]
         # running max of the sorted specs' ends: the specs before the first
         # one reaching past ``start`` all end by ``start``
-        self._reach = np.maximum.accumulate(ends[self._order])
+        self._reach = np.maximum.accumulate(ends[order])
+        self._order = order.tolist()
+
+    def covering(self, starts, ends) -> list[list[AttackSpec]]:
+        """The specs overlapping each span ``[starts[i], ends[i])``, in
+        configured order."""
+        los = np.searchsorted(self._reach, starts, side="right").tolist()
+        his = np.searchsorted(self._starts, ends, side="left").tolist()
+        return [[self.attacks[i] for i in sorted(self._order[lo:hi])
+                 if self.attacks[i].end > start] if lo < hi else []
+                for start, lo, hi in zip(starts, los, his)]
 
     def overlapping(self, start: int, end: int) -> list[AttackSpec]:
         """The specs overlapping ``[start, end)``, in configured order."""
-        lo = int(np.searchsorted(self._reach, start, side="right"))
-        hi = int(np.searchsorted(self._starts, end, side="left"))
-        return [self.attacks[i] for i in sorted(self._order[lo:hi].tolist())
-                if self.attacks[i].end > start]
+        return self.covering([start], [end])[0]
 
     def label(self, start: int, end: int) -> str:
         """Majority-overlap label of ``[start, end)`` (see label_for_window)."""
@@ -259,12 +278,7 @@ class BurstIndex:
 
     def intensity(self, start: int, end: int, kind: str) -> float:
         """Attack pressure of ``kind`` on ``[start, end)`` (see truth_intensity)."""
-        best = 0.0
-        for spec in self.overlapping(start, end):
-            if spec.kind == kind:
-                lo, hi = _overlap(spec, start, end)
-                best = max(best, spec.intensity * (hi - lo) / (end - start))
-        return best
+        return peak_intensity(self.overlapping(start, end), start, end, kind)
 
 
 def label_for_window(attacks, start: int, end: int) -> str:
@@ -601,17 +615,17 @@ def _draw_blocks(config: ScenarioConfig, indices: range) -> tuple[dict, list[str
     blocks as (draw number, count, span, spec start and intensity, uniform
     rows, lognormal columns...), and each window's label.
     """
-    bursts = BurstIndex(config.attacks)
+    starts = [index * config.window_ms for index in indices]
+    covering = BurstIndex(config.attacks).covering(
+        starts, [start + config.window_ms for start in starts])
     rates = _block_rates(config)
     drawn: dict[_Recipe, list] = {}
     labels = []
     seq = 0
     streams = Substreams(config.seed)
-    for index in indices:
+    for index, start, specs in zip(indices, starts, covering):
         rng = streams(index)
-        start = index * config.window_ms
         end = start + config.window_ms
-        specs = bursts.overlapping(start, end)
         labels.append(_majority_label(specs, start, end))
         spans = [("benign", 1.0, 0, start, end)] + [
             (spec.kind, spec.intensity, spec.start, *_overlap(spec, start, end))
@@ -698,7 +712,7 @@ def generate_stream(config: ScenarioConfig) -> LabeledStream:
 def verify_separability(stream: LabeledStream, layout: FeatureLayout) -> dict[str, float]:
     """Check each attack kind's marker feature stands >= SEPARABILITY_MIN_Z
     benign stds from the benign mean. Returns the per-kind z-scores."""
-    labels = [w.label for w in stream.windows]
+    labels = stream.run.labels
     benign = np.array([label == "benign" for label in labels], dtype=bool)
     if not benign.any():
         raise InputError("stream has no benign windows to compare against")

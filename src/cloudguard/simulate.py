@@ -41,7 +41,8 @@ from .perception import (ThreatLevel, build_embedders, build_scorer,
                          level_for_score, summarize_threats, threat_score)
 from .policy import (N_ACTIONS, RECENT_OFFSET, compose_indicators, encode_state,
                      load_qtables, parse_convergence_csv, select_action)
-from .scenario import BurstIndex, ScenarioConfig, default_scenario, generate_stream
+from .scenario import (BurstIndex, ScenarioConfig, default_scenario, generate_stream,
+                       peak_intensity)
 from .telemetry import LABELS
 
 DEFAULT_DEADLINE_MS = 50.0
@@ -317,12 +318,16 @@ def _window_kind(window) -> str:
 
 
 def window_truths(scenario: ScenarioConfig, windows) -> list[tuple[str, float, float]]:
-    """(kind, intensity, load) per window, straight from ground truth."""
-    bursts = BurstIndex(scenario.attacks)
+    """(kind, intensity, load) per window, straight from ground truth; the
+    specs covering the windows are looked up once for them all."""
+    windows = list(windows)
+    covering = BurstIndex(scenario.attacks).covering([win.start for win in windows],
+                                                     [win.end for win in windows])
     out = []
-    for win in windows:
+    for win, specs in zip(windows, covering):
         kind = _window_kind(win)
-        intensity = bursts.intensity(win.start, win.end, kind) if kind != "benign" else 0.0
+        intensity = peak_intensity(specs, win.start, win.end, kind) \
+            if kind != "benign" else 0.0
         out.append((kind, intensity, _window_load(win, scenario.benign_rate)))
     return out
 
@@ -532,7 +537,7 @@ def evaluate_detection(config: SimConfig) -> DetectionMetrics:
     stream = generate_stream(config.resolved_scenario())
     verdict, _, _ = _run_detection(pipe, stream.run, config.threshold)
     return DetectionMetrics.from_rows(
-        [LABEL_IDS[_window_kind(win)] for win in stream.windows],
+        [LABEL_IDS[label or "benign"] for label in stream.run.labels],
         verdict.predicted, verdict.confident)
 
 
@@ -562,9 +567,40 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+# an event's line, ``json.dumps(ev.to_dict(), sort_keys=True)``, as one
+# template: keys in sorted order, floats as their repr, which json uses
+_EVENT_LINE = (
+    '{"action_id": %d, "attack_damage": %r, "collateral_damage": %r, "confident": %s, '
+    '"max_probability": %r, "outcome": "%s", "predicted": "%s", "threat_level": %d, '
+    '"threat_score": %r, "timing": {"finished_at": %r, "latency": {"detection_ms": %r, '
+    '"execution_ms": %r, "policy_ms": %r, "total_ms": %r}, "started_at": %r}, '
+    '"truth": "%s", "window_id": %d}')
+_OUTCOME_SET = frozenset(OUTCOMES)
+
+
 def write_events(path: str, events) -> None:
-    """One JSON object per line, in window order."""
-    lines = [json.dumps(ev.to_dict(), sort_keys=True) for ev in events]
+    """One JSON object per line, in window order: each line is
+    ``json.dumps(ev.to_dict(), sort_keys=True)``, formatted from one
+    template. InputError, before the file is opened, on a number that is
+    NaN or infinite, which ``read_events`` rejects, or on a label or
+    outcome outside its set (no name in those sets needs escaping)."""
+    lines = []
+    for ev in events:
+        lat = ev.latency
+        numbers = (ev.attack_damage, ev.collateral_damage, ev.max_probability,
+                   ev.threat_score, ev.finished_at, lat.detection_ms,
+                   lat.execution_ms, lat.policy_ms, lat.total_ms, ev.started_at)
+        if not all(map(math.isfinite, numbers)):
+            raise InputError(f"event {ev.window_id} has a NaN or infinite number")
+        if not (ev.truth in LABEL_IDS and ev.predicted in LABEL_IDS
+                and ev.outcome in _OUTCOME_SET):
+            raise InputError(f"event {ev.window_id} has an unknown label or outcome")
+        lines.append(_EVENT_LINE % (
+            ev.action_id, ev.attack_damage, ev.collateral_damage,
+            "true" if ev.confident else "false", ev.max_probability, ev.outcome,
+            ev.predicted, ev.threat_level, ev.threat_score, ev.finished_at,
+            lat.detection_ms, lat.execution_ms, lat.policy_ms, lat.total_ms,
+            ev.started_at, ev.truth, ev.window_id))
     write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -34,7 +35,9 @@ from cloudguard.errors import (
     TrainingDivergedError,
 )
 from cloudguard.features import NormStats, build_layout
-from cloudguard.nn import Conv1dLayer, DenseLayer, LstmLayer, ModelGraph, grad_check
+from cloudguard.nn import (Adam, Conv1dLayer, DenseLayer, LstmLayer, ModelGraph,
+                           grad_check)
+from cloudguard.nn.layers import ALIGNMENT
 from cloudguard.telemetry import LABELS
 
 from .test_cli import TINY_ARCH
@@ -613,3 +616,58 @@ class TestDetectorBundle:
         save_params(path, dict(model.parameters()), meta)  # no norm arrays
         with pytest.raises(CheckpointError, match="norm.mean"):
             load_detector(path)
+
+
+@pytest.fixture(scope="module")
+def default_bundle(tmp_path_factory):
+    """A checkpoint of the default arch, and the model saved in it."""
+    arch = ArchConfig()
+    model = build_model(arch, seed=31)
+    ones = np.ones(arch.feature_dim)
+    path = str(tmp_path_factory.mktemp("bundle") / "detector.npz")
+    save_detector(path, model, arch, NormStats(mean=ones, std=ones),
+                  build_layout(arch.feature_dim))
+    return path, model
+
+
+class TestDetectorLoad:
+    def test_load_peak_heap_stays_near_the_weights(self, default_bundle):
+        path, model = default_bundle
+        weight_bytes = sum(arr.nbytes for arr in model.parameters().values())
+        load_detector(path)  # first-call imports and caches stay out of the count
+        tracemalloc.start()
+        try:
+            load_detector(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * weight_bytes
+
+    def test_weights_are_aligned_contiguous_writable_and_their_own(self, default_bundle):
+        path, _ = default_bundle
+        for model in (build_model(ArchConfig(), seed=31), load_detector(path)[0]):
+            arrays = list(model.parameters().items())
+            for name, arr in arrays:
+                assert arr.ctypes.data % ALIGNMENT == 0, name
+                assert arr.flags.c_contiguous and arr.flags.writeable, name
+            for (a_name, a), (b_name, b) in itertools.combinations(arrays, 2):
+                assert not np.shares_memory(a, b), (a_name, b_name)
+
+    def test_loaded_model_classifies_and_steps_bit_equal_to_a_built_one(
+            self, default_bundle):
+        path, saved = default_bundle
+        arch = ArchConfig()
+        loaded = load_detector(path)[0]
+        built = build_model(arch, seed=0)
+        built.set_parameters(saved.parameters())
+        rng = np.random.default_rng(32)
+        series = rng.normal(size=(40, arch.feature_dim))
+        assert classify_series(loaded, arch, series).probabilities.tobytes() == \
+            classify_series(built, arch, series).probabilities.tobytes()
+        x = rng.normal(size=(4, arch.seq_len, arch.feature_dim))
+        y = rng.integers(0, arch.num_classes, size=4)
+        for model in (loaded, built):
+            _, grads = model.loss_and_gradients(x, y)
+            Adam(lr=1e-3).step(model.parameters(), grads)
+        for name, arr in built.parameters().items():
+            assert loaded.parameters()[name].tobytes() == arr.tobytes(), name

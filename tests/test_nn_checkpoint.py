@@ -1,6 +1,7 @@
 """Checkpoint round trips and corruption handling."""
 
 import json
+import struct
 import zipfile
 
 import numpy as np
@@ -8,12 +9,15 @@ import pytest
 
 from cloudguard.errors import CheckpointError
 from cloudguard.nn import (
+    Conv1dLayer,
     DenseLayer,
     ModelGraph,
     load_params,
+    map_params,
     restore_into,
     save_params,
 )
+from cloudguard.nn.layers import ALIGNMENT
 
 
 def tiny_model(seed=0):
@@ -44,6 +48,29 @@ class TestRoundTrip:
         restore_into(dst, params, path)
         x = np.random.default_rng(3).normal(size=(5, 4))
         np.testing.assert_array_equal(src.forward(x), dst.forward(x))
+
+    def test_mapped_params_are_read_only_views_equal_to_the_saved_ones(self, tmp_path):
+        model = tiny_model(seed=5)
+        path = str(tmp_path / "m.npz")
+        save_params(path, model.parameters(), {"note": "mapped"})
+        params, meta = map_params(path)
+        assert meta == {"note": "mapped"}
+        assert set(params) == set(model.parameters())
+        for name, arr in model.parameters().items():
+            assert not params[name].flags.writeable
+            np.testing.assert_array_equal(params[name], arr)
+
+    def test_restore_rebuilds_each_layer_around_aligned_copies(self, tmp_path):
+        src = tiny_model(seed=6)
+        path = str(tmp_path / "m.npz")
+        save_params(path, src.parameters(), {})
+        dst = tiny_model(seed=7)
+        params, _ = map_params(path)
+        restore_into(dst, params, path)
+        for name, arr in dst.parameters().items():
+            assert arr.flags.writeable and arr.ctypes.data % ALIGNMENT == 0
+            assert not np.shares_memory(arr, params[name])
+            np.testing.assert_array_equal(arr, src.parameters()[name])
 
     def test_archive_is_stored_uncompressed(self, tmp_path):
         path = tmp_path / "m.npz"
@@ -79,6 +106,25 @@ class TestFailureModes:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError):
             load_params(str(path))
+
+    def test_a_flipped_weight_byte_fails_the_member_crc(self, tmp_path):
+        rng = np.random.default_rng(9)
+        model = ModelGraph([Conv1dLayer(4, 3, 2, rng=rng),
+                            DenseLayer(3, 2, activation="softmax", rng=rng)])
+        path = tmp_path / "conv.npz"
+        save_params(str(path), model.parameters(), {})
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("0.kernel.npy")
+        raw = bytearray(path.read_bytes())
+        # the local header's name and extra lengths, then the member's last byte,
+        # which lies in the array data after the .npy header
+        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+        at = info.header_offset + 30 + name_len + extra_len + info.file_size - 1
+        raw[at] ^= 0x01
+        path.write_bytes(bytes(raw))
+        for read in (load_params, map_params):
+            with pytest.raises(CheckpointError, match=r"conv\.npz.*CRC.*'0\.kernel\.npy'"):
+                read(str(path))
 
     def test_restore_names_missing_field(self, tmp_path):
         model = tiny_model()

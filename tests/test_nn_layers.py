@@ -271,8 +271,8 @@ class TestLstm:
     lambda zero: L.LstmParams(w=zero((2, 4)), u=zero((1, 4)), b=zero((4,))),
 ], ids=["conv", "dense", "lstm"])
 def test_params_own_writable_copies_of_their_arrays(make):
-    # a checkpoint load builds its graph from zero-stride views, then
-    # writes the saved weights into the parameters' arrays
+    # each array given, a zero-stride view here, is copied once into memory
+    # the parameters own, aligned to nn.layers.ALIGNMENT bytes
     given = []
 
     def zero(shape):
@@ -282,4 +282,5 @@ def test_params_own_writable_copies_of_their_arrays(make):
     p = make(zero)
     for arr, src in zip(vars(p).values(), given):
         assert arr.flags.writeable and arr.flags.c_contiguous
+        assert arr.ctypes.data % L.ALIGNMENT == 0
         assert not np.shares_memory(arr, src)

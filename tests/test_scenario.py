@@ -22,7 +22,10 @@ from cloudguard.scenario import (
     truth_intensity,
     verify_separability,
 )
+from cloudguard.simulate import window_truths
 from cloudguard.telemetry import ATTACK_KINDS, LABELS
+
+from .test_scenario_oracle import configs
 
 
 # half-second windows under overlapping specs of all five kinds
@@ -242,6 +245,59 @@ class TestLabeling:
         assert label_for_window(attacks, start, end) == label
         assert {kind: truth_intensity(attacks, start, end, kind)
                 for kind in ATTACK_KINDS} == intensity
+
+
+def per_window_truths(scenario, windows):
+    """``window_truths`` as it was, one lookup per window, with each
+    intensity from a scan of every spec (``scan_truth``): the run-wide
+    lookup's bit-for-bit reference."""
+    out = []
+    for win in windows:
+        kind = win.label or "benign"
+        intensity = scan_truth(scenario.attacks, win.start, win.end)[1][kind] \
+            if kind != "benign" else 0.0
+        capacity = 2.0 * scenario.benign_rate * (win.duration_ms / 1000.0)
+        load = min(1.0, win.event_count / capacity) if capacity > 0 else 0.0
+        out.append((kind, intensity, load))
+    return out
+
+
+def bits(truths):
+    return [(kind, intensity.hex(), load.hex()) for kind, intensity, load in truths]
+
+
+def scan_covering(attacks, spans):
+    return [[a for a in attacks if a.start < end and a.end > start] for start, end in spans]
+
+
+class TestRunWideLookup:
+    def check(self, cfg):
+        spans = [(i * cfg.window_ms, (i + 1) * cfg.window_ms) for i in range(cfg.n_windows)]
+        bursts = BurstIndex(cfg.attacks)
+        assert bursts.covering(*zip(*spans)) == scan_covering(cfg.attacks, spans)
+        stream = generate_stream(cfg)
+        assert bits(window_truths(cfg, stream.windows)) == \
+            bits(per_window_truths(cfg, stream.windows))
+
+    def test_default_scenario(self):
+        self.check(default_scenario(100))
+
+    def test_overlapping_specs(self):
+        self.check(OVERLAPPING)
+
+    @settings(max_examples=100, deadline=None)
+    @given(configs())
+    def test_oracle_configs(self, cfg):
+        self.check(cfg)
+
+    def test_spans_between_and_across_specs(self):
+        spans = [(0, 1), (1250, 1251), (4749, 4750), (4750, 5050), (0, 12_000), (3400, 3500)]
+        bursts = BurstIndex(OVERLAPPING.attacks)
+        assert bursts.covering(*zip(*spans)) == scan_covering(OVERLAPPING.attacks, spans)
+        assert [bursts.overlapping(*span) for span in spans] == \
+            scan_covering(OVERLAPPING.attacks, spans)
+        assert BurstIndex(()).covering([0, 5], [5, 9]) == [[], []]
+        assert bursts.covering([], []) == []
 
 
 class TestSignatures:

@@ -10,12 +10,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cloudguard import simulate
 from cloudguard.baseline import RuleBasedDetector
 from cloudguard.detector import (SERIES_CHUNK, ArchConfig, ThreatVerdict, build_model,
                                  prepare_dataset, save_detector)
-from cloudguard.enforcement import LatencyBreakdown
+from cloudguard.enforcement import OUTCOMES, LatencyBreakdown
 from cloudguard.errors import (CheckpointError, ComparisonError, ConfigError,
                                FilesystemError, InputError)
 from cloudguard.features import (NormStats, build_layout, extract_features,
@@ -384,6 +386,79 @@ def test_warning_latency_reads_windows_by_id(small_run, tmp_path):
 NON_FINITE_FIELDS = ("max_probability", "threat_score", "attack_damage",
                      "collateral_damage", "detection_ms", "policy_ms",
                      "execution_ms", "total_ms")
+
+
+# the float edges a hand-written formatter gets wrong: signed zero, the
+# smallest subnormal, and the switches between fixed and exponent notation
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e-7, 1e-4, 1e16, 1e22, 0.1 + 0.2)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+STAGE = st.floats(0.0, 1e300) | st.sampled_from([x for x in EDGE_FLOATS if x >= 0])
+BIG_INTS = st.integers(-2**80, 2**80) | st.sampled_from([0, 2**63, -2**63 - 1, 10**30])
+
+
+@st.composite
+def pipeline_events(draw):
+    return PipelineEvent(
+        window_id=draw(BIG_INTS), truth=draw(st.sampled_from(LABELS)),
+        predicted=draw(st.sampled_from(LABELS)), confident=draw(st.booleans()),
+        max_probability=draw(FINITE), threat_score=draw(FINITE),
+        threat_level=draw(BIG_INTS), action_id=draw(BIG_INTS),
+        outcome=draw(st.sampled_from(OUTCOMES)), attack_damage=draw(FINITE),
+        collateral_damage=draw(FINITE),
+        latency=LatencyBreakdown.from_parts(draw(STAGE), draw(STAGE), draw(STAGE)),
+        started_at=draw(FINITE), finished_at=draw(FINITE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(pipeline_events(), max_size=4))
+@example([])
+def test_event_lines_are_the_json_dumps_lines(tmp_path_factory, events):
+    path = tmp_path_factory.getbasetemp() / "oracle-events.jsonl"
+    write_events(str(path), events)
+    # the formatter this one replaced, kept as its reference
+    lines = [json.dumps(ev.to_dict(), sort_keys=True) for ev in events]
+    assert path.read_bytes() == ("\n".join(lines) + ("\n" if lines else "")).encode()
+
+
+def _event_with(field, value) -> PipelineEvent:
+    """A valid event with ``field`` set to ``value``."""
+    good = PipelineEvent(
+        window_id=0, truth="ddos", predicted="ddos", confident=True,
+        max_probability=0.9, threat_score=0.7, threat_level=4, action_id=3,
+        outcome="blocked", attack_damage=0.0, collateral_damage=0.1,
+        latency=LatencyBreakdown.from_parts(1.0, 0.1, 0.01), started_at=0.0,
+        finished_at=0.0)
+    if not field.endswith("_ms"):
+        return dataclasses.replace(good, **{field: value})
+    parts = dict(detection_ms=1.0, policy_ms=0.1, execution_ms=0.01)
+    latency = LatencyBreakdown(**parts, total_ms=value) if field == "total_ms" \
+        else LatencyBreakdown.from_parts(**{**parts, field: value})
+    return dataclasses.replace(good, latency=latency)
+
+
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS + ("started_at", "finished_at"))
+def test_write_events_rejects_non_finite_values_before_opening(field, tmp_path):
+    path = tmp_path / "events.jsonl"
+    rejected = 0
+    for value in (math.nan, math.inf, -math.inf):
+        try:
+            bad = _event_with(field, value)
+        except InputError:  # a latency the breakdown itself refuses
+            continue
+        with pytest.raises(InputError, match="NaN or infinite"):
+            write_events(str(path), [_event_with("window_id", 0), bad])
+        assert not path.exists()
+        rejected += 1
+    assert rejected >= 1
+
+
+@pytest.mark.parametrize("field, value", [("truth", "dos"), ("predicted", 'a"b'),
+                                          ("outcome", "dropped")])
+def test_write_events_rejects_unknown_names_before_opening(field, value, tmp_path):
+    path = tmp_path / "events.jsonl"
+    with pytest.raises(InputError, match="unknown label or outcome"):
+        write_events(str(path), [_event_with(field, value)])
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
