@@ -325,6 +325,12 @@ def train(model: ModelGraph, x: np.ndarray, y: np.ndarray,
     validation accuracy). Each epoch is scored by one ``predict_probs`` over
     all of x, so a ``build_sequences`` view takes the shared-convolution
     pass; its history's losses are within 1e-12 of those on ``x.copy()``.
+
+    Its working set is Adam's moments, one snapshot of the best epoch's
+    parameters (made on the first epoch, then refreshed in place) and one
+    batch's activations and gradients; each batch's gradients are dropped
+    once its step is taken, before the next batch's pass or the epoch's
+    scoring.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -347,7 +353,6 @@ def train(model: ModelGraph, x: np.ndarray, y: np.ndarray,
     weights = _class_weights(y_train, num_classes)
     optimizer = Adam(lr=cfg.lr)
     history: list[dict] = []
-    best: tuple[float, dict] | None = None  # set by the first epoch; epochs >= 1
     params = model.parameters()
     for epoch in range(cfg.epochs):
         order = rng.permutation(train_idx)
@@ -361,6 +366,9 @@ def train(model: ModelGraph, x: np.ndarray, y: np.ndarray,
                 optimizer.step(params, grads)
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(f"epoch {epoch}: {exc}") from exc
+            # nothing reads them again: the next batch's pass and the
+            # epoch's scoring must not hold them
+            del grads
         # canonical-order evaluation keeps history reproducible bit for bit
         probs = predict_probs(model, x)
         train_probs, val_probs = probs[train_idx], probs[val_idx]
@@ -373,9 +381,14 @@ def train(model: ModelGraph, x: np.ndarray, y: np.ndarray,
             "train_accuracy": train_acc,
             "val_accuracy": val_acc,
         })
-        if best is None or val_acc > best[0]:
-            best = (val_acc, {k: v.copy() for k, v in params.items()})
-    model.set_parameters(best[1])
+        if epoch == 0 or val_acc > best_acc:  # epochs >= 1: epoch 0 sets both
+            best_acc = val_acc
+            if epoch == 0:
+                best = {k: v.copy() for k, v in params.items()}
+            else:  # in place: a second snapshot would briefly double it
+                for k, v in params.items():
+                    np.copyto(best[k], v)
+    model.set_parameters(best)
     return model, history
 
 

@@ -9,6 +9,10 @@ The parameter dataclasses copy each array they are given once, through
 ``aligned_copy``, so each layer owns writable, C-contiguous arrays of its
 own that start on an ``ALIGNMENT``-byte boundary, whether the arrays were
 drawn or read from a checkpoint. Nothing else allocates a parameter.
+
+The backward passes return gradients for reading only: one can be a
+read-only view (the LSTM's always-zero ``u`` gradient at one step), so
+callers must not write into them.
 """
 
 from dataclasses import dataclass
@@ -136,26 +140,46 @@ def conv1d_backward_batch(dout: np.ndarray, x: np.ndarray, p: ConvParams,
                           need_dx: bool = True):
     """Gradients of the batched convolution. Returns ``(dx, dkernel, dbias)``.
 
-    One matrix product over every (sequence, input position) row gives all
-    taps' filter gradients, the backward-filter GEMM of cuDNN (Chetlur et
-    al. 2014): ``[B*T, C_in]^T @ [B*T, K*C_out]``, where tap kk's columns
-    hold ``dout`` on the input rows that tap read and zeros elsewhere. With
-    ``need_dx=False`` the input gradient is not computed and ``dx`` is None;
-    a graph's first layer has no use for it.
+    The filter gradient takes one of two forms, chosen from the lengths:
+
+    - one matrix product over every (sequence, input position) row gives all
+      taps' filter gradients, the backward-filter GEMM of cuDNN (Chetlur et
+      al. 2014): ``[B*T, C_in]^T @ [B*T, K*C_out]``, where tap kk's columns
+      hold ``dout`` on the input rows that tap read and zeros elsewhere;
+    - one product per tap, ``[B*T', C_in]^T @ [B*T', C_out]``, over the rows
+      that tap read.
+
+    Each tap reads T' of the T rows, so the one product multiplies zeros on
+    a ``1 - T'/T`` share of its rows. It is used only where that share is
+    under a third (``3 T' > 2 T``); on shorter layers, where a third to a
+    half of its rows are zeros, the per-tap products win. The two forms sum
+    in different orders, so switching a layer's form can move its last bits.
+    With ``need_dx=False`` the input gradient is not computed and ``dx`` is
+    None; a graph's first layer has no use for it.
     """
     k, c_in, c_out = p.kernel.shape
     b, t, _ = x.shape
     t_out = dout.shape[1]
     dx = np.zeros_like(x) if need_dx else None
-    shifted = np.zeros((b, t, k, c_out))
     dbias = dout.sum(axis=(0, 1))
+    one_gemm = 3 * t_out > 2 * t
+    if one_gemm:
+        shifted = np.zeros((b, t, k, c_out))
+    else:
+        dflat = dout.reshape(-1, c_out)
+        dkernel = np.empty_like(p.kernel)
     for kk in range(k):
         sl = slice(kk, kk + (t_out - 1) * p.stride + 1, p.stride)
-        shifted[:, sl, kk] = dout
+        if one_gemm:
+            shifted[:, sl, kk] = dout
+        else:
+            dkernel[kk] = x[:, sl, :].reshape(-1, c_in).T @ dflat
         if need_dx:
             dx[:, sl, :] += dout @ p.kernel[kk].T
-    dkernel = x.reshape(-1, c_in).T @ shifted.reshape(-1, k * c_out)
-    return dx, dkernel.reshape(c_in, k, c_out).transpose(1, 0, 2), dbias
+    if one_gemm:
+        dkernel = x.reshape(-1, c_in).T @ shifted.reshape(-1, k * c_out)
+        dkernel = dkernel.reshape(c_in, k, c_out).transpose(1, 0, 2)
+    return dx, dkernel, dbias
 
 
 def maxpool1d_forward(x: np.ndarray, pool_size: int):
@@ -186,19 +210,40 @@ def maxpool1d_forward_batch(x: np.ndarray, pool_size: int):
 
 def maxpool1d_backward_batch(dout: np.ndarray, x: np.ndarray, pool_size: int) -> np.ndarray:
     """Route each block's gradient to the first index of its maximum in ``x``;
-    every other position gets zero."""
+    every other position gets zero.
+
+    The maximum is the first entry equal to the block's ``max``, found one
+    position at a time, so no ``[B, T/P, P, C]`` index or mask is built. A
+    block holding a NaN has a NaN maximum that equals no entry; those blocks
+    route along ``argmax``, which picks their first NaN.
+    """
     xr = maxpool1d_blocks(x, pool_size)
-    first = xr.argmax(axis=2)[:, :, None, :] == np.arange(pool_size)[:, None]
-    return np.where(first, dout[:, :, None, :], 0.0).reshape(x.shape)
+    peak = xr.max(axis=2)
+    if np.isnan(peak).any():
+        first = xr.argmax(axis=2)[:, :, None, :] == np.arange(pool_size)[:, None]
+        return np.where(first, dout[:, :, None, :], 0.0).reshape(x.shape)
+    dx = np.zeros_like(xr)
+    routed = xr[:, :, 0, :] == peak
+    np.copyto(dx[:, :, 0, :], dout, where=routed)
+    for j in range(1, pool_size):
+        # every block's maximum is at some position, so the last one takes
+        # whatever the earlier positions did not
+        hit = ~routed
+        if j < pool_size - 1:
+            hit &= xr[:, :, j, :] == peak
+            routed |= hit
+        np.copyto(dx[:, :, j, :], dout, where=hit)
+    return dx.reshape(x.shape)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: 1/(1+e^-z) for z >= 0 and
     e^z/(1+e^z) below, both from one ``exp(-|z|)``. Bit-equal to taking
-    each branch on its own elements; a NaN input stays NaN."""
+    each branch on its own elements; a NaN input stays NaN. The branches
+    share one division: their numerators are picked first."""
     e = np.exp(-np.abs(z))
     d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.where(z >= 0, 1.0, e) / d
 
 
 def lstm_forward(x: np.ndarray, p: LstmParams) -> np.ndarray:
@@ -257,9 +302,11 @@ def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, need_dx: b
     the ``w``, ``u``, input and state gradients are one product each. The
     first step adds nothing to the ``u`` gradient and passes nothing back
     to h_0, since h_0 = 0 is no parameter; both are skipped, so with one
-    step the ``u`` gradient is zero. Each gradient starts from the last
-    step's product plus 0.0, which gives a zero the sign a sum started from
-    zeros gives it, and adds the earlier steps' products in place. With
+    step the ``u`` gradient is zero. It is then a read-only, zero-stride
+    view of one 0.0, not a fresh ``[H, 4H]`` array: callers read gradients
+    and must not write into them. Each gradient starts from the last step's
+    product plus 0.0, which gives a zero the sign a sum started from zeros
+    gives it, and adds the earlier steps' products in place. With
     ``need_dx=False`` the input gradient is not computed and ``dx`` is None.
     """
     t = len(steps)
@@ -293,8 +340,9 @@ def lstm_backward_batch(dout: np.ndarray, steps: list, p: LstmParams, need_dx: b
             dx[:, tt, :] = dz @ p.w.T
         if tt:
             dh = dz @ p.u.T
-    return dx, {name: grads[name] if name in grads else np.zeros(getattr(p, name).shape)
-                for name in LSTM_PARAM_NAMES}
+    if "u" not in grads:
+        grads["u"] = np.broadcast_to(0.0, p.u.shape)
+    return dx, {name: grads[name] for name in LSTM_PARAM_NAMES}
 
 
 def dense_forward(x: np.ndarray, p: DenseParams) -> np.ndarray:

@@ -114,8 +114,9 @@ class MaxPool1dLayer:
     """Non-overlapping temporal max pooling.
 
     Forward computes the block maxima only and caches its input; backward
-    recomputes the first-index argmax from that input and routes through a
-    one-hot mask. Inference, which never runs backward, builds no indices.
+    recomputes the maxima from that input and routes each gradient to the
+    first position holding its block's maximum. Inference, which never runs
+    backward, builds no indices.
     """
 
     def __init__(self, pool_size: int):

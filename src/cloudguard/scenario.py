@@ -281,19 +281,26 @@ class BurstIndex:
         return peak_intensity(self.overlapping(start, end), start, end, kind)
 
 
+def _scan_overlapping(attacks, start: int, end: int) -> list[AttackSpec]:
+    """The specs overlapping ``[start, end)``, by a scan of every spec."""
+    return [spec for spec in attacks if spec.start < end and spec.end > start]
+
+
 def label_for_window(attacks, start: int, end: int) -> str:
     """Majority-overlap label, recomputable independently of generation.
 
     Coverage per kind is the union of that kind's overlap intervals. The
     benign share is whatever no attack covers. Ties go to the attack, and
-    between attacks to the canonical label order.
+    between attacks to the canonical label order. The specs are scanned,
+    not looked up through a BurstIndex, so this checks that index too.
     """
-    return BurstIndex(attacks).label(start, end)
+    return _majority_label(_scan_overlapping(attacks, start, end), start, end)
 
 
 def truth_intensity(attacks, start: int, end: int, kind: str) -> float:
-    """Effective attack pressure on a window: max spec intensity x coverage."""
-    return BurstIndex(attacks).intensity(start, end, kind)
+    """Effective attack pressure on a window: max spec intensity x
+    coverage, over a scan of the specs, as label_for_window."""
+    return peak_intensity(_scan_overlapping(attacks, start, end), start, end, kind)
 
 
 def _each(fmt):

@@ -1,20 +1,22 @@
 """Reference training kernels: the forms the network layers replaced.
 
 ``cloudguard.nn`` takes each tap's filter gradient as one matrix product,
-takes the sigmoid from one ``exp(-|z|)`` and a ``where``, skips the LSTM's
-recurrent products on the first step (where h_0 = 0), starts each LSTM
-gradient from its last step's product, and pools values only, recomputing
-the argmax in backward and routing through a one-hot mask; its Adam skips
-tensors whose gradient has been zero since the start and updates the rest
-in place. This module keeps what they replaced: the ``einsum`` filter
-gradient, the sigmoid that exponentiates each sign's elements under a
-boolean mask, the LSTM that multiplies its zero initial state and sums
-every gradient into zeros (through that sigmoid, so it never checks the
-new one against itself), a max-pool layer that builds absolute argmax
-indices in forward and puts gradients back along them into zeros, and
-Adam over every tensor through temporaries. Tests require the filter
-gradient to match within a relative tolerance, since its sum runs in
-another order, and everything else bit for bit.
+or on short layers one product per tap, takes the sigmoid from one
+``exp(-|z|)`` and a ``where``, skips the LSTM's recurrent products on the
+first step (where h_0 = 0), starts each LSTM gradient from its last step's
+product, and pools values only, routing each gradient in backward to the
+first entry equal to its block's maximum; its Adam skips tensors whose
+gradient has been zero since the start and updates the rest in place, in
+blocks. This module keeps what they replaced: the ``einsum`` filter
+gradient, the one filter-gradient product the short layers gave up, the
+sigmoid that exponentiates each sign's elements under a boolean mask, the
+LSTM that multiplies its zero initial state and sums every gradient into
+zeros (through that sigmoid, so it never checks the new one against
+itself), a max-pool layer that builds absolute argmax indices in forward
+and puts gradients back along them into zeros, and Adam over every tensor
+through temporaries. Tests require the filter gradient to match within a
+relative tolerance, since its sum runs in another order, and everything
+else bit for bit.
 """
 
 import numpy as np
@@ -34,6 +36,21 @@ def conv1d_backward_batch(dout, x, p):
         dkernel[kk] = np.einsum("bti,bto->io", x[:, sl, :], dout)
         dx[:, sl, :] += dout @ p.kernel[kk].T
     return dx, dkernel, dbias
+
+
+def conv1d_dkernel_one_gemm(dout, x, p):
+    """The filter gradient as one matrix product over every (sequence,
+    input position) row, where tap kk's columns hold ``dout`` on the rows
+    that tap read and zeros elsewhere: the form every layer took before the
+    per-tap products replaced it on short layers."""
+    k, c_in, c_out = p.kernel.shape
+    b, t, _ = x.shape
+    t_out = dout.shape[1]
+    shifted = np.zeros((b, t, k, c_out))
+    for kk in range(k):
+        shifted[:, kk:kk + (t_out - 1) * p.stride + 1:p.stride, kk] = dout
+    dkernel = x.reshape(-1, c_in).T @ shifted.reshape(-1, k * c_out)
+    return dkernel.reshape(c_in, k, c_out).transpose(1, 0, 2)
 
 
 def sigmoid(z):

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,8 +37,10 @@ from cloudguard.features import NormStats, build_layout
 from cloudguard.nn import (Adam, Conv1dLayer, DenseLayer, LstmLayer, ModelGraph,
                            grad_check)
 from cloudguard.nn.layers import ALIGNMENT
+from cloudguard.nn.optim import BLOCK
 from cloudguard.telemetry import LABELS
 
+from .memory import traced_peak
 from .test_cli import TINY_ARCH
 
 
@@ -249,13 +250,38 @@ class TestTraining:
         cfg = TrainConfig(epochs=2, seed=0)
         n_train = len(x) - int(round(cfg.val_fraction * len(x)))
         model = build_model(arch, seed=0)
-        tracemalloc.start()
-        try:
-            train(model, x, y, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < x[:n_train].nbytes
+        assert traced_peak(lambda: train(model, x, y, cfg)) < x[:n_train].nbytes
+
+    def test_peak_holds_the_moments_one_snapshot_and_one_step(self):
+        # counted from the model's sizes: Adam's moments, one snapshot of
+        # the best epoch, one batch's gradients, its activations and their
+        # gradients, and Adam's block of scratch. A fresh 2 MB zero gradient
+        # for u on every step, or a second snapshot made beside the first,
+        # lands above it
+        arch = ArchConfig()
+        rng = np.random.default_rng(0)
+        n = 96 + arch.seq_len - 1
+        labels = np.repeat(rng.integers(arch.num_classes, size=n // 8 + 1), 8)[:n]
+        series = rng.normal(size=(n, arch.feature_dim)) * 0.5
+        series[np.arange(n), labels * 7] += 1.0
+        x, y = build_sequences(series, labels, arch.seq_len)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=0)
+        model = build_model(arch, seed=0)
+        params = model.parameters()
+        param_bytes = sum(arr.nbytes for arr in params.values())
+        # one LSTM step: u's gradient is always zero, so Adam never updates it
+        trained_bytes = param_bytes - params["6.u"].nbytes
+        out = np.ascontiguousarray(x[:cfg.batch_size])
+        activations = out.nbytes
+        for layer in model.layers:
+            out, _ = layer.forward(out)
+            activations += out.nbytes
+        train(build_model(arch, seed=1), x[:20], y[:20], cfg)  # first-call set-up
+        history = []
+        peak = traced_peak(lambda: history.extend(train(model, x, y, cfg)[1]))
+        assert history[1]["val_accuracy"] > history[0]["val_accuracy"]  # a refresh
+        assert peak <= (3 * trained_bytes + param_bytes + 2 * activations
+                        + 2 * BLOCK * out.itemsize)
 
 
 class TestTrainConfig:
@@ -549,14 +575,12 @@ class TestPredictProbs:
         x, y = series_dataset(arch, 400, seed=44)
         gather = PREDICT_CHUNK * arch.seq_len * arch.feature_dim * x.itemsize
         model = build_model(arch, seed=44)
-        tracemalloc.start()
-        try:
+
+        def train_and_evaluate():
             train(model, x, y, TrainConfig(epochs=1, seed=0))
             evaluate(model, x, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < gather / 2
+
+        assert traced_peak(train_and_evaluate) < gather / 2
 
     def test_strided_leading_conv_runs_per_sequence(self):
         arch = tiny_arch()
@@ -635,13 +659,7 @@ class TestDetectorLoad:
         path, model = default_bundle
         weight_bytes = sum(arr.nbytes for arr in model.parameters().values())
         load_detector(path)  # first-call imports and caches stay out of the count
-        tracemalloc.start()
-        try:
-            load_detector(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * weight_bytes
+        assert traced_peak(lambda: load_detector(path)) <= 1.5 * weight_bytes
 
     def test_weights_are_aligned_contiguous_writable_and_their_own(self, default_bundle):
         path, _ = default_bundle

@@ -275,6 +275,11 @@ class TestRunWideLookup:
         spans = [(i * cfg.window_ms, (i + 1) * cfg.window_ms) for i in range(cfg.n_windows)]
         bursts = BurstIndex(cfg.attacks)
         assert bursts.covering(*zip(*spans)) == scan_covering(cfg.attacks, spans)
+        for start, end in spans:  # the scans that recompute ground truth
+            assert label_for_window(cfg.attacks, start, end) == bursts.label(start, end)
+            for kind in ATTACK_KINDS:
+                assert truth_intensity(cfg.attacks, start, end, kind).hex() == \
+                    bursts.intensity(start, end, kind).hex()
         stream = generate_stream(cfg)
         assert bits(window_truths(cfg, stream.windows)) == \
             bits(per_window_truths(cfg, stream.windows))
