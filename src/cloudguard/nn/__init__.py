@@ -3,7 +3,7 @@ softmax cross-entropy, SGD/Adam, finite-difference gradient checking, and
 npz checkpoints. Everything computes in float64 on numpy arrays.
 """
 
-from .checkpoint import load_params, map_params, restore_into, save_params
+from .checkpoint import load_params, map_params, save_params
 from .gradcheck import grad_check
 from .layers import (
     PROB_FLOOR,
@@ -11,10 +11,8 @@ from .layers import (
     DenseParams,
     LstmParams,
     conv1d_forward,
-    cross_entropy,
     cross_entropy_batch,
     dense_forward,
-    lstm_forward,
     maxpool1d_forward,
     softmax,
 )
@@ -35,16 +33,13 @@ __all__ = [
     "ModelGraph",
     "Sgd",
     "conv1d_forward",
-    "cross_entropy",
     "cross_entropy_batch",
     "dense_forward",
     "grad_check",
     "load_params",
-    "lstm_forward",
     "map_params",
     "maxpool1d_forward",
     "one_blas_thread",
-    "restore_into",
     "save_params",
     "softmax",
 ]

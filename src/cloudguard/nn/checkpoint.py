@@ -13,7 +13,6 @@ its own; the views are dropped after that. ``load_params`` hands out
 copies, which outlive the file.
 """
 
-import dataclasses
 import io
 import json
 import mmap
@@ -140,18 +139,3 @@ def check_all_taken(params: dict[str, np.ndarray], path: str) -> None:
     if params:
         raise CheckpointError(f"{path}: unexpected parameter {next(iter(params))!r}")
 
-
-def restore_into(model, params: dict[str, np.ndarray], path: str = "<checkpoint>") -> None:
-    """Rebuild each weighted layer's parameters around loaded arrays, one
-    aligned copy each, as a graph built around them would hold; arrays
-    taken from ``model.parameters()`` before the call are no longer the
-    model's. Names the first field that is missing, unexpected or of
-    another shape, before any layer changes."""
-    params = dict(params)
-    taken = [(layer, take(params, f"{i}.", {field: arr.shape for field, arr
-                                            in layer.parameters().items()}, path))
-             for i, layer in enumerate(model.layers)]
-    check_all_taken(params, path)
-    for layer, arrays in taken:
-        if arrays:
-            layer.params = dataclasses.replace(layer.params, **arrays)

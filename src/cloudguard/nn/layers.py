@@ -246,18 +246,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / d
 
 
-def lstm_forward(x: np.ndarray, p: LstmParams) -> np.ndarray:
-    """Single-sequence LSTM over ``[T, C_in]`` with zero initial state.
-
-    Returns the last hidden state ``[H]``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"input must be [T, C_in], got shape {x.shape}")
-    out, _ = lstm_forward_batch(x[None], p)
-    return out[0]
-
-
 def lstm_forward_batch(x: np.ndarray, p: LstmParams):
     """Batched LSTM. Returns the last state ``h_T`` ``[B, H]`` and the
     per-step cache needed by backward.
@@ -392,16 +380,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     ez = np.exp(shifted)
     return ez / ez.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """Negative log likelihood of ``label`` with a 1e-12 probability floor."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise DimensionError("probs must be a vector")
-    if not 0 <= label < probs.shape[0]:
-        raise IndexError(f"label {label} out of range for {probs.shape[0]} classes")
-    return float(-np.log(max(probs[label], PROB_FLOOR)))
 
 
 def cross_entropy_batch(probs: np.ndarray, labels: np.ndarray,

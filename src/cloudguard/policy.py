@@ -200,9 +200,6 @@ class DoubleQTables:
         self.q_b = np.zeros((N_STATES, n_actions))
         self.visits = np.zeros((N_STATES, n_actions), dtype=np.int64)
 
-    def combined(self, state: int) -> np.ndarray:
-        return self.q_a[state] + self.q_b[state]
-
     def states(self) -> list[int]:
         """State keys whose row holds any non-zero value or visit, ascending."""
         touched = self.q_a.any(axis=1) | self.q_b.any(axis=1) \

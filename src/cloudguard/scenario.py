@@ -268,18 +268,6 @@ class BurstIndex:
                  if self.attacks[i].end > start] if lo < hi else []
                 for start, lo, hi in zip(starts, los, his)]
 
-    def overlapping(self, start: int, end: int) -> list[AttackSpec]:
-        """The specs overlapping ``[start, end)``, in configured order."""
-        return self.covering([start], [end])[0]
-
-    def label(self, start: int, end: int) -> str:
-        """Majority-overlap label of ``[start, end)`` (see label_for_window)."""
-        return _majority_label(self.overlapping(start, end), start, end)
-
-    def intensity(self, start: int, end: int, kind: str) -> float:
-        """Attack pressure of ``kind`` on ``[start, end)`` (see truth_intensity)."""
-        return peak_intensity(self.overlapping(start, end), start, end, kind)
-
 
 def _scan_overlapping(attacks, start: int, end: int) -> list[AttackSpec]:
     """The specs overlapping ``[start, end)``, by a scan of every spec."""

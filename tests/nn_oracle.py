@@ -22,6 +22,13 @@ else bit for bit.
 import numpy as np
 
 from cloudguard.errors import TrainingDivergedError
+from cloudguard.nn.layers import LstmParams
+
+
+def random_lstm_params(rng, c_in, h):
+    """Standard-normal LSTM weights for ``c_in`` inputs and ``h`` units."""
+    return LstmParams(w=rng.normal(size=(c_in, 4 * h)), u=rng.normal(size=(h, 4 * h)),
+                      b=rng.normal(size=4 * h))
 
 
 def conv1d_backward_batch(dout, x, p):

@@ -41,10 +41,10 @@ from cloudguard.scenario import (
     _UDP,
     _USER,
     AttackSpec,
-    BurstIndex,
     ScenarioConfig,
     _key,
     _overlap,
+    label_for_window,
 )
 from cloudguard.telemetry import (
     FIXED_CODES,
@@ -323,12 +323,14 @@ def _assemble(start: int, end: int, parts: list, label: str,
 
 
 def oracle_window(config: ScenarioConfig, index: int) -> TelemetryWindow:
-    """Window ``index`` of ``config``'s stream, drawn and assembled alone."""
-    bursts = BurstIndex(config.attacks)
+    """Window ``index`` of ``config``'s stream, drawn and assembled alone,
+    its specs and label found by a scan of every spec."""
     start = index * config.window_ms
     end = start + config.window_ms
     rng = _window_rng(config.seed, index)
     parts = _benign_events(rng, start, config.window_ms, config.benign_rate)
-    for spec in bursts.overlapping(start, end):
-        parts.extend(_attack_events(rng, spec, *_overlap(spec, start, end), config))
-    return _assemble(start, end, parts, bursts.label(start, end), _KeyNames())
+    for spec in config.attacks:
+        if spec.start < end and spec.end > start:
+            parts.extend(_attack_events(rng, spec, *_overlap(spec, start, end), config))
+    return _assemble(start, end, parts, label_for_window(config.attacks, start, end),
+                     _KeyNames())

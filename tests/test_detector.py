@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from cloudguard.errors import (
 )
 from cloudguard.features import NormStats, build_layout
 from cloudguard.nn import (Adam, Conv1dLayer, DenseLayer, LstmLayer, ModelGraph,
-                           grad_check)
+                           grad_check, load_params, save_params)
 from cloudguard.nn.layers import ALIGNMENT
 from cloudguard.nn.optim import BLOCK
 from cloudguard.telemetry import LABELS
@@ -621,16 +622,12 @@ class TestDetectorBundle:
         np.testing.assert_array_equal(got_model.forward(x), model.forward(x))
 
     def test_wrong_kind_rejected(self, tmp_path):
-        from cloudguard.nn import save_params
-
         path = str(tmp_path / "other.npz")
         save_params(path, {"0.bias": np.zeros(2)}, {"kind": "qtables"})
         with pytest.raises(CheckpointError, match="not a detector"):
             load_detector(path)
 
     def test_missing_normalizer_named(self, tmp_path):
-        from cloudguard.nn import save_params
-
         arch = tiny_arch()
         model = build_model(arch, seed=23)
         layout = build_layout(dim=16)
@@ -639,6 +636,25 @@ class TestDetectorBundle:
         path = str(tmp_path / "broken.npz")
         save_params(path, dict(model.parameters()), meta)  # no norm arrays
         with pytest.raises(CheckpointError, match="norm.mean"):
+            load_detector(path)
+
+    @pytest.mark.parametrize("member,array", [
+        ("9.bias", None),
+        ("9.ghost", np.zeros(2)),
+        ("7.weights", np.zeros((8, 9))),
+    ], ids=["missing", "unexpected", "reshaped"])
+    def test_a_weight_that_does_not_fit_the_arch_is_named(self, tmp_path, member, array):
+        arch = tiny_arch()
+        path = str(tmp_path / "detector.npz")
+        save_detector(path, build_model(arch, seed=24), arch,
+                      NormStats(mean=np.zeros(16), std=np.ones(16)), build_layout(dim=16))
+        params, meta = load_params(path)
+        if array is None:
+            del params[member]
+        else:
+            params[member] = array
+        save_params(path, params, meta)
+        with pytest.raises(CheckpointError, match=re.escape(repr(member))):
             load_detector(path)
 
 

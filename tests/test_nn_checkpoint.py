@@ -14,10 +14,8 @@ from cloudguard.nn import (
     ModelGraph,
     load_params,
     map_params,
-    restore_into,
     save_params,
 )
-from cloudguard.nn.layers import ALIGNMENT
 
 
 def tiny_model(seed=0):
@@ -39,16 +37,6 @@ class TestRoundTrip:
         for k, arr in model.parameters().items():
             np.testing.assert_array_equal(params[k], arr)
 
-    def test_restore_reproduces_outputs_exactly(self, tmp_path):
-        src = tiny_model(seed=1)
-        path = str(tmp_path / "m.npz")
-        save_params(path, src.parameters(), {})
-        dst = tiny_model(seed=2)
-        params, _ = load_params(path)
-        restore_into(dst, params, path)
-        x = np.random.default_rng(3).normal(size=(5, 4))
-        np.testing.assert_array_equal(src.forward(x), dst.forward(x))
-
     def test_mapped_params_are_read_only_views_equal_to_the_saved_ones(self, tmp_path):
         model = tiny_model(seed=5)
         path = str(tmp_path / "m.npz")
@@ -59,18 +47,6 @@ class TestRoundTrip:
         for name, arr in model.parameters().items():
             assert not params[name].flags.writeable
             np.testing.assert_array_equal(params[name], arr)
-
-    def test_restore_rebuilds_each_layer_around_aligned_copies(self, tmp_path):
-        src = tiny_model(seed=6)
-        path = str(tmp_path / "m.npz")
-        save_params(path, src.parameters(), {})
-        dst = tiny_model(seed=7)
-        params, _ = map_params(path)
-        restore_into(dst, params, path)
-        for name, arr in dst.parameters().items():
-            assert arr.flags.writeable and arr.ctypes.data % ALIGNMENT == 0
-            assert not np.shares_memory(arr, params[name])
-            np.testing.assert_array_equal(arr, src.parameters()[name])
 
     def test_archive_is_stored_uncompressed(self, tmp_path):
         path = tmp_path / "m.npz"
@@ -125,27 +101,6 @@ class TestFailureModes:
         for read in (load_params, map_params):
             with pytest.raises(CheckpointError, match=r"conv\.npz.*CRC.*'0\.kernel\.npy'"):
                 read(str(path))
-
-    def test_restore_names_missing_field(self, tmp_path):
-        model = tiny_model()
-        params = dict(model.parameters())
-        del params["1.bias"]
-        with pytest.raises(CheckpointError, match=r"1\.bias"):
-            restore_into(model, params)
-
-    def test_restore_names_unexpected_field(self, tmp_path):
-        model = tiny_model()
-        params = dict(model.parameters())
-        params["9.ghost"] = np.zeros(2)
-        with pytest.raises(CheckpointError, match=r"9\.ghost"):
-            restore_into(model, params)
-
-    def test_restore_names_shape_mismatch(self, tmp_path):
-        model = tiny_model()
-        params = {k: v.copy() for k, v in model.parameters().items()}
-        params["0.weights"] = np.zeros((4, 9))
-        with pytest.raises(CheckpointError, match=r"0\.weights"):
-            restore_into(model, params)
 
     def test_meta_key_reserved(self, tmp_path):
         with pytest.raises(CheckpointError, match="reserved"):

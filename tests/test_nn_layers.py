@@ -6,6 +6,8 @@ import pytest
 from cloudguard.errors import DimensionError
 from cloudguard.nn import layers as L
 
+from .nn_oracle import random_lstm_params
+
 
 def naive_conv1d(x, kernel, bias, stride):
     """Triple-loop valid convolution, the oracle for the vectorized version."""
@@ -152,22 +154,23 @@ class TestSoftmax:
 class TestCrossEntropy:
     def test_known_value(self):
         probs = np.array([0.7, 0.2, 0.1])
-        assert abs(L.cross_entropy(probs, 0) - (-np.log(0.7))) < 1e-15
+        assert abs(L.cross_entropy_batch(probs[None], np.array([0])) - (-np.log(0.7))) < 1e-15
 
     def test_floor_keeps_zero_probability_finite(self):
         probs = np.array([1.0, 0.0])
-        loss = L.cross_entropy(probs, 1)
+        loss = L.cross_entropy_batch(probs[None], np.array([1]))
         assert np.isfinite(loss)
         assert abs(loss - (-np.log(1e-12))) < 1e-9
 
     def test_perfect_prediction_is_zero(self):
-        assert L.cross_entropy(np.array([0.0, 1.0]), 1) == 0.0
+        assert L.cross_entropy_batch(np.array([[0.0, 1.0]]), np.array([1])) == 0.0
 
     def test_batch_mean_matches_singles(self):
         rng = np.random.default_rng(21)
         probs = L.softmax(rng.normal(size=(8, 4)))
         labels = rng.integers(0, 4, size=8)
-        singles = np.mean([L.cross_entropy(probs[i], labels[i]) for i in range(8)])
+        singles = np.mean([L.cross_entropy_batch(probs[i:i + 1], labels[i:i + 1])
+                           for i in range(8)])
         assert abs(L.cross_entropy_batch(probs, labels) - singles) < 1e-14
 
     def test_batch_weighting(self):
@@ -179,7 +182,7 @@ class TestCrossEntropy:
 
     def test_rejects_label_out_of_range(self):
         with pytest.raises(IndexError):
-            L.cross_entropy(np.array([0.5, 0.5]), 2)
+            L.cross_entropy_batch(np.array([[0.5, 0.5]]), np.array([2]))
 
 
 class TestSoftmaxXentGradIdentity:
@@ -221,11 +224,6 @@ def hand_lstm_step(x, h, c, p):
     return h_new, c_new
 
 
-def random_lstm_params(rng, c_in, h):
-    return L.LstmParams(w=rng.normal(size=(c_in, 4 * h)), u=rng.normal(size=(h, 4 * h)),
-                        b=rng.normal(size=4 * h))
-
-
 class TestLstm:
     def test_matches_hand_unrolled_recurrence(self):
         rng = np.random.default_rng(17)
@@ -237,13 +235,13 @@ class TestLstm:
             c = np.zeros(h_dim)
             for tt in range(t):
                 h, c = hand_lstm_step(x[tt], h, c, p)
-                got = L.lstm_forward(x[:tt + 1], p)
+                got = L.lstm_forward_batch(x[None, :tt + 1], p)[0][0]
                 np.testing.assert_allclose(got, h, rtol=1e-12, atol=1e-12)
 
     def test_saturated_gates_reach_asymptotes(self):
         # huge forget+input biases with zero weights: c_t = c_{t-1} + tanh(b_g)
         p = L.LstmParams(w=np.zeros((1, 4)), u=np.zeros((1, 4)), b=np.full(4, 100.0))
-        out = [L.lstm_forward(np.zeros((t, 1)), p)[0] for t in (1, 2, 3)]
+        out = [L.lstm_forward_batch(np.zeros((1, t, 1)), p)[0][0, 0] for t in (1, 2, 3)]
         # c accumulates tanh(100) ~= 1 per step; h = tanh(c)
         np.testing.assert_allclose(out, np.tanh([1.0, 2.0, 3.0]), atol=1e-9)
 
@@ -262,7 +260,7 @@ class TestLstm:
         rng = np.random.default_rng(23)
         p = random_lstm_params(rng, 4, 2)
         with pytest.raises(DimensionError):
-            L.lstm_forward(rng.normal(size=(5, 3)), p)
+            L.lstm_forward_batch(rng.normal(size=(1, 5, 3)), p)
 
 
 @pytest.mark.parametrize("make", [

@@ -28,11 +28,6 @@ seeds = st.integers(0, 2**32 - 1)
 sizes = st.integers(1, 5)
 
 
-def random_lstm_params(rng, c_in, h):
-    return L.LstmParams(w=rng.normal(size=(c_in, 4 * h)), u=rng.normal(size=(h, 4 * h)),
-                        b=rng.normal(size=4 * h))
-
-
 @st.composite
 def conv_cases(draw):
     """(x, dout, params) for B 1-5, C_in and C_out 1-5, K 1-5, stride 1-3."""
@@ -142,7 +137,7 @@ class TestLstmAgainstZeroStateReference:
     @given(b=sizes, t=sizes, c_in=sizes, h=sizes, seed=seeds)
     def test_outputs_and_gradients_bitwise(self, b, t, c_in, h, seed):
         rng = np.random.default_rng(seed)
-        p = random_lstm_params(rng, c_in, h)
+        p = oracle.random_lstm_params(rng, c_in, h)
         x = rng.normal(size=(b, t, c_in))
         out, steps = L.lstm_forward_batch(x, p)
         ref_out, ref_steps = oracle.lstm_forward_batch(x, p)
@@ -165,7 +160,7 @@ class TestLstmAgainstZeroStateReference:
         # g = tanh(0) = 0 and a negative dout make each dz_i a -0.0; the
         # reference sums into zeros, so its input-gate gradients are +0.0
         rng = np.random.default_rng(seed)
-        p = random_lstm_params(rng, 2, 3)
+        p = oracle.random_lstm_params(rng, 2, 3)
         p.w[:, 9:] = 0.0  # the candidate gate's block
         p.b[9:] = 0.0
         x = rng.normal(size=(1, t, 2))

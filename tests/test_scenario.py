@@ -57,7 +57,8 @@ def stream_signature(stream):
 
 def scan_truth(attacks, start, end):
     """(label, intensity per attack kind) of a window by a scan of every spec,
-    counting covered milliseconds on a mask: the burst index's oracle."""
+    counting covered milliseconds on a mask: the oracle of label_for_window
+    and truth_intensity."""
     covered = np.zeros((len(ATTACK_KINDS), end - start), dtype=bool)
     intensity = dict.fromkeys(ATTACK_KINDS, 0.0)
     for spec in attacks:
@@ -71,6 +72,11 @@ def scan_truth(attacks, start, end):
     best = int(np.argmax(per_kind))  # first of the largest: canonical order wins ties
     label = ATTACK_KINDS[best] if per_kind[best] and per_kind[best] >= benign else "benign"
     return label, intensity
+
+
+def scan_covering(attacks, spans):
+    """The specs overlapping each span, by a scan: BurstIndex.covering's oracle."""
+    return [[a for a in attacks if a.start < end and a.end > start] for start, end in spans]
 
 
 def stream_digest(stream):
@@ -223,12 +229,13 @@ class TestLabeling:
     @pytest.mark.parametrize("seed", range(10))
     def test_burst_index_matches_scan_on_default_scenario(self, seed):
         cfg = default_scenario(seed=seed)
-        bursts = BurstIndex(cfg.attacks)
-        for i in range(cfg.n_windows):
-            start, end = i * cfg.window_ms, (i + 1) * cfg.window_ms
+        spans = [(i * cfg.window_ms, (i + 1) * cfg.window_ms) for i in range(cfg.n_windows)]
+        assert BurstIndex(cfg.attacks).covering(*zip(*spans)) == \
+            scan_covering(cfg.attacks, spans)
+        for start, end in spans:
             label, intensity = scan_truth(cfg.attacks, start, end)
-            assert bursts.label(start, end) == label
-            assert {kind: bursts.intensity(start, end, kind)
+            assert label_for_window(cfg.attacks, start, end) == label
+            assert {kind: truth_intensity(cfg.attacks, start, end, kind)
                     for kind in ATTACK_KINDS} == intensity
 
     @settings(max_examples=200, deadline=None)
@@ -239,8 +246,8 @@ class TestLabeling:
         attacks = [AttackSpec(kind=kind, intensity=level / 10, start=lo, end=lo + span)
                    for kind, level, lo, span in specs]
         end = start + length
-        assert BurstIndex(attacks).overlapping(start, end) == [
-            a for a in attacks if a.start < end and a.end > start]
+        assert BurstIndex(attacks).covering([start], [end]) == \
+            scan_covering(attacks, [(start, end)])
         label, intensity = scan_truth(attacks, start, end)
         assert label_for_window(attacks, start, end) == label
         assert {kind: truth_intensity(attacks, start, end, kind)
@@ -266,20 +273,17 @@ def bits(truths):
     return [(kind, intensity.hex(), load.hex()) for kind, intensity, load in truths]
 
 
-def scan_covering(attacks, spans):
-    return [[a for a in attacks if a.start < end and a.end > start] for start, end in spans]
-
-
 class TestRunWideLookup:
     def check(self, cfg):
         spans = [(i * cfg.window_ms, (i + 1) * cfg.window_ms) for i in range(cfg.n_windows)]
         bursts = BurstIndex(cfg.attacks)
         assert bursts.covering(*zip(*spans)) == scan_covering(cfg.attacks, spans)
         for start, end in spans:  # the scans that recompute ground truth
-            assert label_for_window(cfg.attacks, start, end) == bursts.label(start, end)
+            label, intensity = scan_truth(cfg.attacks, start, end)
+            assert label_for_window(cfg.attacks, start, end) == label
             for kind in ATTACK_KINDS:
                 assert truth_intensity(cfg.attacks, start, end, kind).hex() == \
-                    bursts.intensity(start, end, kind).hex()
+                    intensity[kind].hex()
         stream = generate_stream(cfg)
         assert bits(window_truths(cfg, stream.windows)) == \
             bits(per_window_truths(cfg, stream.windows))
@@ -299,7 +303,7 @@ class TestRunWideLookup:
         spans = [(0, 1), (1250, 1251), (4749, 4750), (4750, 5050), (0, 12_000), (3400, 3500)]
         bursts = BurstIndex(OVERLAPPING.attacks)
         assert bursts.covering(*zip(*spans)) == scan_covering(OVERLAPPING.attacks, spans)
-        assert [bursts.overlapping(*span) for span in spans] == \
+        assert [bursts.covering([start], [end])[0] for start, end in spans] == \
             scan_covering(OVERLAPPING.attacks, spans)
         assert BurstIndex(()).covering([0, 5], [5, 9]) == [[], []]
         assert bursts.covering([], []) == []
