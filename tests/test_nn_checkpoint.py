@@ -16,6 +16,8 @@ from cloudguard.nn import (
     map_params,
     save_params,
 )
+from cloudguard.nn.checkpoint import check_all_taken, take
+from cloudguard.nn.layers import ALIGNMENT
 
 
 def tiny_model(seed=0):
@@ -24,6 +26,18 @@ def tiny_model(seed=0):
         DenseLayer(4, 3, activation="relu", rng=rng),
         DenseLayer(3, 2, activation="softmax", rng=rng),
     ])
+
+
+def tiny_model_around(params, path):
+    """tiny_model's layers built around the arrays ``take`` checks out of
+    ``params``, every one of which must be taken."""
+    model = ModelGraph([
+        DenseLayer.around(take(params, "0.", DenseLayer.shapes(4, 3), path), activation="relu"),
+        DenseLayer.around(take(params, "1.", DenseLayer.shapes(3, 2), path),
+                          activation="softmax"),
+    ])
+    check_all_taken(params, path)
+    return model
 
 
 class TestRoundTrip:
@@ -36,6 +50,27 @@ class TestRoundTrip:
         assert got_meta == meta
         for k, arr in model.parameters().items():
             np.testing.assert_array_equal(params[k], arr)
+
+    def test_layers_around_loaded_params_reproduce_outputs_exactly(self, tmp_path):
+        src = tiny_model(seed=1)
+        path = str(tmp_path / "m.npz")
+        save_params(path, src.parameters(), {})
+        params, _ = load_params(path)
+        dst = tiny_model_around(params, path)
+        assert params == {}
+        x = np.random.default_rng(3).normal(size=(5, 4))
+        np.testing.assert_array_equal(src.forward(x), dst.forward(x))
+
+    def test_layers_around_mapped_params_hold_aligned_copies_of_their_own(self, tmp_path):
+        src = tiny_model(seed=6)
+        path = str(tmp_path / "m.npz")
+        save_params(path, src.parameters(), {})
+        mapped, _ = map_params(path)
+        dst = tiny_model_around(dict(mapped), path)
+        for name, arr in dst.parameters().items():
+            assert arr.flags.writeable and arr.ctypes.data % ALIGNMENT == 0
+            assert not np.shares_memory(arr, mapped[name])
+            np.testing.assert_array_equal(arr, src.parameters()[name])
 
     def test_mapped_params_are_read_only_views_equal_to_the_saved_ones(self, tmp_path):
         model = tiny_model(seed=5)
