@@ -30,7 +30,8 @@ Each object that maps to a config class takes exactly that class's fields:
 the simulate (and evaluate) document is SimConfig, "scenario" is
 ScenarioConfig (each attack an AttackSpec), "arch" is ArchConfig and "env"
 is EnvConfig (less its seed, which --seed sets). A missing field keeps its
-default, so "arch" may be partial; an unknown key, a value of the wrong
+default, so "arch" may be partial, though train-detector's num_classes
+must be the six labels; an unknown key, a value of the wrong
 type, an int field given a fraction or a non-finite number is a
 configuration error (exit 2). Numeric strings are read as numbers. The
 generate, train-detector, train-policy and compare documents take only the
@@ -59,7 +60,7 @@ from .scenario import ScenarioConfig, default_scenario, generate_stream
 from .simulate import (SimConfig, canonical_json, comparison_to_dict,
                        compare_reports, emit_report, evaluate_detection,
                        per_class_csv, run_simulation)
-from .telemetry import write_events_jsonl, write_label_sidecar
+from .telemetry import LABELS, write_events_jsonl, write_label_sidecar
 
 # train-policy document keys overlaid on the defense_train_config preset
 _POLICY_KEYS = ("episodes", "steps_per_episode", "alpha", "gamma",
@@ -137,8 +138,12 @@ def _cmd_train_detector(args) -> int:
                             _pick(doc, ("epochs", "batch_size", "lr")),
                             seed=scenario.seed)
     arch = det.ArchConfig.from_dict(doc.get("arch", {}))
+    if arch.num_classes != len(LABELS):
+        raise ConfigError(f"arch num_classes {arch.num_classes} must match "
+                          f"the {len(LABELS)} labels")
     eval_seed = read_value(int, doc.get("eval_seed", scenario.seed + 1),
                            "eval_seed")
+    eval_scenario = dataclasses.replace(scenario, seed=eval_seed)
     threshold = det.check_threshold(read_value(
         float, doc.get("threshold", det.DEFAULT_THRESHOLD), "threshold"))
     out = make_dir(args.out)
@@ -148,7 +153,7 @@ def _cmd_train_detector(args) -> int:
     model = det.build_model(arch, seed=train_cfg.seed)
     model, history = det.train(model, x, y, train_cfg)
 
-    eval_stream = generate_stream(dataclasses.replace(scenario, seed=eval_seed))
+    eval_stream = generate_stream(eval_scenario)
     xe, ye, _ = det.prepare_dataset(eval_stream, layout, arch.seq_len, stats)
     metrics = det.evaluate(model, xe, ye, threshold=threshold)
     ckpt = os.path.join(out, "detector.npz")

@@ -400,7 +400,7 @@ class DetectionMetrics:
     the threshold land in the unknown bucket and are reported through
     unknown_rate. The false-positive rate is the share of truly benign
     sequences that received a confident non-benign verdict, over all truly
-    benign sequences.
+    benign sequences. Class 0 is benign.
     """
 
     classes: tuple[str, ...]
@@ -416,8 +416,7 @@ class DetectionMetrics:
 
     @classmethod
     def from_rows(cls, truth, predicted, confident,
-                  classes: tuple[str, ...] = LABELS,
-                  benign_index: int = 0) -> "DetectionMetrics":
+                  classes: tuple[str, ...] = LABELS) -> "DetectionMetrics":
         """Score per-row truth and predicted class indices, with the rows
         whose verdict was confident flagged in ``confident``."""
         truth = np.asarray(truth, dtype=np.int64)
@@ -430,9 +429,9 @@ class DetectionMetrics:
         np.add.at(confusion, (truth[confident], predicted[confident]), 1)
         precision, recall, f1 = confusion_metrics(confusion)
         n_confident = int(confident.sum())
-        benign = truth == benign_index
+        benign = truth == 0
         n_benign = int(benign.sum())
-        false_alarms = int((benign & confident & (predicted != benign_index)).sum())
+        false_alarms = int((benign & confident & (predicted != 0)).sum())
         return cls(
             classes=tuple(classes),
             confusion=confusion,
@@ -481,13 +480,13 @@ def confusion_metrics(confusion: np.ndarray):
 
 def evaluate(model: ModelGraph, x: np.ndarray, y: np.ndarray,
              threshold: float = DEFAULT_THRESHOLD,
-             classes: tuple[str, ...] = LABELS,
-             benign_index: int = 0) -> DetectionMetrics:
-    """Score a model on labeled sequences with confidence gating."""
+             classes: tuple[str, ...] = LABELS) -> DetectionMetrics:
+    """Score a model on labeled sequences with confidence gating; class 0
+    is benign."""
     if len(x) == 0:
         raise InputError("evaluation set is empty")
     v = verdict(predict_probs(model, np.asarray(x, dtype=np.float64)), threshold)
-    return DetectionMetrics.from_rows(y, v.predicted, v.confident, classes, benign_index)
+    return DetectionMetrics.from_rows(y, v.predicted, v.confident, classes)
 
 
 def save_detector(path: str, model: ModelGraph, arch: ArchConfig,
@@ -535,4 +534,7 @@ def load_detector(path: str):
     model = _assemble(arch, lambda i, cls, *sizes, **options: cls.around(
         take(params, f"{i}.", cls.shapes(*sizes), path), **options))
     check_all_taken(params, path)
+    if len(classes) != arch.num_classes:
+        raise CheckpointError(f"{path}: {len(classes)} class names for "
+                              f"{arch.num_classes} outputs")
     return model, arch, stats, layout, classes

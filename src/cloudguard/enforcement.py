@@ -13,9 +13,10 @@ window, a whole run of windows and an episode's windows x actions grid take
 the same path. It fills its damage and int8 outcome codes in place over
 the inputs' broadcast shape and tests for a live attack on the unbroadcast
 kind and intensity, so the grid costs one pass per operation.
-The default matrix is built from per-kind tier leverage: rate limiting
-against volumetric floods, the firewall against scans, injections, and
-credential stuffing, and isolation against data exfiltration.
+The matrix is a read-only constant, ``default_matrix()``, built from
+per-kind tier leverage: rate limiting against volumetric floods, the
+firewall against scans, injections, and credential stuffing, and isolation
+against data exfiltration.
 ``enforce_window`` adds collateral damage: load x the action's summed tier
 friction x the damage of one fully disrupted window.
 """
@@ -58,33 +59,6 @@ OUTCOMES = ("none", "passed", "mitigated", "blocked")
 BLOCKED = OUTCOMES.index("blocked")
 
 
-def validate_matrix(table) -> np.ndarray:
-    """Check an effectiveness table and return it as a read-only array.
-
-    The table is ``[len(LABELS), FIREWALL_TIERS, RATE_LIMIT_TIERS,
-    ISOLATION_TIERS]``: one coverage fraction per (label id, tier
-    combination). Values must lie in [0, 1], and raising any single tier
-    must never lower effectiveness.
-    """
-    table = np.array(table, dtype=np.float64)
-    shape = (len(LABELS), FIREWALL_TIERS, RATE_LIMIT_TIERS, ISOLATION_TIERS)
-    if table.shape != shape:
-        raise InputError(f"effectiveness matrix must cover every tier "
-                         f"combination per kind: shape {shape}, got {table.shape}")
-    outside = (table < 0.0) | (table > 1.0) | np.isnan(table)
-    if outside.any():
-        at = tuple(int(v) for v in np.argwhere(outside)[0])
-        raise InputError(f"effectiveness {table[at]} at {at} outside [0, 1]")
-    for axis, name in ((1, "firewall"), (2, "rate-limit"), (3, "isolation")):
-        falls = np.diff(table, axis=axis) < 0
-        if falls.any():
-            at = tuple(int(v) for v in np.argwhere(falls)[0])
-            raise InputError(f"effectiveness for {LABELS[at[0]]} decreases "
-                             f"along the {name} tier at {at[1:]}")
-    table.flags.writeable = False
-    return table
-
-
 def resolve_attack(kind, intensity, coverage):
     """Outcome codes and residual damage of attacks at a coverage e.
 
@@ -115,7 +89,10 @@ def resolve_attack(kind, intensity, coverage):
 
 @lru_cache(maxsize=1)
 def default_matrix() -> np.ndarray:
-    """Parametric default: per-kind tier leverage, saturating at full coverage."""
+    """The effectiveness matrix, read-only: ``[len(LABELS), FIREWALL_TIERS,
+    RATE_LIMIT_TIERS, ISOLATION_TIERS]``, per-kind tier leverage saturating
+    at full coverage. Built from the constants above, its values lie in
+    [0, 1] and never fall as a single tier rises."""
     wf, wr, wi = (w[:, None, None, None] for w in _TIER_WEIGHTS.T)
     f = np.arange(FIREWALL_TIERS)[:, None, None]
     r = np.arange(RATE_LIMIT_TIERS)[:, None]
@@ -123,7 +100,9 @@ def default_matrix() -> np.ndarray:
     raw = (wf * f / (FIREWALL_TIERS - 1)
            + wr * r / (RATE_LIMIT_TIERS - 1)
            + wi * i / (ISOLATION_TIERS - 1))
-    return validate_matrix(np.minimum(1.0, raw))
+    table = np.minimum(1.0, raw)
+    table.flags.writeable = False
+    return table
 
 
 # fraction of legitimate traffic each tier degrades; collateral damage is

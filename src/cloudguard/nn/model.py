@@ -71,7 +71,7 @@ class _Weighted:
     @classmethod
     def around(cls, arrays: dict[str, np.ndarray], **options):
         """The layer over given arrays, one per field of ``shapes``, and
-        ``options`` (a stride, an activation): its parameters copy each
+        ``options`` (an activation): its parameters copy each
         array once, and nothing is drawn."""
         layer = cls.__new__(cls)
         layer.params = cls.PARAMS(**arrays, **options)
@@ -88,14 +88,13 @@ class Conv1dLayer(_Weighted):
         return {"kernel": (kernel_size, in_channels, out_channels), "bias": (out_channels,)}
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
         fan_in = kernel_size * in_channels
         fan_out = kernel_size * out_channels
         self.params = L.ConvParams(
             kernel=_glorot(rng, fan_in, fan_out, (kernel_size, in_channels, out_channels)),
             bias=np.zeros(out_channels),
-            stride=stride,
         )
 
     def forward(self, x: np.ndarray):

@@ -10,8 +10,9 @@ Embedding, fusion and the context factor take one window's ``[D]`` feature
 vector or a run's ``[N, D]`` matrix: a leading window axis carries through
 each step, so a run is perceived in one call along the same path as a window.
 
-The sizes are fixed: embedders and scorer draw a ``DEFAULT_FUSION_DIM``-wide
-fusion space from ``DEFAULT_PERCEPTION_SEED``.
+The maps are plain arrays of fixed size, drawn from
+``DEFAULT_PERCEPTION_SEED``: each source's is a ``[W, F]`` matrix into a
+``DEFAULT_FUSION_DIM``-wide fusion space, and the scorer an ``[F]`` vector.
 
 A verdict plus fused context maps to a five-level threat score, weighted by
 the predicted class's ``DEFAULT_SEVERITY``; levels group into bands (1 low,
@@ -87,55 +88,27 @@ class AttentionWeights:
         return {s: float(v) for s, v in zip(self.sources, self.values)}
 
 
-class SourceEmbedder:
-    """Seeded linear map from one layout segment to the fusion space."""
-
-    def __init__(self, in_width: int, fusion_dim: int, rng: np.random.Generator):
-        scale = 1.0 / np.sqrt(in_width)
-        self.weights = rng.uniform(-scale, scale, size=(in_width, fusion_dim))
-
-    def embed(self, segment_values: np.ndarray) -> np.ndarray:
-        """``[W]`` or ``[N, W]`` segment values to ``[F]`` or ``[N, F]``."""
-        segment_values = np.asarray(segment_values, dtype=np.float64)
-        if segment_values.ndim not in (1, 2) \
-                or segment_values.shape[-1] != self.weights.shape[0]:
-            raise DimensionError(
-                f"segment width {segment_values.shape} does not match embedder "
-                f"{self.weights.shape[0]}"
-            )
-        return segment_values @ self.weights
-
-
-@dataclass(frozen=True)
-class AttentionScorer:
-    """Dot-product relevance scorer over the fusion space."""
-
-    score_vector: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "score_vector",
-                           np.asarray(self.score_vector, dtype=np.float64))
-
-
-def build_embedders(layout: FeatureLayout) -> dict[str, SourceEmbedder]:
-    """One embedder per source, drawn from a single seeded stream."""
+def build_embedders(layout: FeatureLayout) -> dict[str, np.ndarray]:
+    """One seeded ``[W, F]`` linear map per source, from the source's layout
+    segment to the fusion space, all drawn from a single stream."""
     rng = np.random.default_rng(DEFAULT_PERCEPTION_SEED)
     out = {}
     for source in SOURCES:
         start, end = layout.segments[SOURCE_SEGMENTS[source]]
-        out[source] = SourceEmbedder(end - start, DEFAULT_FUSION_DIM, rng)
+        scale = 1.0 / np.sqrt(end - start)
+        out[source] = rng.uniform(-scale, scale, size=(end - start, DEFAULT_FUSION_DIM))
     return out
 
 
-def build_scorer() -> AttentionScorer:
+def build_scorer() -> np.ndarray:
+    """The ``[F]`` dot-product relevance vector over the fusion space."""
     # seed + 1: a distinct stream from the embedders
     rng = np.random.default_rng(DEFAULT_PERCEPTION_SEED + 1)
-    return AttentionScorer(score_vector=rng.normal(size=DEFAULT_FUSION_DIM)
-                           / np.sqrt(DEFAULT_FUSION_DIM))
+    return rng.normal(size=DEFAULT_FUSION_DIM) / np.sqrt(DEFAULT_FUSION_DIM)
 
 
 def embed_window(fv: np.ndarray, layout: FeatureLayout,
-                 embedders: dict[str, SourceEmbedder]) -> list[SourceEmbedding]:
+                 embedders: dict[str, np.ndarray]) -> list[SourceEmbedding]:
     """Slice a feature vector, ``[D]``, or a run's ``[N, D]`` feature matrix
     into its three source embeddings."""
     fv = np.asarray(fv, dtype=np.float64)
@@ -144,12 +117,16 @@ def embed_window(fv: np.ndarray, layout: FeatureLayout,
     out = []
     for source in SOURCES:
         seg = fv[..., layout.segment_slice(SOURCE_SEGMENTS[source])]
-        out.append(SourceEmbedding(source=source, vector=embedders[source].embed(seg)))
+        weights = embedders[source]
+        if seg.shape[-1] != weights.shape[0]:
+            raise DimensionError(f"segment width {seg.shape[-1]} does not match "
+                                 f"the {source} embedder's {weights.shape[0]}")
+        out.append(SourceEmbedding(source=source, vector=seg @ weights))
     return out
 
 
 def fuse(embeddings: list[SourceEmbedding],
-         scorer: AttentionScorer) -> tuple[np.ndarray, AttentionWeights]:
+         score_vector: np.ndarray) -> tuple[np.ndarray, AttentionWeights]:
     """Attention-weighted combination of the three source embeddings.
 
     weight_i = softmax_i(score_vector . e_i); fused = sum_i weight_i * e_i.
@@ -166,10 +143,10 @@ def fuse(embeddings: list[SourceEmbedding],
     dims = {e.vector.shape for e in embeddings}
     if len(dims) != 1:
         raise DimensionError(f"embedding dimensions disagree: {sorted(dims)}")
-    if embeddings[0].vector.shape[-1:] != scorer.score_vector.shape:
+    if embeddings[0].vector.shape[-1:] != np.shape(score_vector):
         raise DimensionError("scorer dimension does not match embeddings")
     vectors = np.stack([e.vector for e in embeddings], axis=-2)  # [..., 3, F]
-    weights = softmax(vectors @ scorer.score_vector)
+    weights = softmax(vectors @ score_vector)
     fused = (weights[..., None] * vectors).sum(axis=-2)
     return fused, AttentionWeights(sources=tuple(present), values=weights)
 

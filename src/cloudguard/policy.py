@@ -325,7 +325,6 @@ class ConvergenceCurve:
 
     episode_rewards: tuple[float, ...]
     moving_avg: tuple[float, ...]
-    window: int
 
     @classmethod
     def from_rewards(cls, rewards, window: int) -> "ConvergenceCurve":
@@ -334,7 +333,7 @@ class ConvergenceCurve:
             float(np.mean(rewards[max(0, i - window + 1):i + 1]))
             for i in range(len(rewards))
         )
-        return cls(episode_rewards=rewards, moving_avg=moving, window=window)
+        return cls(episode_rewards=rewards, moving_avg=moving)
 
     def to_rows(self) -> list[tuple[int, float, float]]:
         return [(i, r, m) for i, (r, m)
@@ -493,6 +492,4 @@ def parse_convergence_csv(text: str, path) -> ConvergenceCurve:
             moving.append(float(avg))
         except ValueError as exc:
             raise CheckpointError(f"malformed convergence row: {row!r}") from exc
-    # the trailing-window width is not stored; infer nothing and keep rows as-is
-    return ConvergenceCurve(episode_rewards=tuple(rewards),
-                            moving_avg=tuple(moving), window=1)
+    return ConvergenceCurve(episode_rewards=tuple(rewards), moving_avg=tuple(moving))

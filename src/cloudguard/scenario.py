@@ -3,7 +3,8 @@
 The generator is a pure function of its config. Every window draws from its
 own Philox counter-based substream keyed ``(seed, window_index)``, so a
 window is the same whether it is generated alone or as part of a run, and
-the stream is byte-identical. A run is generated in two phases:
+the stream is byte-identical. The config holds the seed to one uint64 word,
+[0, 2**64), so no two seeds share a stream. A run is generated in two phases:
 
 1. Draws, window by window: each window draws its blocks (benign flows,
    logs and behaviors, then the blocks of every attack overlapping it, in
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_config
+from .config import check_seed, read_config
 from .errors import ConfigError, InputError
 from .features import FeatureLayout, extract_features
 from .telemetry import (
@@ -142,6 +143,7 @@ class ScenarioConfig:
             raise ConfigError("benign_rate must be positive")
         if self.ddos_surge <= 1.0:
             raise ConfigError("ddos_surge must exceed 1")
+        check_seed(self.seed, "scenario")
         for spec in self.attacks:
             if spec.start < 0 or spec.end > self.duration_ms:
                 raise ConfigError(
@@ -166,7 +168,6 @@ class LabeledStream:
     """Windows tiling the configured duration, each labeled, and their run."""
 
     windows: list[TelemetryWindow]
-    config: ScenarioConfig
     run: TelemetryRun
 
     def __len__(self) -> int:
@@ -175,7 +176,7 @@ class LabeledStream:
 
 class Substreams:
     """Independent Philox substreams of one seed: stream ``index`` is keyed
-    by the 128-bit pair (seed mod 2**64, index).
+    by the 128-bit pair (seed, index), the seed one uint64 word.
 
     ``streams(index)`` re-keys one bit generator from the state of a fresh
     one (counter and buffer empty) and returns its one Generator, so the
@@ -185,7 +186,7 @@ class Substreams:
     """
 
     def __init__(self, seed: int):
-        self._seed = seed & 0xFFFFFFFFFFFFFFFF
+        self._seed = seed
         self._bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._fresh = self._bits.state
         self._rng = np.random.Generator(self._bits)
@@ -701,7 +702,7 @@ def generate_stream(config: ScenarioConfig) -> LabeledStream:
     run of every window, whose windows are views into its columns."""
     run = _generate(config, range(config.n_windows))
     return LabeledStream(windows=[generate_window(config, i, run)
-                                  for i in range(config.n_windows)], config=config, run=run)
+                                  for i in range(config.n_windows)], run=run)
 
 
 def verify_separability(stream: LabeledStream, layout: FeatureLayout) -> dict[str, float]:

@@ -119,6 +119,7 @@ class TelemetryEvent:
 
 STRING_FIELDS = frozenset(("src", "dst", "protocol", "subsystem", "user_id", "action"))
 _BOOL_FIELDS = frozenset(("syn_flag", "success"))
+_NON_NEGATIVE_FIELDS = frozenset(("port", "bytes", "packets", "duration_ms"))
 
 
 class _Columns:
@@ -264,6 +265,9 @@ def _build_columns(rows: list[tuple[list, list, list]], where=lambda kind, row: 
                 bad = next((i for i, v in enumerate(values) if _column([v], dtype) is None), 0)
                 raise InputError(f"{where(cls.kind, bad)}{what} must hold "
                                  f"{np.dtype(dtype).name} values")
+            if name in _NON_NEGATIVE_FIELDS and (cols[name] < 0).any():
+                bad = int(np.argmax(cols[name] < 0))
+                raise InputError(f"{where(cls.kind, bad)}{what} must be non-negative")
         sources.append(cols)
     spelled = list(key_of)
     window_of = [np.array(wins, dtype=np.int64) for _, _, wins in rows]
@@ -303,6 +307,10 @@ class TelemetryWindow:
     Built by hand from a timestamp-sorted list of events, or by the
     generator and the JSON-lines reader from ready columns, slices of their
     run's columns, whose string fields are codes into ``strings``.
+
+    Flow values are checked non-negative where they enter, as events or
+    JSON lines; a window cut from a generated run is not checked again,
+    since the generator cannot make them negative.
     """
 
     def __init__(self, start: int, end: int, events=(), label: str | None = None, *,
@@ -346,11 +354,6 @@ class TelemetryWindow:
                 bad = ts[0] if ts[0] < self.start else ts[-1]
                 raise InputError(
                     f"event at {bad} outside window [{self.start}, {self.end})")
-        flows = self.flows
-        if len(flows) and min(flows.port.min(), flows.bytes.min(), flows.packets.min(),
-                              flows.duration_ms.min()) < 0:
-            raise InputError("flow port, bytes, packets and duration must be "
-                             "non-negative")
 
     @property
     def sources(self) -> tuple:

@@ -200,9 +200,20 @@ def test_train_detector_rejects_zero_epochs(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train-policy", "train-detector"])
+def test_train_detector_rejects_outputs_other_than_the_labels(tmp_path, capsys):
+    cfg = write_config(tmp_path, "det.json", {
+        "scenario": SCENARIO, "arch": {**TINY_ARCH, "num_classes": 8}, "epochs": 1,
+    })
+    out = tmp_path / "det"
+    assert main(["train-detector", "--config", cfg, "--out", str(out)]) == 2
+    assert "num_classes 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-policy", "train-detector", "generate",
+                                     "simulate", "evaluate"])
 @pytest.mark.parametrize("seed", [-1, 2**64])
-def test_training_commands_reject_a_seed_the_generators_cannot_take(
+def test_commands_reject_a_seed_the_generators_cannot_take(
         tmp_path, capsys, command, seed):
     out = tmp_path / "out"
     assert main([command, "--seed", str(seed), "--out", str(out)]) == 2
@@ -478,6 +489,24 @@ def test_exit_four_on_a_per_gate_lstm_checkpoint(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert "'6.w'" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_exit_four_on_a_detector_whose_outputs_outnumber_its_classes(
+        tmp_path, capsys, command):
+    # eight outputs saved under the six label names
+    arch = ArchConfig.from_dict({**TINY_ARCH, "num_classes": 8})
+    path = str(tmp_path / "detector.npz")
+    ones = np.ones(arch.feature_dim)
+    save_detector(path, build_model(arch), arch, NormStats(mean=ones, std=ones),
+                  build_layout(arch.feature_dim))
+    cfg = write_config(tmp_path, "c.json", {"scenario": SCENARIO, "detector": path})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert path in err and "6 class names for 8 outputs" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 

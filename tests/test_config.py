@@ -1,6 +1,7 @@
 """The config reader: a config class's fields are its JSON schema."""
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -83,7 +84,8 @@ def test_class_checks_and_shape_errors_are_config_errors():
         read_config(SimConfig, [])
 
 
-@pytest.mark.parametrize("cls", [EnvConfig, PolicyTrainConfig, TrainConfig])
+@pytest.mark.parametrize("cls", [EnvConfig, PolicyTrainConfig, TrainConfig,
+                                 functools.partial(ScenarioConfig, duration_ms=1000)])
 def test_seeds_outside_one_uint64_word_are_config_errors(cls):
     # the generators take a seed in [0, 2**64); outside it they would fail
     # deep inside numpy with a bare ValueError or OverflowError

@@ -397,8 +397,7 @@ class TestEvaluate:
         model = build_model(arch, seed=17)
         x, y = toy_dataset(np.random.default_rng(17), arch, n_per_class=8)
         model, _ = train(model, x, y, TrainConfig(epochs=40, lr=3e-3, seed=1))
-        m = evaluate(model, x, y, threshold=0.0,
-                     classes=("a", "b", "c"), benign_index=0)
+        m = evaluate(model, x, y, threshold=0.0, classes=("a", "b", "c"))
         if m.accuracy == 1.0:  # fully learned; the separable case
             np.testing.assert_array_equal(m.precision, np.ones(3))
             np.testing.assert_array_equal(m.recall, np.ones(3))
@@ -585,8 +584,9 @@ class TestPredictProbs:
 
     def test_strided_leading_conv_runs_per_sequence(self):
         arch = tiny_arch()
-        model = ModelGraph([Conv1dLayer(arch.feature_dim, 4, 3, stride=2),
-                            LstmLayer(4, 8), DenseLayer(8, 3, activation="softmax")])
+        conv = Conv1dLayer(arch.feature_dim, 4, 3)
+        conv.params.stride = 2
+        model = ModelGraph([conv, LstmLayer(4, 8), DenseLayer(8, 3, activation="softmax")])
         x, y = series_dataset(arch, 40, seed=45)
         np.testing.assert_allclose(predict_probs(model, x),
                                    model.forward(np.ascontiguousarray(x)),

@@ -154,8 +154,10 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_conv_pool_chain_with_stride(self):
         rng = np.random.default_rng(41)
+        conv = Conv1dLayer(2, 3, kernel_size=3, rng=rng)
+        conv.params.stride = 2
         model = ModelGraph([
-            Conv1dLayer(2, 3, kernel_size=3, stride=2, rng=rng),
+            conv,
             LstmLayer(3, 3, rng=rng),
             DenseLayer(3, 2, activation="softmax", rng=rng),
         ])

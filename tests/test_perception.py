@@ -11,10 +11,9 @@ from cloudguard.perception import (
     DEFAULT_FUSION_DIM,
     DEFAULT_PERCEPTION_SEED,
     DEFAULT_SEVERITY,
+    SOURCE_SEGMENTS,
     SOURCES,
-    AttentionScorer,
     AttentionWeights,
-    SourceEmbedder,
     SourceEmbedding,
     ThreatLevel,
     build_embedders,
@@ -35,13 +34,13 @@ def make_embeddings(vectors):
 def basis_scorer(dim, axis=0):
     v = np.zeros(dim)
     v[axis] = 1.0
-    return AttentionScorer(score_vector=v)
+    return v
 
 
 def seeded_scorer(dim):
     """``build_scorer``'s draw at another fusion width."""
     rng = np.random.default_rng(DEFAULT_PERCEPTION_SEED + 1)
-    return AttentionScorer(score_vector=rng.normal(size=dim) / np.sqrt(dim))
+    return rng.normal(size=dim) / np.sqrt(dim)
 
 
 def verdict_with(probs):
@@ -60,23 +59,24 @@ class TestEmbedders:
         layout = build_layout(dim=428)
         embedders = build_embedders(layout)
         assert set(embedders) == set(SOURCES)
-        assert embedders["traffic"].weights.shape == (200, 16)
-        assert embedders["logs"].weights.shape == (128, 16)
-        assert embedders["behavior"].weights.shape == (100, 16)
+        assert embedders["traffic"].shape == (200, 16)
+        assert embedders["logs"].shape == (128, 16)
+        assert embedders["behavior"].shape == (100, 16)
 
     def test_seeded_and_reproducible(self):
         layout = build_layout(dim=64)
         a = build_embedders(layout)
         b = build_embedders(layout)
-        start, end = layout.segments["traffic"]
-        same = SourceEmbedder(end - start, DEFAULT_FUSION_DIM,
-                              np.random.default_rng(DEFAULT_PERCEPTION_SEED))
-        other = SourceEmbedder(end - start, DEFAULT_FUSION_DIM,
-                               np.random.default_rng(DEFAULT_PERCEPTION_SEED + 1))
+        # the three maps are drawn in source order from one seeded stream,
+        # each uniform in +-1/sqrt(width)
+        rng = np.random.default_rng(DEFAULT_PERCEPTION_SEED)
         for s in SOURCES:
-            assert np.array_equal(a[s].weights, b[s].weights)
-        assert np.array_equal(a["traffic"].weights, same.weights)
-        assert not np.array_equal(a["traffic"].weights, other.weights)
+            assert np.array_equal(a[s], b[s])
+            start, end = layout.segments[SOURCE_SEGMENTS[s]]
+            scale = 1.0 / np.sqrt(end - start)
+            want = rng.uniform(-scale, scale, size=(end - start, DEFAULT_FUSION_DIM))
+            assert np.array_equal(a[s], want), s
+        assert np.array_equal(build_scorer(), seeded_scorer(DEFAULT_FUSION_DIM))
 
     def test_embed_window_is_linear_in_the_segment(self):
         layout = build_layout(dim=64)
@@ -95,6 +95,9 @@ class TestEmbedders:
         embedders = build_embedders(layout)
         with pytest.raises(DimensionError):
             embed_window(np.zeros(63), layout, embedders)
+        # maps drawn for another layout do not fit its segments
+        with pytest.raises(DimensionError, match="traffic"):
+            embed_window(np.zeros(428), build_layout(dim=428), embedders)
 
 
 class TestFusion:

@@ -140,6 +140,7 @@ _MALFORMED = {
     "string field": ([_with(FLOW_LINE, payload={"port": "443"})], "port must hold"),
     "list field": ([_with(FLOW_LINE, payload={"bytes": [1, 2]})], "bytes must hold"),
     "huge field": ([_with(FLOW_LINE, payload={"bytes": 2**70})], "bytes must hold"),
+    "negative port": ([_with(FLOW_LINE, payload={"port": -1})], "port must be non-negative"),
     "int bool": ([_with(FLOW_LINE, payload={"syn_flag": 1})], "syn_flag must hold"),
     "number string": ([_with(FLOW_LINE, payload={"src": 7})], "src must hold strings"),
     "uncovered": ([_with(LOG_LINE, timestamp=150)], "not covered"),
