@@ -91,14 +91,19 @@ class RuleBasedDetector:
 
 
 def parse_rules(doc: dict) -> tuple[Rule, ...]:
-    if not isinstance(doc, dict) or "rules" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("rules"), list):
         raise InputError("rule document must be an object with a 'rules' list")
     out = []
     for entry in doc["rules"]:
         try:
+            threshold = float(entry["threshold"])  # a number or a numeric string
+            if threshold != threshold or isinstance(entry["threshold"], bool):
+                raise ValueError("a NaN threshold never fires, and a bool is not a number")
             out.append(Rule(label=entry["label"], feature=entry["feature"],
-                            op=entry["op"], threshold=float(entry["threshold"])))
-        except (KeyError, TypeError) as exc:
+                            op=entry["op"], threshold=threshold))
+        except InputError:
+            raise  # the rule's own check, which says what is wrong
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed rule entry: {entry!r}") from exc
     return tuple(out)
 

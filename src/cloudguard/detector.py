@@ -134,6 +134,8 @@ def build_sequences(vectors: np.ndarray, labels: np.ndarray,
     n = vectors.shape[0]
     if n < seq_len:
         raise InputError(f"need at least {seq_len} windows, got {n}")
+    if len(labels) != n:
+        raise InputError(f"{len(labels)} labels for {n} windows")
     seqs = np.lib.stride_tricks.sliding_window_view(vectors, seq_len, axis=0)
     seqs = seqs.transpose(0, 2, 1)  # [M, T, D]
     return seqs, np.asarray(labels)[seq_len - 1:]
@@ -190,25 +192,22 @@ SERIES_CHUNK = 32  # windows per batched forward over a series
 PREDICT_CHUNK = 256  # sequences per forward in predict_probs's per-sequence path
 
 
-def _shared_prefix(model: ModelGraph) -> int | None:
-    """Number of leading convolutions, whose output does not depend on where
-    a sequence starts; None if one is strided, since then it does."""
+def _shared_prefix(model: ModelGraph) -> int:
+    """Number of leading stride-1 convolutions: their output at a row does
+    not depend on where a sequence starts, so a series can share it."""
     n = 0
     for layer in model.layers:
-        if not isinstance(layer, Conv1dLayer):
+        if not isinstance(layer, Conv1dLayer) or layer.params.stride != 1:
             break
-        if layer.params.stride != 1:
-            return None
         n += 1
     return n
 
 
-def _series_probs(model: ModelGraph, series: np.ndarray, seq_len: int,
-                  n_prefix: int) -> np.ndarray:
+def _series_probs(model: ModelGraph, series: np.ndarray, seq_len: int) -> np.ndarray:
     """Class probabilities ``[N, K]`` of the ``seq_len`` windows ending at
     each row of an ``[N, D]`` series, row 0 repeated in front for warm-up.
 
-    The ``n_prefix`` leading convolutions run once per chunk of windows, not
+    The ``_shared_prefix`` convolutions run once per chunk of windows, not
     once per sequence (the activation caching of Fast WaveNet); the rest of
     the stack runs batched on per-sequence slices of their output. Chunks
     always hold SERIES_CHUNK windows, the last one zero-padded, so every
@@ -217,6 +216,7 @@ def _series_probs(model: ModelGraph, series: np.ndarray, seq_len: int,
     """
     n, d = series.shape
     t = seq_len
+    n_prefix = _shared_prefix(model)
     # rows a sequence of t windows keeps after the shared valid convolutions
     t_shared = t - sum(layer.params.kernel.shape[0] - 1
                        for layer in model.layers[:n_prefix])
@@ -249,8 +249,8 @@ def classify_series(model: ModelGraph, arch: ArchConfig, normed: np.ndarray,
     at i, window 0 repeated in front for warm-up, within 1e-12; no row
     depends on later windows, bit for bit (see ``_series_probs``). Rows
     ``seq_len - 1`` on are, bit for bit, ``predict_probs`` on the
-    ``build_sequences`` view of the series. ConfigError if a leading
-    convolution is strided.
+    ``build_sequences`` view of the series. Any graph runs: a strided
+    convolution and every layer after it run per sequence.
     """
     normed = np.asarray(normed, dtype=np.float64)
     if normed.ndim != 2 or normed.shape[1] != arch.feature_dim:
@@ -258,10 +258,7 @@ def classify_series(model: ModelGraph, arch: ArchConfig, normed: np.ndarray,
                              f"{normed.shape}")
     if len(normed) == 0:
         return verdict(np.zeros((0, arch.num_classes)), threshold)
-    n_prefix = _shared_prefix(model)
-    if n_prefix is None:
-        raise ConfigError("shared leading convolutions need stride 1")
-    return verdict(_series_probs(model, normed, arch.seq_len, n_prefix), threshold)
+    return verdict(_series_probs(model, normed, arch.seq_len), threshold)
 
 
 def predict_probs(model: ModelGraph, x: np.ndarray) -> np.ndarray:
@@ -271,17 +268,15 @@ def predict_probs(model: ModelGraph, x: np.ndarray) -> np.ndarray:
     share ``classify_series``'s pass: ``x.strides[0] == x.strides[1]`` means
     ``x[m, t]`` is row ``m + t`` of an ``[M + T - 1, D]`` series, and row m
     is row ``m + T - 1`` of ``classify_series`` on it, bit for bit. Any
-    other x (a copy of such a view too), or a model with a strided leading
-    convolution, runs per sequence in chunks of PREDICT_CHUNK; the two paths
-    agree within 1e-12.
+    other x (a copy of such a view too) runs per sequence in chunks of
+    PREDICT_CHUNK; the two paths agree within 1e-12.
     """
     x = np.asarray(x, dtype=np.float64)
-    n_prefix = _shared_prefix(model)
-    if x.ndim == 3 and len(x) and x.strides[0] == x.strides[1] and n_prefix is not None:
+    if x.ndim == 3 and len(x) and x.strides[0] == x.strides[1]:
         m, t, d = x.shape
         series = np.lib.stride_tricks.as_strided(x, (m + t - 1, d), x.strides[1:],
                                                  writeable=False)
-        return _series_probs(model, series, t, n_prefix)[t - 1:]
+        return _series_probs(model, series, t)[t - 1:]
     outs = [model.forward(x[i:i + PREDICT_CHUNK])
             for i in range(0, len(x), PREDICT_CHUNK)]
     return np.concatenate(outs, axis=0)
@@ -418,13 +413,19 @@ class DetectionMetrics:
     def from_rows(cls, truth, predicted, confident,
                   classes: tuple[str, ...] = LABELS) -> "DetectionMetrics":
         """Score per-row truth and predicted class indices, with the rows
-        whose verdict was confident flagged in ``confident``."""
+        whose verdict was confident flagged in ``confident``. InputError
+        unless the three rows have one length and every id lies in [0, K)."""
         truth = np.asarray(truth, dtype=np.int64)
         predicted = np.asarray(predicted, dtype=np.int64)
         confident = np.asarray(confident, dtype=bool)
         if len(truth) == 0:
             raise InputError("no rows to score")
+        if not len(truth) == len(predicted) == len(confident):
+            raise InputError(f"rows disagree in length: {len(truth)}, {len(predicted)}, "
+                             f"{len(confident)}")
         k = len(classes)
+        if not np.all((0 <= truth) & (truth < k) & (0 <= predicted) & (predicted < k)):
+            raise InputError(f"class ids must lie in [0, {k})")
         confusion = np.zeros((k, k), dtype=np.int64)
         np.add.at(confusion, (truth[confident], predicted[confident]), 1)
         precision, recall, f1 = confusion_metrics(confusion)

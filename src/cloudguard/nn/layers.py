@@ -1,9 +1,9 @@
 """Primitive 1-D network layers with explicit forward and backward passes.
 
 Every function works on float64 arrays. Single-sample signatures take
-``[T, C]`` inputs; the ``*_batch`` variants used by training take
-``[B, T, C]`` and are what the backward passes pair with. The LSTM returns
-only its last hidden state, the one thing the dense head reads.
+``[T, C]`` inputs; the ``*_batch`` variants, and ``maxpool1d_blocks`` for
+pooling, take ``[B, T, C]`` and are what the graph's layers run. The LSTM
+returns only its last hidden state, the one thing the dense head reads.
 
 The parameter dataclasses copy each array they are given once, through
 ``aligned_copy``, so each layer owns writable, C-contiguous arrays of its
@@ -187,8 +187,9 @@ def maxpool1d_forward(x: np.ndarray, pool_size: int):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"input must be [T, C], got shape {x.shape}")
-    out, idx = maxpool1d_forward_batch(x[None], pool_size)
-    return out[0], idx[0]
+    within = maxpool1d_blocks(x[None], pool_size)[0].argmax(axis=1)  # first index wins ties
+    idx = within + np.arange(len(within))[:, None] * pool_size
+    return np.take_along_axis(x, idx, axis=0), idx
 
 
 def maxpool1d_blocks(x: np.ndarray, pool_size: int) -> np.ndarray:
@@ -197,15 +198,6 @@ def maxpool1d_blocks(x: np.ndarray, pool_size: int) -> np.ndarray:
     if pool_size < 1 or t % pool_size != 0:
         raise DimensionError(f"pool_size {pool_size} does not divide T={t}")
     return x.reshape(b, t // pool_size, pool_size, c)
-
-
-def maxpool1d_forward_batch(x: np.ndarray, pool_size: int):
-    """Batched max pooling ``[B, T, C] -> [B, T/P, C]`` plus absolute argmax indices."""
-    xr = maxpool1d_blocks(np.asarray(x, dtype=np.float64), pool_size)
-    within = xr.argmax(axis=2)  # first index wins ties
-    out = np.take_along_axis(xr, within[:, :, None, :], axis=2)[:, :, 0, :]
-    idx = within + (np.arange(xr.shape[1]) * pool_size)[None, :, None]
-    return out, idx
 
 
 def maxpool1d_backward_batch(dout: np.ndarray, x: np.ndarray, pool_size: int) -> np.ndarray:

@@ -250,26 +250,27 @@ def compute_percentiles(samples, qs) -> list[float]:
 
 
 class _Pipeline:
-    """Loaded models plus the shared layout and perception maps."""
+    """Loaded models plus the shared layout and perception maps: ``classify``
+    is the detector's one step, ``stats`` its normalizer (None for rules)."""
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.layout = build_layout()
-        self.neural = None
-        self.rules = None
-        if config.detector == BASELINE_DETECTOR:
-            self.rules = RuleBasedDetector(default_rules(), self.layout)
-        elif config.detector == ACCEPT_ALL_DETECTOR:
-            # no rule fires, so every window takes the benign column
-            self.rules = RuleBasedDetector((), self.layout)
+        self.stats = None
+        if config.detector in (BASELINE_DETECTOR, ACCEPT_ALL_DETECTOR):
+            # accept-all has no rules, so every window takes the benign column
+            rules = RuleBasedDetector(
+                default_rules() if config.detector == BASELINE_DETECTOR else (),
+                self.layout)
+            self.classify = lambda raw, normed, threshold: rules.classify_batch(raw)
         else:
-            model, arch, stats, layout, classes = load_detector(config.detector)
+            model, arch, self.stats, self.layout, classes = load_detector(config.detector)
             if tuple(classes) != LABELS:
                 raise CheckpointError(
                     f"{config.detector}: classes {tuple(classes)} do not match "
                     f"the canonical label set")
-            self.neural = (model, arch, stats)
-            self.layout = layout
+            self.classify = lambda raw, normed, threshold: classify_series(
+                model, arch, normed, threshold)
         self.embedders = build_embedders(self.layout)
         self.scorer = build_scorer()
         self.tables = load_qtables(config.policy) if config.policy else None
@@ -289,19 +290,11 @@ def _run_detection(pipe: _Pipeline, run, threshold: float):
     t0 = time.perf_counter()
     raw = extract_features(run, pipe.layout)
     feature_ms = (time.perf_counter() - t0) * 1e3
-    if pipe.neural is not None:
-        stats = pipe.neural[2]
-    else:
-        # rule detectors read raw values; normalized copies only feed perception
-        stats = fit_normalizer(raw)
-    normed = normalize(raw, stats)
+    # rule detectors read raw values; their normalized copies only feed perception
+    normed = normalize(raw, fit_normalizer(raw) if pipe.stats is None else pipe.stats)
 
     t0 = time.perf_counter()
-    if pipe.neural is not None:
-        model, arch, _ = pipe.neural
-        verdict = classify_series(model, arch, normed, threshold)
-    else:
-        verdict = pipe.rules.classify_batch(raw)
+    verdict = pipe.classify(raw, normed, threshold)
     classify_ms = (time.perf_counter() - t0) * 1e3
     share_ms = (feature_ms + classify_ms) / max(len(run), 1)
     return verdict, [share_ms] * len(run), normed

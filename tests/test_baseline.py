@@ -40,6 +40,15 @@ def test_parse_rules_rejects_malformed():
         parse_rules([])  # not an object
     with pytest.raises(InputError):
         parse_rules({"rules": [{"label": "ddos"}]})  # missing keys
+    with pytest.raises(InputError, match="'rules' list"):
+        parse_rules({"rules": 5})
+    rule = {"label": "ddos", "feature": "traffic.flow_count", "op": ">="}
+    for threshold in ("abc", float("nan"), "nan", True):
+        with pytest.raises(InputError, match="malformed rule entry.*ddos"):
+            parse_rules({"rules": [dict(rule, threshold=threshold)]})
+    assert parse_rules({"rules": [dict(rule, threshold="2.5")]})[0].threshold == 2.5
+    with pytest.raises(InputError, match="unknown rule operator"):  # the rule's own message
+        parse_rules({"rules": [dict(rule, op="=~", threshold=1)]})
 
 
 def test_load_rules_rejects_bad_file(tmp_path):

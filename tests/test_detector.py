@@ -16,6 +16,7 @@ from cloudguard.detector import (
     ArchConfig,
     DetectionMetrics,
     TrainConfig,
+    _shared_prefix,
     build_model,
     build_sequences,
     classify,
@@ -170,6 +171,11 @@ class TestBuildSequences:
     def test_too_short_rejected(self):
         with pytest.raises(InputError):
             build_sequences(np.zeros((3, 2)), np.zeros(3), seq_len=4)
+
+    def test_labels_of_another_length_rejected(self):
+        for n_labels in (19, 25):
+            with pytest.raises(InputError, match=f"{n_labels} labels for 20 windows"):
+                build_sequences(np.zeros((20, 8)), np.zeros(n_labels), seq_len=16)
 
 
 class TestTraining:
@@ -424,6 +430,26 @@ class TestEvaluate:
                                        np.array(confident))
         assert m.to_dict() == _recount_detection(rows)
 
+    def test_mismatched_rows_rejected(self):
+        with pytest.raises(InputError, match="disagree in length"):
+            DetectionMetrics.from_rows([0, 1], [0], [True, True])
+        with pytest.raises(InputError, match="disagree in length"):
+            DetectionMetrics.from_rows([0, 1], [0, 1], [True])
+        for truth, predicted in (([0, 9], [0, 1]), ([0, -1], [0, 1]), ([0, 1], [0, 6])):
+            for confident in ([False, False], [True, True]):
+                with pytest.raises(InputError, match=r"\[0, 6\)"):
+                    DetectionMetrics.from_rows(truth, predicted, confident)
+
+    def test_evaluate_rejects_labels_that_do_not_fit(self):
+        arch = tiny_arch(num_classes=len(LABELS))
+        model = build_model(arch, seed=22)
+        x = np.random.default_rng(22).normal(size=(5, arch.seq_len, arch.feature_dim))
+        with pytest.raises(InputError, match="disagree in length"):
+            evaluate(model, x, np.zeros(3, dtype=int))
+        for threshold in (1.0, 0.0):  # no row confident, then every row
+            with pytest.raises(InputError, match=r"\[0, 6\)"):
+                evaluate(model, x, np.array([0, 1, 2, 9, 0]), threshold=threshold)
+
     def test_unknown_rate_counts_below_threshold(self):
         arch = tiny_arch()
         model = build_model(arch, seed=19)  # untrained: probs near uniform
@@ -468,6 +494,21 @@ SERIES_ARCHS = {
 }
 
 
+# leading stride-1 convolutions of each hand-built strided graph; no
+# ArchConfig builds one, since its timeline assumes stride 1
+STRIDED_SHARED = {"strided-first": 0, "strided-second": 1}
+
+
+def strided_graph(name: str, feature_dim: int) -> ModelGraph:
+    """A stride-2 convolution first, or after one stride-1 convolution,
+    then an LSTM and a softmax head over 3 classes."""
+    convs = [Conv1dLayer(feature_dim, 4, 3, np.random.default_rng(1))]
+    if name == "strided-second":
+        convs.append(Conv1dLayer(4, 4, 2, np.random.default_rng(2)))
+    convs[-1].params.stride = 2
+    return ModelGraph(convs + [LstmLayer(4, 8), DenseLayer(8, 3, activation="softmax")])
+
+
 def series_lengths(arch) -> list[int]:
     t, c = arch.seq_len, SERIES_CHUNK
     return [1, t - 1, t, c - 1, c, c + 1, 2 * c + 3]
@@ -504,12 +545,20 @@ class TestClassifySeries:
             for a, b in zip(part, full):
                 assert a.tobytes() == b.tobytes()
 
-    def test_strided_shared_conv_rejected(self):
+    @pytest.mark.parametrize("name", sorted(STRIDED_SHARED))
+    def test_strided_graph_runs_from_its_strided_conv_per_sequence(self, name):
         arch = tiny_arch()
-        model = build_model(arch, seed=34)
-        model.layers[1].params.stride = 2  # conv2, before the first pool
-        with pytest.raises(ConfigError, match="stride"):
-            classify_series(model, arch, np.zeros((5, arch.feature_dim)))
+        model = strided_graph(name, arch.feature_dim)
+        shared = _shared_prefix(model)
+        assert type(shared) is int and shared == STRIDED_SHARED[name]
+        x = np.random.default_rng(34).normal(size=(2 * SERIES_CHUNK + 3,
+                                                   arch.feature_dim))
+        full = classify_series(model, arch, x).probabilities
+        np.testing.assert_allclose(full, model.forward(padded_sequences(x, arch.seq_len)),
+                                   rtol=0, atol=1e-12)
+        for k in series_lengths(arch):
+            part = classify_series(model, arch, x[:k]).probabilities
+            assert part.tobytes() == full[:k].tobytes()
 
     def test_shapes(self):
         arch = tiny_arch()
@@ -582,19 +631,17 @@ class TestPredictProbs:
 
         assert traced_peak(train_and_evaluate) < gather / 2
 
-    def test_strided_leading_conv_runs_per_sequence(self):
+    @pytest.mark.parametrize("name", sorted(STRIDED_SHARED))
+    def test_strided_graph_predicts_on_both_paths_and_trains(self, name):
         arch = tiny_arch()
-        conv = Conv1dLayer(arch.feature_dim, 4, 3)
-        conv.params.stride = 2
-        model = ModelGraph([conv, LstmLayer(4, 8), DenseLayer(8, 3, activation="softmax")])
+        model = strided_graph(name, arch.feature_dim)
         x, y = series_dataset(arch, 40, seed=45)
-        np.testing.assert_allclose(predict_probs(model, x),
-                                   model.forward(np.ascontiguousarray(x)),
-                                   rtol=0, atol=1e-12)
+        want = model.forward(np.ascontiguousarray(x))
+        for data in (x, x.copy()):  # the series path and the per-sequence path
+            np.testing.assert_allclose(predict_probs(model, data), want,
+                                       rtol=0, atol=1e-12)
         _, history = train(model, x, y, TrainConfig(epochs=2, seed=0))
         assert len(history) == 2
-        with pytest.raises(ConfigError, match="stride"):
-            classify_series(model, arch, x[:, 0])
 
     def test_sequences_shorter_than_the_convolutions_rejected(self):
         arch = tiny_arch()

@@ -101,6 +101,8 @@ class TestCollateralModel:
             fixed_action_damage([("benign", 0.0, 1.5)], CATALOG[0])
         with pytest.raises(InputError):
             fixed_action_damage([("ddos", 0.5, float("nan"))], CATALOG[0])
+        with pytest.raises(InputError, match="unknown window kind 'worm'"):
+            fixed_action_damage([("worm", 0.5, 0.2)], CATALOG[0])
 
 
 class TestEnforceWindow:

@@ -113,11 +113,12 @@ class TestHandBuiltEdges:
 
     def test_values_spanning_all_of_int64(self):
         # too wide a range to key (window, value) pairs directly
-        events = [flow_event(ts=1, port=10**18), flow_event(ts=2, port=3),
-                  flow_event(ts=3, port=10**18)]
+        lo, hi = -2**63, 2**63 - 1
+        events = [flow_event(ts=1, port=hi), flow_event(ts=2, port=0),
+                  flow_event(ts=3, port=hi)]
         events += [TelemetryEvent(kind="log", timestamp=t,
                                   log=LogData(severity=1, event_code=c, subsystem="db"))
-                   for t, c in [(4, -10**18), (5, 10**18), (6, -10**18), (7, 0)]]
+                   for t, c in [(4, lo), (5, hi), (6, lo), (7, 0)]]
         window = window_of(events)
         assert_matches_oracle(window)
         assert_run_matches([window, TelemetryWindow(start=0, end=10), window])
