@@ -99,6 +99,8 @@ def parse_rules(doc: dict) -> tuple[Rule, ...]:
             threshold = float(entry["threshold"])  # a number or a numeric string
             if threshold != threshold or isinstance(entry["threshold"], bool):
                 raise ValueError("a NaN threshold never fires, and a bool is not a number")
+            if not isinstance(entry["feature"], str):
+                raise TypeError("a rule's feature is a feature name")
             out.append(Rule(label=entry["label"], feature=entry["feature"],
                             op=entry["op"], threshold=threshold))
         except InputError:

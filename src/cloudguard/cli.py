@@ -31,14 +31,14 @@ the simulate (and evaluate) document is SimConfig, "scenario" is
 ScenarioConfig (each attack an AttackSpec), "arch" is ArchConfig and "env"
 is EnvConfig (less its seed, which --seed sets). A missing field keeps its
 default, so "arch" may be partial, though train-detector's num_classes
-must be the six labels; an unknown key, a value of the wrong
-type, an int field given a fraction or a non-finite number is a
-configuration error (exit 2). Numeric strings are read as numbers. The
-generate, train-detector, train-policy and compare documents take only the
-keys listed above, read the same way. A configuration error, and for
-simulate and evaluate a checkpoint error, exits before --out is made.
-When "scenario" is omitted, the default desk-scale scenario is used with
-the given seed.
+must be the six labels and its feature_dim at least 3; an unknown key, a
+value of the wrong type, an int field given a fraction or a non-finite
+number is a configuration error (exit 2). Numeric strings are read as
+numbers. The generate, train-detector, train-policy and compare documents
+take only the keys listed above, read the same way. A configuration error,
+and for simulate and evaluate a checkpoint error, exits before --out is
+made. When "scenario" is omitted, the default desk-scale scenario is used
+with the given seed.
 """
 
 import argparse
@@ -146,8 +146,11 @@ def _cmd_train_detector(args) -> int:
     eval_scenario = dataclasses.replace(scenario, seed=eval_seed)
     threshold = det.check_threshold(read_value(
         float, doc.get("threshold", det.DEFAULT_THRESHOLD), "threshold"))
+    try:
+        layout = build_layout(dim=arch.feature_dim)
+    except InputError as exc:
+        raise ConfigError(f"arch feature_dim {arch.feature_dim}: {exc}") from exc
     out = make_dir(args.out)
-    layout = build_layout(dim=arch.feature_dim)
     stream = generate_stream(scenario)
     x, y, stats = det.prepare_dataset(stream, layout, arch.seq_len)
     model = det.build_model(arch, seed=train_cfg.seed)

@@ -58,17 +58,6 @@ _PACKET_LOG_BUCKETS = 12
 _DURATION_LOG_BUCKETS = 16
 
 
-def entropy_nats(counts) -> float:
-    """Shannon entropy (natural log) of an empirical count distribution."""
-    values = np.asarray(list(counts.values()) if isinstance(counts, dict) else counts,
-                        dtype=np.float64)
-    total = values.sum()
-    if total <= 0:
-        return 0.0
-    p = values[values > 0] / total
-    return float(-(p * np.log(p)).sum())
-
-
 _TRAFFIC_SCALARS = (
     "flow_count", "flow_rate", "byte_sum", "byte_rate", "byte_mean",
     "byte_std", "byte_max", "byte_min", "packet_sum", "packet_rate",

@@ -2,8 +2,8 @@
 
 The metadata travels inside the archive as a UTF-8 byte array under the key
 ``meta_json``; parameter arrays keep their flat ``"<layer index>.<field>"``
-names. Loading verifies every member's CRC-32, dtype and shape and reports
-the first offending member by name.
+names. Loading verifies every member's CRC-32, dtype, finiteness and shape
+and reports the first offending member by name.
 
 ``map_params`` reads an archive without copying its arrays: each is a
 read-only view of the file as mapped. A graph built around them (each
@@ -32,11 +32,10 @@ _HEADER_PEEK = 12 + 10000  # magic, version and length, then numpy's longest hea
 
 
 def save_params(path: str, params: dict[str, np.ndarray], meta: dict) -> None:
-    """Write parameters and metadata to ``path`` as an uncompressed npz archive.
-
-    float64 weights barely compress, and inflating them dominated loading;
-    ``load_params`` reads compressed archives as well. FilesystemError when
-    ``path`` cannot be written.
+    """Write parameters and metadata to ``path`` as an npz archive of stored
+    (uncompressed) members, the only kind ``map_params`` reads: float64
+    weights barely compress, and each is read as a view of the mapped file.
+    FilesystemError when ``path`` cannot be written.
     """
     if _META_KEY in params:
         raise CheckpointError(f"parameter name {_META_KEY!r} is reserved")
@@ -50,11 +49,12 @@ def save_params(path: str, params: dict[str, np.ndarray], meta: dict) -> None:
         raise FilesystemError(f"cannot write {path}: {exc}") from exc
 
 
-def _member(archive: zipfile.ZipFile, mapped: memoryview, info: zipfile.ZipInfo):
-    """One member's bytes: a view of the mapped file when stored, else
-    inflated by zipfile. BadZipFile when its CRC-32 disagrees."""
+def _member(mapped: memoryview, info: zipfile.ZipInfo) -> memoryview:
+    """One stored member's bytes, as a view of the mapped file. BadZipFile
+    naming the member when it is compressed, its local header is bad or its
+    CRC-32 disagrees."""
     if info.compress_type != zipfile.ZIP_STORED:
-        return memoryview(archive.read(info))  # zipfile checks the CRC itself
+        raise zipfile.BadZipFile(f"file {info.filename!r} is compressed, not stored")
     signature, name_len, extra_len = _LOCAL_HEADER.unpack_from(mapped, info.header_offset)
     start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
     if signature != b"PK\x03\x04" or start + info.file_size > len(mapped):
@@ -80,9 +80,10 @@ def _npy_view(data: memoryview) -> np.ndarray:
 
 def map_params(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read back ``(params, meta)``, each parameter a read-only view of the
-    file as mapped (an inflated copy for a compressed member). The views
-    are only as good as the file: copy what must outlive a rewrite of it.
-    Raises CheckpointError on any mismatch."""
+    file as mapped. The views are only as good as the file: copy what must
+    outlive a rewrite of it. Raises CheckpointError naming the member for a
+    compressed member, any mismatch, and a parameter holding a NaN or an
+    infinity."""
     try:
         with open(path, "rb") as fh:
             # mapped whole in this one call, not a page fault at a time as it is read
@@ -94,7 +95,7 @@ def map_params(path: str) -> tuple[dict[str, np.ndarray], dict]:
                     if not info.filename.endswith(".npy"):
                         raise CheckpointError(f"{path}: member {info.filename!r} "
                                               f"is not an .npy array")
-                    members[info.filename[:-4]] = _npy_view(_member(archive, mapped, info))
+                    members[info.filename[:-4]] = _npy_view(_member(mapped, info))
     except FileNotFoundError as exc:
         raise CheckpointError(f"checkpoint file not found: {path}") from exc
     except (OSError, ValueError, EOFError, struct.error, zipfile.BadZipFile) as exc:
@@ -105,11 +106,15 @@ def map_params(path: str) -> tuple[dict[str, np.ndarray], dict]:
         meta = json.loads(members.pop(_META_KEY).tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt metadata ({exc})") from exc
-    for name, arr in members.items():
-        if arr.dtype != np.float64:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has dtype {arr.dtype}, expected float64"
-            )
+    # one pass, no temporary: a sum is non-finite only for a NaN, an infinity or an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, arr in members.items():
+            if arr.dtype != np.float64:
+                raise CheckpointError(
+                    f"{path}: parameter {name!r} has dtype {arr.dtype}, expected float64"
+                )
+            if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: parameter {name!r} holds a NaN or an infinity")
     return members, meta
 
 

@@ -62,8 +62,6 @@ class SourceEmbedding:
     vector: np.ndarray
 
     def __post_init__(self):
-        if self.source not in SOURCES:
-            raise InputError(f"unknown source {self.source!r}")
         object.__setattr__(self, "vector", np.asarray(self.vector, dtype=np.float64))
         if not np.isfinite(self.vector).all():
             raise InputError(f"{self.source} embedding contains non-finite values")
@@ -202,13 +200,6 @@ class ThreatDistribution:
     """Fraction of assessed events per band."""
 
     fractions: dict[str, float]
-
-    def __post_init__(self):
-        if set(self.fractions) != set(BANDS):
-            raise InputError(f"distribution must cover bands {BANDS}")
-        total = sum(self.fractions.values())
-        if abs(total - 1.0) > 1e-9:
-            raise InputError(f"band fractions sum to {total}, expected 1")
 
 
 def summarize_threats(levels) -> ThreatDistribution:

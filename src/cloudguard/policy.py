@@ -216,14 +216,13 @@ class Transition(NamedTuple):
 
 
 def select_action(tables: DoubleQTables, state: int, epsilon: float,
-                  rng: np.random.Generator | tuple[float, int] | None = None) -> int:
+                  draws: tuple[float, int] | None = None) -> int:
     """Epsilon-greedy over Q_A + Q_B; greedy ties go to the lowest action id.
 
-    ``rng`` is a Generator, which gives the exploration coin and then, on an
-    exploring step, a random action id; or one step's pre-drawn ``(coin,
-    action id)`` pair, as train_policy passes it. With epsilon == 0 nothing
-    is read, so a greedy caller needs no generator and replays are exactly
-    reproducible.
+    ``draws`` is one step's pre-drawn ``(coin, action id)`` pair, as
+    train_policy passes it: the step explores, taking that action id, when
+    the coin is below epsilon. With epsilon == 0 nothing is read, so a greedy
+    caller passes no draws and replays are exactly reproducible.
     """
     if tables.n_actions < 1:
         raise ConfigError("cannot select from an empty action catalog")
@@ -232,17 +231,14 @@ def select_action(tables: DoubleQTables, state: int, epsilon: float,
     if not 0 <= state < N_STATES:  # a negative key would index from the end
         raise InputError(f"state key {state} outside [0, {N_STATES})")
     if epsilon > 0.0:
-        if rng is None:
-            raise ConfigError("exploration (epsilon > 0) requires a generator")
-        if isinstance(rng, tuple):
-            coin, pick = rng
-            if coin < epsilon:
-                if not 0 <= pick < tables.n_actions:
-                    raise CatalogError(f"action id {pick} outside catalog of "
-                                       f"{tables.n_actions}")
-                return pick
-        elif rng.random() < epsilon:
-            return int(rng.integers(tables.n_actions))
+        if draws is None:
+            raise ConfigError("exploration (epsilon > 0) needs a pre-drawn coin and action")
+        coin, pick = draws
+        if coin < epsilon:
+            if not 0 <= pick < tables.n_actions:
+                raise CatalogError(f"action id {pick} outside catalog of "
+                                   f"{tables.n_actions}")
+            return pick
     return int((tables.q_a[state] + tables.q_b[state]).argmax())
 
 

@@ -202,9 +202,7 @@ def _overlap(spec: AttackSpec, start: int, end: int) -> tuple[int, int]:
 
 
 def _union_length(intervals: list[tuple[int, int]]) -> int:
-    """Total length covered by a set of half-open intervals."""
-    if not intervals:
-        return 0
+    """Total length covered by a non-empty set of half-open intervals."""
     intervals = sorted(intervals)
     covered = 0
     cur_lo, cur_hi = intervals[0]

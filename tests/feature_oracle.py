@@ -11,13 +11,24 @@ from collections import Counter
 
 import numpy as np
 
-from cloudguard.features import TS_SERIES, FeatureLayout, entropy_nats
+from cloudguard.features import TS_SERIES, FeatureLayout
 from cloudguard.telemetry import BEHAVIOR_ACTIONS, LOG_SUBSYSTEMS, TelemetryWindow
 
 _PORT_BUCKETS = 32
 _BYTE_LOG_BUCKETS = 24
 _PACKET_LOG_BUCKETS = 12
 _DURATION_LOG_BUCKETS = 16
+
+
+def entropy_nats(counts) -> float:
+    """Shannon entropy (natural log) of an empirical count distribution."""
+    values = np.asarray(list(counts.values()) if isinstance(counts, dict) else counts,
+                        dtype=np.float64)
+    total = values.sum()
+    if total <= 0:
+        return 0.0
+    p = values[values > 0] / total
+    return float(-(p * np.log(p)).sum())
 
 
 def _mean_std_max_min(values: list[float]) -> tuple[float, float, float, float]:

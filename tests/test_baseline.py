@@ -46,6 +46,9 @@ def test_parse_rules_rejects_malformed():
     for threshold in ("abc", float("nan"), "nan", True):
         with pytest.raises(InputError, match="malformed rule entry.*ddos"):
             parse_rules({"rules": [dict(rule, threshold=threshold)]})
+    for feature in (["x"], 3, None):  # a list reached the detector as a bare TypeError
+        with pytest.raises(InputError, match="malformed rule entry.*ddos"):
+            parse_rules({"rules": [dict(rule, feature=feature, threshold=1)]})
     assert parse_rules({"rules": [dict(rule, threshold="2.5")]})[0].threshold == 2.5
     with pytest.raises(InputError, match="unknown rule operator"):  # the rule's own message
         parse_rules({"rules": [dict(rule, op="=~", threshold=1)]})

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -532,6 +533,53 @@ def _detector_of_five_wide_std(tmp_path):
     return {"detector": path}
 
 
+def _detector_of_layout(edit):
+    def checkpoint(tmp_path):
+        return {"detector": _detector_checkpoint(
+            tmp_path, lambda meta: edit(meta["layout"]))}
+    return checkpoint
+
+
+def _policy_with_n_actions_line(line):
+    def checkpoint(tmp_path):
+        path = tmp_path / "policy.csv"
+        path.write_text(f"# double-q checkpoint v1\n{line}\n"
+                        "state,action,q_a,q_b,visits\n")
+        return {"policy": str(path)}
+    return checkpoint
+
+
+def _npy(arr, version=(1, 0)) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, version=version, allow_pickle=True)
+    return buf.getvalue()
+
+
+def _detector_of_members(edit):
+    """A TINY_ARCH checkpoint rewritten as stored members, after ``edit``
+    alters its dict of member name to bytes."""
+    def checkpoint(tmp_path):
+        path = _detector_checkpoint(tmp_path, lambda meta: None)
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        edit(members)
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in members.items():
+                archive.writestr(name, data)
+        return {"detector": path}
+    return checkpoint
+
+
+def _detector_of_bad_local_header(tmp_path):
+    path = _detector_checkpoint(tmp_path, lambda meta: None)
+    with zipfile.ZipFile(path) as archive:
+        at = archive.getinfo("0.kernel.npy").header_offset
+    raw = bytearray(Path(path).read_bytes())
+    raw[at:at + 4] = b"PK\x00\x00"  # the central directory still lists it
+    Path(path).write_bytes(bytes(raw))
+    return {"detector": path}
+
+
 @pytest.mark.parametrize("command,checkpoint,message", [
     ("simulate", _policy_of_five_actions, "n_actions 5 does not match"),
     ("evaluate", lambda tmp_path: {"detector": _detector_checkpoint(
@@ -541,8 +589,40 @@ def _detector_of_five_wide_std(tmp_path):
         tmp_path, lambda meta: meta.update(layout=build_layout(300).to_dict()))},
      "layout width 300"),
     ("simulate", _detector_of_overlapping_layout, "layout segment 'time_series'"),
+    ("simulate", _detector_of_layout(lambda layout: layout.update(
+        names=layout["names"][:-1])), "layout names length does not match dim"),
+    ("simulate", _detector_of_layout(lambda layout: layout["segments"].update(
+        traffic=[0, 200.0])),
+     "layout segment 'traffic' [0, 200.0] is not a [start, end) pair of integers"),
+    ("simulate", _detector_of_layout(lambda layout: layout["segments"].update(
+        behavior=[328, 427])), "layout segments end at 427, not at dim 428"),
+    ("simulate", _policy_with_n_actions_line("n_actions=five"),
+     "bad n_actions line: 'n_actions=five'"),
+    ("simulate", _policy_with_n_actions_line("n_actions=-1"),
+     "negative n_actions: 'n_actions=-1'"),
+    ("simulate", _detector_of_members(lambda m: m.update({"notes.txt": b"x"})),
+     "member 'notes.txt' is not an .npy array"),
+    ("simulate", _detector_of_members(lambda m: m.pop("meta_json.npy")),
+     "missing 'meta_json' entry"),
+    ("simulate", _detector_of_members(lambda m: m.update({"meta_json.npy": _npy(
+        np.frombuffer(b"{nope", dtype=np.uint8))})), "corrupt metadata"),
+    ("simulate", _detector_of_members(lambda m: m.update({"0.kernel.npy": _npy(
+        np.zeros(3, dtype=np.float32))})),
+     "parameter '0.kernel' has dtype float32, expected float64"),
+    ("simulate", _detector_of_members(lambda m: m.update({"0.kernel.npy": _npy(
+        np.array([None], dtype=object))})), "object arrays are not parameters"),
+    ("simulate", _detector_of_members(lambda m: m.update({"0.kernel.npy": _npy(
+        np.zeros(3), version=(3, 0))})), "unsupported .npy version (3, 0)"),
+    ("simulate", _detector_of_bad_local_header,
+     "bad local header for file '0.kernel.npy'"),
 ], ids=["simulate-policy", "evaluate-detector", "simulate-std-width",
-        "simulate-layout-width", "simulate-layout-overlap"])
+        "simulate-layout-width", "simulate-layout-overlap", "simulate-layout-names",
+        "simulate-layout-float-segment", "simulate-layout-short",
+        "simulate-q-table-n-actions", "simulate-q-table-negative-n-actions",
+        "simulate-archive-not-npy", "simulate-archive-no-meta",
+        "simulate-archive-meta-not-json", "simulate-archive-float32",
+        "simulate-archive-object", "simulate-archive-npy-v3",
+        "simulate-archive-local-header"])
 def test_exit_four_before_out_is_made(tmp_path, capsys, command, checkpoint,
                                       message):
     cfg = write_config(tmp_path, "c.json",
@@ -550,6 +630,24 @@ def test_exit_four_before_out_is_made(tmp_path, capsys, command, checkpoint,
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 4
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("member,value", [("0.kernel", np.nan), ("norm.mean", np.nan),
+                                          ("norm.std", np.inf)])
+def test_exit_four_on_a_non_finite_detector_value(tmp_path, capsys, member, value):
+    # these exited 3 after --out was made, or, for the infinite std, ran on
+    # with that feature zeroed
+    path = _detector_checkpoint(tmp_path, lambda meta: None)
+    params, meta = load_params(path)
+    params[member].flat[params[member].size // 2] = value
+    save_params(path, params, meta)
+    cfg = write_config(tmp_path, "c.json", {"scenario": SCENARIO, "detector": path})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"{path}: parameter {member!r} holds a NaN or an infinity" in err
+    assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 
@@ -590,6 +688,54 @@ def test_exit_two_on_malformed_config(tmp_path, capsys, command, doc):
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each documented rejection, with the message that names it
+DOCUMENTED = [
+    ("train-detector", {"scenario": SCENARIO, "arch": dict(TINY_ARCH, feature_dim=2),
+                        "epochs": 1}, "arch feature_dim 2: dim must be at least 3"),
+    ("train-detector", {"scenario": SCENARIO, "arch": dict(TINY_ARCH, feature_dim=1),
+                        "epochs": 1}, "arch feature_dim 1: dim must be at least 3"),
+    ("train-detector", {"arch": dict(TINY_ARCH, num_classes=1)},
+     "need at least two classes"),
+    ("train-detector", {"arch": dict(TINY_ARCH, conv_filters=[])},
+     "conv_filters must be positive"),
+    ("train-detector", {"arch": dict(TINY_ARCH, conv_filters=[4, 0])},
+     "conv_filters must be positive"),
+    ("train-detector", {"arch": dict(TINY_ARCH, lstm_hidden=0)}, "sizes must be positive"),
+    ("train-detector", {"arch": dict(TINY_ARCH, feature_dim=0)}, "sizes must be positive"),
+    ("train-detector", {"arch": dict(TINY_ARCH, pool_after=[3])},
+     "pool_after indices must reference conv layers"),
+    ("generate", {"scenario": dict(SCENARIO, attacks=[
+        {"kind": "ddos", "intensity": 0.5, "start": 5000, "end": 5000}])},
+     "attack start 5000 must precede end 5000"),
+    ("generate", {"scenario": dict(SCENARIO, duration_ms=0)},
+     "duration and window must be positive"),
+    ("generate", {"scenario": dict(SCENARIO, benign_rate=0)},
+     "benign_rate must be positive"),
+    ("generate", {"scenario": dict(SCENARIO, ddos_surge=1.0)}, "ddos_surge must exceed 1"),
+    ("train-policy", {"anneal_fraction": 0}, "anneal_fraction must be in (0, 1]"),
+    ("generate", [SCENARIO], "config file must hold a single JSON object"),
+]
+
+
+@pytest.mark.parametrize("command,doc,message", DOCUMENTED,
+                         ids=[f"{c}-{i}" for i, (c, _, _) in enumerate(DOCUMENTED)])
+def test_exit_two_names_the_documented_rejection(tmp_path, capsys, command, doc,
+                                                 message):
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not out.exists()
+
+
+def test_compare_without_reports_exits_two(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["compare", "--out", str(out)]) == 2
+    assert "compare needs a baseline and a candidate" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -11,7 +11,6 @@ from cloudguard.features import (
     DEFAULT_DIM,
     FeatureLayout,
     build_layout,
-    entropy_nats,
     extract_features,
     fit_normalizer,
     normalize,
@@ -25,6 +24,7 @@ from cloudguard.telemetry import (
     TelemetryWindow,
 )
 
+from .feature_oracle import entropy_nats
 from .test_telemetry import behavior_event, flow_event, log_event
 
 

@@ -209,6 +209,15 @@ class TestSerialization:
         with pytest.raises(InputError, match="invalid JSON"):
             read_stream_jsonl(str(ev), str(lb))
 
+    def test_reader_rejects_a_sidecar_without_its_header(self, tmp_path):
+        ev = tmp_path / "events.jsonl"
+        ev.write_text(json.dumps(FLOW_LINE) + "\n")
+        lb = tmp_path / "labels.csv"
+        lb.write_text("0,100,benign\n")
+        with pytest.raises(InputError) as err:
+            read_stream_jsonl(str(ev), str(lb))
+        assert str(err.value) == f"{lb}: expected header start,end,label"
+
     @pytest.mark.parametrize("writer", [write_events_jsonl, write_label_sidecar])
     @pytest.mark.parametrize("spans", [((100, 200), (0, 100)), ((0, 100), (50, 150))],
                              ids=["out-of-order", "overlapping"])
