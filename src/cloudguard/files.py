@@ -20,10 +20,16 @@ def read_text(path, error: type[Exception], what: str) -> str:
 
 
 def read_json(path, error: type[Exception], what: str):
-    """The JSON document in ``path``; ``error`` also when it is not JSON."""
+    """The JSON document in ``path``; ``error`` also when it is not JSON,
+    which includes the ``NaN``, ``Infinity`` and ``-Infinity`` that
+    ``json.loads`` would otherwise accept."""
     text = read_text(path, error, what)
+
+    def reject(name):
+        raise error(f"{what} {path} is not valid JSON: {name} is not a number")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 

@@ -1,5 +1,6 @@
-"""Heap measurements shared by the memory-bound tests."""
+"""Heap and page measurements shared by the memory-bound tests."""
 
+import resource
 import tracemalloc
 
 
@@ -12,3 +13,11 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def minor_faults(fn) -> int:
+    """The minor page faults this process takes while ``fn()`` runs: pages
+    it touches for the first time since the allocator got them."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before

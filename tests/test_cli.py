@@ -428,6 +428,32 @@ def test_exit_three_on_unreadable_report(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("number", ["nan", "inf", "-inf"])
+def test_exit_three_on_a_report_holding_a_non_finite_number(tmp_path, scenario_cfg,
+                                                            capsys, number):
+    out = tmp_path / "m"
+    assert main(["simulate", "--config", scenario_cfg, "--seed", "42",
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "metrics.json").read_text())
+    doc["damage"]["attack"] = float(number)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # as NaN, Infinity or -Infinity
+    capsys.readouterr()
+    assert main(["compare", str(out / "metrics.json"), str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and str(bad) in err
+
+
+def test_exit_two_naming_a_config_holding_nan(tmp_path, capsys):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"scenario": {"duration_ms": NaN}}')
+    out = tmp_path / "o"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(cfg) in err
+    assert not out.exists()
+
+
 def test_exit_four_on_corrupt_checkpoint(tmp_path, scenario_cfg, capsys):
     corrupt = tmp_path / "policy.csv"
     corrupt.write_text("this is not a q-table\n")

@@ -3,19 +3,26 @@
 import dataclasses
 import hashlib
 import itertools
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cloudguard
 from cloudguard.detector import (
     PREDICT_CHUNK,
     SERIES_CHUNK,
     ArchConfig,
     DetectionMetrics,
     TrainConfig,
+    _class_weights,
     _shared_prefix,
     build_model,
     build_sequences,
@@ -38,6 +45,7 @@ from cloudguard.errors import (
 from cloudguard.features import NormStats, build_layout
 from cloudguard.nn import (Adam, Conv1dLayer, DenseLayer, LstmLayer, ModelGraph,
                            grad_check, load_params, save_params)
+from cloudguard.nn import layers as nnl
 from cloudguard.nn.layers import ALIGNMENT
 from cloudguard.nn.optim import BLOCK
 from cloudguard.telemetry import LABELS
@@ -178,7 +186,88 @@ class TestBuildSequences:
                 build_sequences(np.zeros((20, 8)), np.zeros(n_labels), seq_len=16)
 
 
+# Trains the default arch for 3 epochs on the benchmark's 635 training
+# sequences and prints the minor page faults of each epoch's
+# loss_and_gradients calls
+FAULTS_PER_EPOCH = """
+import json, math
+from cloudguard import detector, features, scenario
+from cloudguard.nn import ModelGraph
+from tests.memory import minor_faults
+
+arch = detector.ArchConfig()
+stream = scenario.generate_stream(scenario.default_scenario(seed=3, rounds=10))
+x, y, _ = detector.prepare_dataset(stream, features.build_layout(dim=arch.feature_dim),
+                                   arch.seq_len)
+cfg = detector.TrainConfig(epochs=3, seed=0)
+faults = []
+step = ModelGraph.loss_and_gradients
+
+def counted(self, *args, **kwargs):
+    out = []
+    faults.append(minor_faults(lambda: out.append(step(self, *args, **kwargs))))
+    return out[0]
+
+ModelGraph.loss_and_gradients = counted
+detector.train(detector.build_model(arch, seed=0), x, y, cfg)
+steps = math.ceil((len(x) - round(cfg.val_fraction * len(x))) / cfg.batch_size)
+print(json.dumps([sum(faults[e * steps:(e + 1) * steps]) for e in range(cfg.epochs)]))
+"""
+
+
+def train_keeping_every_epoch(model, x, y, cfg):
+    """``train``'s loop written out with no best-epoch selection: the
+    per-epoch history and a copy of the parameters after every epoch."""
+    rng = np.random.default_rng(cfg.seed)
+    perm = rng.permutation(len(x))
+    n_val = int(round(cfg.val_fraction * len(x)))
+    val_idx, train_idx = np.sort(perm[:n_val]), np.sort(perm[n_val:])
+    y_train, y_val = y[train_idx], y[val_idx]
+    weights = _class_weights(y_train, model.forward(x[:1]).shape[1])
+    optimizer = Adam(lr=cfg.lr)
+    params = model.parameters()
+    history, snapshots = [], []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(train_idx)
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            _, grads = model.loss_and_gradients(x[batch], y[batch],
+                                                sample_weights=weights[y[batch]])
+            optimizer.step(params, grads)
+        probs = predict_probs(model, x)
+        history.append({
+            "epoch": epoch,
+            "loss": nnl.cross_entropy_batch(probs[train_idx], y_train, weights[y_train]),
+            "train_accuracy": float((probs[train_idx].argmax(axis=1) == y_train).mean()),
+            "val_accuracy": float((probs[val_idx].argmax(axis=1) == y_val).mean()),
+        })
+        snapshots.append({k: v.copy() for k, v in params.items()})
+    return history, snapshots
+
+
 class TestTraining:
+    @pytest.mark.parametrize("shift, seed, lr, epochs, best_epoch", [
+        (1.0, 2, 3e-3, 4, 0),  # validation accuracy 1.0, 0.5, 0.5, 0.5
+        (1.0, 3, 3e-3, 4, 1),  # 0.75, 1.0, 1.0, 0.75: a tie keeps the first
+        (0.5, 1, 1e-2, 3, 2),  # 0.5, 0.5, 0.75
+        (1.0, 2, 3e-3, 1, 0),
+    ])
+    def test_returns_the_best_validation_epochs_parameters(self, shift, seed, lr,
+                                                            epochs, best_epoch):
+        arch = tiny_arch()
+        x, y = toy_dataset(np.random.default_rng(seed), arch, n_per_class=10, shift=shift)
+        cfg = TrainConfig(epochs=epochs, batch_size=8, lr=lr, seed=seed)
+        model, history = train(build_model(arch, seed=seed), x, y, cfg)
+        expected, snapshots = train_keeping_every_epoch(build_model(arch, seed=seed),
+                                                        x, y, cfg)
+        assert history == expected
+        assert int(np.argmax([h["val_accuracy"] for h in history])) == best_epoch
+        params = model.parameters()
+        for key, arr in snapshots[best_epoch].items():
+            np.testing.assert_array_equal(params[key], arr)
+        if best_epoch < epochs - 1:  # the restore is what put them there
+            assert any(not np.array_equal(params[k], v) for k, v in snapshots[-1].items())
+
     def test_lr_zero_leaves_params_and_history_flat(self):
         rng = np.random.default_rng(2)
         arch = tiny_arch()
@@ -259,12 +348,14 @@ class TestTraining:
         model = build_model(arch, seed=0)
         assert traced_peak(lambda: train(model, x, y, cfg)) < x[:n_train].nbytes
 
-    def test_peak_holds_the_moments_one_snapshot_and_one_step(self):
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_peak_holds_the_moments_one_snapshot_and_one_step(self, epochs):
         # counted from the model's sizes: Adam's moments, one snapshot of
-        # the best epoch, one batch's gradients, its activations and their
-        # gradients, and Adam's block of scratch. A fresh 2 MB zero gradient
-        # for u on every step, or a second snapshot made beside the first,
-        # lands above it
+        # the best epoch when a later epoch can replace it, one batch's
+        # gradients, its activations and their gradients, and Adam's block
+        # of scratch. A fresh 2 MB zero gradient for u on every step, a
+        # second snapshot made beside the first, or a snapshot of a
+        # one-epoch run lands above it
         arch = ArchConfig()
         rng = np.random.default_rng(0)
         n = 96 + arch.seq_len - 1
@@ -272,7 +363,7 @@ class TestTraining:
         series = rng.normal(size=(n, arch.feature_dim)) * 0.5
         series[np.arange(n), labels * 7] += 1.0
         x, y = build_sequences(series, labels, arch.seq_len)
-        cfg = TrainConfig(epochs=2, batch_size=8, seed=0)
+        cfg = TrainConfig(epochs=epochs, batch_size=8, seed=0)
         model = build_model(arch, seed=0)
         params = model.parameters()
         param_bytes = sum(arr.nbytes for arr in params.values())
@@ -286,9 +377,26 @@ class TestTraining:
         train(build_model(arch, seed=1), x[:20], y[:20], cfg)  # first-call set-up
         history = []
         peak = traced_peak(lambda: history.extend(train(model, x, y, cfg)[1]))
-        assert history[1]["val_accuracy"] > history[0]["val_accuracy"]  # a refresh
-        assert peak <= (3 * trained_bytes + param_bytes + 2 * activations
+        if epochs > 1:
+            assert history[1]["val_accuracy"] > history[0]["val_accuracy"]  # a refresh
+        snapshot_bytes = param_bytes if epochs > 1 else 0
+        assert peak <= (3 * trained_bytes + snapshot_bytes + 2 * activations
                         + 2 * BLOCK * out.itemsize)
+
+    def test_later_epochs_fault_no_more_pages_than_the_first(self):
+        # in a fresh process, so that the suite's heap does not decide where
+        # the steps' arrays land. Which steps fault depends on where the
+        # allocator puts them: on these sequences a snapshot allocated after
+        # the first epoch made later epochs fault more pages than the first
+        src = str(Path(cloudguard.__file__).resolve().parents[1])
+        root = str(Path(__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", FAULTS_PER_EPOCH], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        first, *later = json.loads(proc.stdout)
+        assert max(later) <= first, [first, *later]
 
 
 class TestTrainConfig:

@@ -9,6 +9,7 @@ import pytest
 from cloudguard.baseline import load_rules
 from cloudguard.cli import _load_config, main
 from cloudguard.errors import CheckpointError, ConfigError, InputError
+from cloudguard.files import read_json
 from cloudguard.policy import load_qtables, read_convergence_csv
 from cloudguard.simulate import read_events
 from cloudguard.telemetry import read_stream_jsonl
@@ -88,3 +89,12 @@ def test_a_report_that_is_not_json_is_named(tmp_path, capsys):
     path.write_text("{nope")
     assert main(["compare", str(path), str(path)]) == 3
     assert f"report {path} is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_rejects_a_non_finite_constant(tmp_path, constant):
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"a": [1, {constant}]}}')
+    with pytest.raises(InputError, match=f"{constant} is not a number") as caught:
+        read_json(path, InputError, "report")
+    assert str(path) in str(caught.value)
